@@ -17,12 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation
-from .corpus_io import (CorpusFormatError, ProminenceRecord, Utterance,
-                        is_punctuation, load_embeddings, parse_dataset,
-                        parse_lab, parse_textgrid, read_wav, write_dataset)
+from .corpus_io import (CorpusFormatError, EmbeddingTable, ProminenceRecord,
+                        Utterance, load_embeddings, parse_dataset, parse_lab,
+                        parse_textgrid, read_wav, write_dataset)
 from .discretize import Thresholds, calibrate_binary, split_prominent
 from .prominence import (AnnotateConfig, AnnotationError, CompositeConfig,
                          ScaleGrid, annotate_utterance)
@@ -32,7 +30,6 @@ from .taggers import (crf_loglik_grad, crf_train, load_model, predict_embed,
                       train_majority, viterbi)
 from .taggers.common import LabeledSentence, sentence_from_records
 from .taggers.crf import CrfModel
-from .taggers.embed import EmbeddingClassifier
 from .taggers.majority import MajorityModel
 
 log = logging.getLogger("prosolab")
@@ -140,7 +137,8 @@ def _config_snapshot(cfg: AnnotateConfig) -> list[str]:
 # annotate
 # ---------------------------------------------------------------------------
 
-def _annotate_one(job) -> tuple[str, list[ProminenceRecord] | None, str | None]:
+def _annotate_one(job) -> tuple[
+        str, tuple[Utterance, list[ProminenceRecord]] | None, str | None]:
     stem, wav_path, align_path, tier, cfg = job
     try:
         audio = read_wav(wav_path)
@@ -148,7 +146,7 @@ def _annotate_one(job) -> tuple[str, list[ProminenceRecord] | None, str | None]:
             utt = parse_lab(align_path, utt_id=stem)
         else:
             utt = parse_textgrid(align_path, tier, utt_id=stem)
-        return stem, annotate_utterance(audio, utt, cfg), None
+        return stem, (utt, annotate_utterance(audio, utt, cfg)), None
     except Exception as exc:
         return stem, None, str(exc)
 
@@ -188,15 +186,13 @@ def cmd_annotate(args) -> int:
     status: list[tuple[str, str]] = [(s, "failed: missing audio")
                                      for s in missing]
     payload = []
-    for stem, records, err in results:
-        if records is None:
+    for stem, annotated, err in results:
+        if annotated is None:
             log.info("%s failed: %s", stem, err)
             status.append((stem, f"failed: {err}"))
             continue
         status.append((stem, "ok"))
-        utt = Utterance(id=stem, speaker="",
-                        tokens=[_token_stub(r.token) for r in records])
-        payload.append((utt, records))
+        payload.append(annotated)
 
     out_path = Path(args.out_file)
     out_path.write_bytes(write_dataset(payload))
@@ -213,12 +209,6 @@ def cmd_annotate(args) -> int:
         "\n".join(manifest) + "\n", encoding="utf-8")
     print(f"{n_ok} ok, {n_fail} failed -> {out_path}")
     return 0
-
-
-def _token_stub(text: str):
-    from .corpus_io import Token
-    return Token(text=text, start_s=0.0, end_s=0.0,
-                 is_punct=is_punctuation(text))
 
 
 # ---------------------------------------------------------------------------
@@ -284,63 +274,62 @@ def _embed_table(cfg: dict[str, str]):
     return load_embeddings(Path(cfg["embeddings"]), dim)
 
 
+def _train(kind: str, corpus: list[LabeledSentence], cfg: dict[str, str],
+           table: EmbeddingTable | None):
+    """Fit a `kind` tagger; `train` and `learning-curve` both come here, so
+    they read the same config keys."""
+    if kind == "majority":
+        return train_majority(corpus)
+    l2_lambda = _cfg_float(cfg, "l2_lambda", 1e-4)
+    if kind == "crf":
+        return crf_train(
+            corpus, l2_lambda=l2_lambda,
+            max_iterations=_cfg_int(cfg, "max_iterations", 100),
+            tolerance=_cfg_float(cfg, "tolerance", 1e-5),
+        )
+    return train_embed_classifier(
+        corpus, table, l2_lambda=l2_lambda,
+        max_iterations=_cfg_int(cfg, "max_iterations", 500),
+    )
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     corpus = _load_sentences(args.train_file, args.classes)
     log.info("training %s on %d sentences", args.model, len(corpus))
+    table = _embed_table(cfg) if args.model == "embed" else None
+    model = _train(args.model, corpus, cfg, table)
     if args.model == "majority":
-        model = train_majority(corpus)
         print(f"entries={len(model.per_word)}")
     elif args.model == "crf":
-        model = crf_train(
-            corpus,
-            l2_lambda=_cfg_float(cfg, "l2_lambda", 1e-4),
-            max_iterations=_cfg_int(cfg, "max_iterations", 100),
-            tolerance=_cfg_float(cfg, "tolerance", 1e-5),
-        )
         value, _ = crf_loglik_grad(model, corpus)
         print(f"features={len(model.feature_index)}")
         print(f"objective={value:.6f}")
     else:
-        model = train_embed_classifier(
-            corpus, _embed_table(cfg),
-            l2_lambda=_cfg_float(cfg, "l2_lambda", 1e-4),
-            max_iterations=_cfg_int(cfg, "max_iterations", 500),
-        )
         print(f"dimension={model.table.dimension}")
     Path(args.out_model).write_bytes(save_model(model))
     return 0
 
 
-def _predictor(model, majority_mode: str):
+def _predictor(model, model_arg: str):
+    """(report name, tokens -> labels).  The model's type picks the decoder;
+    `model_arg` only picks majority-global decoding.  Decoders are looked up
+    at call time, so a tracer that rebinds them here sees every call."""
     if isinstance(model, MajorityModel):
-        return lambda tokens: predict_majority(model, tokens, majority_mode)
+        if model_arg == "majority-global":
+            return ("majority-global",
+                    lambda tokens: predict_majority(model, tokens, "global"))
+        return ("majority-per-word",
+                lambda tokens: predict_majority(model, tokens, "per_word"))
     if isinstance(model, CrfModel):
-        return lambda tokens: viterbi(model, tokens)
-    if isinstance(model, EmbeddingClassifier):
-        return lambda tokens: predict_embed(model, tokens)
-    raise UsageError(f"unsupported model object {type(model).__name__}")
-
-
-def _model_name(model, majority_mode: str) -> str:
-    if isinstance(model, MajorityModel):
-        return ("majority-global" if majority_mode == "global"
-                else "majority-per-word")
-    return "crf" if isinstance(model, CrfModel) else "embed"
-
-
-def _majority_mode(args) -> str:
-    return "global" if args.model == "majority-global" else "per_word"
-
-
-def _format_labels(labels) -> str:
-    return "\n".join("NA" if lab is None else str(lab) for lab in labels)
+        return "crf", lambda tokens: viterbi(model, tokens)
+    return "embed", lambda tokens: predict_embed(model, tokens)
 
 
 def cmd_predict(args) -> int:
     model = load_model(Path(args.model_file).read_bytes())
     sentences = _load_sentences(args.in_file, 3)
-    predict = _predictor(model, _majority_mode(args))
+    _, predict = _predictor(model, args.model)
     blocks = []
     for sent in sentences:
         preds = predict(sent.tokens)
@@ -357,9 +346,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def parse_predictions(path: str) -> list[LabeledSentence]:
-    """Read the 2-column token<TAB>label format written by cmd_predict."""
-    text = Path(path).read_text(encoding="utf-8")
+def parse_predictions(data: bytes) -> list[LabeledSentence]:
+    """Parse the 2-column token<TAB>label format written by cmd_predict."""
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     sentences = []
     tokens: list[str] = []
     labels: list[int | None] = []
@@ -382,16 +371,13 @@ def parse_predictions(path: str) -> list[LabeledSentence]:
 
 def cmd_evaluate(args) -> int:
     gold_sents = _load_sentences(args.test_file, args.classes)
-    head = Path(args.model_or_pred).read_bytes()[:64]
-    is_model = head.startswith(b"prosolab-model")
+    data = Path(args.model_or_pred).read_bytes()
 
-    if is_model:
-        model = load_model(Path(args.model_or_pred).read_bytes())
-        predict = _predictor(model, _majority_mode(args))
-        name = _model_name(model, _majority_mode(args))
+    if data.startswith(b"prosolab-model"):
+        name, predict = _predictor(load_model(data), args.model)
         pred_lists = [predict(sent.tokens) for sent in gold_sents]
     else:
-        pred_sents = parse_predictions(args.model_or_pred)
+        pred_sents = parse_predictions(data)
         if len(pred_sents) != len(gold_sents):
             raise CorpusFormatError(
                 f"sentence count mismatch: {len(pred_sents)} predicted vs "
@@ -420,23 +406,11 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_fractions(text: str) -> list[float]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            pct = float(part)
-        except ValueError as exc:
-            raise UsageError(f"bad fraction {part!r}") from exc
-        frac = pct / 100.0
-        if not any(abs(frac - f) < 1e-9 for f in evaluation.CURVE_FRACTIONS):
-            allowed = ",".join(f"{100 * f:g}" for f in
-                               evaluation.CURVE_FRACTIONS)
-            raise UsageError(
-                f"fraction {part}% not supported; pick from {allowed}")
-        out.append(frac)
-    if not out:
-        raise UsageError("empty fraction list")
-    return out
+    try:
+        return [evaluation.check_fraction(float(part) / 100.0)
+                for part in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--fractions {text}: {exc}") from exc
 
 
 def cmd_learning_curve(args) -> int:
@@ -444,34 +418,19 @@ def cmd_learning_curve(args) -> int:
     train_corpus = _load_sentences(args.train_file, args.classes)
     test_corpus = _load_sentences(args.test_file, args.classes)
     fractions = _parse_fractions(args.fractions)
+    table = _embed_table(cfg) if args.model == "embed" else None
+    kind = "majority" if args.model.startswith("majority") else args.model
 
-    if args.model in ("majority", "majority-global"):
-        mode = _majority_mode(args)
-
-        def train_fn(corpus):
-            model = train_majority(corpus)
-            return lambda tokens: predict_majority(model, tokens, mode)
-    elif args.model == "crf":
-        def train_fn(corpus):
-            model = crf_train(
-                corpus,
-                l2_lambda=_cfg_float(cfg, "l2_lambda", 1e-4),
-                max_iterations=_cfg_int(cfg, "max_iterations", 100),
-                tolerance=_cfg_float(cfg, "tolerance", 1e-5),
-            )
-            return lambda tokens: viterbi(model, tokens)
-    else:
-        table = _embed_table(cfg)
-
-        def train_fn(corpus):
-            model = train_embed_classifier(corpus, table)
-            return lambda tokens: predict_embed(model, tokens)
+    def train_fn(corpus):
+        return _predictor(_train(kind, corpus, cfg, table), args.model)[1]
 
     points = evaluation.learning_curve(train_fn, train_corpus, test_corpus,
                                        fractions, args.seed)
     task = f"{args.classes}-way"
     Path(args.out_tsv).write_text(
-        evaluation.curve_tsv(args.model, task, points), encoding="utf-8")
+        evaluation.report_tsv([(args.model, task, p.fraction, p.accuracy)
+                               for p in points]),
+        encoding="utf-8")
     for p in points:
         print(f"fraction {p.fraction:g}: accuracy {p.accuracy:.4f}")
     return 0
@@ -492,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, classes=True):
         p.add_argument("--config", default=None,
                        help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed (default 0)")
         if classes:
             p.add_argument("--classes", type=int, choices=(2, 3), default=3,
                            help="label granularity (default 3)")
@@ -530,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_file")
     p.add_argument("--model", default="majority",
                    choices=("majority", "majority-global", "crf", "embed"),
-                   help="majority decode mode selector (default per-word)")
+                   help="majority-global decodes a majority model with the "
+                        "global label; the model file sets the tagger type")
     common(p)
     p.set_defaults(func=cmd_predict)
 
@@ -539,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test_file")
     p.add_argument("--model", default="majority",
                    choices=("majority", "majority-global", "crf", "embed"),
-                   help="majority decode mode selector (default per-word)")
+                   help="majority-global decodes a majority model with the "
+                        "global label; the model file sets the tagger type")
     p.add_argument("--out", default="eval",
                    help="prefix for report/confusion TSVs (default 'eval')")
     common(p)
@@ -554,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("majority", "majority-global", "crf", "embed"))
     p.add_argument("--fractions", default="1,5,10,50,100",
                    help="percent list from {1,5,10,50,100}")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the training subset sampling (default 0)")
     common(p)
     p.set_defaults(func=cmd_learning_curve)
 

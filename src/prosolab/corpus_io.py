@@ -74,7 +74,8 @@ class ProminenceRecord:
 
 @dataclass
 class EmbeddingTable:
-    """Token -> vector map; absent tokens look up as the all-zero vector."""
+    """Token -> vector map; a token absent in its own case falls back to its
+    lowercase form, and absent in both looks up as the all-zero vector."""
 
     dimension: int
     entries: dict[str, np.ndarray] = field(default_factory=dict)
@@ -82,8 +83,8 @@ class EmbeddingTable:
     def lookup(self, token: str) -> np.ndarray:
         vec = self.entries.get(token)
         if vec is None:
-            return np.zeros(self.dimension)
-        return vec
+            vec = self.entries.get(token.lower())
+        return np.zeros(self.dimension) if vec is None else vec
 
 
 def is_punctuation(text: str) -> bool:

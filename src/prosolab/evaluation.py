@@ -35,10 +35,16 @@ class CurvePoint:
     accuracy: float
 
     def __post_init__(self) -> None:
-        if not any(abs(self.fraction - f) < 1e-12 for f in CURVE_FRACTIONS):
-            raise ValueError(
-                f"fraction {self.fraction} not in {CURVE_FRACTIONS}"
-            )
+        check_fraction(self.fraction)
+
+
+def check_fraction(fraction: float) -> float:
+    """Return `fraction` if it is one of CURVE_FRACTIONS, else raise."""
+    if not any(abs(fraction - f) < 1e-9 for f in CURVE_FRACTIONS):
+        allowed = ",".join(f"{100 * f:g}" for f in CURVE_FRACTIONS)
+        raise ValueError(
+            f"fraction {100 * fraction:g}% not supported: not in {allowed}")
+    return fraction
 
 
 def _check_pair(pred, gold):
@@ -139,13 +145,6 @@ def learning_curve(train_fn, train_corpus: list[LabeledSentence],
         points.append(CurvePoint(fraction=fraction,
                                  accuracy=accuracy(preds, golds)))
     return points
-
-
-def curve_tsv(model_name: str, task: str, points: list[CurvePoint]) -> str:
-    lines = ["model\ttask\tfraction\taccuracy"]
-    for p in points:
-        lines.append(f"{model_name}\t{task}\t{p.fraction:g}\t{p.accuracy:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 def report_tsv(rows: list[tuple[str, str, float, float]]) -> str:

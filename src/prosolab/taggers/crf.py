@@ -13,6 +13,7 @@ transition weights flattened row-major, S = K + 1.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from scipy.optimize import minimize
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
 from ..corpus_io import is_punctuation
 from .common import LabeledSentence, na_mask
+
+log = logging.getLogger(__name__)
 
 BOS = "<BOS>"
 EOS = "<EOS>"
@@ -286,6 +289,10 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
     result = minimize(objective, model.weights, jac=True, method="L-BFGS-B",
                       options={"maxiter": max_iterations, "ftol": tolerance,
                                "gtol": tolerance})
+    log.log(logging.INFO if result.success else logging.WARNING,
+            "L-BFGS %s: %s (nit=%d, nfev=%d)",
+            "converged" if result.success else "stopped without converging",
+            result.message, result.nit, result.nfev)
     model.weights = result.x
     return model
 

@@ -25,20 +25,13 @@ class EmbeddingClassifier:
     window: int = 1
 
 
-def _token_vector(table: EmbeddingTable, token: str) -> np.ndarray:
-    vec = table.entries.get(token)
-    if vec is None:
-        vec = table.entries.get(token.lower())
-    return np.zeros(table.dimension) if vec is None else vec
-
-
 def _position_features(table: EmbeddingTable, tokens: list[str],
                        t: int) -> np.ndarray:
     d = table.dimension
     zero = np.zeros(d)
-    prev = _token_vector(table, tokens[t - 1]) if t > 0 else zero
-    nxt = _token_vector(table, tokens[t + 1]) if t + 1 < len(tokens) else zero
-    cur = _token_vector(table, tokens[t])
+    prev = table.lookup(tokens[t - 1]) if t > 0 else zero
+    nxt = table.lookup(tokens[t + 1]) if t + 1 < len(tokens) else zero
+    cur = table.lookup(tokens[t])
     return np.concatenate([prev, cur, nxt, [1.0]])
 
 

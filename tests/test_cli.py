@@ -226,13 +226,19 @@ def test_train_embed_needs_table_config(tmp_path, dataset_file, capsys):
     assert "embeddings=<path>" in capsys.readouterr().err
 
 
-def test_train_embed_with_table(tmp_path, dataset_file, capsys):
+def write_training_config(tmp_path, extra=""):
+    """Config with a 2-d embedding table for the dataset_file words."""
     emb = tmp_path / "vectors.txt"
     rows = ["tell 1 0", "me 0 1", "you 0.5 0.5", "rascal 0 0.25",
             "where 1 1", "is 0.25 0", "the 0 0", "pig 0.75 0.25"]
     emb.write_text("\n".join(rows) + "\n")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"embeddings={emb}\nembedding_dim=2\n")
+    cfg.write_text(f"embeddings={emb}\nembedding_dim=2\n{extra}")
+    return cfg
+
+
+def test_train_embed_with_table(tmp_path, dataset_file, capsys):
+    cfg = write_training_config(tmp_path)
     out_model = tmp_path / "embed.model"
     assert run(["train", dataset_file, out_model, "--model", "embed",
                 "--config", cfg]) == 0
@@ -322,6 +328,48 @@ def test_learning_curve_rejects_unknown_fraction(tmp_path, capsys):
     assert run(["learning-curve", train, train, tmp_path / "c.tsv",
                 "--model", "majority", "--fractions", "37"]) == 2
     assert "not supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["majority", "crf", "embed"])
+def test_learning_curve_fits_what_train_fits(tmp_path, dataset_file, kind,
+                                             capsys):
+    # a strong penalty makes a dropped config key change the accuracy
+    cfg = write_training_config(tmp_path, "l2_lambda=1000\n")
+    model = tmp_path / "m.model"
+    assert run(["train", dataset_file, model, "--model", kind,
+                "--config", cfg]) == 0
+    assert run(["evaluate", model, dataset_file,
+                "--out", tmp_path / "eval"]) == 0
+    curve = tmp_path / "curve.tsv"
+    assert run(["learning-curve", dataset_file, dataset_file, curve,
+                "--model", kind, "--config", cfg, "--fractions", "100"]) == 0
+    evaluated = (tmp_path / "eval.report.tsv").read_text().splitlines()[1]
+    curve_row = curve.read_text().splitlines()[1]
+    assert curve_row.split("\t")[3] == evaluated.split("\t")[3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["annotate", "audio", "align", "out.tsv"],
+    ["calibrate", "values.txt"],
+    ["train", "train.tsv", "m.model", "--model", "majority"],
+    ["predict", "m.model", "in.tsv", "out.tsv"],
+    ["evaluate", "m.model", "test.tsv"],
+], ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_outside_learning_curve(tmp_path, monkeypatch,
+                                                      argv, capsys):
+    # none of the inputs exist, so a command that took --seed would exit 1
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_learning_curve_accepts_seed(tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    train.write_text("\n".join([DATASET_SENTENCE.rstrip("\n")] * 5) + "\n")
+    out = tmp_path / "curve.tsv"
+    assert run(["learning-curve", train, train, out, "--model", "majority",
+                "--fractions", "5,100", "--seed", "3"]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 # ---------------------------------------------------------------------------

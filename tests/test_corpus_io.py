@@ -313,6 +313,8 @@ def test_load_embeddings_basic():
     np.testing.assert_array_equal(table.lookup("cat"), [1.0, 2.0])
     np.testing.assert_array_equal(table.lookup("dog"), [-0.5, 0.25])
     np.testing.assert_array_equal(table.lookup("bird"), [0.0, 0.0])
+    # a token absent in its own case falls back to its lowercase form
+    np.testing.assert_array_equal(table.lookup("Cat"), [1.0, 2.0])
 
 
 def test_load_embeddings_duplicate_keeps_first():

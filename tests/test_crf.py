@@ -1,6 +1,7 @@
 """Linear-chain CRF: features, scoring, partition, gradient, decoding."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -233,6 +234,19 @@ def test_train_is_deterministic():
     b = crf_train(TOY_CORPUS, max_iterations=50)
     assert a.feature_index == b.feature_index
     assert a.weights.tobytes() == b.weights.tobytes()
+
+
+@pytest.mark.parametrize("max_iterations, level, reason", [
+    (1, logging.WARNING, "ITERATIONS REACHED LIMIT"),
+    (50, logging.INFO, "CONVERGENCE"),
+])
+def test_train_logs_optimizer_outcome(caplog, max_iterations, level, reason):
+    with caplog.at_level(logging.INFO, logger="prosolab.taggers.crf"):
+        crf_train(TOY_CORPUS, max_iterations=max_iterations)
+    [record] = caplog.records
+    assert record.levelno == level
+    assert reason in record.getMessage()
+    assert "nit=" in record.getMessage() and "nfev=" in record.getMessage()
 
 
 def test_train_regularization_shrinks_weights():

@@ -11,7 +11,6 @@ from prosolab.evaluation import (
     CurvePoint,
     accuracy,
     confusion,
-    curve_tsv,
     format_summary,
     learning_curve,
     merge_labels,
@@ -200,16 +199,6 @@ def test_learning_curve_sorts_fractions():
 
 def test_curve_fractions_constant():
     assert CURVE_FRACTIONS == (0.01, 0.05, 0.10, 0.50, 1.00)
-
-
-def test_curve_tsv_format():
-    points = [CurvePoint(0.05, 0.5), CurvePoint(1.0, 0.8125)]
-    text = curve_tsv("majority", "2way", points)
-    lines = text.splitlines()
-    assert lines[0] == "model\ttask\tfraction\taccuracy"
-    assert lines[1] == "majority\t2way\t0.05\t0.500000"
-    assert lines[2] == "majority\t2way\t1\t0.812500"
-    assert text.endswith("\n")
 
 
 def test_report_tsv_format():
