@@ -1,71 +1,26 @@
-"""Numeric inner-loop kernels: numba-jitted with pure-numpy fallbacks.
+"""Numeric inner-loop kernels, one vectorized numpy implementation each.
 
-Every kernel exists in two functionally equivalent variants: a loop-style
-implementation compiled with ``numba.njit`` and a vectorized numpy one.
-The active backend is chosen once at import time:
-
-* ``PROSOLAB_NUMBA=0`` (or ``false``/``no``/``off``) forces the numpy path;
-* otherwise numba is used whenever it is importable.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other, and
-the test suite asserts they agree numerically.
+``mirror_correlate`` smooths tracks and builds the wavelet rows,
+``frame_acf`` feeds the pitch tracker, and the three linear-chain dynamic
+programs serve the CRF tagger.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 NEG_INF = -1.0e30  # finite stand-in for log(0); keeps log-sum-exp NaN-free
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("PROSOLAB_NUMBA", "").strip().lower()
-    return flag not in {"0", "false", "no", "off"}
-
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _numba_wanted()
+# Kept for the benchmark harness, which reports both in its machine block.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # mirror-boundary 1-D correlation (shared by smoothing and the wavelet rows)
 # ---------------------------------------------------------------------------
 
-def _mirror_correlate_loops(x, kernel):
-    n = x.shape[0]
-    m = kernel.shape[0]
-    radius = (m - 1) // 2
-    out = np.zeros(n)
-    if n == 1:
-        out[0] = x[0] * kernel.sum()
-        return out
-    period = 2 * n - 2
-    # materialize the mirrored extension once so the O(n*m) inner dot runs
-    # over contiguous memory with no index arithmetic
-    ext = np.empty(n + 2 * radius)
-    for j in range(-radius, n + radius):
-        jj = ((j % period) + period) % period
-        if jj >= n:
-            jj = period - jj
-        ext[j + radius] = x[jj]
-    for i in range(n):
-        acc = 0.0
-        for k in range(m):
-            acc += kernel[k] * ext[i + k]
-        out[i] = acc
-    return out
-
-
-def mirror_correlate_numpy(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def mirror_correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Correlate ``x`` with ``kernel`` (odd length), mirroring at both ends.
 
     Mirror convention omits the edge sample: ``a b c d -> c b | a b c d | c b``.
@@ -86,19 +41,7 @@ def mirror_correlate_numpy(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # frame-wise autocorrelation (pitch tracking)
 # ---------------------------------------------------------------------------
 
-def _frame_acf_loops(frames, max_lag):
-    n_frames, width = frames.shape
-    out = np.zeros((n_frames, max_lag + 1))
-    for f in range(n_frames):
-        for lag in range(max_lag + 1):
-            acc = 0.0
-            for t in range(width - lag):
-                acc += frames[f, t] * frames[f, t + lag]
-            out[f, lag] = acc
-    return out
-
-
-def frame_acf_numpy(frames: np.ndarray, max_lag: int) -> np.ndarray:
+def frame_acf(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """One-sided autocorrelation of each row for lags ``0..max_lag`` via FFT."""
     n_frames, width = frames.shape
     nfft = 1
@@ -113,43 +56,7 @@ def frame_acf_numpy(frames: np.ndarray, max_lag: int) -> np.ndarray:
 # linear-chain dynamic programs (sequence tagger)
 # ---------------------------------------------------------------------------
 
-def _lse_guard(m, acc):
-    if m <= NEG_INF / 2:
-        return NEG_INF
-    return m + np.log(acc)
-
-
-def _chain_forward_loops(log_pot, trans):
-    n_pos, n_states = log_pot.shape
-    alpha = np.empty((n_pos, n_states))
-    alpha[0] = log_pot[0]
-    for t in range(1, n_pos):
-        for s in range(n_states):
-            m = NEG_INF
-            for i in range(n_states):
-                v = alpha[t - 1, i] + trans[i, s]
-                if v > m:
-                    m = v
-            if m <= NEG_INF / 2:
-                alpha[t, s] = NEG_INF
-                continue
-            acc = 0.0
-            for i in range(n_states):
-                acc += np.exp(alpha[t - 1, i] + trans[i, s] - m)
-            alpha[t, s] = log_pot[t, s] + m + np.log(acc)
-    m = NEG_INF
-    for s in range(n_states):
-        if alpha[n_pos - 1, s] > m:
-            m = alpha[n_pos - 1, s]
-    if m <= NEG_INF / 2:
-        return NEG_INF, alpha
-    acc = 0.0
-    for s in range(n_states):
-        acc += np.exp(alpha[n_pos - 1, s] - m)
-    return m + np.log(acc), alpha
-
-
-def chain_forward_numpy(log_pot: np.ndarray, trans: np.ndarray):
+def chain_forward(log_pot: np.ndarray, trans: np.ndarray):
     """Forward recursion in the log domain; returns ``(logZ, alpha)``.
 
     States that are impossible carry ``NEG_INF`` in ``log_pot`` rather than
@@ -174,27 +81,7 @@ def chain_forward_numpy(log_pot: np.ndarray, trans: np.ndarray):
     return m + np.log(np.exp(alpha[-1] - m).sum()), alpha
 
 
-def _chain_backward_loops(log_pot, trans):
-    n_pos, n_states = log_pot.shape
-    beta = np.zeros((n_pos, n_states))
-    for t in range(n_pos - 2, -1, -1):
-        for s in range(n_states):
-            m = NEG_INF
-            for j in range(n_states):
-                v = trans[s, j] + log_pot[t + 1, j] + beta[t + 1, j]
-                if v > m:
-                    m = v
-            if m <= NEG_INF / 2:
-                beta[t, s] = NEG_INF
-                continue
-            acc = 0.0
-            for j in range(n_states):
-                acc += np.exp(trans[s, j] + log_pot[t + 1, j] + beta[t + 1, j] - m)
-            beta[t, s] = m + np.log(acc)
-    return beta
-
-
-def chain_backward_numpy(log_pot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+def chain_backward(log_pot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     n_pos, n_states = log_pot.shape
     beta = np.zeros((n_pos, n_states))
     for t in range(n_pos - 2, -1, -1):
@@ -210,36 +97,7 @@ def chain_backward_numpy(log_pot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _chain_viterbi_loops(log_pot, trans):
-    n_pos, n_states = log_pot.shape
-    delta = np.empty((n_pos, n_states))
-    back = np.zeros((n_pos, n_states), dtype=np.int64)
-    delta[0] = log_pot[0]
-    for t in range(1, n_pos):
-        for s in range(n_states):
-            best = NEG_INF * 2.0
-            arg = 0
-            for i in range(n_states):
-                v = delta[t - 1, i] + trans[i, s]
-                if v > best:  # strict: ties keep the earliest predecessor
-                    best = v
-                    arg = i
-            delta[t, s] = log_pot[t, s] + best
-            back[t, s] = arg
-    best = NEG_INF * 2.0
-    arg = 0
-    for s in range(n_states):
-        if delta[n_pos - 1, s] > best:
-            best = delta[n_pos - 1, s]
-            arg = s
-    path = np.zeros(n_pos, dtype=np.int64)
-    path[n_pos - 1] = arg
-    for t in range(n_pos - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
-
-
-def chain_viterbi_numpy(log_pot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+def chain_viterbi(log_pot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """Best-scoring state path; ties resolve to the smallest state index."""
     n_pos, n_states = log_pot.shape
     delta = np.empty((n_pos, n_states))
@@ -254,37 +112,3 @@ def chain_viterbi_numpy(log_pot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     for t in range(n_pos - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True, fastmath=False)
-    mirror_correlate_numba = _jit(_mirror_correlate_loops)
-    frame_acf_numba = _jit(_frame_acf_loops)
-    chain_forward_numba = _jit(_chain_forward_loops)
-    chain_backward_numba = _jit(_chain_backward_loops)
-    chain_viterbi_numba = _jit(_chain_viterbi_loops)
-else:  # pragma: no cover - numba is a declared dependency
-    mirror_correlate_numba = None
-    frame_acf_numba = None
-    chain_forward_numba = None
-    chain_backward_numba = None
-    chain_viterbi_numba = None
-
-if USE_NUMBA:
-    mirror_correlate = mirror_correlate_numba
-    frame_acf = frame_acf_numba
-    chain_forward = chain_forward_numba
-    chain_backward = chain_backward_numba
-    chain_viterbi = chain_viterbi_numba
-else:
-    mirror_correlate = mirror_correlate_numpy
-    frame_acf = frame_acf_numpy
-    chain_forward = chain_forward_numpy
-    chain_backward = chain_backward_numpy
-    chain_viterbi = chain_viterbi_numpy
-
-BACKEND = "numba" if USE_NUMBA else "numpy"

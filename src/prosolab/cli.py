@@ -234,6 +234,8 @@ def cmd_calibrate(args) -> int:
     cfg = load_config(args.config)
     values = _read_floats(args.values_file)
     if args.mode == "binary":
+        if args.reference_file is None:
+            raise UsageError("binary mode needs a reference file")
         reference = [int(v) for v in _read_floats(args.reference_file)]
         t = calibrate_binary(values, reference)
         print(f"theta1={t.theta1!r}")

@@ -4,6 +4,8 @@ Covers PCM WAV audio, word alignments (``.lab`` lines and long-form Praat
 TextGrid interval tiers), the tab-separated prominence dataset, and plain-text
 word-embedding tables.  All parsers are pure functions over bytes or text;
 UTF-8 is assumed everywhere and CRLF is normalized to LF before parsing.
+The text parsers read a ``str`` as content and a ``Path`` as a file name;
+``read_wav`` also takes a ``str`` file name.
 """
 
 from __future__ import annotations
@@ -107,9 +109,8 @@ def _as_bytes(source: bytes | str | Path | BinaryIO) -> bytes:
 
 
 def _as_text(source: bytes | str | Path | BinaryIO) -> str:
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        raw = Path(source).read_bytes()
-    elif isinstance(source, str):
+    """A ``str`` is the content itself; a ``Path`` names the file to read."""
+    if isinstance(source, str):
         raw = source.encode("utf-8")
     else:
         raw = _as_bytes(source)

@@ -51,30 +51,36 @@ def calibrate_binary(values, reference) -> Thresholds:
     so the midpoints between consecutive sorted distinct values, plus the two
     boundary pieces (threshold at the minimum: everything labeled 1; past the
     maximum: everything labeled 0), cover every achievable labeling.  Ties go
-    to the smaller threshold.
+    to the smaller threshold.  One sort and cumulative class counts score
+    all candidates, so the cost is O(n log n).
     """
     values = np.asarray(values, dtype=np.float64)
     reference = np.asarray(reference)
     if len(values) != len(reference):
         raise ValueError("values and reference lengths differ")
+    if np.isnan(values).any():
+        raise ValueError("values contain NaN")
     present = set(int(r) for r in reference)
     if present != {0, 1}:
         raise ValueError(
             "degenerate reference: both classes 0 and 1 must be present"
         )
-    distinct = np.unique(values)
+    distinct, level = np.unique(values, return_inverse=True)
     midpoints = (distinct[:-1] + distinct[1:]) / 2.0
     candidates = np.concatenate(
         [[distinct[0]], midpoints, [distinct[-1] + 1.0]]
     )
-    best_theta = None
-    best_agree = -1
-    for theta in candidates:
-        agree = int(np.sum((values >= theta).astype(np.int64) == reference))
-        if agree > best_agree:
-            best_agree = agree
-            best_theta = theta
-    return Thresholds(theta1=float(best_theta))
+
+    def below(label):
+        # [k]: references equal to label among the k smallest distinct values
+        counts = np.bincount(level[reference == label], minlength=len(distinct))
+        return np.concatenate([[0], np.cumsum(counts)])
+
+    zeros, ones = below(0), below(1)
+    # the k distinct values under a candidate are labeled 0, the rest 1
+    k = np.searchsorted(distinct, candidates)
+    agree = zeros[k] + ones[-1] - ones[k]
+    return Thresholds(theta1=float(candidates[np.argmax(agree)]))
 
 
 def split_prominent(values, theta1: float) -> float:

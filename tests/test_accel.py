@@ -1,8 +1,10 @@
-"""Backend equivalence: the loop kernels, their jitted forms, and the
-vectorized numpy implementations must agree bit-for-bit in behavior."""
+"""Each numpy kernel against an independent oracle: np.pad reflection for the
+mirror correlation, a direct sum for the autocorrelation, and enumeration of
+every state path for the linear-chain dynamic programs."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from prosolab import _accel as A
 
@@ -32,24 +34,12 @@ def _pad_oracle(x, kernel):
 
 
 @pytest.mark.parametrize("n,m", [(50, 9), (50, 11), (7, 3), (8, 31), (1, 5),
-                                 (2, 7), (100, 101)])
-def test_mirror_correlate_matches_loops(n, m):
-    x = RNG.normal(size=n)
-    k = RNG.normal(size=m)
-    ref = A._mirror_correlate_loops(x, k)
-    np.testing.assert_allclose(A.mirror_correlate_numpy(x, k), ref,
-                               atol=1e-12)
-    if A.HAVE_NUMBA:
-        np.testing.assert_allclose(A.mirror_correlate_numba(x, k), ref,
-                                   atol=1e-12)
-
-
-@pytest.mark.parametrize("n,m", [(40, 9), (12, 5)])
+                                 (2, 7), (100, 101), (40, 9), (12, 5)])
 def test_mirror_correlate_matches_pad_oracle(n, m):
     x = RNG.normal(size=n)
     k = RNG.normal(size=m)
-    np.testing.assert_allclose(A._mirror_correlate_loops(x, k),
-                               _pad_oracle(x, k), atol=1e-12)
+    np.testing.assert_allclose(A.mirror_correlate(x, k), _pad_oracle(x, k),
+                               atol=1e-12)
 
 
 def test_frame_acf_matches_direct_sum():
@@ -60,9 +50,8 @@ def test_frame_acf_matches_direct_sum():
         for lag in range(max_lag + 1):
             for j in range(48 - lag):
                 direct[i, lag] += frames[i, j] * frames[i, j + lag]
-    for fn in filter(None, (A._frame_acf_loops, A.frame_acf_numpy,
-                            A.frame_acf_numba if A.HAVE_NUMBA else None)):
-        np.testing.assert_allclose(fn(frames, max_lag), direct, atol=1e-10)
+    np.testing.assert_allclose(A.frame_acf(frames, max_lag), direct,
+                               atol=1e-10)
 
 
 def _random_chain(T, S, mask_prob=0.3):
@@ -77,41 +66,58 @@ def _random_chain(T, S, mask_prob=0.3):
     return pot, trans
 
 
-@pytest.mark.parametrize("T,S", [(1, 3), (2, 4), (6, 4), (9, 5)])
+def _prefix_scores(pot, trans):
+    """Scores of every state prefix: element ``[s0, .., st]`` of entry t."""
+    out = [pot[0]]
+    for t in range(1, len(pot)):
+        out.append(out[-1][..., None] + trans + pot[t])
+    return out
+
+
+def _suffix_scores(pot, trans):
+    """Entry t holds, at ``[st, .., s(T-1)]``, the score of positions t+1.."""
+    S = pot.shape[1]
+    out = [np.zeros(S)]
+    for t in range(len(pot) - 2, -1, -1):
+        nxt = out[0]
+        step = trans + pot[t + 1]
+        out.insert(0, step.reshape(step.shape + (1,) * (nxt.ndim - 1))
+                   + nxt[None])
+    return out
+
+
+def _assert_log_close(got, want):
+    dead = want <= A.NEG_INF / 2
+    assert np.all(got[dead] <= A.NEG_INF / 2)
+    np.testing.assert_allclose(got[~dead], want[~dead], atol=1e-10)
+
+
+@pytest.mark.parametrize("T,S", [(1, 3), (2, 4), (6, 4), (5, 5), (9, 5)])
 def test_chain_kernels_agree(T, S):
+    """Forward, backward and Viterbi match enumeration of every state path."""
     pot, trans = _random_chain(T, S)
-    lz_ref, al_ref = A._chain_forward_loops(pot, trans)
-    be_ref = A._chain_backward_loops(pot, trans)
-    vi_ref = A._chain_viterbi_loops(pot, trans)
+    prefixes = _prefix_scores(pot, trans)
+    suffixes = _suffix_scores(pot, trans)
+    want_alpha = np.array([logsumexp(p.reshape(-1, S), axis=0)
+                           for p in prefixes])
+    want_beta = np.array([logsumexp(q.reshape(S, -1), axis=1)
+                          for q in suffixes])
+    paths = prefixes[-1]
 
-    lz, al = A.chain_forward_numpy(pot, trans)
-    assert abs(lz - lz_ref) < 1e-10
-    np.testing.assert_allclose(al, al_ref, atol=1e-10)
-    np.testing.assert_allclose(A.chain_backward_numpy(pot, trans), be_ref,
-                               atol=1e-10)
-    assert np.array_equal(A.chain_viterbi_numpy(pot, trans), vi_ref)
-
-    if A.HAVE_NUMBA:
-        lz_n, al_n = A.chain_forward_numba(pot, trans)
-        assert abs(lz_n - lz_ref) < 1e-10
-        np.testing.assert_allclose(al_n, al_ref, atol=1e-10)
-        np.testing.assert_allclose(A.chain_backward_numba(pot, trans), be_ref,
-                                   atol=1e-10)
-        assert np.array_equal(A.chain_viterbi_numba(pot, trans), vi_ref)
+    log_z, alpha = A.chain_forward(pot, trans)
+    assert abs(log_z - logsumexp(paths)) < 1e-10
+    _assert_log_close(alpha, want_alpha)
+    _assert_log_close(A.chain_backward(pot, trans), want_beta)
+    best = np.unravel_index(paths.argmax(), paths.shape)
+    assert A.chain_viterbi(pot, trans).tolist() == list(best)
 
 
 def test_alpha_beta_consistency():
     pot, trans = _random_chain(7, 4)
-    lz, alpha = A.chain_forward_numpy(pot, trans)
-    beta = A.chain_backward_numpy(pot, trans)
+    lz, alpha = A.chain_forward(pot, trans)
+    beta = A.chain_backward(pot, trans)
     # at every position, logsumexp(alpha + beta) equals logZ
     for t in range(7):
         row = alpha[t] + beta[t]
         m = row.max()
         assert abs(m + np.log(np.sum(np.exp(row - m))) - lz) < 1e-9
-
-
-def test_backend_selection_reports():
-    assert A.BACKEND in ("numba", "numpy")
-    if A.HAVE_NUMBA:
-        assert A.BACKEND == "numba" or not A._numba_wanted()

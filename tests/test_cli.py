@@ -181,6 +181,13 @@ def test_calibrate_split_without_theta_is_usage_error(tmp_path, capsys):
     assert "split mode needs --theta1" in capsys.readouterr().err
 
 
+def test_calibrate_binary_without_reference_is_usage_error(tmp_path, capsys):
+    values = tmp_path / "values.txt"
+    values.write_text("0.6\n0.9\n")
+    assert run(["calibrate", values]) == 2
+    assert "binary mode needs a reference file" in capsys.readouterr().err
+
+
 def test_calibrate_bad_number_is_data_error(tmp_path, capsys):
     values = tmp_path / "values.txt"
     values.write_text("0.6\nnope\n")

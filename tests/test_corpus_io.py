@@ -116,7 +116,7 @@ def test_parse_lab_from_path(tmp_path):
     p = tmp_path / "u.lab"
     p.write_text(LAB_OK)
     assert len(parse_lab(p).tokens) == 4
-    assert len(parse_lab(str(p)).tokens) == 4
+    assert len(parse_lab("0.00 0.52 tell").tokens) == 1
 
 
 @pytest.mark.parametrize("content,pattern", [
@@ -295,6 +295,12 @@ def test_format_record_na_coupling():
 def test_parse_dataset_rejects(content, pattern):
     with pytest.raises(CorpusFormatError, match=pattern):
         parse_dataset(content)
+
+
+def test_one_line_str_is_content_not_a_path():
+    [[record]] = parse_dataset("Tell\t2\t1.473")
+    assert (record.token, record.discrete) == ("Tell", 2)
+    assert "cat" in load_embeddings("cat 1.0 2.0", dimension=2).entries
 
 
 def test_parse_dataset_crlf_and_trailing_blank():

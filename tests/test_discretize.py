@@ -117,6 +117,51 @@ def test_calibrate_constant_values():
     assert t.theta1 == pytest.approx(0.7)
 
 
+def test_calibrate_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        calibrate_binary([0.1, float("nan")], [0, 1])
+
+
+def _calibrate_oracle(values, reference):
+    """One full agreement pass per candidate threshold, first maximum wins."""
+    values = np.asarray(values, dtype=np.float64)
+    reference = np.asarray(reference)
+    distinct = np.unique(values)
+    midpoints = (distinct[:-1] + distinct[1:]) / 2.0
+    candidates = np.concatenate(
+        [[distinct[0]], midpoints, [distinct[-1] + 1.0]]
+    )
+    best_theta = None
+    best_agree = -1
+    for theta in candidates:
+        agree = int(np.sum((values >= theta).astype(np.int64) == reference))
+        if agree > best_agree:
+            best_agree = agree
+            best_theta = theta
+    return float(best_theta)
+
+
+# duplicates, neighbouring doubles and midpoints that overflow to infinity
+calibration_value = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False),
+    st.sampled_from([0.0, 0.5, float(np.nextafter(0.5, 1.0)), 1.0,
+                     1.5e308, np.finfo(float).max]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_calibrate_matches_full_pass_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    values = data.draw(st.lists(calibration_value, min_size=n, max_size=n))
+    reference = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    reference[0], reference[-1] = 0, 1
+    with np.errstate(over="ignore"):
+        got = calibrate_binary(values, reference).theta1
+        want = _calibrate_oracle(values, reference)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_calibrate_beats_dense_sweep(data):
