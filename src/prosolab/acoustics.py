@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._accel import frame_acf
 from .corpus_io import AudioBuffer, Utterance
@@ -64,7 +65,8 @@ class PitchConfig:
 
 def _frame_signal(x: np.ndarray, rate: int, frame_shift_s: float,
                   window_s: float) -> np.ndarray:
-    """Cut x into centered, zero-padded frames; returns (n_frames, win)."""
+    """Cut x into centered, zero-padded frames: a read-only (n_frames, win)
+    view of one padded copy."""
     hop = max(1, round(rate * frame_shift_s))
     win = round(rate * window_s)
     n = len(x)
@@ -74,10 +76,7 @@ def _frame_signal(x: np.ndarray, rate: int, frame_shift_s: float,
         )
     n_frames = math.ceil(n / hop)
     padded = np.concatenate([np.zeros(win), x, np.zeros(win)])
-    half = win // 2
-    idx = (np.arange(n_frames)[:, None] * hop - half + win
-           + np.arange(win)[None, :])
-    return padded[idx]
+    return sliding_window_view(padded, win)[win - win // 2::hop][:n_frames]
 
 
 def extract_f0(audio: AudioBuffer, cfg: PitchConfig) -> FrameTrack:
@@ -92,58 +91,54 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig) -> FrameTrack:
     shorter lag.  The winning lag is refined by parabolic interpolation.  A
     frame is voiced iff the corrected peak reaches cfg.voicing_threshold and
     the raw frame RMS clears the silence floor; unvoiced frames are invalid
-    with placeholder value 0.
+    with placeholder value 0.  Frames below the silence floor, which can
+    never be voiced, skip the ACF altogether.
     """
     rate = audio.sample_rate
     frames = _frame_signal(audio.samples, rate, cfg.frame_shift_s, cfg.window_s)
     n_frames, win = frames.shape
-
-    raw_rms = np.sqrt(np.mean(frames**2, axis=1))
-    frames = frames - frames.mean(axis=1, keepdims=True)
-    taper = np.hanning(win)
-    frames = frames * taper[None, :]
 
     lag_min = max(2, int(math.floor(rate / cfg.f0_max)))
     lag_max = min(win - 3, int(math.ceil(rate / cfg.f0_min)))
     if lag_max <= lag_min:
         raise ValueError("window too short for the requested f0 range")
 
+    taper = np.hanning(win)
+    rows = np.flatnonzero(np.sqrt(np.mean(frames**2, axis=1)) >= SILENCE_RMS)
+    loud = frames[rows]
+    loud -= loud.mean(axis=1, keepdims=True)
+    loud *= taper
     # one lag beyond the search range so the local-max test has neighbors
-    acf = frame_acf(np.ascontiguousarray(frames), lag_max + 1)
-    w_acf = frame_acf(np.ascontiguousarray(taper[None, :]), lag_max + 1)[0]
-    # lags whose window overlap is too thin carry no usable signal, and
-    # dividing by a near-zero window ACF would just amplify rounding noise
+    acf = frame_acf(loud, lag_max + 1)
+    w_acf = frame_acf(taper[None, :], lag_max + 1)[0]
+    live = acf[:, 0] > 0
+    rows, acf = rows[live], acf[live]
+
+    corr = acf / w_acf * (w_acf[0] / acf[:, :1])
     lags = np.arange(lag_min, lag_max + 1)
-    searchable = lags[w_acf[lags + 1] > 1e-3 * w_acf[0]]
+    c = corr[:, lag_min:lag_max + 1]
+    # lags whose window overlap is too thin carry no usable signal, and
+    # dividing by a near-zero window ACF would just amplify rounding noise;
+    # a true period shows as an interior local maximum, whereas a boundary
+    # argmax on a monotone slope is window-envelope correlation, not pitch
+    is_peak = ((w_acf[lags + 1] > 1e-3 * w_acf[0])
+               & (c > corr[:, lag_min - 1:lag_max])
+               & (c > corr[:, lag_min + 1:lag_max + 2]))
+    score = np.where(is_peak, c - OCTAVE_COST * np.log2(lags), -np.inf)
+    j = lag_min + score.argmax(axis=1)
+    at = np.arange(len(rows))
+    y0, y1, y2 = corr[at, j - 1], corr[at, j], corr[at, j + 1]
+    ok = is_peak.any(axis=1) & (y1 >= cfg.voicing_threshold)
+    denom = y0 - 2 * y1 + y2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 0.5 * (y0 - y2) / denom
+    refine = (np.abs(denom) > 1e-12) & (-1 < delta) & (delta < 1)
+    lag = np.where(refine, j + delta, j)
 
     values = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
-    for i in range(n_frames):
-        r0 = acf[i, 0]
-        if r0 <= 0 or raw_rms[i] < SILENCE_RMS or len(searchable) == 0:
-            continue
-        corr = acf[i] / w_acf * (w_acf[0] / r0)
-        # a true period shows as an interior local maximum; a boundary argmax
-        # on a monotone slope is window-envelope correlation, not pitch
-        is_peak = (corr[searchable] > corr[searchable - 1]) & (
-            corr[searchable] > corr[searchable + 1]
-        )
-        cands = searchable[is_peak]
-        if len(cands) == 0:
-            continue
-        j = int(cands[np.argmax(corr[cands] - OCTAVE_COST * np.log2(cands))])
-        y0, y1, y2 = corr[j - 1], corr[j], corr[j + 1]
-        if y1 < cfg.voicing_threshold:
-            continue
-        lag = float(j)
-        denom = y0 - 2 * y1 + y2
-        if abs(denom) > 1e-12:
-            delta = 0.5 * (y0 - y2) / denom
-            if -1 < delta < 1:
-                lag += delta
-        f0 = rate / lag
-        values[i] = min(cfg.f0_max, max(cfg.f0_min, f0))
-        voiced[i] = True
+    values[rows[ok]] = np.clip(rate / lag[ok], cfg.f0_min, cfg.f0_max)
+    voiced[rows[ok]] = True
     return FrameTrack(values=values, frame_shift_s=cfg.frame_shift_s,
                       valid=voiced)
 

@@ -92,10 +92,22 @@ def _assert_log_close(got, want):
     np.testing.assert_allclose(got[~dead], want[~dead], atol=1e-10)
 
 
-@pytest.mark.parametrize("T,S", [(1, 3), (2, 4), (6, 4), (5, 5), (9, 5)])
-def test_chain_kernels_agree(T, S):
-    """Forward, backward and Viterbi match enumeration of every state path."""
+@pytest.mark.parametrize("T,S,dead", [
+    pytest.param(T, S, None, id=f"{T}-{S}")
+    for T, S in [(1, 3), (2, 4), (6, 4), (5, 5), (9, 5)]
+] + [
+    pytest.param(T, S, dead, id=f"{T}-{S}-dead{dead}")
+    for T, S, dead in [(2, 4, 0), (2, 4, 1), (6, 4, 3), (5, 5, 0), (5, 5, 4)]
+])
+def test_chain_kernels_agree(T, S, dead):
+    """Forward, backward and Viterbi match enumeration of every state path.
+
+    With every state of position ``dead`` impossible, no path is alive: logZ,
+    alpha from ``dead`` on and beta before ``dead`` must all stay dead.
+    """
     pot, trans = _random_chain(T, S)
+    if dead is not None:
+        pot[dead] = A.NEG_INF
     prefixes = _prefix_scores(pot, trans)
     suffixes = _suffix_scores(pot, trans)
     want_alpha = np.array([logsumexp(p.reshape(-1, S), axis=0)
@@ -105,11 +117,17 @@ def test_chain_kernels_agree(T, S):
     paths = prefixes[-1]
 
     log_z, alpha = A.chain_forward(pot, trans)
-    assert abs(log_z - logsumexp(paths)) < 1e-10
+    beta = A.chain_backward(pot, trans)
     _assert_log_close(alpha, want_alpha)
-    _assert_log_close(A.chain_backward(pot, trans), want_beta)
-    best = np.unravel_index(paths.argmax(), paths.shape)
-    assert A.chain_viterbi(pot, trans).tolist() == list(best)
+    _assert_log_close(beta, want_beta)
+    if dead is None:
+        assert abs(log_z - logsumexp(paths)) < 1e-10
+        best = np.unravel_index(paths.argmax(), paths.shape)
+        assert A.chain_viterbi(pot, trans).tolist() == list(best)
+    else:
+        assert log_z <= A.NEG_INF / 2
+        assert np.all(alpha[dead:] <= A.NEG_INF / 2)
+        assert np.all(beta[:dead] <= A.NEG_INF / 2)
 
 
 def test_alpha_beta_consistency():

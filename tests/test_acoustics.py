@@ -5,18 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from prosolab._accel import frame_acf
 from prosolab.acoustics import (
     ENERGY_FLOOR,
     FrameTrack,
     OCTAVE_COST,
+    SILENCE_RMS,
     PitchConfig,
+    _frame_signal,
     duration_track,
     extract_energy,
     extract_f0,
 )
 from prosolab.corpus_io import AudioBuffer, Token, Utterance
 
-from conftest import RATE, sine
+from conftest import RATE, make_word_fixture, sine
 
 
 def harmonic(freq, duration_s, rate=RATE, noise=0.01, seed=11):
@@ -72,17 +75,106 @@ def oracle_f0_track(samples, rate, cfg):
     return values, voiced
 
 
+def gather_frames(x, rate, frame_shift_s, window_s):
+    """Framing by a fancy-index gather: one copied row per frame."""
+    hop = max(1, round(rate * frame_shift_s))
+    win = round(rate * window_s)
+    n_frames = math.ceil(len(x) / hop)
+    padded = np.concatenate([np.zeros(win), x, np.zeros(win)])
+    idx = (np.arange(n_frames)[:, None] * hop - win // 2 + win
+           + np.arange(win)[None, :])
+    return padded[idx]
+
+
+def loop_f0_track(samples, rate, cfg):
+    """Exact reference for extract_f0: the same FFT ACF of every frame, then
+    one frame at a time through the peak picking in scalar arithmetic."""
+    frames = gather_frames(samples, rate, cfg.frame_shift_s, cfg.window_s)
+    n_frames, win = frames.shape
+    raw_rms = np.sqrt(np.mean(frames**2, axis=1))
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    taper = np.hanning(win)
+    frames = frames * taper[None, :]
+    lag_min = max(2, int(math.floor(rate / cfg.f0_max)))
+    lag_max = min(win - 3, int(math.ceil(rate / cfg.f0_min)))
+    acf = frame_acf(np.ascontiguousarray(frames), lag_max + 1)
+    w_acf = frame_acf(np.ascontiguousarray(taper[None, :]), lag_max + 1)[0]
+    lags = np.arange(lag_min, lag_max + 1)
+    searchable = lags[w_acf[lags + 1] > 1e-3 * w_acf[0]]
+    values = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    for i in range(n_frames):
+        r0 = acf[i, 0]
+        if r0 <= 0 or raw_rms[i] < SILENCE_RMS or len(searchable) == 0:
+            continue
+        corr = acf[i] / w_acf * (w_acf[0] / r0)
+        is_peak = (corr[searchable] > corr[searchable - 1]) & (
+            corr[searchable] > corr[searchable + 1]
+        )
+        cands = searchable[is_peak]
+        if len(cands) == 0:
+            continue
+        j = int(cands[np.argmax(corr[cands] - OCTAVE_COST * np.log2(cands))])
+        y0, y1, y2 = corr[j - 1], corr[j], corr[j + 1]
+        if y1 < cfg.voicing_threshold:
+            continue
+        lag = float(j)
+        denom = y0 - 2 * y1 + y2
+        if abs(denom) > 1e-12:
+            delta = 0.5 * (y0 - y2) / denom
+            if -1 < delta < 1:
+                lag += delta
+        values[i] = min(cfg.f0_max, max(cfg.f0_min, rate / lag))
+        voiced[i] = True
+    return values, voiced
+
+
 # ---------------------------------------------------------------------------
 # pitch
 # ---------------------------------------------------------------------------
 
 def test_f0_matches_brute_force_oracle():
-    x = harmonic(180.0, 0.3)
     cfg = PitchConfig()
-    track = extract_f0(AudioBuffer(x, RATE), cfg)
-    want_values, want_voiced = oracle_f0_track(x, RATE, cfg)
-    np.testing.assert_array_equal(track.valid, want_voiced)
-    np.testing.assert_allclose(track.values, want_values, atol=1e-4)
+    # the word fixture's exact-zero gaps are frames that skip the ACF
+    for x in (harmonic(180.0, 0.3), make_word_fixture([0.3, 0.6])[0].samples):
+        track = extract_f0(AudioBuffer(x, RATE), cfg)
+        want_values, want_voiced = oracle_f0_track(x, RATE, cfg)
+        np.testing.assert_array_equal(track.valid, want_voiced)
+        np.testing.assert_allclose(track.values, want_values, atol=1e-4)
+
+
+def _between(x, filler):
+    return np.concatenate([x, filler, x])
+
+
+@pytest.mark.parametrize("samples,rate,cfg", [
+    pytest.param(make_word_fixture([0.2, 0.8, 0.5])[0].samples, RATE,
+                 PitchConfig(), id="word_fixture_gaps"),
+    # a constant 0.5 clears the RMS floor but is exactly zero once the frame
+    # mean is removed, so its ACF has r0 == 0
+    pytest.param(_between(harmonic(150.0, 0.2), np.full(RATE // 10, 0.5)),
+                 RATE, PitchConfig(), id="dc_offset"),
+    pytest.param(_between(harmonic(150.0, 0.2), sine(150.0, 0.1, amp=5e-5)),
+                 RATE, PitchConfig(), id="below_silence_floor"),
+    pytest.param(0.05 * np.random.default_rng(3).standard_normal(RATE // 2),
+                 RATE, PitchConfig(), id="noise"),
+    pytest.param(np.concatenate([harmonic(62.0, 0.2), harmonic(398.0, 0.2)]),
+                 RATE, PitchConfig(), id="range_edges"),
+    # lags up to win - 3, where the taper overlap is too thin to search
+    pytest.param(make_word_fixture([0.0, 0.4])[0].samples, RATE,
+                 PitchConfig(f0_min=25.0), id="thin_overlap_lags"),
+    pytest.param(harmonic(150.0, 0.5, rate=22050), 22050, PitchConfig(),
+                 id="hop_not_dividing"),
+    pytest.param(harmonic(180.0, 0.04), RATE, PitchConfig(), id="one_window"),
+    pytest.param(np.zeros(RATE // 4), RATE, PitchConfig(), id="all_zero"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_f0_matches_frame_loop(samples, rate, cfg):
+    """Bit for bit the per-frame loop, including frames that skip the ACF."""
+    track = extract_f0(AudioBuffer(samples, rate), cfg)
+    want_values, want_voiced = loop_f0_track(samples, rate, cfg)
+    assert np.array_equal(track.valid, want_voiced)
+    assert np.array_equal(track.values, want_values)
 
 
 def test_f0_pure_tone_220hz():
@@ -172,6 +264,19 @@ def test_energy_gain_law():
 def test_energy_silence_floor():
     track = extract_energy(AudioBuffer(np.zeros(RATE // 2), RATE))
     assert (track.values == math.log(ENERGY_FLOOR)).all()
+
+
+@pytest.mark.parametrize("rate,n", [(RATE, 640), (22050, 22050), (RATE, 641)],
+                         ids=["one_window", "hop_not_dividing", "window_plus_1"])
+def test_framing_view_matches_gather(rate, n):
+    x = np.random.default_rng(n).standard_normal(n)
+    view = _frame_signal(x, rate, 0.005, 0.040)
+    gathered = gather_frames(x, rate, 0.005, 0.040)
+    assert not view.flags.writeable
+    assert np.array_equal(view, gathered)
+    rms = np.sqrt(np.mean(gathered**2, axis=1))
+    assert np.array_equal(extract_energy(AudioBuffer(x, rate)).values,
+                          np.log(np.maximum(rms, ENERGY_FLOOR)))
 
 
 def test_energy_time_shift_consistency():

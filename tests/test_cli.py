@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prosolab
@@ -132,6 +133,52 @@ def test_annotate_parallel_matches_serial(tmp_path, capsys):
     assert run(["annotate", audio_dir, align_dir, parallel,
                 "--config", cfg, "--jobs", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+GOLDEN_UTTERANCES = [
+    ("g1", [0.2, 0.8, 0.5], "."),
+    ("g2", [0.7, 0.3, 0.4, 0.9], None),
+    ("g3", [0.5, 0.5], None),
+    ("g4", [0.9, 0.1, 0.6], ","),
+    ("g5", [0.0], None),
+]
+GOLDEN_DATASETS = {
+    2: ("w0\t0\t0.000\nw1\t1\t21.024\nw2\t1\t5.260\n.\tNA\tNA\n\n"
+        "w0\t1\t11.446\nw1\t0\t0.000\nw2\t0\t2.352\nw3\t1\t14.582\n\n"
+        "w0\t1\t3.950\nw1\t1\t3.634\n\n"
+        "w0\t1\t21.301\nw1\t0\t0.000\nw2\t1\t13.815\n,\tNA\tNA\n\n"
+        "w0\t1\t4.249\n"),
+    3: ("w0\t0\t0.000\nw1\t2\t21.024\nw2\t1\t5.260\n.\tNA\tNA\n\n"
+        "w0\t1\t11.446\nw1\t0\t0.000\nw2\t0\t2.352\nw3\t2\t14.582\n\n"
+        "w0\t1\t3.950\nw1\t1\t3.634\n\n"
+        "w0\t2\t21.301\nw1\t0\t0.000\nw2\t2\t13.815\n,\tNA\tNA\n\n"
+        "w0\t1\t4.249\n"),
+}
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_annotate_golden_bytes(tmp_path, capsys, classes):
+    """Fixed utterances annotate to the bytes recorded in GOLDEN_DATASETS.
+
+    theta1=3 and theta2=12 put words in every class; g6 is shorter than one
+    pitch window, so its failure text comes from the front end's framing.
+    """
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, GOLDEN_UTTERANCES)
+    cfg.write_text("n_scales=8\ntheta1=3.0\ntheta2=12.0\n", encoding="utf-8")
+    (audio_dir / "g6.wav").write_bytes(pcm16_wav_bytes(np.zeros(300)))
+    (align_dir / "g6.lab").write_text("0.000000\t0.015000\tw0\n",
+                                      encoding="utf-8")
+    out = tmp_path / "data.tsv"
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg,
+                "--classes", classes]) == 0
+    assert out.read_bytes() == GOLDEN_DATASETS[classes].encode("utf-8")
+    manifest = (tmp_path / "data.tsv.manifest").read_text().splitlines()
+    assert [line for line in manifest if line.startswith("utt\t")] == [
+        "utt\tg1\tok", "utt\tg2\tok", "utt\tg3\tok", "utt\tg4\tok",
+        "utt\tg5\tok",
+        "utt\tg6\tfailed: utterance 'g6': stage extract_f0: audio shorter "
+        "than one window (300 samples < 640)",
+    ]
 
 
 def test_annotate_empty_align_dir(tmp_path, capsys):
