@@ -1,8 +1,9 @@
 """Frame-synchronous prosodic stream extraction: pitch, energy, duration.
 
-All three extractors share the same framing convention: frame i is centered
+The front end frames each utterance once (`frame_audio`): frame i is centered
 at sample i * hop (hop = rate * frame_shift_s), edges zero-padded, and the
-number of frames is ceil(n_samples / hop).  Matching lengths means downstream
+number of frames is ceil(n_samples / hop).  Pitch and energy both read that
+one framing; the duration track counts frames the same way, so downstream
 code can trim at most one frame to align the streams.
 """
 
@@ -28,7 +29,6 @@ class FrameTrack:
 
     values: np.ndarray
     frame_shift_s: float
-    start_s: float = 0.0
     valid: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -50,36 +50,45 @@ class FrameTrack:
 class PitchConfig:
     f0_min: float = 60.0
     f0_max: float = 400.0
-    frame_shift_s: float = 0.005
-    window_s: float = 0.040
     voicing_threshold: float = 0.45
 
     def __post_init__(self) -> None:
         if not 0 < self.f0_min < self.f0_max:
             raise ValueError("need 0 < f0_min < f0_max")
-        if self.window_s * self.f0_max < 2:
-            raise ValueError("window must span at least 2 periods of f0_max")
         if not 0 < self.voicing_threshold < 1:
             raise ValueError("voicing_threshold must lie in (0, 1)")
 
 
-def _frame_signal(x: np.ndarray, rate: int, frame_shift_s: float,
-                  window_s: float) -> np.ndarray:
-    """Cut x into centered, zero-padded frames: a read-only (n_frames, win)
-    view of one padded copy."""
+@dataclass
+class Frames:
+    """One utterance cut on the front end's frame grid."""
+
+    samples: np.ndarray  # read-only (n_frames, win) view of one padded copy
+    rms: np.ndarray  # per-frame RMS of the raw samples
+    sample_rate: int
+    frame_shift_s: float
+
+
+def frame_audio(audio: AudioBuffer, frame_shift_s: float,
+                window_s: float) -> Frames:
+    """Cut the audio into centered, zero-padded frames and take each
+    frame's RMS."""
+    rate = audio.sample_rate
     hop = max(1, round(rate * frame_shift_s))
     win = round(rate * window_s)
-    n = len(x)
+    n = len(audio.samples)
     if n < win:
         raise ValueError(
             f"audio shorter than one window ({n} samples < {win})"
         )
     n_frames = math.ceil(n / hop)
-    padded = np.concatenate([np.zeros(win), x, np.zeros(win)])
-    return sliding_window_view(padded, win)[win - win // 2::hop][:n_frames]
+    padded = np.concatenate([np.zeros(win), audio.samples, np.zeros(win)])
+    frames = sliding_window_view(padded, win)[win - win // 2::hop][:n_frames]
+    return Frames(samples=frames, rms=np.sqrt(np.mean(frames**2, axis=1)),
+                  sample_rate=rate, frame_shift_s=frame_shift_s)
 
 
-def extract_f0(audio: AudioBuffer, cfg: PitchConfig) -> FrameTrack:
+def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
     """Estimate F0 per frame by normalized-autocorrelation peak picking.
 
     Frames are zero-meaned and Hann-windowed, and the frame ACF is divided by
@@ -94,9 +103,8 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig) -> FrameTrack:
     with placeholder value 0.  Frames below the silence floor, which can
     never be voiced, skip the ACF altogether.
     """
-    rate = audio.sample_rate
-    frames = _frame_signal(audio.samples, rate, cfg.frame_shift_s, cfg.window_s)
-    n_frames, win = frames.shape
+    rate = frames.sample_rate
+    n_frames, win = frames.samples.shape
 
     lag_min = max(2, int(math.floor(rate / cfg.f0_max)))
     lag_max = min(win - 3, int(math.ceil(rate / cfg.f0_min)))
@@ -104,8 +112,8 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig) -> FrameTrack:
         raise ValueError("window too short for the requested f0 range")
 
     taper = np.hanning(win)
-    rows = np.flatnonzero(np.sqrt(np.mean(frames**2, axis=1)) >= SILENCE_RMS)
-    loud = frames[rows]
+    rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
+    loud = frames.samples[rows]
     loud -= loud.mean(axis=1, keepdims=True)
     loud *= taper
     # one lag beyond the search range so the local-max test has neighbors
@@ -139,18 +147,14 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig) -> FrameTrack:
     voiced = np.zeros(n_frames, dtype=bool)
     values[rows[ok]] = np.clip(rate / lag[ok], cfg.f0_min, cfg.f0_max)
     voiced[rows[ok]] = True
-    return FrameTrack(values=values, frame_shift_s=cfg.frame_shift_s,
+    return FrameTrack(values=values, frame_shift_s=frames.frame_shift_s,
                       valid=voiced)
 
 
-def extract_energy(audio: AudioBuffer, frame_shift_s: float = 0.005,
-                   window_s: float = 0.040) -> FrameTrack:
+def extract_energy(frames: Frames) -> FrameTrack:
     """Log-RMS energy per frame: ln(max(RMS, 1e-6)).  All frames valid."""
-    frames = _frame_signal(audio.samples, audio.sample_rate, frame_shift_s,
-                           window_s)
-    rms = np.sqrt(np.mean(frames**2, axis=1))
-    values = np.log(np.maximum(rms, ENERGY_FLOOR))
-    return FrameTrack(values=values, frame_shift_s=frame_shift_s)
+    return FrameTrack(values=np.log(np.maximum(frames.rms, ENERGY_FLOOR)),
+                      frame_shift_s=frames.frame_shift_s)
 
 
 def duration_track(utterance: Utterance, frame_shift_s: float,

@@ -14,17 +14,17 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
+from functools import reduce
 from pathlib import Path
 
 from . import evaluation
 from .corpus_io import (CorpusFormatError, EmbeddingTable, ProminenceRecord,
                         Utterance, load_embeddings, parse_dataset, parse_lab,
                         parse_textgrid, read_wav, write_dataset)
-from .discretize import Thresholds, calibrate_binary, split_prominent
-from .prominence import (AnnotateConfig, AnnotationError, CompositeConfig,
-                         ScaleGrid, annotate_utterance)
-from .acoustics import PitchConfig
+from .discretize import calibrate_binary, split_prominent
+from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 from .taggers import (crf_loglik_grad, crf_train, load_model, predict_embed,
                       predict_majority, save_model, train_embed_classifier,
                       train_majority, viterbi)
@@ -43,7 +43,36 @@ class UsageError(Exception):
 # config handling
 # ---------------------------------------------------------------------------
 
-def load_config(path: str | None) -> dict[str, str]:
+# Every annotation key a config file may set, in manifest order, and the
+# AnnotateConfig attribute it sets.  Defaults and types are read from
+# AnnotateConfig() itself.
+ANNOTATE_KEYS = {
+    "f0_min": "pitch.f0_min",
+    "f0_max": "pitch.f0_max",
+    "voicing_threshold": "pitch.voicing_threshold",
+    "window_s": "window_s",
+    "frame_shift_s": "frame_shift_s",
+    "smooth_sigma_s": "smooth_sigma_s",
+    "dur_smooth_sigma_s": "dur_smooth_sigma_s",
+    "w_f0": "composite.w_f0",
+    "w_energy": "composite.w_energy",
+    "w_dur": "composite.w_dur",
+    "composite_mode": "composite.mode",
+    "n_scales": "grid.n_scales",
+    "min_period_s": "grid.min_period_s",
+    "scales_per_octave": "grid.scales_per_octave",
+    "theta1": "thresholds.theta1",
+    "theta2": "thresholds.theta2",
+}
+# `calibrate --mode split` reads theta1 from the annotate config file
+ANNOTATE_CONFIG_KEYS = (*ANNOTATE_KEYS, "textgrid_tier")
+TRAIN_CONFIG_KEYS = ("l2_lambda", "max_iterations", "tolerance", "embeddings",
+                     "embedding_dim")
+_TYPE_NAMES = {float: "a number", int: "an integer"}
+
+
+def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
+    """Read a flat key=value file; a key outside `known` is a usage error."""
     if path is None:
         return {}
     try:
@@ -58,78 +87,49 @@ def load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key=value")
         key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in known:
+            raise UsageError(f"config line {lineno}: unknown key {key!r}; "
+                             f"this command reads {', '.join(known)}")
+        cfg[key] = value.strip()
     return cfg
 
 
-def _cfg_float(cfg: dict[str, str], key: str, default: float) -> float:
-    if key not in cfg:
-        return default
+def _parse(cfg: dict[str, str], key: str, kind: type):
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except ValueError as exc:
-        raise UsageError(f"config key {key}: not a number: {cfg[key]!r}") from exc
+        raise UsageError(f"config key {key}: not {_TYPE_NAMES[kind]}: "
+                         f"{cfg[key]!r}") from exc
 
 
-def _cfg_int(cfg: dict[str, str], key: str, default: int) -> int:
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise UsageError(f"config key {key}: not an integer: {cfg[key]!r}") from exc
+def _cfg_value(cfg: dict[str, str], key: str, default):
+    """cfg[key] parsed as the type of `default`, or `default` if unset."""
+    return _parse(cfg, key, type(default)) if key in cfg else default
+
+
+def _setting(cfg: AnnotateConfig, path: str):
+    return reduce(getattr, path.split("."), cfg)
 
 
 def build_annotate_config(cfg: dict[str, str], n_classes: int) -> AnnotateConfig:
-    frame_shift = _cfg_float(cfg, "frame_shift_s", 0.005)
-    pitch = PitchConfig(
-        f0_min=_cfg_float(cfg, "f0_min", 60.0),
-        f0_max=_cfg_float(cfg, "f0_max", 400.0),
-        frame_shift_s=frame_shift,
-        window_s=_cfg_float(cfg, "window_s", 0.040),
-        voicing_threshold=_cfg_float(cfg, "voicing_threshold", 0.45),
-    )
-    composite = CompositeConfig(
-        w_f0=_cfg_float(cfg, "w_f0", 1.0),
-        w_energy=_cfg_float(cfg, "w_energy", 0.5),
-        w_dur=_cfg_float(cfg, "w_dur", 1.0),
-        mode=cfg.get("composite_mode", "product"),
-    )
-    grid = ScaleGrid(
-        n_scales=_cfg_int(cfg, "n_scales", 12),
-        min_period_s=_cfg_float(cfg, "min_period_s", 0.1),
-        scales_per_octave=_cfg_int(cfg, "scales_per_octave", 2),
-    )
-    thresholds = Thresholds(
-        theta1=_cfg_float(cfg, "theta1", 0.5),
-        theta2=_cfg_float(cfg, "theta2", 1.0),
-    )
-    return AnnotateConfig(
-        pitch=pitch, composite=composite, grid=grid,
-        frame_shift_s=frame_shift,
-        energy_window_s=_cfg_float(cfg, "energy_window_s", 0.040),
-        smooth_sigma_s=_cfg_float(cfg, "smooth_sigma_s", 0.02),
-        dur_smooth_sigma_s=_cfg_float(cfg, "dur_smooth_sigma_s", 0.0),
-        thresholds=thresholds, n_classes=n_classes,
-    )
+    """AnnotateConfig() with the table keys that `cfg` sets replaced."""
+    defaults = AnnotateConfig()
+    changes: dict[str, dict] = {"": {"n_classes": n_classes}}
+    for key, path in ANNOTATE_KEYS.items():
+        if key in cfg:
+            section, _, name = path.rpartition(".")
+            changes.setdefault(section, {})[name] = _parse(
+                cfg, key, type(_setting(defaults, path)))
+    top = changes.pop("")
+    for section, fields in changes.items():
+        top[section] = replace(getattr(defaults, section), **fields)
+    return replace(defaults, **top)
 
 
-def _config_snapshot(cfg: AnnotateConfig) -> list[str]:
-    p, c, g = cfg.pitch, cfg.composite, cfg.grid
-    pairs = [
-        ("f0_min", p.f0_min), ("f0_max", p.f0_max),
-        ("voicing_threshold", p.voicing_threshold),
-        ("window_s", p.window_s), ("frame_shift_s", cfg.frame_shift_s),
-        ("energy_window_s", cfg.energy_window_s),
-        ("smooth_sigma_s", cfg.smooth_sigma_s),
-        ("dur_smooth_sigma_s", cfg.dur_smooth_sigma_s),
-        ("w_f0", c.w_f0), ("w_energy", c.w_energy), ("w_dur", c.w_dur),
-        ("composite_mode", c.mode),
-        ("n_scales", g.n_scales), ("min_period_s", g.min_period_s),
-        ("scales_per_octave", g.scales_per_octave),
-        ("theta1", cfg.thresholds.theta1), ("theta2", cfg.thresholds.theta2),
-        ("n_classes", cfg.n_classes),
-    ]
+def _config_lines(cfg: AnnotateConfig) -> list[str]:
+    pairs = [(key, _setting(cfg, path)) for key, path in ANNOTATE_KEYS.items()]
+    pairs.append(("n_classes", cfg.n_classes))
     return [f"config.{k}={v}" for k, v in pairs]
 
 
@@ -152,7 +152,7 @@ def _annotate_one(job) -> tuple[
 
 
 def cmd_annotate(args) -> int:
-    cfg_dict = load_config(args.config)
+    cfg_dict = load_config(args.config, ANNOTATE_CONFIG_KEYS)
     cfg = build_annotate_config(cfg_dict, args.classes)
     tier = cfg_dict.get("textgrid_tier", "words")
     align_dir = Path(args.align_dir)
@@ -202,7 +202,7 @@ def cmd_annotate(args) -> int:
     n_fail = len(status) - n_ok
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     manifest = [f"# generated {stamp}", "command=annotate"]
-    manifest.extend(_config_snapshot(cfg))
+    manifest.extend(_config_lines(cfg))
     manifest.extend(f"utt\t{stem}\t{st}" for stem, st in status)
     manifest.append(f"summary\t{n_ok} ok, {n_fail} failed")
     Path(str(out_path) + ".manifest").write_text(
@@ -231,7 +231,7 @@ def _read_floats(path: str) -> list[float]:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, ANNOTATE_CONFIG_KEYS)
     values = _read_floats(args.values_file)
     if args.mode == "binary":
         if args.reference_file is None:
@@ -244,7 +244,7 @@ def cmd_calibrate(args) -> int:
         if theta1 is None:
             if "theta1" not in cfg:
                 raise UsageError("split mode needs --theta1 or config theta1")
-            theta1 = _cfg_float(cfg, "theta1", 0.5)
+            theta1 = _parse(cfg, "theta1", float)
         theta2 = split_prominent(values, theta1)
         print(f"theta1={theta1!r}")
         print(f"theta2={theta2!r}")
@@ -270,7 +270,7 @@ def _embed_table(cfg: dict[str, str]):
     if "embeddings" not in cfg:
         raise UsageError("embed model needs config keys embeddings=<path> "
                          "and embedding_dim=<n>")
-    dim = _cfg_int(cfg, "embedding_dim", 0)
+    dim = _cfg_value(cfg, "embedding_dim", 0)
     if dim <= 0:
         raise UsageError("config key embedding_dim must be a positive integer")
     return load_embeddings(Path(cfg["embeddings"]), dim)
@@ -282,21 +282,21 @@ def _train(kind: str, corpus: list[LabeledSentence], cfg: dict[str, str],
     they read the same config keys."""
     if kind == "majority":
         return train_majority(corpus)
-    l2_lambda = _cfg_float(cfg, "l2_lambda", 1e-4)
+    l2_lambda = _cfg_value(cfg, "l2_lambda", 1e-4)
     if kind == "crf":
         return crf_train(
             corpus, l2_lambda=l2_lambda,
-            max_iterations=_cfg_int(cfg, "max_iterations", 100),
-            tolerance=_cfg_float(cfg, "tolerance", 1e-5),
+            max_iterations=_cfg_value(cfg, "max_iterations", 100),
+            tolerance=_cfg_value(cfg, "tolerance", 1e-5),
         )
     return train_embed_classifier(
         corpus, table, l2_lambda=l2_lambda,
-        max_iterations=_cfg_int(cfg, "max_iterations", 500),
+        max_iterations=_cfg_value(cfg, "max_iterations", 500),
     )
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, TRAIN_CONFIG_KEYS)
     corpus = _load_sentences(args.train_file, args.classes)
     log.info("training %s on %d sentences", args.model, len(corpus))
     table = _embed_table(cfg) if args.model == "embed" else None
@@ -416,7 +416,7 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def cmd_learning_curve(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, TRAIN_CONFIG_KEYS)
     train_corpus = _load_sentences(args.train_file, args.classes)
     test_corpus = _load_sentences(args.test_file, args.classes)
     fractions = _parse_fractions(args.fractions)
@@ -450,9 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, classes=True):
-        p.add_argument("--config", default=None,
-                       help="flat key=value config file")
+    def common(p, config=True, classes=True):
+        if config:
+            p.add_argument("--config", default=None,
+                           help="flat key=value config file")
         if classes:
             p.add_argument("--classes", type=int, choices=(2, 3), default=3,
                            help="label granularity (default 3)")
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("majority", "majority-global", "crf", "embed"),
                    help="majority-global decodes a majority model with the "
                         "global label; the model file sets the tagger type")
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a model or prediction file")
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "global label; the model file sets the tagger type")
     p.add_argument("--out", default="eval",
                    help="prefix for report/confusion TSVs (default 'eval')")
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("learning-curve",

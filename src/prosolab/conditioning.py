@@ -28,8 +28,7 @@ def interpolate_gaps(track: FrameTrack) -> FrameTrack:
         idx = np.arange(len(values))
         # np.interp clamps outside the sample range, giving edge extension
         out = np.interp(idx, idx[valid], values[valid])
-    return FrameTrack(values=out, frame_shift_s=track.frame_shift_s,
-                      start_s=track.start_s)
+    return FrameTrack(values=out, frame_shift_s=track.frame_shift_s)
 
 
 def gaussian_kernel(sigma_s: float, frame_shift_s: float) -> np.ndarray:
@@ -54,8 +53,7 @@ def smooth(track: FrameTrack, sigma_s: float) -> FrameTrack:
         kernel = gaussian_kernel(sigma_s, track.frame_shift_s)
         # symmetric kernel: correlation equals convolution
         out = mirror_correlate(track.values, kernel)
-    return FrameTrack(values=out, frame_shift_s=track.frame_shift_s,
-                      start_s=track.start_s)
+    return FrameTrack(values=out, frame_shift_s=track.frame_shift_s)
 
 
 def znormalize(track: FrameTrack) -> tuple[FrameTrack, bool]:
@@ -80,11 +78,7 @@ def znormalize(track: FrameTrack) -> tuple[FrameTrack, bool]:
     else:
         out = dev / std
         degenerate = False
-    return (
-        FrameTrack(values=out, frame_shift_s=track.frame_shift_s,
-                   start_s=track.start_s),
-        degenerate,
-    )
+    return FrameTrack(values=out, frame_shift_s=track.frame_shift_s), degenerate
 
 
 def condition(track: FrameTrack, sigma_s: float) -> tuple[FrameTrack, bool]:

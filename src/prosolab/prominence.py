@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import mirror_correlate
-from .acoustics import FrameTrack, PitchConfig, duration_track, extract_energy, \
-    extract_f0
+from .acoustics import FrameTrack, PitchConfig, duration_track, \
+    extract_energy, extract_f0, frame_audio
 from .conditioning import condition, interpolate_gaps, smooth, znormalize
 from .corpus_io import AudioBuffer, ProminenceRecord, Utterance
 from .discretize import Thresholds, discretize
@@ -92,17 +92,25 @@ class WordProminence:
 
 @dataclass
 class AnnotateConfig:
-    """Everything one annotation run needs, with reproducible defaults."""
+    """Everything one annotation run needs, with reproducible defaults.
+
+    frame_shift_s and window_s are the front end's one frame grid: they
+    frame both the pitch and the energy stream.
+    """
 
     pitch: PitchConfig = field(default_factory=PitchConfig)
     composite: CompositeConfig = field(default_factory=CompositeConfig)
     grid: ScaleGrid = field(default_factory=ScaleGrid)
     frame_shift_s: float = 0.005
-    energy_window_s: float = 0.040
+    window_s: float = 0.040
     smooth_sigma_s: float = 0.02
     dur_smooth_sigma_s: float = 0.0
     thresholds: Thresholds = field(default_factory=lambda: Thresholds(0.5, 1.0))
     n_classes: int = 3
+
+    def __post_init__(self) -> None:
+        if self.window_s * self.pitch.f0_max < 2:
+            raise ValueError("window must span at least 2 periods of f0_max")
 
 
 def compose(f0: FrameTrack, energy: FrameTrack, dur: FrameTrack,
@@ -131,8 +139,7 @@ def compose(f0: FrameTrack, energy: FrameTrack, dur: FrameTrack,
         for t, w in zip(tracks, weights):
             shifted = t.values - t.values.min() + PRODUCT_SHIFT_EPS
             out = out * shifted**w
-    return FrameTrack(values=out, frame_shift_s=f0.frame_shift_s,
-                      start_s=f0.start_s)
+    return FrameTrack(values=out, frame_shift_s=f0.frame_shift_s)
 
 
 def ricker(scale_frames: float, radius: int) -> np.ndarray:
@@ -290,20 +297,15 @@ def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
         except Exception as exc:
             raise AnnotationError(uid, stage, str(exc)) from exc
 
-    pitch_cfg = cfg.pitch
-    if pitch_cfg.frame_shift_s != shift:
-        pitch_cfg = PitchConfig(
-            f0_min=pitch_cfg.f0_min, f0_max=pitch_cfg.f0_max,
-            frame_shift_s=shift, window_s=pitch_cfg.window_s,
-            voicing_threshold=pitch_cfg.voicing_threshold)
-
-    f0_raw = run("extract_f0", extract_f0, audio, pitch_cfg)
-    en_raw = run("extract_energy", extract_energy, audio, shift,
-                 cfg.energy_window_s)
+    # audio too short to frame is reported as the pitch tracker's failure
+    frames = run("extract_f0", frame_audio, audio, shift, cfg.window_s)
+    f0_raw = run("extract_f0", extract_f0, frames, cfg.pitch)
+    en_raw = run("extract_energy", extract_energy, frames)
     du_raw = run("duration_track", duration_track, utterance, shift,
                  audio.duration_s)
 
-    n = min(len(f0_raw), len(en_raw), len(du_raw))
+    # pitch and energy share one framing, so only duration can differ
+    n = min(len(f0_raw), len(du_raw))
     if n < 2:
         raise AnnotationError(uid, "conditioning", "fewer than 2 frames")
 

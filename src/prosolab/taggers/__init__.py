@@ -4,7 +4,6 @@ from .majority import MajorityModel, predict_majority, train_majority
 from .crf import (CrfModel, crf_featurize, crf_loglik_grad, crf_score,
                   crf_train, forward_logZ, viterbi)
 from .embed import EmbeddingClassifier, predict_embed, train_embed_classifier
-from .random_baseline import predict_random
 from .serialize import load_model, save_model
 
 __all__ = [
@@ -12,6 +11,5 @@ __all__ = [
     "CrfModel", "crf_featurize", "crf_score", "forward_logZ",
     "crf_loglik_grad", "crf_train", "viterbi",
     "EmbeddingClassifier", "train_embed_classifier", "predict_embed",
-    "predict_random",
     "save_model", "load_model",
 ]

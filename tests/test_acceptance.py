@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
 from prosolab.acoustics import AudioBuffer, FrameTrack, PitchConfig, \
-    extract_energy, extract_f0
+    extract_energy, extract_f0, frame_audio
 from prosolab.conditioning import interpolate_gaps, smooth, znormalize
 from prosolab.corpus_io import Token, Utterance, parse_dataset, write_dataset
 from prosolab.discretize import Thresholds, discretize, split_prominent
@@ -282,15 +282,15 @@ def test_criterion_5_signal_invariants():
 
     # pitch tracking: a pure 220 Hz tone is voiced throughout at 220 +- 1 Hz
     tone = AudioBuffer(sine(220.0, 1.0, amp=0.4), RATE)
-    f0 = extract_f0(tone, PitchConfig())
+    f0 = extract_f0(frame_audio(tone, 0.005, 0.040), PitchConfig())
     assert f0.valid.all()
     assert np.all(np.abs(f0.values - 220.0) <= 1.0)
 
     # log energy: scaling the waveform by c shifts every frame by ln c
     quiet = AudioBuffer(sine(220.0, 0.5, amp=0.2), RATE)
     loud = AudioBuffer(quiet.samples * 2.5, RATE)
-    e1 = extract_energy(quiet)
-    e2 = extract_energy(loud)
+    e1 = extract_energy(frame_audio(quiet, 0.005, 0.040))
+    e2 = extract_energy(frame_audio(loud, 0.005, 0.040))
     np.testing.assert_allclose(e2.values - e1.values, np.log(2.5), atol=1e-6)
 
     # gap interpolation is linear inside, nearest-value at the edges, and a

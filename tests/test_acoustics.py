@@ -12,14 +12,22 @@ from prosolab.acoustics import (
     OCTAVE_COST,
     SILENCE_RMS,
     PitchConfig,
-    _frame_signal,
     duration_track,
     extract_energy,
     extract_f0,
+    frame_audio,
 )
 from prosolab.corpus_io import AudioBuffer, Token, Utterance
+from prosolab.prominence import AnnotateConfig
 
 from conftest import RATE, make_word_fixture, sine
+
+SHIFT = 0.005
+WINDOW = 0.040
+
+
+def framed(x, rate=RATE, window_s=WINDOW):
+    return frame_audio(AudioBuffer(x, rate), SHIFT, window_s)
 
 
 def harmonic(freq, duration_s, rate=RATE, noise=0.01, seed=11):
@@ -33,8 +41,8 @@ def harmonic(freq, duration_s, rate=RATE, noise=0.01, seed=11):
 
 def oracle_f0_track(samples, rate, cfg):
     """Per-frame pitch decision recomputed with direct lag-by-lag sums."""
-    hop = max(1, round(rate * cfg.frame_shift_s))
-    win = round(rate * cfg.window_s)
+    hop = max(1, round(rate * SHIFT))
+    win = round(rate * WINDOW)
     half = win // 2
     n_frames = math.ceil(len(samples) / hop)
     ext = np.concatenate([np.zeros(win), samples, np.zeros(win)])
@@ -89,7 +97,7 @@ def gather_frames(x, rate, frame_shift_s, window_s):
 def loop_f0_track(samples, rate, cfg):
     """Exact reference for extract_f0: the same FFT ACF of every frame, then
     one frame at a time through the peak picking in scalar arithmetic."""
-    frames = gather_frames(samples, rate, cfg.frame_shift_s, cfg.window_s)
+    frames = gather_frames(samples, rate, SHIFT, WINDOW)
     n_frames, win = frames.shape
     raw_rms = np.sqrt(np.mean(frames**2, axis=1))
     frames = frames - frames.mean(axis=1, keepdims=True)
@@ -137,7 +145,7 @@ def test_f0_matches_brute_force_oracle():
     cfg = PitchConfig()
     # the word fixture's exact-zero gaps are frames that skip the ACF
     for x in (harmonic(180.0, 0.3), make_word_fixture([0.3, 0.6])[0].samples):
-        track = extract_f0(AudioBuffer(x, RATE), cfg)
+        track = extract_f0(framed(x), cfg)
         want_values, want_voiced = oracle_f0_track(x, RATE, cfg)
         np.testing.assert_array_equal(track.valid, want_voiced)
         np.testing.assert_allclose(track.values, want_values, atol=1e-4)
@@ -171,21 +179,21 @@ def _between(x, filler):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_f0_matches_frame_loop(samples, rate, cfg):
     """Bit for bit the per-frame loop, including frames that skip the ACF."""
-    track = extract_f0(AudioBuffer(samples, rate), cfg)
+    track = extract_f0(framed(samples, rate), cfg)
     want_values, want_voiced = loop_f0_track(samples, rate, cfg)
     assert np.array_equal(track.valid, want_voiced)
     assert np.array_equal(track.values, want_values)
 
 
 def test_f0_pure_tone_220hz():
-    track = extract_f0(AudioBuffer(sine(220.0, 1.0), RATE), PitchConfig())
+    track = extract_f0(framed(sine(220.0, 1.0)), PitchConfig())
     assert track.valid.all()
     np.testing.assert_allclose(track.values, 220.0, atol=1.0)
 
 
 def test_f0_two_level_track():
     x = np.concatenate([sine(150.0, 0.5), sine(300.0, 0.5)])
-    track = extract_f0(AudioBuffer(x, RATE), PitchConfig())
+    track = extract_f0(framed(x), PitchConfig())
     times = np.arange(len(track)) * track.frame_shift_s
     low = times < 0.46
     high = times >= 0.54
@@ -197,14 +205,14 @@ def test_f0_two_level_track():
 def test_f0_low_pitch_near_floor():
     # period 258 samples: most of the admissible lag range, where the taper
     # attenuates hardest; the window-ACF correction must keep this voiced
-    track = extract_f0(AudioBuffer(sine(62.0, 1.0), RATE), PitchConfig())
+    track = extract_f0(framed(sine(62.0, 1.0)), PitchConfig())
     assert track.valid[4:-4].all()
     interior = track.values[4:-4]
     np.testing.assert_allclose(interior, 62.0, atol=1.0)
 
 
 def test_f0_silence_is_unvoiced():
-    track = extract_f0(AudioBuffer(np.zeros(RATE // 2), RATE), PitchConfig())
+    track = extract_f0(framed(np.zeros(RATE // 2)), PitchConfig())
     assert not track.valid.any()
     assert (track.values == 0.0).all()
 
@@ -212,26 +220,24 @@ def test_f0_silence_is_unvoiced():
 def test_f0_noise_is_unvoiced():
     rng = np.random.default_rng(3)
     noise = 0.05 * rng.standard_normal(RATE)
-    track = extract_f0(AudioBuffer(noise, RATE), PitchConfig())
+    track = extract_f0(framed(noise), PitchConfig())
     assert not track.valid.any()
 
 
 def test_f0_stays_in_configured_range():
     for freq in (62.0, 100.0, 180.0, 300.0, 395.0):
-        track = extract_f0(AudioBuffer(harmonic(freq, 0.2), RATE), PitchConfig())
+        track = extract_f0(framed(harmonic(freq, 0.2)), PitchConfig())
         v = track.values[track.valid]
         assert (v >= 60.0).all() and (v <= 400.0).all()
 
 
 def test_f0_time_shift_consistency():
     cfg = PitchConfig()
-    hop = round(RATE * cfg.frame_shift_s)
+    hop = round(RATE * SHIFT)
     k = 5
     x = harmonic(180.0, 0.4)
-    base = extract_f0(AudioBuffer(x, RATE), cfg)
-    shifted = extract_f0(
-        AudioBuffer(np.concatenate([np.zeros(k * hop), x]), RATE), cfg
-    )
+    base = extract_f0(framed(x), cfg)
+    shifted = extract_f0(framed(np.concatenate([np.zeros(k * hop), x])), cfg)
     assert len(shifted) == len(base) + k
     np.testing.assert_array_equal(shifted.valid[k:], base.valid)
     np.testing.assert_allclose(shifted.values[k:], base.values, atol=1e-9)
@@ -245,7 +251,7 @@ def test_energy_closed_form_sine():
     # 200 Hz at 16 kHz: exactly 8 periods per 40 ms window, so interior
     # frames have RMS a/sqrt(2) up to float rounding
     amp = 0.3
-    track = extract_energy(AudioBuffer(sine(200.0, 1.0, amp=amp), RATE))
+    track = extract_energy(framed(sine(200.0, 1.0, amp=amp)))
     assert track.valid.all()
     interior = track.values[5:195]
     np.testing.assert_allclose(interior, math.log(amp / math.sqrt(2)),
@@ -255,14 +261,14 @@ def test_energy_closed_form_sine():
 def test_energy_gain_law():
     x = sine(200.0, 0.5, amp=0.2)
     c = 2.5
-    base = extract_energy(AudioBuffer(x, RATE))
-    scaled = extract_energy(AudioBuffer(c * x, RATE))
+    base = extract_energy(framed(x))
+    scaled = extract_energy(framed(c * x))
     np.testing.assert_allclose(scaled.values - base.values, math.log(c),
                                atol=1e-6)
 
 
 def test_energy_silence_floor():
-    track = extract_energy(AudioBuffer(np.zeros(RATE // 2), RATE))
+    track = extract_energy(framed(np.zeros(RATE // 2)))
     assert (track.values == math.log(ENERGY_FLOOR)).all()
 
 
@@ -270,12 +276,13 @@ def test_energy_silence_floor():
                          ids=["one_window", "hop_not_dividing", "window_plus_1"])
 def test_framing_view_matches_gather(rate, n):
     x = np.random.default_rng(n).standard_normal(n)
-    view = _frame_signal(x, rate, 0.005, 0.040)
-    gathered = gather_frames(x, rate, 0.005, 0.040)
-    assert not view.flags.writeable
-    assert np.array_equal(view, gathered)
+    frames = framed(x, rate)
+    gathered = gather_frames(x, rate, SHIFT, WINDOW)
+    assert not frames.samples.flags.writeable
+    assert np.array_equal(frames.samples, gathered)
     rms = np.sqrt(np.mean(gathered**2, axis=1))
-    assert np.array_equal(extract_energy(AudioBuffer(x, rate)).values,
+    assert np.array_equal(frames.rms, rms)
+    assert np.array_equal(extract_energy(frames).values,
                           np.log(np.maximum(rms, ENERGY_FLOOR)))
 
 
@@ -283,10 +290,8 @@ def test_energy_time_shift_consistency():
     hop = round(RATE * 0.005)
     k = 7
     x = sine(200.0, 0.4, amp=0.2)
-    base = extract_energy(AudioBuffer(x, RATE))
-    shifted = extract_energy(
-        AudioBuffer(np.concatenate([np.zeros(k * hop), x]), RATE)
-    )
+    base = extract_energy(framed(x))
+    shifted = extract_energy(framed(np.concatenate([np.zeros(k * hop), x])))
     assert len(shifted) == len(base) + k
     np.testing.assert_allclose(shifted.values[k:], base.values, atol=1e-9)
 
@@ -331,8 +336,9 @@ def test_duration_track_span_check():
 def test_track_lengths_agree():
     x = harmonic(180.0, 1.0)
     buf = AudioBuffer(x, RATE)
-    f0 = extract_f0(buf, PitchConfig())
-    en = extract_energy(buf)
+    frames = frame_audio(buf, SHIFT, WINDOW)
+    f0 = extract_f0(frames, PitchConfig())
+    en = extract_energy(frames)
     dur = duration_track(_utt([(0.1, 0.8, "a")]), 0.005, buf.duration_s)
     assert len(f0) == len(en)
     assert abs(len(f0) - len(dur)) <= 1
@@ -342,8 +348,9 @@ def test_track_lengths_agree_non_divisible_rate():
     rate = 22050
     t = np.arange(rate) / rate
     buf = AudioBuffer(0.4 * np.sin(2 * np.pi * 150.0 * t), rate)
-    f0 = extract_f0(buf, PitchConfig())
-    en = extract_energy(buf)
+    frames = frame_audio(buf, SHIFT, WINDOW)
+    f0 = extract_f0(frames, PitchConfig())
+    en = extract_energy(frames)
     dur = duration_track(_utt([(0.1, 0.8, "a")]), 0.005, buf.duration_s)
     assert len(f0) == len(en)
     assert abs(len(f0) - len(dur)) <= 1
@@ -357,7 +364,7 @@ def test_pitch_config_validation():
     with pytest.raises(ValueError, match="f0_min < f0_max"):
         PitchConfig(f0_min=400.0, f0_max=300.0)
     with pytest.raises(ValueError, match="at least 2 periods"):
-        PitchConfig(window_s=0.004)
+        AnnotateConfig(window_s=0.004)
     with pytest.raises(ValueError, match="voicing_threshold"):
         PitchConfig(voicing_threshold=0.0)
     with pytest.raises(ValueError, match="voicing_threshold"):
@@ -366,13 +373,12 @@ def test_pitch_config_validation():
 
 def test_extract_f0_audio_too_short():
     with pytest.raises(ValueError, match="audio shorter than one window"):
-        extract_f0(AudioBuffer(np.zeros(100), RATE), PitchConfig())
+        framed(np.zeros(100))
 
 
 def test_extract_f0_window_too_short_for_range():
-    cfg = PitchConfig(window_s=0.005)
     with pytest.raises(ValueError, match="window too short"):
-        extract_f0(AudioBuffer(np.zeros(50), 1000), cfg)
+        extract_f0(framed(np.zeros(50), 1000, window_s=0.005), PitchConfig())
 
 
 def test_frame_track_validation():

@@ -154,6 +154,16 @@ GOLDEN_DATASETS = {
         "w0\t2\t21.301\nw1\t0\t0.000\nw2\t2\t13.815\n,\tNA\tNA\n\n"
         "w0\t1\t4.249\n"),
 }
+# every annotation setting, in table order; n_classes comes from --classes
+GOLDEN_CONFIG_LINES = [
+    "config.f0_min=60.0", "config.f0_max=400.0",
+    "config.voicing_threshold=0.45", "config.window_s=0.04",
+    "config.frame_shift_s=0.005", "config.smooth_sigma_s=0.02",
+    "config.dur_smooth_sigma_s=0.0", "config.w_f0=1.0", "config.w_energy=0.5",
+    "config.w_dur=1.0", "config.composite_mode=product", "config.n_scales=8",
+    "config.min_period_s=0.1", "config.scales_per_octave=2",
+    "config.theta1=3.0", "config.theta2=12.0",
+]
 
 
 @pytest.mark.parametrize("classes", [2, 3])
@@ -173,12 +183,34 @@ def test_annotate_golden_bytes(tmp_path, capsys, classes):
                 "--classes", classes]) == 0
     assert out.read_bytes() == GOLDEN_DATASETS[classes].encode("utf-8")
     manifest = (tmp_path / "data.tsv.manifest").read_text().splitlines()
+    assert [line for line in manifest if line.startswith("config.")] == [
+        *GOLDEN_CONFIG_LINES, f"config.n_classes={classes}"]
     assert [line for line in manifest if line.startswith("utt\t")] == [
         "utt\tg1\tok", "utt\tg2\tok", "utt\tg3\tok", "utt\tg4\tok",
         "utt\tg5\tok",
         "utt\tg6\tfailed: utterance 'g6': stage extract_f0: audio shorter "
         "than one window (300 samples < 640)",
     ]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["annotate", "audio", "align", "out.tsv"], "f0min"),
+    # window_s frames both pitch and energy; there is no energy window
+    (["annotate", "audio", "align", "out.tsv"], "energy_window_s"),
+    (["annotate", "audio", "align", "out.tsv"], "l2_lambda"),
+    (["calibrate", "values.txt", "--mode", "split"], "max_iterations"),
+    (["train", "train.tsv", "m.model", "--model", "majority"], "n_scales"),
+    (["learning-curve", "train.tsv", "test.tsv", "c.tsv", "--model", "crf"],
+     "theta1"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unread_config_key_is_usage_error(tmp_path, monkeypatch, argv, key,
+                                          capsys):
+    # none of the inputs exist, so a command that read the config and went
+    # on would exit 1
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(f"# a comment\n{key}=200\n", encoding="utf-8")
+    assert run(argv + ["--config", "c.cfg"]) == 2
+    assert f"config line 2: unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_annotate_empty_align_dir(tmp_path, capsys):
@@ -215,7 +247,9 @@ def test_calibrate_split_reads_config_theta(tmp_path, capsys):
     values = tmp_path / "values.txt"
     values.write_text("0.6\n0.9\n1.4\n")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("theta1=0.5\n")
+    # the annotate config file: every annotation key is accepted
+    cfg.write_text("n_scales=8\ntextgrid_tier=words\ntheta1=0.5\n"
+                   "theta2=1.0\n")
     assert run(["calibrate", values, "--mode", "split",
                 "--config", cfg]) == 0
     assert "theta2=0.9" in capsys.readouterr().out
@@ -415,6 +449,19 @@ def test_seed_is_a_usage_error_outside_learning_curve(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert run(argv + ["--seed", "1"]) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "m.model", "in.tsv", "out.tsv"],
+    ["evaluate", "m.model", "test.tsv"],
+], ids=lambda argv: argv[0])
+def test_config_is_a_usage_error_for_predict_and_evaluate(tmp_path,
+                                                          monkeypatch, argv,
+                                                          capsys):
+    # neither command reads a config, so neither accepts one
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--config", "c.cfg"]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_learning_curve_accepts_seed(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Majority baselines, the embedding classifier, and the random baseline."""
+"""Majority baselines and the embedding classifier."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from prosolab.taggers.majority import (
     train_majority,
     MajorityModel,
 )
-from prosolab.taggers.random_baseline import predict_random
 
 
 def corpus_from_pairs(*sentences):
@@ -192,27 +191,3 @@ def test_embed_label_set_from_corpus():
     assert clf.labels == [0, 1]
     assert clf.weight_matrix.shape == (2, 3 * 4 + 1)
 
-
-# ---------------------------------------------------------------------------
-# random baseline
-# ---------------------------------------------------------------------------
-
-def test_random_baseline_seeded_and_masked():
-    tokens = ["a", "b", ",", "c", "d", "."]
-    first = predict_random(tokens, [0, 1, 2], np.random.default_rng(13))
-    second = predict_random(tokens, [0, 1, 2], np.random.default_rng(13))
-    assert first == second
-    assert first[2] is None and first[5] is None
-    assert all(lab in (0, 1, 2) for i, lab in enumerate(first)
-               if i not in (2, 5))
-
-
-def test_random_baseline_covers_label_set():
-    rng = np.random.default_rng(0)
-    draws = predict_random(["w"] * 300, [0, 1, 2], rng)
-    assert set(draws) == {0, 1, 2}
-
-
-def test_random_baseline_rejects_empty_labels():
-    with pytest.raises(ValueError, match="empty label set"):
-        predict_random(["a"], [], np.random.default_rng(0))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prosolab import prominence
 from prosolab.acoustics import FrameTrack
 from prosolab.corpus_io import Token, Utterance
 from prosolab.prominence import (
@@ -409,3 +410,28 @@ def test_annotate_stage_tagging():
     with pytest.raises(AnnotationError, match="stage cwt") as err:
         annotate_utterance(audio, utt, AnnotateConfig(grid=ScaleGrid(n_scales=16)))
     assert err.value.stage == "cwt"
+
+
+
+def test_pitch_and_energy_share_one_framing(monkeypatch):
+    # window_s alone sets the window of both streams
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args):
+            result = real(*args)
+            calls.append((name, args, result))
+            return result
+        return wrapped
+
+    for name in ("frame_audio", "extract_f0", "extract_energy"):
+        monkeypatch.setattr(prominence, name,
+                            spy(name, getattr(prominence, name)))
+    audio, utt = make_word_fixture([0.4, 0.8, 0.2])
+    annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8, window_s=0.05))
+    assert [name for name, _, _ in calls] == [
+        "frame_audio", "extract_f0", "extract_energy"]
+    (_, frame_args, frames), (_, f0_args, _), (_, energy_args, _) = calls
+    assert frame_args[1:] == (SHIFT, 0.05)
+    assert f0_args[0] is frames and energy_args[0] is frames
+    assert frames.samples.shape[1] == round(0.05 * audio.sample_rate)
