@@ -60,7 +60,8 @@ def chain_forward(log_pot: np.ndarray, trans: np.ndarray):
     """Forward recursion in the log domain; returns ``(logZ, alpha)``.
 
     States that are impossible carry ``NEG_INF`` in ``log_pot`` rather than
-    ``-inf`` so the arithmetic stays NaN-free.
+    ``-inf`` so the arithmetic stays NaN-free: a position with no live
+    predecessor keeps every entry at or below ``NEG_INF / 2``.
     """
     n_pos, n_states = log_pot.shape
     alpha = np.empty((n_pos, n_states))
@@ -68,16 +69,8 @@ def chain_forward(log_pot: np.ndarray, trans: np.ndarray):
     for t in range(1, n_pos):
         scores = alpha[t - 1][:, None] + trans
         m = scores.max(axis=0)
-        safe = m > NEG_INF / 2
-        lse = np.full(n_states, NEG_INF)
-        if safe.any():
-            lse[safe] = m[safe] + np.log(
-                np.exp(scores[:, safe] - m[safe]).sum(axis=0)
-            )
-        alpha[t] = np.where(safe, log_pot[t] + lse, NEG_INF)
+        alpha[t] = log_pot[t] + (m + np.log(np.exp(scores - m).sum(axis=0)))
     m = alpha[-1].max()
-    if m <= NEG_INF / 2:
-        return NEG_INF, alpha
     return m + np.log(np.exp(alpha[-1] - m).sum()), alpha
 
 
@@ -87,13 +80,7 @@ def chain_backward(log_pot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     for t in range(n_pos - 2, -1, -1):
         scores = trans + (log_pot[t + 1] + beta[t + 1])[None, :]
         m = scores.max(axis=1)
-        safe = m > NEG_INF / 2
-        lse = np.full(n_states, NEG_INF)
-        if safe.any():
-            lse[safe] = m[safe] + np.log(
-                np.exp(scores[safe] - m[safe][:, None]).sum(axis=1)
-            )
-        beta[t] = lse
+        beta[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
     return beta
 
 

@@ -25,9 +25,10 @@ from .corpus_io import (CorpusFormatError, EmbeddingTable, ProminenceRecord,
                         parse_textgrid, read_wav, write_dataset)
 from .discretize import calibrate_binary, split_prominent
 from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
-from .taggers import (crf_loglik_grad, crf_train, load_model, predict_embed,
-                      predict_majority, save_model, train_embed_classifier,
-                      train_majority, viterbi)
+# crf_loglik_grad is unused here, but perfbench's tracer looks it up here
+from .taggers import (crf_loglik_grad, crf_train, load_model,  # noqa: F401
+                      predict_embed, predict_majority, save_model,
+                      train_embed_classifier, train_majority, viterbi)
 from .taggers.common import LabeledSentence, sentence_from_records
 from .taggers.crf import CrfModel
 from .taggers.majority import MajorityModel
@@ -72,14 +73,15 @@ _TYPE_NAMES = {float: "a number", int: "an integer"}
 
 
 def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
-    """Read a flat key=value file; a key outside `known` is a usage error."""
+    """Read a flat key=value file; a key outside `known`, or one set twice,
+    is a usage error."""
     if path is None:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"unreadable config {path}: {exc}") from exc
-    cfg = {}
+    cfg, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -91,6 +93,10 @@ def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
         if key not in known:
             raise UsageError(f"config line {lineno}: unknown key {key!r}; "
                              f"this command reads {', '.join(known)}")
+        if key in cfg:
+            raise UsageError(f"config line {lineno}: duplicate key {key!r}, "
+                             f"first set on line {first_line[key]}")
+        first_line[key] = lineno
         cfg[key] = value.strip()
     return cfg
 
@@ -304,26 +310,31 @@ def cmd_train(args) -> int:
     if args.model == "majority":
         print(f"entries={len(model.per_word)}")
     elif args.model == "crf":
-        value, _ = crf_loglik_grad(model, corpus)
         print(f"features={len(model.feature_index)}")
-        print(f"objective={value:.6f}")
+        print(f"objective={model.objective:.6f}")
     else:
         print(f"dimension={model.table.dimension}")
     Path(args.out_model).write_bytes(save_model(model))
     return 0
 
 
-def _predictor(model, model_arg: str):
+def _predictor(model, model_arg: str | None):
     """(report name, tokens -> labels).  The model's type picks the decoder;
-    `model_arg` only picks majority-global decoding.  Decoders are looked up
-    at call time, so a tracer that rebinds them here sees every call."""
-    if isinstance(model, MajorityModel):
-        if model_arg == "majority-global":
-            return ("majority-global",
-                    lambda tokens: predict_majority(model, tokens, "global"))
+    `model_arg`, when given, must name that type, and majority-global picks
+    global decoding of a majority model.  Decoders are looked up at call
+    time, so a tracer that rebinds them here sees every call."""
+    kind = ("majority" if isinstance(model, MajorityModel)
+            else "crf" if isinstance(model, CrfModel) else "embed")
+    if model_arg is not None and model_arg.split("-")[0] != kind:
+        raise UsageError(f"--model {model_arg} does not match the model "
+                         f"file, which holds a {kind} model")
+    if model_arg == "majority-global":
+        return ("majority-global",
+                lambda tokens: predict_majority(model, tokens, "global"))
+    if kind == "majority":
         return ("majority-per-word",
                 lambda tokens: predict_majority(model, tokens, "per_word"))
-    if isinstance(model, CrfModel):
+    if kind == "crf":
         return "crf", lambda tokens: viterbi(model, tokens)
     return "embed", lambda tokens: predict_embed(model, tokens)
 
@@ -379,6 +390,9 @@ def cmd_evaluate(args) -> int:
         name, predict = _predictor(load_model(data), args.model)
         pred_lists = [predict(sent.tokens) for sent in gold_sents]
     else:
+        if args.model is not None:
+            raise UsageError("--model applies to a model file, not to a "
+                             "predictions file")
         pred_sents = parse_predictions(data)
         if len(pred_sents) != len(gold_sents):
             raise CorpusFormatError(
@@ -488,20 +502,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file")
     p.add_argument("in_file")
     p.add_argument("out_file")
-    p.add_argument("--model", default="majority",
+    p.add_argument("--model", default=None,
                    choices=("majority", "majority-global", "crf", "embed"),
-                   help="majority-global decodes a majority model with the "
-                        "global label; the model file sets the tagger type")
+                   help="the model file sets the tagger; a --model that "
+                        "names another is an error, and majority-global "
+                        "decodes a majority model with the global label")
     common(p, config=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a model or prediction file")
     p.add_argument("model_or_pred")
     p.add_argument("test_file")
-    p.add_argument("--model", default="majority",
+    p.add_argument("--model", default=None,
                    choices=("majority", "majority-global", "crf", "embed"),
-                   help="majority-global decodes a majority model with the "
-                        "global label; the model file sets the tagger type")
+                   help="the model file sets the tagger; a --model that "
+                        "names another is an error, and majority-global "
+                        "decodes a majority model with the global label")
     p.add_argument("--out", default="eval",
                    help="prefix for report/confusion TSVs (default 'eval')")
     common(p, config=False)

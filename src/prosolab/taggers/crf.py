@@ -14,7 +14,7 @@ transition weights flattened row-major, S = K + 1.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -71,6 +71,8 @@ class CrfModel:
     feature_index: dict[str, int]
     weights: np.ndarray
     l2_lambda: float = 1e-4
+    # the training objective at `weights`, set by crf_train; not saved
+    objective: float | None = None
 
     @property
     def n_labels(self) -> int:
@@ -104,46 +106,63 @@ def new_model(labels: list[int], feature_index: dict[str, int],
     return model
 
 
-def sentence_feature_ids(model: CrfModel,
-                         tokens: list[str]) -> list[np.ndarray]:
-    """Indexed feature ids per position; unknown features are dropped."""
-    out = []
-    for t in range(len(tokens)):
-        ids = [model.feature_index[f] for f in crf_featurize(tokens, t)
-               if f in model.feature_index]
-        out.append(np.array(ids, dtype=np.int64))
-    return out
+def sentence_feature_ids(model: CrfModel, tokens: list[str],
+                         na) -> tuple[np.ndarray, np.ndarray]:
+    """Indexed feature ids of the word positions, flat, and the position of
+    each id.  NA positions are not featurized; unknown features are dropped.
+    Ids run in position order, then template order."""
+    index = model.feature_index
+    ids, pos = [], []
+    for t, skip in enumerate(na):
+        if skip:
+            continue
+        for f in crf_featurize(tokens, t):
+            i = index.get(f)
+            if i is not None:
+                ids.append(i)
+                pos.append(t)
+    return np.array(ids, dtype=np.int64), np.array(pos, dtype=np.int64)
+
+
+def _compile(model: CrfModel, tokens: list[str], na):
+    """(na, ids, pos): the one form every scoring path reads."""
+    na = np.asarray(na, dtype=bool)
+    return (na, *sentence_feature_ids(model, tokens, na))
 
 
 def _states_from_labels(model: CrfModel,
                         labels: list[int | None]) -> np.ndarray:
-    label_pos = {lab: i for i, lab in enumerate(model.labels)}
-    states = np.empty(len(labels), dtype=np.int64)
-    for t, lab in enumerate(labels):
-        if lab is None:
-            states[t] = model.na_state
-        else:
-            if lab not in label_pos:
-                raise ValueError(f"label {lab!r} not in model label set")
-            states[t] = label_pos[lab]
-    return states
+    state = {lab: i for i, lab in enumerate(model.labels)}
+    state[None] = model.na_state
+    for lab in labels:
+        if lab not in state:
+            raise ValueError(f"label {lab!r} not in model label set")
+    return np.array([state[lab] for lab in labels], dtype=np.int64)
 
 
-def _potentials(model: CrfModel, feats: list[np.ndarray],
-                na: list[bool]) -> np.ndarray:
-    """(T, S) log-potential matrix with masking baked in."""
-    T = len(feats)
+def _potentials(model: CrfModel, na: np.ndarray, ids: np.ndarray,
+                pos: np.ndarray) -> np.ndarray:
+    """(T, S) log-potential matrix with masking baked in.  Each word row
+    starts at 0.0 and adds its emission rows one at a time, in id order."""
     K = model.n_labels
-    s = model.n_states
     emis = model.weights[:model.n_emission].reshape(-1, K)
-    pot = np.full((T, s), NEG_INF)
-    for t in range(T):
-        if na[t]:
-            pot[t, model.na_state] = 0.0
-        else:
-            ids = feats[t]
-            pot[t, :K] = emis[ids].sum(axis=0) if len(ids) else 0.0
+    pot = np.full((len(na), model.n_states), NEG_INF)
+    pot[na, model.na_state] = 0.0
+    pot[~na, :K] = 0.0
+    np.add.at(pot[:, :K], pos, emis[ids])
     return pot
+
+
+def _path_score(pot: np.ndarray, trans: np.ndarray,
+                states: np.ndarray) -> float:
+    """Score of one state path, added left to right from 0.0: pot[0, s0],
+    then for each later t pot[t, st] and trans[prev, st]."""
+    T = len(states)
+    # slot 2 stays 0.0, so the running sum meets the terms in loop order
+    terms = np.zeros(2 * T + 1)
+    terms[1::2] = pot[np.arange(T), states]
+    terms[4::2] = trans[states[:-1], states[1:]]
+    return np.cumsum(terms)[-1]
 
 
 def crf_score(model: CrfModel, tokens: list[str],
@@ -151,19 +170,10 @@ def crf_score(model: CrfModel, tokens: list[str],
     """Unnormalized log-score of one labeling (emissions + transitions)."""
     if len(tokens) != len(labels):
         raise ValueError("tokens and labels lengths differ")
-    feats = sentence_feature_ids(model, tokens)
     states = _states_from_labels(model, labels)
-    na = [lab is None for lab in labels]
-    pot = _potentials(model, feats, na)
-    trans = model.transition_matrix()
-    score = 0.0
-    prev = -1
-    for t, st in enumerate(states):
-        score += pot[t, st]
-        if t > 0:
-            score += trans[prev, st]
-        prev = st
-    return float(score)
+    pot = _potentials(model, *_compile(model, tokens,
+                                       [lab is None for lab in labels]))
+    return float(_path_score(pot, model.transition_matrix(), states))
 
 
 def forward_logZ(model: CrfModel, tokens: list[str],
@@ -171,18 +181,15 @@ def forward_logZ(model: CrfModel, tokens: list[str],
     """Log partition over all labelings consistent with the NA mask."""
     if na is None:
         na = na_mask(tokens)
-    feats = sentence_feature_ids(model, tokens)
-    pot = _potentials(model, feats, na)
-    trans = model.transition_matrix()
-    logz, _ = chain_forward(pot, trans)
+    pot = _potentials(model, *_compile(model, tokens, na))
+    logz, _ = chain_forward(pot, model.transition_matrix())
     return float(logz)
 
 
 def _prep_sentence(model: CrfModel, sent: LabeledSentence):
-    feats = sentence_feature_ids(model, sent.tokens)
-    na = [lab is None for lab in sent.labels]
+    """(na, ids, pos, states) of one training sentence."""
     states = _states_from_labels(model, sent.labels)
-    return feats, na, states
+    return (*_compile(model, sent.tokens, states == model.na_state), states)
 
 
 def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
@@ -191,46 +198,32 @@ def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
 
     Value: sum over sentences of [score(gold) - logZ] - lambda * ||w||^2.
     Gradient: observed - expected feature counts - 2 * lambda * w, where the
-    expectations come from forward-backward node and edge marginals.
+    expectations come from forward-backward node and edge marginals.  Each
+    gradient cell takes its updates in sentence order, then position order,
+    with a sentence's observed counts before its expectations.
     """
     if not batch:
         raise ValueError("empty batch")
     K = model.n_labels
-    s = model.n_states
-    n_emis = model.n_emission
     emis_grad = np.zeros((len(model.feature_index), K))
-    trans_grad = np.zeros((s, s))
     trans = model.transition_matrix()
+    trans_grad = np.zeros_like(trans)
     total = 0.0
     if prepared is None:
         prepared = [_prep_sentence(model, sent) for sent in batch]
-    for feats, na, states in prepared:
-        T = len(feats)
-        pot = _potentials(model, feats, na)
+    for na, ids, pos, states in prepared:
+        pot = _potentials(model, na, ids, pos)
         logz, alpha = chain_forward(pot, trans)
         beta = chain_backward(pot, trans)
+        total += _path_score(pot, trans, states) - logz
 
-        gold = 0.0
-        prev = -1
-        for t in range(T):
-            st = states[t]
-            gold += pot[t, st]
-            if t > 0:
-                gold += trans[prev, st]
-                trans_grad[prev, st] += 1.0
-            if not na[t]:
-                emis_grad[feats[t], st] += 1.0
-            prev = st
-        total += gold - logz
-
+        np.add.at(trans_grad, (states[:-1], states[1:]), 1.0)
+        np.add.at(emis_grad, (ids, states[pos]), 1.0)
         node_marg = np.exp(alpha + beta - logz)  # (T, s)
-        for t in range(T):
-            if not na[t]:
-                emis_grad[feats[t]] -= node_marg[t, :K]
-        if T > 1:
-            edge = np.exp(alpha[:-1, :, None] + trans[None, :, :]
-                          + (pot[1:] + beta[1:])[:, None, :] - logz)
-            trans_grad -= edge.sum(axis=0)
+        np.subtract.at(emis_grad, ids, node_marg[pos, :K])
+        edge = np.exp(alpha[:-1, :, None] + trans[None, :, :]
+                      + (pot[1:] + beta[1:])[:, None, :] - logz)
+        trans_grad -= edge.sum(axis=0)  # zero for a 1-token sentence
 
     w = model.weights
     total -= model.l2_lambda * float(w @ w)
@@ -294,15 +287,13 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
             "converged" if result.success else "stopped without converging",
             result.message, result.nit, result.nfev)
     model.weights = result.x
+    model.objective = -result.fun
     return model
 
 
 def viterbi(model: CrfModel, tokens: list[str]) -> list[int | None]:
     """Best-scoring labeling; NA forced at punctuation, ties to smaller label."""
-    na = na_mask(tokens)
-    feats = sentence_feature_ids(model, tokens)
-    pot = _potentials(model, feats, na)
-    trans = model.transition_matrix()
-    path = chain_viterbi(pot, trans)
+    pot = _potentials(model, *_compile(model, tokens, na_mask(tokens)))
+    path = chain_viterbi(pot, model.transition_matrix())
     return [None if st == model.na_state else model.labels[int(st)]
             for st in path]

@@ -22,7 +22,6 @@ class EmbeddingClassifier:
     table: EmbeddingTable
     labels: list[int]
     weight_matrix: np.ndarray  # (n_labels, 3 * dimension + 1)
-    window: int = 1
 
 
 def _position_features(table: EmbeddingTable, tokens: list[str],

@@ -17,6 +17,7 @@ from .embed import EmbeddingClassifier
 from .majority import N_LABELS, MajorityModel
 
 MAGIC = "prosolab-model v1"
+EMBED_WINDOW = 1  # the embed classifier reads one neighbour on each side
 
 
 def _floats(values) -> str:
@@ -52,7 +53,7 @@ def save_model(model) -> bytes:
         lines.append("type=embed")
         lines.append(f"labels={_ints(model.labels)}")
         lines.append(f"dimension={model.table.dimension}")
-        lines.append(f"window={model.window}")
+        lines.append(f"window={EMBED_WINDOW}")
         lines.append(f"rows={model.weight_matrix.shape[0]}")
         for row in model.weight_matrix:
             lines.append(f"row\t{_floats(row)}")
@@ -95,10 +96,12 @@ def load_model(data: bytes):
         model.global_counts = np.array(
             [int(v) for v in r.expect_kv("global").split(",")], dtype=np.int64)
         n = int(r.expect_kv("words"))
-        for _ in range(n):
-            tag, word, counts = r.next().split("\t")
-            if tag != "word":
-                raise CorpusFormatError(f"expected word row, got {tag!r}")
+        for i in range(n):
+            line = r.next()
+            parts = line.split("\t")
+            if len(parts) != 3 or parts[0] != "word":
+                raise CorpusFormatError(f"bad word row {i}: {line!r}")
+            _, word, counts = parts
             model.per_word[word] = np.array(
                 [int(v) for v in counts.split(",")], dtype=np.int64)
             if len(model.per_word[word]) != N_LABELS:
@@ -133,6 +136,8 @@ def load_model(data: bytes):
         labels = [int(v) for v in r.expect_kv("labels").split(",")]
         dim = int(r.expect_kv("dimension"))
         window = int(r.expect_kv("window"))
+        if window != EMBED_WINDOW:
+            raise CorpusFormatError(f"unsupported embed window {window}")
         n_rows = int(r.expect_kv("rows"))
         rows = []
         for _ in range(n_rows):
@@ -149,6 +154,5 @@ def load_model(data: bytes):
             entries[parts[1]] = np.array([float(v) for v in parts[2:]])
         table = EmbeddingTable(dimension=dim, entries=entries)
         return EmbeddingClassifier(table=table, labels=labels,
-                                   weight_matrix=np.array(rows),
-                                   window=window)
+                                   weight_matrix=np.array(rows))
     raise CorpusFormatError(f"unknown model type {kind!r}")

@@ -1,7 +1,9 @@
 """End-to-end CLI runs: annotate, calibrate, train, predict, evaluate,
 learning-curve, exit codes."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +257,18 @@ def test_calibrate_split_reads_config_theta(tmp_path, capsys):
     assert "theta2=0.9" in capsys.readouterr().out
 
 
+def test_duplicate_config_key_is_a_usage_error(tmp_path, capsys):
+    values = tmp_path / "values.txt"
+    values.write_text("0.6\n0.9\n1.4\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("theta1=0.5\n# later edit\ntheta1=0.7\n")
+    assert run(["calibrate", values, "--mode", "split",
+                "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config line 3: duplicate key 'theta1', first set on line 1" in err
+
+
 def test_calibrate_split_without_theta_is_usage_error(tmp_path, capsys):
     values = tmp_path / "values.txt"
     values.write_text("0.6\n0.9\n")
@@ -306,6 +320,55 @@ def test_train_is_byte_identical(tmp_path, dataset_file, capsys):
         assert run(["train", dataset_file, a, "--model", kind]) == 0
         assert run(["train", dataset_file, b, "--model", kind]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN_WORDS = ["the", "cat", "Anna", "runs", "to", "a", "green", "house",
+                "and", "sings", "Berlin", "slowly", "2019", "over", "my",
+                "old", "piano", "we", "never", "forget"]
+
+
+def golden_crf_corpus(n=40, seed=5):
+    """Dataset text drawn from random.Random (stable across Python releases):
+    Zipf-weighted words whose label mostly follows the word, commas inside
+    sentences and a full stop at the end."""
+    r = random.Random(seed)
+    weights = [1.0 / (i + 1) for i in range(len(GOLDEN_WORDS))]
+    blocks = []
+    for _ in range(n):
+        rows = []
+        length = 3 + int(r.random() * 8)
+        for i in range(length):
+            word = r.choices(range(len(GOLDEN_WORDS)), weights)[0]
+            lab = word % 3 if r.random() < 0.7 else int(r.random() * 3)
+            rows.append(f"{GOLDEN_WORDS[word]}\t{lab}\t{lab * 0.5:.3f}")
+            if 0 < i < length - 1 and r.random() < 0.15:
+                rows.append(",\tNA\tNA")
+        rows.append(".\tNA\tNA")
+        blocks.append("\n".join(rows))
+    return "\n\n".join(blocks) + "\n"
+
+
+# recorded with the per-position CRF loops; the scatter form keeps every bit
+GOLDEN_CRF = {
+    "2": ("features=225\nobjective=-14.419098\n",
+          "24a80c75b8b6cffe385e604d6b8953301ba681ab7479eca0cfb9d030e9fcc8c6"),
+    "3": ("features=225\nobjective=-19.778482\n",
+          "a2d5cc4f60093bf8220b2451919e588520906d12812bd2d731da2dbcc5e33f9f"),
+}
+
+
+@pytest.mark.parametrize("classes", sorted(GOLDEN_CRF))
+def test_train_crf_golden_bytes(tmp_path, capsys, classes):
+    """`train --model crf` writes the summary and model bytes in GOLDEN_CRF;
+    100 L-BFGS iterations carry any last-bit change into the weights."""
+    stdout, sha256 = GOLDEN_CRF[classes]
+    data = tmp_path / "golden.tsv"
+    data.write_text(golden_crf_corpus(), encoding="utf-8")
+    model = tmp_path / "crf.model"
+    assert run(["train", data, model, "--model", "crf",
+                "--classes", classes]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
 
 
 def test_train_embed_needs_table_config(tmp_path, dataset_file, capsys):
@@ -390,6 +453,57 @@ def test_predict_two_way_labels(tmp_path, dataset_file, capsys):
     labels = {line.split("\t")[1] for line in
               preds.read_text().splitlines() if line}
     assert labels <= {"0", "1", "NA"}
+
+
+def _decode_args(command, model, data, tmp_path):
+    if command == "predict":
+        return ["predict", model, data, tmp_path / "out.tsv"]
+    return ["evaluate", model, data, "--out", tmp_path / "eval"]
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("trained, flag", [
+    ("majority", "crf"), ("majority", "embed"), ("crf", "majority"),
+    ("crf", "majority-global"), ("crf", "embed"),
+])
+def test_model_flag_naming_another_tagger_is_a_usage_error(
+        tmp_path, dataset_file, capsys, command, trained, flag):
+    model = tmp_path / "m.model"
+    assert run(["train", dataset_file, model, "--model", trained]) == 0
+    capsys.readouterr()
+    assert run([*_decode_args(command, model, dataset_file, tmp_path),
+                "--model", flag]) == 2
+    assert (f"--model {flag} does not match the model file, which holds a "
+            f"{trained} model") in capsys.readouterr().err
+    assert not (tmp_path / "out.tsv").exists()
+    assert not (tmp_path / "eval.report.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("trained, flag", [
+    ("majority", "majority"), ("majority", "majority-global"), ("crf", "crf"),
+])
+def test_model_flag_naming_the_file_tagger_decodes(
+        tmp_path, dataset_file, capsys, command, trained, flag):
+    model = tmp_path / "m.model"
+    assert run(["train", dataset_file, model, "--model", trained]) == 0
+    assert run([*_decode_args(command, model, dataset_file, tmp_path),
+                "--model", flag]) == 0
+
+
+@pytest.mark.parametrize("flag", ["majority", "majority-global", "crf",
+                                  "embed"])
+def test_model_flag_with_a_predictions_file_is_a_usage_error(
+        tmp_path, dataset_file, capsys, flag):
+    model = tmp_path / "m.model"
+    preds = tmp_path / "preds.tsv"
+    assert run(["train", dataset_file, model, "--model", "majority"]) == 0
+    assert run(["predict", model, dataset_file, preds]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", preds, dataset_file, "--out", tmp_path / "eval",
+                "--model", flag]) == 2
+    assert "--model applies to a model file" in capsys.readouterr().err
+    assert not (tmp_path / "eval.report.tsv").exists()
 
 
 # ---------------------------------------------------------------------------

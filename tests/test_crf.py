@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from prosolab.taggers.common import LabeledSentence
+from prosolab._accel import (NEG_INF, chain_backward, chain_forward,
+                             chain_viterbi)
+from prosolab.taggers.common import LabeledSentence, na_mask
 from prosolab.taggers.crf import (
     build_feature_index,
     crf_featurize,
@@ -18,6 +20,7 @@ from prosolab.taggers.crf import (
     new_model,
     viterbi,
 )
+from prosolab.taggers.serialize import load_model, save_model
 
 TOY_CORPUS = [
     LabeledSentence(["The", "cat", "runs", "."], [0, 2, 1, None]),
@@ -57,7 +60,6 @@ def manual_score(model, tokens, labels):
 
 def all_labelings(model, tokens):
     """Every labeling consistent with forced NA at punctuation."""
-    from prosolab.taggers.common import na_mask
     choices = [[None] if punct else model.labels
                for punct in na_mask(tokens)]
     return [list(combo) for combo in itertools.product(*choices)]
@@ -217,6 +219,138 @@ def test_loglik_empty_batch():
     model = harvest_model(TOY_CORPUS)
     with pytest.raises(ValueError, match="empty batch"):
         crf_loglik_grad(model, [])
+
+
+# ---------------------------------------------------------------------------
+# bit-equality against the per-position loops
+# ---------------------------------------------------------------------------
+
+def loop_potentials(model, tokens, na):
+    """(T, S) potentials built one position at a time, every position
+    featurized and NA rows discarded."""
+    K = model.n_labels
+    emis = model.weights[:model.n_emission].reshape(-1, K)
+    pot = np.full((len(tokens), model.n_states), NEG_INF)
+    for t in range(len(tokens)):
+        ids = np.array([model.feature_index[f]
+                        for f in crf_featurize(tokens, t)
+                        if f in model.feature_index], dtype=np.int64)
+        if na[t]:
+            pot[t, model.na_state] = 0.0
+        else:
+            pot[t, :K] = emis[ids].sum(axis=0) if len(ids) else 0.0
+    return pot
+
+
+def loop_states(model, labels):
+    return [model.na_state if lab is None else model.labels.index(lab)
+            for lab in labels]
+
+
+def loop_path_score(pot, trans, states):
+    score = 0.0
+    for t, st in enumerate(states):
+        score += pot[t, st]
+        if t > 0:
+            score += trans[states[t - 1], st]
+    return score
+
+
+def loop_loglik_grad(model, batch):
+    """Value and gradient with one Python pass per position."""
+    K = model.n_labels
+    emis_grad = np.zeros((len(model.feature_index), K))
+    trans_grad = np.zeros((model.n_states, model.n_states))
+    trans = model.transition_matrix()
+    total = 0.0
+    for sent in batch:
+        na = [lab is None for lab in sent.labels]
+        feats = [[model.feature_index[f]
+                  for f in crf_featurize(sent.tokens, t)
+                  if f in model.feature_index]
+                 for t in range(len(sent.tokens))]
+        states = loop_states(model, sent.labels)
+        pot = loop_potentials(model, sent.tokens, na)
+        logz, alpha = chain_forward(pot, trans)
+        beta = chain_backward(pot, trans)
+        total += loop_path_score(pot, trans, states) - logz
+        for t, st in enumerate(states):
+            if t > 0:
+                trans_grad[states[t - 1], st] += 1.0
+            if not na[t]:
+                emis_grad[feats[t], st] += 1.0
+        node_marg = np.exp(alpha + beta - logz)
+        for t in range(len(states)):
+            if not na[t]:
+                emis_grad[feats[t]] -= node_marg[t, :K]
+        if len(states) > 1:
+            edge = np.exp(alpha[:-1, :, None] + trans[None, :, :]
+                          + (pot[1:] + beta[1:])[:, None, :] - logz)
+            trans_grad -= edge.sum(axis=0)
+    w = model.weights
+    total -= model.l2_lambda * float(w @ w)
+    grad = np.concatenate([emis_grad.ravel(), trans_grad.ravel()])
+    grad -= 2.0 * model.l2_lambda * w
+    return total, grad
+
+
+WORDS = ["the", "The", "cat", "dog", "runs", "R2D2", "big", "a", "sits",
+         "quokka", "zebra", "Now", "and", "x"]
+PUNCT = [",", ".", "?", "!", "\u2014"]
+
+
+def ragged_corpus(rng, labels, n=24):
+    """Sentences of 1 to 9 tokens, about one in five punctuation, with a
+    1-token sentence and an all-NA one always present."""
+    corpus = [LabeledSentence(["one"], [labels[-1]]),
+              LabeledSentence([",", "."], [None, None])]
+    for _ in range(n):
+        tokens = [str(rng.choice(PUNCT)) if rng.random() < 0.2
+                  else str(rng.choice(WORDS))
+                  for _ in range(int(rng.integers(1, 10)))]
+        corpus.append(LabeledSentence(
+            tokens, [None if is_na else int(rng.choice(labels))
+                     for is_na in na_mask(tokens)]))
+    return corpus
+
+
+@pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels):
+    rng = np.random.default_rng(seed)
+    corpus = ragged_corpus(rng, labels)
+    # index half the corpus, so the rest brings features the index lacks
+    model = new_model(list(labels), build_feature_index(corpus[::2]),
+                      l2_lambda=0.01)
+    model.weights = rng.normal(0.0, 0.7, size=model.expected_size())
+    trans = model.transition_matrix()
+
+    value, grad = crf_loglik_grad(model, corpus)
+    want_value, want_grad = loop_loglik_grad(model, corpus)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
+
+    for sent in corpus:
+        states = loop_states(model, sent.labels)
+        na = na_mask(sent.tokens)
+        gold_pot = loop_potentials(model, sent.tokens,
+                                   [lab is None for lab in sent.labels])
+        assert crf_score(model, sent.tokens, sent.labels) == \
+            loop_path_score(gold_pot, trans, states)
+        pot = loop_potentials(model, sent.tokens, na)
+        assert forward_logZ(model, sent.tokens) == chain_forward(pot,
+                                                                 trans)[0]
+        assert viterbi(model, sent.tokens) == [
+            None if st == model.na_state else model.labels[st]
+            for st in chain_viterbi(pot, trans)]
+
+
+def test_training_keeps_the_objective_it_reached():
+    corpus = ragged_corpus(np.random.default_rng(7), (0, 1, 2))
+    model = crf_train(corpus, max_iterations=20)
+    value, _ = crf_loglik_grad(model, corpus)
+    assert model.objective == value
+    assert load_model(save_model(model)).objective is None
 
 
 # ---------------------------------------------------------------------------

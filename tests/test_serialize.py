@@ -51,7 +51,7 @@ def test_embed_round_trip_exact():
     model = train_embed_classifier(CORPUS, TABLE)
     clone = load_model(save_model(model))
     assert clone.labels == model.labels
-    assert clone.window == model.window
+    assert save_model(clone) == save_model(model)
     assert clone.table.dimension == TABLE.dimension
     assert sorted(clone.table.entries) == sorted(TABLE.entries)
     for token in TABLE.entries:
@@ -101,4 +101,19 @@ def test_load_rejects_state_count_mismatch():
     data = save_model(crf_train(CORPUS, max_iterations=30)).decode()
     broken = data.replace("states=4", "states=3").encode()
     with pytest.raises(CorpusFormatError, match="state count"):
+        load_model(broken)
+
+
+def test_embed_file_records_the_window_the_classifier_reads():
+    data = save_model(train_embed_classifier(CORPUS, TABLE)).decode()
+    assert "\nwindow=1\n" in data
+    with pytest.raises(CorpusFormatError, match="unsupported embed window 2"):
+        load_model(data.replace("\nwindow=1\n", "\nwindow=2\n").encode())
+
+
+@pytest.mark.parametrize("row", ["word\tcat", "word\tcat\t0,2,0\textra"])
+def test_load_names_a_majority_row_with_wrong_column_count(row):
+    data = save_model(train_majority(CORPUS)).decode()
+    broken = data.replace("word\tcat\t0,0,2", row).encode()
+    with pytest.raises(CorpusFormatError, match="bad word row 1"):
         load_model(broken)
