@@ -73,8 +73,7 @@ _TYPE_NAMES = {float: "a number", int: "an integer"}
 
 
 def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
-    """Read a flat key=value file; a key outside `known`, or one set twice,
-    is a usage error."""
+    """Read a flat key=value file; unknown or repeated keys are usage errors."""
     if path is None:
         return {}
     try:
@@ -472,6 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--classes", type=int, choices=(2, 3), default=3,
                            help="label granularity (default 3)")
 
+    def model_option(p):
+        p.add_argument("--model", default=None,
+                       choices=("majority", "majority-global", "crf", "embed"),
+                       help="the model file sets the tagger; a --model that "
+                            "names another is an error, and majority-global "
+                            "decodes a majority model with the global label")
+
     p = sub.add_parser("annotate",
                        help="annotate audio + alignments with prominence")
     p.add_argument("audio_dir")
@@ -502,22 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file")
     p.add_argument("in_file")
     p.add_argument("out_file")
-    p.add_argument("--model", default=None,
-                   choices=("majority", "majority-global", "crf", "embed"),
-                   help="the model file sets the tagger; a --model that "
-                        "names another is an error, and majority-global "
-                        "decodes a majority model with the global label")
+    model_option(p)
     common(p, config=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a model or prediction file")
     p.add_argument("model_or_pred")
     p.add_argument("test_file")
-    p.add_argument("--model", default=None,
-                   choices=("majority", "majority-global", "crf", "embed"),
-                   help="the model file sets the tagger; a --model that "
-                        "names another is an error, and majority-global "
-                        "decodes a majority model with the global label")
+    model_option(p)
     p.add_argument("--out", default="eval",
                    help="prefix for report/confusion TSVs (default 'eval')")
     common(p, config=False)

@@ -124,20 +124,15 @@ def sentence_feature_ids(model: CrfModel, tokens: list[str],
     return np.array(ids, dtype=np.int64), np.array(pos, dtype=np.int64)
 
 
-def _compile(model: CrfModel, tokens: list[str], na):
-    """(na, ids, pos): the one form every scoring path reads."""
-    na = np.asarray(na, dtype=bool)
-    return (na, *sentence_feature_ids(model, tokens, na))
-
-
 def _states_from_labels(model: CrfModel,
                         labels: list[int | None]) -> np.ndarray:
     state = {lab: i for i, lab in enumerate(model.labels)}
     state[None] = model.na_state
-    for lab in labels:
-        if lab not in state:
-            raise ValueError(f"label {lab!r} not in model label set")
-    return np.array([state[lab] for lab in labels], dtype=np.int64)
+    try:
+        return np.array([state[lab] for lab in labels], dtype=np.int64)
+    except KeyError as err:
+        raise ValueError(
+            f"label {err.args[0]!r} not in model label set") from None
 
 
 def _potentials(model: CrfModel, na: np.ndarray, ids: np.ndarray,
@@ -151,6 +146,12 @@ def _potentials(model: CrfModel, na: np.ndarray, ids: np.ndarray,
     pot[~na, :K] = 0.0
     np.add.at(pot[:, :K], pos, emis[ids])
     return pot
+
+
+def _sentence_potentials(model: CrfModel, tokens: list[str],
+                         na) -> np.ndarray:
+    na = np.asarray(na, dtype=bool)
+    return _potentials(model, na, *sentence_feature_ids(model, tokens, na))
 
 
 def _path_score(pot: np.ndarray, trans: np.ndarray,
@@ -171,8 +172,7 @@ def crf_score(model: CrfModel, tokens: list[str],
     if len(tokens) != len(labels):
         raise ValueError("tokens and labels lengths differ")
     states = _states_from_labels(model, labels)
-    pot = _potentials(model, *_compile(model, tokens,
-                                       [lab is None for lab in labels]))
+    pot = _sentence_potentials(model, tokens, states == model.na_state)
     return float(_path_score(pot, model.transition_matrix(), states))
 
 
@@ -181,7 +181,7 @@ def forward_logZ(model: CrfModel, tokens: list[str],
     """Log partition over all labelings consistent with the NA mask."""
     if na is None:
         na = na_mask(tokens)
-    pot = _potentials(model, *_compile(model, tokens, na))
+    pot = _sentence_potentials(model, tokens, na)
     logz, _ = chain_forward(pot, model.transition_matrix())
     return float(logz)
 
@@ -189,7 +189,8 @@ def forward_logZ(model: CrfModel, tokens: list[str],
 def _prep_sentence(model: CrfModel, sent: LabeledSentence):
     """(na, ids, pos, states) of one training sentence."""
     states = _states_from_labels(model, sent.labels)
-    return (*_compile(model, sent.tokens, states == model.na_state), states)
+    na = states == model.na_state
+    return (na, *sentence_feature_ids(model, sent.tokens, na), states)
 
 
 def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
@@ -270,8 +271,9 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
     prepared = [_prep_sentence(model, sent) for sent in corpus]
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        model.weights = w
+        model.weights = w.copy()
         value, grad = crf_loglik_grad(model, corpus, prepared=prepared)
+        model.objective = value
         if not np.isfinite(value):
             raise FloatingPointError(
                 f"training diverged: objective {value!r} with "
@@ -286,14 +288,17 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
             "L-BFGS %s: %s (nit=%d, nfev=%d)",
             "converged" if result.success else "stopped without converging",
             result.message, result.nit, result.nfev)
-    model.weights = result.x
-    model.objective = -result.fun
+    if not np.array_equal(model.weights, result.x):
+        # a failed line search puts result.x back to an earlier iterate
+        # than the one evaluated last, and leaves result.fun at that one
+        model.weights = result.x
+        model.objective, _ = crf_loglik_grad(model, corpus, prepared)
     return model
 
 
 def viterbi(model: CrfModel, tokens: list[str]) -> list[int | None]:
     """Best-scoring labeling; NA forced at punctuation, ties to smaller label."""
-    pot = _potentials(model, *_compile(model, tokens, na_mask(tokens)))
+    pot = _sentence_potentials(model, tokens, na_mask(tokens))
     path = chain_viterbi(pot, model.transition_matrix())
     return [None if st == model.na_state else model.labels[int(st)]
             for st in path]

@@ -97,10 +97,9 @@ def load_model(data: bytes):
             [int(v) for v in r.expect_kv("global").split(",")], dtype=np.int64)
         n = int(r.expect_kv("words"))
         for i in range(n):
-            line = r.next()
-            parts = line.split("\t")
+            parts = r.next().split("\t")
             if len(parts) != 3 or parts[0] != "word":
-                raise CorpusFormatError(f"bad word row {i}: {line!r}")
+                raise CorpusFormatError(f"bad word row {i}: {parts!r}")
             _, word, counts = parts
             model.per_word[word] = np.array(
                 [int(v) for v in counts.split(",")], dtype=np.int64)

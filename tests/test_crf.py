@@ -353,6 +353,17 @@ def test_training_keeps_the_objective_it_reached():
     assert load_model(save_model(model)).objective is None
 
 
+def test_training_keeps_the_objective_after_a_failed_line_search(caplog):
+    # this tolerance cannot be met, so L-BFGS-B ends on a line search it
+    # rejected and puts the weights back to the iterate before it
+    corpus = ragged_corpus(np.random.default_rng(1), (0, 1))
+    with caplog.at_level(logging.WARNING, logger="prosolab.taggers.crf"):
+        model = crf_train(corpus, max_iterations=2000, tolerance=1e-14)
+    assert "ABNORMAL" in caplog.text
+    value, _ = crf_loglik_grad(model, corpus)
+    assert model.objective == value
+
+
 # ---------------------------------------------------------------------------
 # training and decoding
 # ---------------------------------------------------------------------------
