@@ -1,10 +1,10 @@
 """Frame-synchronous prosodic stream extraction: pitch, energy, duration.
 
 The front end frames each utterance once (`frame_audio`): frame i is centered
-at sample i * hop (hop = rate * frame_shift_s), edges zero-padded, and the
-number of frames is ceil(n_samples / hop).  Pitch and energy both read that
-one framing; the duration track counts frames the same way, so downstream
-code can trim at most one frame to align the streams.
+at sample i * hop (hop = rate * frame_shift_s rounded to whole samples), edges
+zero-padded, and the number of frames is ceil(n_samples / hop).  That framing
+is the one grid: pitch and energy read its frames, and the duration track and
+every frame time read its frame count and its real period, hop / rate.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Frames:
     samples: np.ndarray  # read-only (n_frames, win) view of one padded copy
     rms: np.ndarray  # per-frame RMS of the raw samples
     sample_rate: int
-    frame_shift_s: float
+    frame_shift_s: float  # hop / sample_rate: the period the frames have
 
 
 def frame_audio(audio: AudioBuffer, frame_shift_s: float,
@@ -85,7 +85,7 @@ def frame_audio(audio: AudioBuffer, frame_shift_s: float,
     padded = np.concatenate([np.zeros(win), audio.samples, np.zeros(win)])
     frames = sliding_window_view(padded, win)[win - win // 2::hop][:n_frames]
     return Frames(samples=frames, rms=np.sqrt(np.mean(frames**2, axis=1)),
-                  sample_rate=rate, frame_shift_s=frame_shift_s)
+                  sample_rate=rate, frame_shift_s=hop / rate)
 
 
 def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
@@ -157,22 +157,15 @@ def extract_energy(frames: Frames) -> FrameTrack:
                       frame_shift_s=frames.frame_shift_s)
 
 
-def duration_track(utterance: Utterance, frame_shift_s: float,
-                   total_duration_s: float) -> FrameTrack:
-    """Piecewise-constant log word duration over each word's span.
+def duration_track(utterance: Utterance, n_frames: int,
+                   frame_shift_s: float) -> FrameTrack:
+    """Piecewise-constant log word duration over each word's span, on a grid
+    of n_frames frames frame_shift_s apart.
 
     Frames whose center falls inside a non-punctuation token's [start, end)
     span take ln(end - start); frames in silences or punctuation spans are
     invalid gaps for the conditioning stage to fill.
     """
-    for tok in utterance.tokens:
-        if tok.start_s < -1e-9 or tok.end_s > total_duration_s + 1e-9:
-            raise ValueError(
-                f"span outside audio: token {tok.text!r} "
-                f"[{tok.start_s:.3f}, {tok.end_s:.3f}] vs duration "
-                f"{total_duration_s:.3f}"
-            )
-    n_frames = math.ceil(total_duration_s / frame_shift_s)
     values = np.zeros(n_frames)
     valid = np.zeros(n_frames, dtype=bool)
     times = np.arange(n_frames) * frame_shift_s

@@ -67,8 +67,12 @@ ANNOTATE_KEYS = {
 }
 # `calibrate --mode split` reads theta1 from the annotate config file
 ANNOTATE_CONFIG_KEYS = (*ANNOTATE_KEYS, "textgrid_tier")
-TRAIN_CONFIG_KEYS = ("l2_lambda", "max_iterations", "tolerance", "embeddings",
-                     "embedding_dim")
+# the training keys each tagger reads; majority-global trains as majority
+TRAIN_CONFIG_KEYS = {
+    "majority": (),
+    "crf": ("l2_lambda", "max_iterations", "tolerance"),
+    "embed": ("l2_lambda", "max_iterations", "embeddings", "embedding_dim"),
+}
 _TYPE_NAMES = {float: "a number", int: "an integer"}
 
 
@@ -91,7 +95,8 @@ def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
         key = key.strip()
         if key not in known:
             raise UsageError(f"config line {lineno}: unknown key {key!r}; "
-                             f"this command reads {', '.join(known)}")
+                             "this command reads "
+                             f"{', '.join(known) or 'no config keys'}")
         if key in cfg:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}, "
                              f"first set on line {first_line[key]}")
@@ -301,7 +306,7 @@ def _train(kind: str, corpus: list[LabeledSentence], cfg: dict[str, str],
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, TRAIN_CONFIG_KEYS)
+    cfg = load_config(args.config, TRAIN_CONFIG_KEYS[args.model])
     corpus = _load_sentences(args.train_file, args.classes)
     log.info("training %s on %d sentences", args.model, len(corpus))
     table = _embed_table(cfg) if args.model == "embed" else None
@@ -375,10 +380,33 @@ def parse_predictions(data: bytes) -> list[LabeledSentence]:
             raise CorpusFormatError(
                 f"line {lineno}: expected 2 columns, got {len(cols)}")
         tokens.append(cols[0])
-        labels.append(None if cols[1] == "NA" else int(cols[1]))
+        try:
+            labels.append(None if cols[1] == "NA" else int(cols[1]))
+        except ValueError as exc:
+            raise CorpusFormatError(f"line {lineno}: label is neither NA nor "
+                                    f"an integer: {cols[1]!r}") from exc
     if tokens:
         sentences.append(LabeledSentence(tokens, labels))
     return sentences
+
+
+def _check_tokens(pred_sents: list[LabeledSentence],
+                  gold_sents: list[LabeledSentence]) -> None:
+    """A predictions file must hold the test file's sentences and tokens."""
+    if len(pred_sents) != len(gold_sents):
+        raise CorpusFormatError(
+            f"sentence count mismatch: {len(pred_sents)} predicted vs "
+            f"{len(gold_sents)} gold")
+    for i, (pred, gold) in enumerate(zip(pred_sents, gold_sents), start=1):
+        for k, (p, g) in enumerate(zip(pred.tokens, gold.tokens), start=1):
+            if p != g:
+                raise CorpusFormatError(
+                    f"sentence {i}, token {k}: predicted {p!r} where the "
+                    f"test file has {g!r}")
+        if len(pred.tokens) != len(gold.tokens):
+            raise CorpusFormatError(
+                f"sentence {i}: {len(pred.tokens)} predicted tokens vs "
+                f"{len(gold.tokens)} in the test file")
 
 
 def cmd_evaluate(args) -> int:
@@ -393,10 +421,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError("--model applies to a model file, not to a "
                              "predictions file")
         pred_sents = parse_predictions(data)
-        if len(pred_sents) != len(gold_sents):
-            raise CorpusFormatError(
-                f"sentence count mismatch: {len(pred_sents)} predicted vs "
-                f"{len(gold_sents)} gold")
+        _check_tokens(pred_sents, gold_sents)
         name = "predictions"
         pred_lists = [s.labels for s in pred_sents]
 
@@ -429,12 +454,12 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def cmd_learning_curve(args) -> int:
-    cfg = load_config(args.config, TRAIN_CONFIG_KEYS)
+    kind = "majority" if args.model.startswith("majority") else args.model
+    cfg = load_config(args.config, TRAIN_CONFIG_KEYS[kind])
     train_corpus = _load_sentences(args.train_file, args.classes)
     test_corpus = _load_sentences(args.test_file, args.classes)
     fractions = _parse_fractions(args.fractions)
-    table = _embed_table(cfg) if args.model == "embed" else None
-    kind = "majority" if args.model.startswith("majority") else args.model
+    table = _embed_table(cfg) if kind == "embed" else None
 
     def train_fn(corpus):
         return _predictor(_train(kind, corpus, cfg, table), args.model)[1]

@@ -11,6 +11,7 @@ The text parsers read a ``str`` as content and a ``Path`` as a file name;
 from __future__ import annotations
 
 import io
+import math
 import re
 import unicodedata
 import wave
@@ -201,6 +202,8 @@ def parse_lab(
             end = float(parts[1])
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: non-numeric time") from exc
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise CorpusFormatError(f"line {lineno}: non-finite time")
         word = parts[2]
         punct = is_punctuation(word)
         if start < 0:

@@ -85,12 +85,6 @@ class Loma:
 
 
 @dataclass
-class WordProminence:
-    token_index: int
-    value: float
-
-
-@dataclass
 class AnnotateConfig:
     """Everything one annotation run needs, with reproducible defaults.
 
@@ -234,15 +228,15 @@ def extract_loma(s: Scalogram) -> list[Loma]:
 
 
 def word_prominence(lomas: list[Loma], utterance: Utterance,
-                    frame_shift_s: float) -> list[WordProminence]:
+                    frame_shift_s: float) -> list[float | None]:
     """Assign each word the max strength of the lines ending inside its span.
 
     A line's time is its finest endpoint's frame center.  Lines landing in
     silences or punctuation spans go to the nearest word by span-boundary
-    distance.  Words without any line get 0.
+    distance.  Words without any line get 0; punctuation tokens get None.
     """
     words = [(i, t) for i, t in enumerate(utterance.tokens) if not t.is_punct]
-    values = {i: 0.0 for i, _ in words}
+    values = [None if t.is_punct else 0.0 for t in utterance.tokens]
     for loma in lomas:
         t = loma.path[-1][1] * frame_shift_s
         owner = None
@@ -258,7 +252,7 @@ def word_prominence(lomas: list[Loma], utterance: Utterance,
                     best_dist = dist
                     owner = i
         values[owner] = max(values[owner], max(loma.strength, 0.0))
-    return [WordProminence(token_index=i, value=values[i]) for i, _ in words]
+    return values
 
 
 def _zero_track(n: int, shift: float) -> FrameTrack:
@@ -279,15 +273,16 @@ def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
     if cfg is None:
         cfg = AnnotateConfig()
     uid = utterance.id or "<unnamed>"
-    shift = cfg.frame_shift_s
 
-    last_end = max(t.end_s for t in utterance.tokens)
-    if last_end > audio.duration_s + 1e-9:
-        raise AnnotationError(
-            uid, "input",
-            f"span outside audio: tokens end at {last_end:.3f}s but audio "
-            f"lasts {audio.duration_s:.3f}s"
-        )
+    if not utterance.word_indices():
+        raise AnnotationError(uid, "input", "no words to annotate")
+    for tok in utterance.tokens:
+        if not (tok.start_s >= -1e-9 and tok.end_s <= audio.duration_s + 1e-9):
+            raise AnnotationError(
+                uid, "input",
+                f"span outside audio: token {tok.text!r} [{tok.start_s:.3f}, "
+                f"{tok.end_s:.3f}]s but audio lasts {audio.duration_s:.3f}s"
+            )
 
     def run(stage, fn, *args):
         try:
@@ -297,23 +292,16 @@ def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
         except Exception as exc:
             raise AnnotationError(uid, stage, str(exc)) from exc
 
-    # audio too short to frame is reported as the pitch tracker's failure
-    frames = run("extract_f0", frame_audio, audio, shift, cfg.window_s)
+    # audio too short to frame is reported as the pitch tracker's failure;
+    # the framing is the one grid every stream and frame time reads
+    frames = run("extract_f0", frame_audio, audio, cfg.frame_shift_s,
+                 cfg.window_s)
+    n, shift = len(frames.rms), frames.frame_shift_s
     f0_raw = run("extract_f0", extract_f0, frames, cfg.pitch)
     en_raw = run("extract_energy", extract_energy, frames)
-    du_raw = run("duration_track", duration_track, utterance, shift,
-                 audio.duration_s)
-
-    # pitch and energy share one framing, so only duration can differ
-    n = min(len(f0_raw), len(du_raw))
+    du_raw = run("duration_track", duration_track, utterance, n, shift)
     if n < 2:
         raise AnnotationError(uid, "conditioning", "fewer than 2 frames")
-
-    def trim(track: FrameTrack) -> FrameTrack:
-        return FrameTrack(values=track.values[:n], frame_shift_s=shift,
-                          valid=track.valid[:n])
-
-    f0_raw, en_raw, du_raw = trim(f0_raw), trim(en_raw), trim(du_raw)
 
     def prep(track: FrameTrack, sigma: float) -> tuple[FrameTrack, bool]:
         if not track.valid.any():
@@ -332,13 +320,8 @@ def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
 
     scal = run("cwt", cwt, composite, cfg.grid)
     lomas = run("extract_loma", extract_loma, scal)
-    wp = run("word_prominence", word_prominence, lomas, utterance, shift)
-    value_by_index = {p.token_index: p.value for p in wp}
-
-    continuous = [
-        None if tok.is_punct else value_by_index[i]
-        for i, tok in enumerate(utterance.tokens)
-    ]
+    continuous = run("word_prominence", word_prominence, lomas, utterance,
+                     shift)
     discrete = run("discretize", discretize, continuous, cfg.thresholds,
                    cfg.n_classes)
     return [

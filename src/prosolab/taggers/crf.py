@@ -178,7 +178,10 @@ def crf_score(model: CrfModel, tokens: list[str],
 
 def forward_logZ(model: CrfModel, tokens: list[str],
                  na: list[bool] | None = None) -> float:
-    """Log partition over all labelings consistent with the NA mask."""
+    """Log partition over all labelings consistent with the NA mask; the
+    empty sentence has one (empty) labeling, so its logZ is 0."""
+    if not tokens:
+        return 0.0
     if na is None:
         na = na_mask(tokens)
     pot = _sentence_potentials(model, tokens, na)
@@ -298,6 +301,8 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
 
 def viterbi(model: CrfModel, tokens: list[str]) -> list[int | None]:
     """Best-scoring labeling; NA forced at punctuation, ties to smaller label."""
+    if not tokens:
+        return []
     pot = _sentence_potentials(model, tokens, na_mask(tokens))
     path = chain_viterbi(pot, model.transition_matrix())
     return [None if st == model.na_state else model.labels[int(st)]

@@ -65,10 +65,14 @@ def save_model(model) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.lines = data.decode("utf-8").split("\n")
         self.pos = 0
+        self.section = "header"  # the model type once read; named in errors
 
     def next(self) -> str:
         while self.pos < len(self.lines):
@@ -85,31 +89,49 @@ class _Reader:
             raise CorpusFormatError(f"expected {key}=..., got {line!r}")
         return line[len(prefix):]
 
+    def parse(self, kind: type, texts: list[str], where: str) -> list:
+        """Each text as `kind`; a bad one is an error naming `where`."""
+        out = []
+        for text in texts:
+            try:
+                out.append(kind(text))
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{self.section} model, {where}: not "
+                    f"{_KIND_NAMES[kind]}: {text!r}") from None
+        return out
+
+    def value(self, key: str, kind: type = int):
+        return self.parse(kind, [self.expect_kv(key)], f"key {key}")[0]
+
+    def values(self, key: str) -> list[int]:
+        return self.parse(int, self.expect_kv(key).split(","), f"key {key}")
+
 
 def load_model(data: bytes):
     r = _Reader(data)
     if r.next() != MAGIC:
         raise CorpusFormatError("not a model file (bad header)")
-    kind = r.expect_kv("type")
+    kind = r.section = r.expect_kv("type")
     if kind == "majority":
         model = MajorityModel()
-        model.global_counts = np.array(
-            [int(v) for v in r.expect_kv("global").split(",")], dtype=np.int64)
-        n = int(r.expect_kv("words"))
+        model.global_counts = np.array(r.values("global"), dtype=np.int64)
+        n = r.value("words")
         for i in range(n):
             parts = r.next().split("\t")
             if len(parts) != 3 or parts[0] != "word":
                 raise CorpusFormatError(f"bad word row {i}: {parts!r}")
             _, word, counts = parts
             model.per_word[word] = np.array(
-                [int(v) for v in counts.split(",")], dtype=np.int64)
+                r.parse(int, counts.split(","), f"word row {i}"),
+                dtype=np.int64)
             if len(model.per_word[word]) != N_LABELS:
                 raise CorpusFormatError(f"bad count vector for {word!r}")
         return model
     if kind == "crf":
-        labels = [int(v) for v in r.expect_kv("labels").split(",")]
-        l2 = float(r.expect_kv("l2_lambda"))
-        n_feat = int(r.expect_kv("features"))
+        labels = r.values("labels")
+        l2 = r.value("l2_lambda", float)
+        n_feat = r.value("features")
         index: dict[str, int] = {}
         emis_rows = []
         for i in range(n_feat):
@@ -117,40 +139,41 @@ def load_model(data: bytes):
             if parts[0] != "feature" or len(parts) != 2 + len(labels):
                 raise CorpusFormatError(f"bad feature row {i}")
             index[parts[1]] = i
-            emis_rows.append([float(v) for v in parts[2:]])
-        n_states = int(r.expect_kv("states"))
+            emis_rows.append(r.parse(float, parts[2:], f"feature row {i}"))
+        n_states = r.value("states")
         if n_states != len(labels) + 1:
             raise CorpusFormatError("state count does not match label set")
         trans_rows = []
-        for _ in range(n_states):
+        for i in range(n_states):
             parts = r.next().split("\t")
             if parts[0] != "trans" or len(parts) != 1 + n_states:
                 raise CorpusFormatError("bad transition row")
-            trans_rows.append([float(v) for v in parts[1:]])
+            trans_rows.append(r.parse(float, parts[1:], f"trans row {i}"))
         emis = np.array(emis_rows).reshape(-1) if n_feat else np.empty(0)
         weights = np.concatenate([emis, np.array(trans_rows).ravel()])
         return CrfModel(labels=labels, feature_index=index, weights=weights,
                         l2_lambda=l2)
     if kind == "embed":
-        labels = [int(v) for v in r.expect_kv("labels").split(",")]
-        dim = int(r.expect_kv("dimension"))
-        window = int(r.expect_kv("window"))
+        labels = r.values("labels")
+        dim = r.value("dimension")
+        window = r.value("window")
         if window != EMBED_WINDOW:
             raise CorpusFormatError(f"unsupported embed window {window}")
-        n_rows = int(r.expect_kv("rows"))
+        n_rows = r.value("rows")
         rows = []
-        for _ in range(n_rows):
+        for i in range(n_rows):
             parts = r.next().split("\t")
             if parts[0] != "row" or len(parts) != 2 + 3 * dim:
                 raise CorpusFormatError("bad weight row")
-            rows.append([float(v) for v in parts[1:]])
-        n_emb = int(r.expect_kv("embeddings"))
+            rows.append(r.parse(float, parts[1:], f"row {i}"))
+        n_emb = r.value("embeddings")
         entries: dict[str, np.ndarray] = {}
-        for _ in range(n_emb):
+        for i in range(n_emb):
             parts = r.next().split("\t")
             if parts[0] != "emb" or len(parts) != 2 + dim:
                 raise CorpusFormatError("bad embedding row")
-            entries[parts[1]] = np.array([float(v) for v in parts[2:]])
+            entries[parts[1]] = np.array(
+                r.parse(float, parts[2:], f"emb row {i}"))
         table = EmbeddingTable(dimension=dim, entries=entries)
         return EmbeddingClassifier(table=table, labels=labels,
                                    weight_matrix=np.array(rows))

@@ -204,6 +204,12 @@ def test_annotate_golden_bytes(tmp_path, capsys, classes):
     (["train", "train.tsv", "m.model", "--model", "majority"], "n_scales"),
     (["learning-curve", "train.tsv", "test.tsv", "c.tsv", "--model", "crf"],
      "theta1"),
+    # each tagger reads only its own training keys
+    (["train", "train.tsv", "m.model", "--model", "majority"], "l2_lambda"),
+    (["train", "train.tsv", "m.model", "--model", "crf"], "embeddings"),
+    (["train", "train.tsv", "m.model", "--model", "embed"], "tolerance"),
+    (["learning-curve", "train.tsv", "test.tsv", "c.tsv",
+      "--model", "majority-global"], "max_iterations"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_unread_config_key_is_usage_error(tmp_path, monkeypatch, argv, key,
                                           capsys):
@@ -213,6 +219,16 @@ def test_unread_config_key_is_usage_error(tmp_path, monkeypatch, argv, key,
     Path("c.cfg").write_text(f"# a comment\n{key}=200\n", encoding="utf-8")
     assert run(argv + ["--config", "c.cfg"]) == 2
     assert f"config line 2: unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_a_command_that_reads_no_config_keys_says_so(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text("max_iterations=5\n", encoding="utf-8")
+    assert run(["train", "train.tsv", "m.model", "--model", "majority",
+                "--config", "c.cfg"]) == 2
+    assert ("unknown key 'max_iterations'; this command reads no config keys"
+            in capsys.readouterr().err)
 
 
 def test_annotate_empty_align_dir(tmp_path, capsys):
@@ -506,6 +522,52 @@ def test_model_flag_with_a_predictions_file_is_a_usage_error(
     assert not (tmp_path / "eval.report.tsv").exists()
 
 
+def _two_sentence_files(tmp_path, pred_blocks):
+    """A 2-sentence test file and a predictions file of `pred_blocks`."""
+    test = tmp_path / "test.tsv"
+    test.write_text(DATASET_SENTENCE + "\n" + DATASET_SENTENCE,
+                    encoding="utf-8")
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("\n\n".join("\n".join(f"{tok}\t{lab}"
+                                           for tok, lab in block)
+                                 for block in pred_blocks) + "\n",
+                     encoding="utf-8")
+    return test, preds
+
+
+def _gold_pairs():
+    rows = [line.split("\t") for line in DATASET_SENTENCE.splitlines()]
+    return [(tok, lab) for tok, lab, _ in rows]
+
+
+@pytest.mark.parametrize("case, message", [
+    # the first sentence's last token opens the second sentence instead
+    ("shifted", "sentence 1: 9 predicted tokens vs 10 in the test file"),
+    ("renamed", "sentence 1, token 1: predicted 'x0' where the test file "
+                "has 'Tell'"),
+], ids=["shifted", "renamed"])
+def test_evaluate_rejects_predictions_for_other_tokens(tmp_path, capsys,
+                                                       case, message):
+    gold = _gold_pairs()
+    if case == "shifted":
+        blocks = [gold[:-1], gold[-1:] + gold]
+    else:
+        blocks = [[(f"x{i}", lab) for i, (_, lab) in enumerate(gold)]] * 2
+    test, preds = _two_sentence_files(tmp_path, blocks)
+    assert run(["evaluate", preds, test, "--out", tmp_path / "eval"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval.report.tsv").exists()
+
+
+def test_evaluate_rejects_a_label_that_is_not_an_integer(tmp_path, capsys):
+    gold = _gold_pairs()
+    test, preds = _two_sentence_files(
+        tmp_path, [gold, [("Tell", "x")] + gold[1:]])
+    assert run(["evaluate", preds, test, "--out", tmp_path / "eval"]) == 1
+    assert ("line 12: label is neither NA nor an integer: 'x'"
+            in capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # learning-curve
 # ---------------------------------------------------------------------------
@@ -535,16 +597,22 @@ def test_learning_curve_rejects_unknown_fraction(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["majority", "crf", "embed"])
 def test_learning_curve_fits_what_train_fits(tmp_path, dataset_file, kind,
                                              capsys):
-    # a strong penalty makes a dropped config key change the accuracy
-    cfg = write_training_config(tmp_path, "l2_lambda=1000\n")
+    # a strong penalty makes a dropped config key change the accuracy; each
+    # tagger gets only the keys it reads, and majority reads none
+    config = []
+    if kind == "crf":
+        config = ["--config", tmp_path / "c.cfg"]
+        config[1].write_text("l2_lambda=1000\n")
+    elif kind == "embed":
+        config = ["--config",
+                  write_training_config(tmp_path, "l2_lambda=1000\n")]
     model = tmp_path / "m.model"
-    assert run(["train", dataset_file, model, "--model", kind,
-                "--config", cfg]) == 0
+    assert run(["train", dataset_file, model, "--model", kind, *config]) == 0
     assert run(["evaluate", model, dataset_file,
                 "--out", tmp_path / "eval"]) == 0
     curve = tmp_path / "curve.tsv"
     assert run(["learning-curve", dataset_file, dataset_file, curve,
-                "--model", kind, "--config", cfg, "--fractions", "100"]) == 0
+                "--model", kind, *config, "--fractions", "100"]) == 0
     evaluated = (tmp_path / "eval.report.tsv").read_text().splitlines()[1]
     curve_row = curve.read_text().splitlines()[1]
     assert curve_row.split("\t")[3] == evaluated.split("\t")[3]

@@ -122,6 +122,8 @@ def test_parse_lab_from_path(tmp_path):
 @pytest.mark.parametrize("content,pattern", [
     ("0.0 0.5\n", "line 1: expected 'start end token'"),
     ("0.0 x word\n", "line 1: non-numeric time"),
+    ("0.0 0.5 a\n0.6 nan w\n", "line 2: non-finite time"),
+    ("inf inf w\n", "line 1: non-finite time"),
     ("-0.1 0.5 word\n", "line 1: negative start time"),
     ("0.5 0.2 word\n", "line 1: end before start"),
     ("0.5 0.5 word\n", "zero-length span for non-punctuation token 'word'"),

@@ -154,6 +154,15 @@ def test_logZ_zero_weights_counts_paths():
     assert forward_logZ(model, ["a"]) == pytest.approx(np.log(3), abs=1e-10)
 
 
+def test_empty_sentence_has_one_empty_labeling():
+    # log of the one empty labeling's weight, as crf_score gives it; the
+    # other taggers already decode an empty sentence to []
+    model = harvest_model(TOY_CORPUS, np.random.default_rng(3))
+    assert crf_score(model, [], []) == 0.0
+    assert forward_logZ(model, []) == 0.0
+    assert viterbi(model, []) == []
+
+
 def test_logZ_exceeds_any_single_path():
     rng = np.random.default_rng(12)
     model = harvest_model(TOY_CORPUS, rng)

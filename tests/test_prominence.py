@@ -7,7 +7,7 @@ import pytest
 
 from prosolab import prominence
 from prosolab.acoustics import FrameTrack
-from prosolab.corpus_io import Token, Utterance
+from prosolab.corpus_io import AudioBuffer, Token, Utterance
 from prosolab.prominence import (
     AnnotateConfig,
     AnnotationError,
@@ -281,9 +281,7 @@ def test_word_prominence_containment():
     utt = _five_words()
     # word 2 spans [0.9, 1.3); a line ending at frame 220 lands at 1.1 s
     lomas = [Loma(path=[(1, 220)], strength=3.5)]
-    out = word_prominence(lomas, utt, SHIFT)
-    assert [p.token_index for p in out] == [0, 1, 2, 3, 4]
-    assert [p.value for p in out] == [0.0, 0.0, 3.5, 0.0, 0.0]
+    assert word_prominence(lomas, utt, SHIFT) == [0.0, 0.0, 3.5, 0.0, 0.0]
 
 
 def test_word_prominence_from_isolated_bump_pipeline():
@@ -291,8 +289,8 @@ def test_word_prominence_from_isolated_bump_pipeline():
     tr = bump_track(600, [1.1], [0.06], [1.0])  # inside word 2 only
     lomas = extract_loma(cwt(tr, GRID8))
     out = word_prominence(lomas, utt, SHIFT)
-    assert out[2].value > 0
-    assert all(p.value == 0.0 for p in out if p.token_index != 2)
+    assert out[2] > 0
+    assert all(v == 0.0 for i, v in enumerate(out) if i != 2)
 
 
 def test_word_prominence_nearest_by_boundary():
@@ -300,8 +298,7 @@ def test_word_prominence_nearest_by_boundary():
         Token("a", 0.1, 0.4, False), Token("b", 1.0, 1.4, False)])
     # 0.5 s sits in silence, 0.1 s from a's end and 0.5 s from b's start
     lomas = [Loma(path=[(0, 100)], strength=2.0)]
-    out = word_prominence(lomas, utt, SHIFT)
-    assert [p.value for p in out] == [2.0, 0.0]
+    assert word_prominence(lomas, utt, SHIFT) == [2.0, 0.0]
 
 
 def test_word_prominence_max_not_sum():
@@ -309,15 +306,14 @@ def test_word_prominence_max_not_sum():
                     tokens=[Token("a", 0.0, 1.0, False)])
     lomas = [Loma(path=[(0, 50)], strength=2.0),
              Loma(path=[(0, 120)], strength=5.0)]
-    out = word_prominence(lomas, utt, SHIFT)
-    assert out[0].value == 5.0
+    assert word_prominence(lomas, utt, SHIFT) == [5.0]
 
 
 def test_word_prominence_clamps_negative():
     utt = Utterance(id="u", speaker="",
                     tokens=[Token("a", 0.0, 1.0, False)])
     lomas = [Loma(path=[(0, 50)], strength=-1.0)]
-    assert word_prominence(lomas, utt, SHIFT)[0].value == 0.0
+    assert word_prominence(lomas, utt, SHIFT) == [0.0]
 
 
 def test_word_prominence_skips_punctuation():
@@ -327,8 +323,7 @@ def test_word_prominence_skips_punctuation():
     # the line lands inside the punctuation span; a's end is nearer than b's
     # start (0.1 s vs 0.1 s tie -> first word scanned wins)
     lomas = [Loma(path=[(0, 100)], strength=1.0)]
-    out = word_prominence(lomas, utt, SHIFT)
-    assert [p.token_index for p in out] == [0, 2]
+    assert word_prominence(lomas, utt, SHIFT) == [1.0, None, 0.0]
 
 
 def test_word_prominence_permutation_stable():
@@ -339,9 +334,7 @@ def test_word_prominence_permutation_stable():
     base = word_prominence(lomas, utt, SHIFT)
     for _ in range(5):
         shuffled = [lomas[i] for i in rng.permutation(len(lomas))]
-        again = word_prominence(shuffled, utt, SHIFT)
-        assert [(p.token_index, p.value) for p in again] == \
-            [(p.token_index, p.value) for p in base]
+        assert word_prominence(shuffled, utt, SHIFT) == base
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +382,52 @@ def test_annotate_span_outside_audio():
         annotate_utterance(short, utt, AnnotateConfig(grid=GRID8))
     assert err.value.utt_id == "fixture"
     assert err.value.stage == "input"
+
+
+@pytest.mark.parametrize("start,end", [
+    (0.1, 9.0), (-0.1, 0.3), (math.nan, 0.3)],
+    ids=["end-past-audio", "negative-start", "nan-start"])
+def test_annotate_input_rejects_span_outside_audio(start, end):
+    # the input stage is the one check of spans against the audio
+    audio, _ = make_word_fixture([0.5, 0.5])
+    utt = Utterance(id="u", speaker="", tokens=[Token("a", start, end, False)])
+    with pytest.raises(AnnotationError,
+                       match="span outside audio: token 'a'") as err:
+        annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
+    assert err.value.stage == "input"
+
+
+def test_annotate_input_rejects_utterance_without_words():
+    audio, _ = make_word_fixture([0.5, 0.5])
+    utt = Utterance(id="u", speaker="", tokens=[Token(",", 0.1, 0.2, True)])
+    with pytest.raises(AnnotationError, match="stage input: no words"):
+        annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
+
+
+def test_streams_share_the_framing_grid_at_22050_hz(monkeypatch):
+    # a 5 ms shift is a 110-sample hop at 22.05 kHz, so frames are
+    # 4.989 ms apart; every stream and frame time must read that grid
+    rate = 22050
+    x = np.zeros(25 * rate)
+    word = np.arange(20 * rate, round(20.5 * rate))
+    x[word] = 0.4 * np.sin(2 * np.pi * 150.0 * word / rate)
+    utt = Utterance(id="u", speaker="",
+                    tokens=[Token("w", 20.0, 20.5, False)])
+    seen = {}
+    for name in ("frame_audio", "extract_f0", "extract_energy",
+                 "duration_track"):
+        def spy(*args, _name=name, _real=getattr(prominence, name)):
+            seen[_name] = _real(*args)
+            return seen[_name]
+        monkeypatch.setattr(prominence, name, spy)
+    annotate_utterance(AudioBuffer(x, rate), utt, AnnotateConfig(grid=GRID8))
+    n = len(seen["frame_audio"].rms)
+    assert [len(seen[name]) for name in (
+        "extract_f0", "extract_energy", "duration_track")] == [n, n, n]
+    voiced = np.flatnonzero(seen["extract_f0"].valid)
+    timed = np.flatnonzero(seen["duration_track"].valid)
+    assert abs(timed[0] - voiced[0]) <= 1
+    assert abs(timed[-1] - voiced[-1]) <= 1
 
 
 def test_annotate_amplitude_boost_monotone():

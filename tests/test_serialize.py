@@ -1,5 +1,7 @@
 """Model file round-trips for the three tagger types."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,33 @@ def test_load_names_a_majority_row_with_wrong_column_count(row):
     broken = data.replace("word\tcat\t0,0,2", row).encode()
     with pytest.raises(CorpusFormatError, match="bad word row 1"):
         load_model(broken)
+
+
+def _saved(kind):
+    if kind == "majority":
+        return save_model(train_majority(CORPUS)).decode()
+    if kind == "crf":
+        return save_model(crf_train(CORPUS, max_iterations=30)).decode()
+    return save_model(train_embed_classifier(CORPUS, TABLE)).decode()
+
+
+@pytest.mark.parametrize("kind, prefix, bad, message", [
+    ("crf", "feature\t", "notanumber",
+     "crf model, feature row 0: not a number: 'notanumber'"),
+    ("crf", "trans\t", "1.0.0", "crf model, trans row 0: not a number"),
+    ("crf", "features=", "x16",
+     "crf model, key features: not an integer: 'x16'"),
+    ("embed", "row\t", "nope", "embed model, row 0: not a number: 'nope'"),
+    ("embed", "emb\t", "nope", "embed model, emb row 0: not a number"),
+    ("majority", "global=", "x", "majority model, key global: not an integer"),
+    ("majority", "word\t", "0,x,2",
+     "majority model, word row 0: not an integer: 'x'"),
+], ids=["feature", "trans", "features", "row", "emb", "global", "word"])
+def test_load_names_a_value_that_does_not_parse(kind, prefix, bad, message):
+    # the last field of the first line that starts with `prefix` goes bad
+    lines = _saved(kind).split("\n")
+    i = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    head, sep, _ = lines[i].rpartition("\t" if "\t" in lines[i] else "=")
+    lines[i] = head + sep + bad
+    with pytest.raises(CorpusFormatError, match=re.escape(message)):
+        load_model("\n".join(lines).encode())
