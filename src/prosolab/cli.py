@@ -225,7 +225,8 @@ def cmd_annotate(args) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-def _read_floats(path: str) -> list[float]:
+def _read_floats(path: str, binary: bool = False) -> list[float]:
+    """Numbers on the non-blank lines; with `binary`, each must be 0 or 1."""
     values = []
     for lineno, line in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -233,10 +234,14 @@ def _read_floats(path: str) -> list[float]:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError as exc:
             raise CorpusFormatError(
                 f"{path} line {lineno}: not a number: {line!r}") from exc
+        if binary and value not in (0.0, 1.0):
+            raise CorpusFormatError(
+                f"{path} line {lineno}: label must be 0 or 1: {line!r}")
+        values.append(value)
     return values
 
 
@@ -246,7 +251,7 @@ def cmd_calibrate(args) -> int:
     if args.mode == "binary":
         if args.reference_file is None:
             raise UsageError("binary mode needs a reference file")
-        reference = [int(v) for v in _read_floats(args.reference_file)]
+        reference = _read_floats(args.reference_file, binary=True)
         t = calibrate_binary(values, reference)
         print(f"theta1={t.theta1!r}")
     else:

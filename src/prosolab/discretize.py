@@ -60,8 +60,9 @@ def calibrate_binary(values, reference) -> Thresholds:
         raise ValueError("values and reference lengths differ")
     if np.isnan(values).any():
         raise ValueError("values contain NaN")
-    present = set(int(r) for r in reference)
-    if present != {0, 1}:
+    if not np.isin(reference, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if len(np.unique(reference)) != 2:
         raise ValueError(
             "degenerate reference: both classes 0 and 1 must be present"
         )

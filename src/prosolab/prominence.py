@@ -283,6 +283,12 @@ def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
                 f"span outside audio: token {tok.text!r} [{tok.start_s:.3f}, "
                 f"{tok.end_s:.3f}]s but audio lasts {audio.duration_s:.3f}s"
             )
+        if not (tok.is_punct or tok.end_s > tok.start_s):
+            raise AnnotationError(
+                uid, "input",
+                f"zero-length word {tok.text!r}: [{tok.start_s:.3f}, "
+                f"{tok.end_s:.3f}]s does not end after it starts"
+            )
 
     def run(stage, fn, *args):
         try:

@@ -106,18 +106,18 @@ def new_model(labels: list[int], feature_index: dict[str, int],
     return model
 
 
-def sentence_feature_ids(model: CrfModel, tokens: list[str],
-                         na) -> tuple[np.ndarray, np.ndarray]:
-    """Indexed feature ids of the word positions, flat, and the position of
-    each id.  NA positions are not featurized; unknown features are dropped.
-    Ids run in position order, then template order."""
-    index = model.feature_index
+def sentence_feature_ids(tokens: list[str], na,
+                         lookup) -> tuple[np.ndarray, np.ndarray]:
+    """Feature ids of the word positions, flat, and the position of each id.
+    NA positions are not featurized; `lookup` maps a feature string to its
+    id, and a feature it maps to None is dropped.  Ids run in position
+    order, then template order."""
     ids, pos = [], []
     for t, skip in enumerate(na):
         if skip:
             continue
         for f in crf_featurize(tokens, t):
-            i = index.get(f)
+            i = lookup(f)
             if i is not None:
                 ids.append(i)
                 pos.append(t)
@@ -151,7 +151,8 @@ def _potentials(model: CrfModel, na: np.ndarray, ids: np.ndarray,
 def _sentence_potentials(model: CrfModel, tokens: list[str],
                          na) -> np.ndarray:
     na = np.asarray(na, dtype=bool)
-    return _potentials(model, na, *sentence_feature_ids(model, tokens, na))
+    return _potentials(model, na, *sentence_feature_ids(
+        tokens, na, model.feature_index.get))
 
 
 def _path_score(pot: np.ndarray, trans: np.ndarray,
@@ -193,7 +194,8 @@ def _prep_sentence(model: CrfModel, sent: LabeledSentence):
     """(na, ids, pos, states) of one training sentence."""
     states = _states_from_labels(model, sent.labels)
     na = states == model.na_state
-    return (na, *sentence_feature_ids(model, sent.tokens, na), states)
+    return (na, *sentence_feature_ids(sent.tokens, na,
+                                      model.feature_index.get), states)
 
 
 def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
@@ -236,21 +238,20 @@ def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
     return total, grad
 
 
-def build_feature_index(corpus: list[LabeledSentence]) -> dict[str, int]:
-    """Feature -> position map in first-occurrence scan order.
+def build_feature_index(corpus: list[LabeledSentence]) -> tuple[
+        dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
+    """Feature -> id map in first-occurrence scan order, and the (ids,
+    positions) of each sentence from the same pass.
 
     Only non-NA positions contribute; the NA state has no emissions, so
     features seen only at punctuation would never receive gradient.
     """
     index: dict[str, int] = {}
-    for sent in corpus:
-        for t, lab in enumerate(sent.labels):
-            if lab is None:
-                continue
-            for f in crf_featurize(sent.tokens, t):
-                if f not in index:
-                    index[f] = len(index)
-    return index
+    featurized = [
+        sentence_feature_ids(sent.tokens, [lab is None for lab in sent.labels],
+                             lambda f: index.setdefault(f, len(index)))
+        for sent in corpus]
+    return index, featurized
 
 
 def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
@@ -269,9 +270,12 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
         if not found:
             raise ValueError("all-NA corpus")
         labels = found
-    index = build_feature_index(corpus)
+    index, featurized = build_feature_index(corpus)
     model = new_model(labels, index, l2_lambda)
-    prepared = [_prep_sentence(model, sent) for sent in corpus]
+    prepared = []
+    for sent, (ids, pos) in zip(corpus, featurized):
+        states = _states_from_labels(model, sent.labels)
+        prepared.append((states == model.na_state, ids, pos, states))
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         model.weights = w.copy()

@@ -24,14 +24,15 @@ class EmbeddingClassifier:
     weight_matrix: np.ndarray  # (n_labels, 3 * dimension + 1)
 
 
-def _position_features(table: EmbeddingTable, tokens: list[str],
-                       t: int) -> np.ndarray:
-    d = table.dimension
-    zero = np.zeros(d)
-    prev = table.lookup(tokens[t - 1]) if t > 0 else zero
-    nxt = table.lookup(tokens[t + 1]) if t + 1 < len(tokens) else zero
-    cur = table.lookup(tokens[t])
-    return np.concatenate([prev, cur, nxt, [1.0]])
+def _sentence_features(table: EmbeddingTable,
+                       tokens: list[str]) -> np.ndarray:
+    """(T, 3d + 1) rows [prev; cur; next; 1], one lookup per token; past
+    either end of the sentence the neighbour is the zero row."""
+    padded = np.zeros((len(tokens) + 2, table.dimension))
+    for t, token in enumerate(tokens):
+        padded[t + 1] = table.lookup(token)
+    return np.hstack([padded[:-2], padded[1:-1], padded[2:],
+                      np.ones((len(tokens), 1))])
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -57,12 +58,10 @@ def train_embed_classifier(corpus: list[LabeledSentence],
     rows = []
     targets = []
     for sent in corpus:
-        for t, lab in enumerate(sent.labels):
-            if lab is None:
-                continue
-            rows.append(_position_features(table, sent.tokens, t))
-            targets.append(label_pos[lab])
-    x = np.array(rows)                       # (N, 3d + 1)
+        words = [t for t, lab in enumerate(sent.labels) if lab is not None]
+        rows.append(_sentence_features(table, sent.tokens)[words])
+        targets += [label_pos[sent.labels[t]] for t in words]
+    x = np.concatenate(rows)                 # (N, 3d + 1)
     y = np.array(targets, dtype=np.int64)    # (N,)
     n, dim = x.shape
     k = len(labels)
@@ -104,12 +103,7 @@ def train_embed_classifier(corpus: list[LabeledSentence],
 def predict_embed(classifier: EmbeddingClassifier,
                   tokens: list[str]) -> list[int | None]:
     """Per-position argmax of logits; NA at punctuation, ties to smaller label."""
-    out: list[int | None] = []
-    for t, punct in enumerate(na_mask(tokens)):
-        if punct:
-            out.append(None)
-            continue
-        feats = _position_features(classifier.table, tokens, t)
-        logits = classifier.weight_matrix @ feats
-        out.append(classifier.labels[int(np.argmax(logits))])
-    return out
+    logits = (_sentence_features(classifier.table, tokens)
+              @ classifier.weight_matrix.T)
+    return [None if punct else classifier.labels[int(best)]
+            for punct, best in zip(na_mask(tokens), logits.argmax(axis=1))]

@@ -101,6 +101,13 @@ class _Reader:
                     f"{_KIND_NAMES[kind]}: {text!r}") from None
         return out
 
+    def new_name(self, seen, name: str, where: str) -> str:
+        """`name`, unless an earlier row of its section already has it."""
+        if name in seen:
+            raise CorpusFormatError(
+                f"{self.section} model, {where}: repeated name {name!r}")
+        return name
+
     def value(self, key: str, kind: type = int):
         return self.parse(kind, [self.expect_kv(key)], f"key {key}")[0]
 
@@ -122,6 +129,7 @@ def load_model(data: bytes):
             if len(parts) != 3 or parts[0] != "word":
                 raise CorpusFormatError(f"bad word row {i}: {parts!r}")
             _, word, counts = parts
+            word = r.new_name(model.per_word, word, f"word row {i}")
             model.per_word[word] = np.array(
                 r.parse(int, counts.split(","), f"word row {i}"),
                 dtype=np.int64)
@@ -138,7 +146,7 @@ def load_model(data: bytes):
             parts = r.next().split("\t")
             if parts[0] != "feature" or len(parts) != 2 + len(labels):
                 raise CorpusFormatError(f"bad feature row {i}")
-            index[parts[1]] = i
+            index[r.new_name(index, parts[1], f"feature row {i}")] = i
             emis_rows.append(r.parse(float, parts[2:], f"feature row {i}"))
         n_states = r.value("states")
         if n_states != len(labels) + 1:
@@ -172,7 +180,7 @@ def load_model(data: bytes):
             parts = r.next().split("\t")
             if parts[0] != "emb" or len(parts) != 2 + dim:
                 raise CorpusFormatError("bad embedding row")
-            entries[parts[1]] = np.array(
+            entries[r.new_name(entries, parts[1], f"emb row {i}")] = np.array(
                 r.parse(float, parts[2:], f"emb row {i}"))
         table = EmbeddingTable(dimension=dim, entries=entries)
         return EmbeddingClassifier(table=table, labels=labels,

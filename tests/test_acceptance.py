@@ -211,7 +211,7 @@ VOCAB = ["tell", "me", "where", "the", "pig", "is", "you",
 
 
 def random_model(rng, corpus, labels=(0, 1, 2)):
-    model = new_model(list(labels), build_feature_index(corpus))
+    model = new_model(list(labels), build_feature_index(corpus)[0])
     model.weights = rng.normal(0.0, 0.5, size=model.weights.shape)
     return model
 

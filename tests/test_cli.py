@@ -253,6 +253,29 @@ def test_calibrate_binary_prints_threshold(tmp_path, capsys):
     assert capsys.readouterr().out == "theta1=0.5\n"
 
 
+def test_calibrate_binary_reads_a_float_spelling_of_a_label(tmp_path,
+                                                          capsys):
+    values = tmp_path / "values.txt"
+    reference = tmp_path / "reference.txt"
+    values.write_text("0.1\n0.4\n0.6\n0.9\n")
+    reference.write_text("0\n0.0\n1.0\n1\n")
+    assert run(["calibrate", values, reference]) == 0
+    assert capsys.readouterr().out == "theta1=0.5\n"
+
+
+@pytest.mark.parametrize("label", ["0.7", "nan", "2"])
+def test_calibrate_binary_rejects_a_reference_label_not_0_or_1(
+        tmp_path, capsys, label):
+    values = tmp_path / "values.txt"
+    reference = tmp_path / "reference.txt"
+    values.write_text("0.1\n0.4\n0.6\n0.9\n")
+    reference.write_text(f"0\n{label}\n1\n1\n")
+    assert run(["calibrate", values, reference]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{reference} line 2: label must be 0 or 1: {label!r}" in err
+
+
 def test_calibrate_split_mode(tmp_path, capsys):
     values = tmp_path / "values.txt"
     values.write_text("0.2\n0.6\n0.7\n0.8\n0.9\n0.1\n")
@@ -385,6 +408,50 @@ def test_train_crf_golden_bytes(tmp_path, capsys, classes):
                 "--classes", classes]) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
+
+
+# a 3-d table for half of GOLDEN_WORDS: "Berlin" reaches its row through the
+# lowercase fallback, the other words look up as zero
+GOLDEN_EMBEDDINGS = """\
+the 0.1 -0.2 0.3
+cat 0.5 0.25 -0.75
+Anna 1.0 0.0 0.5
+runs -0.5 0.5 0.125
+to 0.0 0.3 -0.1
+a 0.2 0.2 0.2
+green 0.9 -0.4 0.1
+berlin -0.3 0.8 0.6
+2019 0.05 0.05 -0.9
+piano 0.7 0.1 0.4
+"""
+# (model SHA-256, predict output SHA-256), recorded with the per-position
+# feature loops
+GOLDEN_EMBED = {
+    "2": ("5cc4f2885d7084c3ade766f8a5fde225bcfc047d71aead811799d7e47aeaa83c",
+          "4b23d445e971c8127ed866e0bc66ad68b998ecc4a505e27d109992f26423f81c"),
+    "3": ("35055c865557668eecb11b6aa9bae2c058b3e691011be422f85abf04cb94baf0",
+          "79b93bea7620769567b8fadf288c9ede51868d1543c573071f2c0e53998acc94"),
+}
+
+
+@pytest.mark.parametrize("classes", sorted(GOLDEN_EMBED))
+def test_train_embed_golden_bytes(tmp_path, capsys, classes):
+    """`train --model embed` and `predict` on the golden corpus write the
+    model and prediction bytes in GOLDEN_EMBED."""
+    model_sha, predict_sha = GOLDEN_EMBED[classes]
+    data = tmp_path / "golden.tsv"
+    data.write_text(golden_crf_corpus(), encoding="utf-8")
+    emb = tmp_path / "vectors.txt"
+    emb.write_text(GOLDEN_EMBEDDINGS, encoding="utf-8")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"embeddings={emb}\nembedding_dim=3\n", encoding="utf-8")
+    model = tmp_path / "embed.model"
+    out = tmp_path / "pred.tsv"
+    assert run(["train", data, model, "--model", "embed", "--config", cfg,
+                "--classes", classes]) == 0
+    assert run(["predict", model, data, out, "--classes", classes]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == model_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == predict_sha
 
 
 def test_train_embed_needs_table_config(tmp_path, dataset_file, capsys):

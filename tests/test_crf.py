@@ -18,6 +18,7 @@ from prosolab.taggers.crf import (
     crf_train,
     forward_logZ,
     new_model,
+    sentence_feature_ids,
     viterbi,
 )
 from prosolab.taggers.serialize import load_model, save_model
@@ -32,7 +33,7 @@ TOY_CORPUS = [
 
 def harvest_model(corpus, rng=None, labels=(0, 1, 2)):
     """Model over the corpus vocabulary, optionally with random weights."""
-    model = new_model(list(labels), build_feature_index(corpus))
+    model = new_model(list(labels), build_feature_index(corpus)[0])
     if rng is not None:
         model.weights = rng.normal(0.0, 0.5, size=model.expected_size())
     return model
@@ -323,13 +324,26 @@ def ragged_corpus(rng, labels, n=24):
     return corpus
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_index_pass_ids_match_a_lookup_on_the_finished_index(seed):
+    corpus = ragged_corpus(np.random.default_rng(seed), (0, 1, 2))
+    index, featurized = build_feature_index(corpus)
+    assert len(featurized) == len(corpus)
+    for sent, (ids, pos) in zip(corpus, featurized):
+        na = [lab is None for lab in sent.labels]
+        want_ids, want_pos = sentence_feature_ids(sent.tokens, na, index.get)
+        assert ids.dtype == pos.dtype == np.int64
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(pos, want_pos)
+
+
 @pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2)])
 @pytest.mark.parametrize("seed", range(4))
 def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels):
     rng = np.random.default_rng(seed)
     corpus = ragged_corpus(rng, labels)
     # index half the corpus, so the rest brings features the index lacks
-    model = new_model(list(labels), build_feature_index(corpus[::2]),
+    model = new_model(list(labels), build_feature_index(corpus[::2])[0],
                       l2_lambda=0.01)
     model.weights = rng.normal(0.0, 0.7, size=model.expected_size())
     trans = model.transition_matrix()

@@ -107,6 +107,12 @@ def test_calibrate_degenerate_reference():
         calibrate_binary([0.1, 0.9], [0, 0])
 
 
+@pytest.mark.parametrize("label", [0.7, float("nan"), 2, -1])
+def test_calibrate_rejects_a_label_not_0_or_1(label):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        calibrate_binary([0.1, 0.4, 0.6, 0.9], [0, label, 1, 1])
+
+
 def test_calibrate_length_mismatch():
     with pytest.raises(ValueError, match="lengths differ"):
         calibrate_binary([0.1], [0, 1])

@@ -5,7 +5,11 @@ import pytest
 
 from prosolab.corpus_io import EmbeddingTable
 from prosolab.taggers.common import LabeledSentence
-from prosolab.taggers.embed import predict_embed, train_embed_classifier
+from prosolab.taggers.embed import (
+    _sentence_features,
+    predict_embed,
+    train_embed_classifier,
+)
 from prosolab.taggers.majority import (
     predict_majority,
     train_majority,
@@ -116,6 +120,26 @@ def separable_corpus():
         (["high3", "low3"], [2, 0]),
         (["low1", "high3"], [0, 2]),
     )
+
+
+def test_sentence_features_match_hand_built_rows():
+    low, high = np.array([1.0, 2.0]), np.array([3.0, -0.5])
+    zero = np.zeros(2)
+    table = EmbeddingTable(dimension=2, entries={"low": low, "High": high})
+
+    def row(prev, cur, nxt):
+        return np.concatenate([prev, cur, nxt, [1.0]])
+
+    np.testing.assert_array_equal(_sentence_features(table, ["low"]),
+                                  [row(zero, low, zero)])
+    # "LOW" falls back to "low"; "HIGH" has no lowercase row, "unk" no row
+    tokens = ["LOW", "High", "unk", "HIGH", ","]
+    np.testing.assert_array_equal(_sentence_features(table, tokens), [
+        row(zero, low, high), row(low, high, zero), row(high, zero, zero),
+        row(zero, zero, zero), row(zero, zero, zero)])
+    assert _sentence_features(table, []).shape == (0, 7)
+    assert predict_embed(train_embed_classifier(
+        [LabeledSentence(["low"], [1])], table), []) == []
 
 
 def test_embed_fits_separable_corpus():

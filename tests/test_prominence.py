@@ -397,6 +397,17 @@ def test_annotate_input_rejects_span_outside_audio(start, end):
     assert err.value.stage == "input"
 
 
+def test_annotate_input_rejects_zero_length_word():
+    # a word that does not end after it starts has no log duration
+    audio, utt = make_word_fixture([0.5] * 4)
+    end = utt.tokens[-1].end_s
+    utt.tokens.append(Token("zz", end, end, False))
+    with pytest.raises(AnnotationError,
+                       match="stage input: zero-length word 'zz'") as err:
+        annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
+    assert err.value.stage == "input"
+
+
 def test_annotate_input_rejects_utterance_without_words():
     audio, _ = make_word_fixture([0.5, 0.5])
     utt = Utterance(id="u", speaker="", tokens=[Token(",", 0.1, 0.2, True)])

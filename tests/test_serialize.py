@@ -149,3 +149,19 @@ def test_load_names_a_value_that_does_not_parse(kind, prefix, bad, message):
     lines[i] = head + sep + bad
     with pytest.raises(CorpusFormatError, match=re.escape(message)):
         load_model("\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("kind, prefix", [
+    ("majority", "word\t"), ("crf", "feature\t"), ("embed", "emb\t")])
+def test_load_rejects_a_name_repeated_in_a_section(kind, prefix):
+    # the second row of the section takes the first row's name
+    lines = _saved(kind).split("\n")
+    first, second = [k for k, line in enumerate(lines)
+                      if line.startswith(prefix)][:2]
+    name = lines[first].split("\t")[1]
+    fields = lines[second].split("\t")
+    fields[1] = name
+    lines[second] = "\t".join(fields)
+    message = f"{kind} model, {prefix.strip()} row 1: repeated name {name!r}"
+    with pytest.raises(CorpusFormatError, match=re.escape(message)):
+        load_model("\n".join(lines).encode())
