@@ -22,7 +22,8 @@ from pathlib import Path
 from . import evaluation
 from .corpus_io import (CorpusFormatError, EmbeddingTable, ProminenceRecord,
                         Utterance, load_embeddings, parse_dataset, parse_lab,
-                        parse_textgrid, read_wav, write_dataset)
+                        parse_number, parse_predictions, parse_textgrid,
+                        read_wav, write_dataset)
 from .discretize import calibrate_binary, split_prominent
 from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 # crf_loglik_grad is unused here, but perfbench's tracer looks it up here
@@ -73,7 +74,6 @@ TRAIN_CONFIG_KEYS = {
     "crf": ("l2_lambda", "max_iterations", "tolerance"),
     "embed": ("l2_lambda", "max_iterations", "embeddings", "embedding_dim"),
 }
-_TYPE_NAMES = {float: "a number", int: "an integer"}
 
 
 def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
@@ -105,17 +105,21 @@ def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
     return cfg
 
 
-def _parse(cfg: dict[str, str], key: str, kind: type):
+def _parse(text: str, kind: type, where: str):
+    """A config or flag value as `kind`; a bad number is a usage error."""
+    if kind is str:
+        return text
     try:
-        return kind(cfg[key])
-    except ValueError as exc:
-        raise UsageError(f"config key {key}: not {_TYPE_NAMES[kind]}: "
-                         f"{cfg[key]!r}") from exc
+        return parse_number(text, kind, where)
+    except CorpusFormatError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cfg_value(cfg: dict[str, str], key: str, default):
     """cfg[key] parsed as the type of `default`, or `default` if unset."""
-    return _parse(cfg, key, type(default)) if key in cfg else default
+    if key not in cfg:
+        return default
+    return _parse(cfg[key], type(default), f"config key {key}")
 
 
 def _setting(cfg: AnnotateConfig, path: str):
@@ -130,7 +134,7 @@ def build_annotate_config(cfg: dict[str, str], n_classes: int) -> AnnotateConfig
         if key in cfg:
             section, _, name = path.rpartition(".")
             changes.setdefault(section, {})[name] = _parse(
-                cfg, key, type(_setting(defaults, path)))
+                cfg[key], type(_setting(defaults, path)), f"config key {key}")
     top = changes.pop("")
     for section, fields in changes.items():
         top[section] = replace(getattr(defaults, section), **fields)
@@ -233,11 +237,7 @@ def _read_floats(path: str, binary: bool = False) -> list[float]:
         line = line.strip()
         if not line:
             continue
-        try:
-            value = float(line)
-        except ValueError as exc:
-            raise CorpusFormatError(
-                f"{path} line {lineno}: not a number: {line!r}") from exc
+        value = parse_number(line, float, f"{path} line {lineno}")
         if binary and value not in (0.0, 1.0):
             raise CorpusFormatError(
                 f"{path} line {lineno}: label must be 0 or 1: {line!r}")
@@ -255,11 +255,12 @@ def cmd_calibrate(args) -> int:
         t = calibrate_binary(values, reference)
         print(f"theta1={t.theta1!r}")
     else:
-        theta1 = args.theta1
-        if theta1 is None:
-            if "theta1" not in cfg:
-                raise UsageError("split mode needs --theta1 or config theta1")
-            theta1 = _parse(cfg, "theta1", float)
+        if args.theta1 is not None:
+            theta1 = _parse(args.theta1, float, "--theta1")
+        elif "theta1" in cfg:
+            theta1 = _parse(cfg["theta1"], float, "config key theta1")
+        else:
+            raise UsageError("split mode needs --theta1 or config theta1")
         theta2 = split_prominent(values, theta1)
         print(f"theta1={theta1!r}")
         print(f"theta2={theta2!r}")
@@ -368,49 +369,31 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def parse_predictions(data: bytes) -> list[LabeledSentence]:
-    """Parse the 2-column token<TAB>label format written by cmd_predict."""
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    sentences = []
-    tokens: list[str] = []
-    labels: list[int | None] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            if tokens:
-                sentences.append(LabeledSentence(tokens, labels))
-                tokens, labels = [], []
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise CorpusFormatError(
-                f"line {lineno}: expected 2 columns, got {len(cols)}")
-        tokens.append(cols[0])
-        try:
-            labels.append(None if cols[1] == "NA" else int(cols[1]))
-        except ValueError as exc:
-            raise CorpusFormatError(f"line {lineno}: label is neither NA nor "
-                                    f"an integer: {cols[1]!r}") from exc
-    if tokens:
-        sentences.append(LabeledSentence(tokens, labels))
-    return sentences
-
-
-def _check_tokens(pred_sents: list[LabeledSentence],
-                  gold_sents: list[LabeledSentence]) -> None:
-    """A predictions file must hold the test file's sentences and tokens."""
+def _check_predictions(pred_sents: list[tuple[list[str], list[int | None]]],
+                       gold_sents: list[LabeledSentence]) -> None:
+    """Predictions must hold the test file's sentences and tokens, with NA
+    exactly where the test file has NA."""
     if len(pred_sents) != len(gold_sents):
         raise CorpusFormatError(
             f"sentence count mismatch: {len(pred_sents)} predicted vs "
             f"{len(gold_sents)} gold")
-    for i, (pred, gold) in enumerate(zip(pred_sents, gold_sents), start=1):
-        for k, (p, g) in enumerate(zip(pred.tokens, gold.tokens), start=1):
+    for i, ((tokens, labels), gold) in enumerate(zip(pred_sents, gold_sents),
+                                                 start=1):
+        for k, (p, g, p_lab, g_lab) in enumerate(
+                zip(tokens, gold.tokens, labels, gold.labels), start=1):
             if p != g:
                 raise CorpusFormatError(
                     f"sentence {i}, token {k}: predicted {p!r} where the "
                     f"test file has {g!r}")
-        if len(pred.tokens) != len(gold.tokens):
+            if (p_lab is None) != (g_lab is None):
+                got, want = (("NA", "a label") if p_lab is None
+                             else ("a label", "NA"))
+                raise CorpusFormatError(
+                    f"sentence {i}, token {k}: predicted {got} where the "
+                    f"test file has {want}")
+        if len(tokens) != len(gold.tokens):
             raise CorpusFormatError(
-                f"sentence {i}: {len(pred.tokens)} predicted tokens vs "
+                f"sentence {i}: {len(tokens)} predicted tokens vs "
                 f"{len(gold.tokens)} in the test file")
 
 
@@ -420,19 +403,19 @@ def cmd_evaluate(args) -> int:
 
     if data.startswith(b"prosolab-model"):
         name, predict = _predictor(load_model(data), args.model)
-        pred_lists = [predict(sent.tokens) for sent in gold_sents]
+        pred_sents = [(sent.tokens, predict(sent.tokens))
+                      for sent in gold_sents]
     else:
         if args.model is not None:
             raise UsageError("--model applies to a model file, not to a "
                              "predictions file")
-        pred_sents = parse_predictions(data)
-        _check_tokens(pred_sents, gold_sents)
         name = "predictions"
-        pred_lists = [s.labels for s in pred_sents]
+        pred_sents = parse_predictions(data)
+    _check_predictions(pred_sents, gold_sents)
 
     preds: list[int | None] = []
     golds: list[int | None] = []
-    for pred, sent in zip(pred_lists, gold_sents):
+    for (_, pred), sent in zip(pred_sents, gold_sents):
         if args.classes == 2:
             pred = evaluation.merge_labels(pred)
         preds.extend(pred)
@@ -451,11 +434,12 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_fractions(text: str) -> list[float]:
+    where = f"--fractions {text}"
+    percents = [_parse(part, float, where) for part in text.split(",")]
     try:
-        return [evaluation.check_fraction(float(part) / 100.0)
-                for part in text.split(",")]
+        return [evaluation.check_fraction(p / 100.0) for p in percents]
     except ValueError as exc:
-        raise UsageError(f"--fractions {text}: {exc}") from exc
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 def cmd_learning_curve(args) -> int:
@@ -522,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("values_file")
     p.add_argument("reference_file", nargs="?", default=None)
     p.add_argument("--mode", choices=("binary", "split"), default="binary")
-    p.add_argument("--theta1", type=float, default=None)
+    p.add_argument("--theta1", default=None)
     common(p, classes=False)
     p.set_defaults(func=cmd_calibrate)
 

@@ -17,7 +17,7 @@ import unicodedata
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -90,6 +90,19 @@ class EmbeddingTable:
         return np.zeros(self.dimension) if vec is None else vec
 
 
+def parse_number(text: str, kind: type, where: str) -> int | float:
+    """`text` as an ``int`` or a finite ``float``, as `kind` says; any other
+    text is a CorpusFormatError that starts with `where`."""
+    try:
+        value = kind(text)
+    except ValueError:
+        name = "an integer" if kind is int else "a number"
+        raise CorpusFormatError(f"{where}: not {name}: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise CorpusFormatError(f"{where}: not a finite number: {text!r}")
+    return value
+
+
 def is_punctuation(text: str) -> bool:
     """True iff every character belongs to a Unicode punctuation category."""
     return bool(text) and all(
@@ -101,15 +114,11 @@ def is_punctuation(text: str) -> bool:
 # input coercion helpers
 # ---------------------------------------------------------------------------
 
-def _as_bytes(source: bytes | str | Path | BinaryIO) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read()
+def _as_bytes(source: bytes | str | Path) -> bytes:
+    return source if isinstance(source, bytes) else Path(source).read_bytes()
 
 
-def _as_text(source: bytes | str | Path | BinaryIO) -> str:
+def _as_text(source: bytes | str | Path) -> str:
     """A ``str`` is the content itself; a ``Path`` names the file to read."""
     if isinstance(source, str):
         raw = source.encode("utf-8")
@@ -122,7 +131,7 @@ def _as_text(source: bytes | str | Path | BinaryIO) -> str:
 # WAV
 # ---------------------------------------------------------------------------
 
-def read_wav(source: bytes | str | Path | BinaryIO) -> AudioBuffer:
+def read_wav(source: bytes | str | Path) -> AudioBuffer:
     """Read a RIFF/WAVE file with 16-bit mono PCM payload.
 
     Samples are scaled to [-1, 1] by dividing by 32768.  Anything outside the
@@ -179,7 +188,7 @@ def _require_words(tokens: list[Token], context: str) -> None:
 
 
 def parse_lab(
-    source: bytes | str | Path | BinaryIO,
+    source: bytes | str | Path,
     utt_id: str = "",
     speaker: str = "",
 ) -> Utterance:
@@ -197,13 +206,8 @@ def parse_lab(
         parts = line.split(None, 2)
         if len(parts) != 3:
             raise CorpusFormatError(f"line {lineno}: expected 'start end token'")
-        try:
-            start = float(parts[0])
-            end = float(parts[1])
-        except ValueError as exc:
-            raise CorpusFormatError(f"line {lineno}: non-numeric time") from exc
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise CorpusFormatError(f"line {lineno}: non-finite time")
+        start, end = (parse_number(p, float, f"line {lineno}")
+                      for p in parts[:2])
         word = parts[2]
         punct = is_punctuation(word)
         if start < 0:
@@ -223,7 +227,7 @@ def parse_lab(
 
 
 _TG_ITEM_RE = re.compile(r"item\s*\[\d+\]\s*:")
-_TG_NUM_RE = re.compile(r"=\s*([-+0-9.eE]+)")
+_TG_NUM_RE = re.compile(r"=\s*(\S+)")
 _TG_STR_RE = re.compile(r'=\s*"((?:[^"]|"")*)"')
 
 
@@ -232,10 +236,7 @@ def _tg_field(line: str, kind: str, context: str) -> float | str:
         m = _TG_NUM_RE.search(line)
         if m is None:
             raise CorpusFormatError(f"{context}: expected a number in {line!r}")
-        try:
-            return float(m.group(1))
-        except ValueError as exc:
-            raise CorpusFormatError(f"{context}: bad number in {line!r}") from exc
+        return parse_number(m.group(1), float, context)
     m = _TG_STR_RE.search(line)
     if m is None:
         raise CorpusFormatError(f"{context}: expected a quoted string in {line!r}")
@@ -243,7 +244,7 @@ def _tg_field(line: str, kind: str, context: str) -> float | str:
 
 
 def parse_textgrid(
-    source: bytes | str | Path | BinaryIO,
+    source: bytes | str | Path,
     tier_name: str,
     utt_id: str = "",
     speaker: str = "",
@@ -292,8 +293,8 @@ def parse_textgrid(
                 raise CorpusFormatError(f"{ctx}: expected xmax, got {block[i+2]!r}")
             if not block[i + 3].startswith("text"):
                 raise CorpusFormatError(f"{ctx}: expected text, got {block[i+3]!r}")
-            xmin = float(_tg_field(block[i + 1], "num", ctx))
-            xmax = float(_tg_field(block[i + 2], "num", ctx))
+            xmin = _tg_field(block[i + 1], "num", ctx)
+            xmax = _tg_field(block[i + 2], "num", ctx)
             mark = str(_tg_field(block[i + 3], "str", ctx)).strip()
             if xmax < xmin:
                 raise CorpusFormatError(
@@ -355,50 +356,78 @@ def write_dataset(
     return ("\n\n".join(blocks) + "\n").encode("utf-8")
 
 
+_LABELS = {"NA": None, "0": 0, "1": 1, "2": 2}
+
+
+def _label(text: str) -> int | None:
+    """The label of a dataset or predictions line: NA, 0, 1 or 2."""
+    if text in _LABELS:
+        return _LABELS[text]
+    try:
+        parse_number(text, int, "label")
+    except CorpusFormatError:
+        raise CorpusFormatError(
+            f"label is neither NA nor an integer: {text!r}") from None
+    raise CorpusFormatError(f"label out of range: {text!r}")
+
+
+def _read_blocks(source: bytes | str | Path, n_cols: int,
+                 row: Callable[[list[str]], object]) -> list[list]:
+    """Blank-line-separated blocks of lines with `n_cols` tab-separated
+    columns, each line turned into ``row(columns)``; an error that `row`
+    raises is prefixed with the line number."""
+    blocks, block = [], []
+    for lineno, line in enumerate(_as_text(source).split("\n"), start=1):
+        if not line.strip():
+            if block:
+                blocks.append(block)
+                block = []
+            continue
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            raise CorpusFormatError(f"line {lineno}: expected {n_cols} "
+                                    f"tab-separated columns, got {len(cols)}")
+        try:
+            block.append(row(cols))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from None
+    if block:
+        blocks.append(block)
+    return blocks
+
+
+def _record(cols: list[str]) -> ProminenceRecord:
+    token, d_str, c_str = cols
+    discrete = _label(d_str)
+    if (discrete is None) != (c_str == "NA"):
+        raise CorpusFormatError("discrete and continuous must be NA together")
+    if discrete is None:
+        return ProminenceRecord(token, None, None)
+    cont = parse_number(c_str, float, "continuous value")
+    if cont < 0:
+        raise CorpusFormatError("negative continuous value")
+    return ProminenceRecord(token, discrete, cont)
+
+
 def parse_dataset(
-    source: bytes | str | Path | BinaryIO,
+    source: bytes | str | Path,
 ) -> list[list[ProminenceRecord]]:
     """Parse the dataset format back into per-sentence record lists.
 
     Round-trips ``write_dataset`` output up to the 3-decimal precision of the
     continuous column.
     """
-    text = _as_text(source)
-    sentences: list[list[ProminenceRecord]] = []
-    current: list[ProminenceRecord] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise CorpusFormatError(
-                f"line {lineno}: expected 3 tab-separated columns, got {len(cols)}"
-            )
-        token, d_str, c_str = cols
-        if (d_str == "NA") != (c_str == "NA"):
-            raise CorpusFormatError(
-                f"line {lineno}: discrete and continuous must be NA together"
-            )
-        if d_str == "NA":
-            current.append(ProminenceRecord(token, None, None))
-            continue
-        if d_str not in ("0", "1", "2"):
-            raise CorpusFormatError(f"line {lineno}: label out of range: {d_str!r}")
-        try:
-            cont = float(c_str)
-        except ValueError as exc:
-            raise CorpusFormatError(
-                f"line {lineno}: bad continuous value {c_str!r}"
-            ) from exc
-        if cont < 0:
-            raise CorpusFormatError(f"line {lineno}: negative continuous value")
-        current.append(ProminenceRecord(token, int(d_str), cont))
-    if current:
-        sentences.append(current)
-    return sentences
+    return _read_blocks(source, 3, _record)
+
+
+def parse_predictions(
+    source: bytes | str | Path,
+) -> list[tuple[list[str], list[int | None]]]:
+    """(tokens, labels) of each sentence of the 2-column token<TAB>label
+    format that ``predict`` writes; labels follow the dataset's rule."""
+    blocks = _read_blocks(source, 2, lambda cols: (cols[0], _label(cols[1])))
+    return [([tok for tok, _ in block], [lab for _, lab in block])
+            for block in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +435,7 @@ def parse_dataset(
 # ---------------------------------------------------------------------------
 
 def load_embeddings(
-    source: bytes | str | Path | BinaryIO, dimension: int
+    source: bytes | str | Path, dimension: int
 ) -> EmbeddingTable:
     """Load a ``token v1 .. vD`` text table; first occurrence wins on duplicates."""
     if dimension <= 0:
@@ -425,9 +454,7 @@ def load_embeddings(
         token = parts[0]
         if token in entries:
             continue
-        try:
-            vec = np.array([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise CorpusFormatError(f"line {lineno}: non-numeric value") from exc
-        entries[token] = vec
+        where = f"line {lineno}"
+        entries[token] = np.array(
+            [parse_number(p, float, where) for p in parts[1:]])
     return EmbeddingTable(dimension=dimension, entries=entries)

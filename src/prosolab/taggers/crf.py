@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
 from ..corpus_io import is_punctuation
-from .common import LabeledSentence, na_mask
+from .common import LabeledSentence, check_training_settings, na_mask
 
 log = logging.getLogger(__name__)
 
@@ -177,15 +177,12 @@ def crf_score(model: CrfModel, tokens: list[str],
     return float(_path_score(pot, model.transition_matrix(), states))
 
 
-def forward_logZ(model: CrfModel, tokens: list[str],
-                 na: list[bool] | None = None) -> float:
-    """Log partition over all labelings consistent with the NA mask; the
+def forward_logZ(model: CrfModel, tokens: list[str]) -> float:
+    """Log partition over all labelings with NA exactly at punctuation; the
     empty sentence has one (empty) labeling, so its logZ is 0."""
     if not tokens:
         return 0.0
-    if na is None:
-        na = na_mask(tokens)
-    pot = _sentence_potentials(model, tokens, na)
+    pot = _sentence_potentials(model, tokens, na_mask(tokens))
     logz, _ = chain_forward(pot, model.transition_matrix())
     return float(logz)
 
@@ -264,6 +261,9 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
     """
     if not corpus:
         raise ValueError("empty corpus")
+    check_training_settings(l2_lambda, max_iterations)
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if labels is None:
         found = sorted({lab for sent in corpus for lab in sent.labels
                         if lab is not None})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus_io import EmbeddingTable
-from .common import LabeledSentence, na_mask
+from .common import LabeledSentence, check_training_settings, na_mask
 
 
 @dataclass
@@ -49,6 +49,7 @@ def train_embed_classifier(corpus: list[LabeledSentence],
     """Fit the softmax weights on all non-NA positions of the corpus."""
     if not corpus:
         raise ValueError("empty corpus")
+    check_training_settings(l2_lambda, max_iterations)
     labels = sorted({lab for sent in corpus for lab in sent.labels
                      if lab is not None})
     if not labels:

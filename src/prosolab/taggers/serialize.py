@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..corpus_io import CorpusFormatError, EmbeddingTable
+from ..corpus_io import CorpusFormatError, EmbeddingTable, parse_number
 from .crf import CrfModel
 from .embed import EmbeddingClassifier
 from .majority import N_LABELS, MajorityModel
@@ -65,9 +65,6 @@ def save_model(model) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-_KIND_NAMES = {int: "an integer", float: "a number"}
-
-
 class _Reader:
     def __init__(self, data: bytes):
         self.lines = data.decode("utf-8").split("\n")
@@ -91,15 +88,21 @@ class _Reader:
 
     def parse(self, kind: type, texts: list[str], where: str) -> list:
         """Each text as `kind`; a bad one is an error naming `where`."""
-        out = []
-        for text in texts:
-            try:
-                out.append(kind(text))
-            except ValueError:
+        where = f"{self.section} model, {where}"
+        return [parse_number(text, kind, where) for text in texts]
+
+    def rows(self, prefix: str, count: int, width: int):
+        """(where, fields) of the next `count` lines, each `prefix` and
+        `width` tab-separated fields; weight rows are named ``row <i>``."""
+        name = prefix if prefix == "row" else f"{prefix} row"
+        for i in range(count):
+            line = self.next()
+            fields = line.split("\t")
+            if fields[0] != prefix or len(fields) != 1 + width:
                 raise CorpusFormatError(
-                    f"{self.section} model, {where}: not "
-                    f"{_KIND_NAMES[kind]}: {text!r}") from None
-        return out
+                    f"{self.section} model, bad {name} {i}: expected "
+                    f"{prefix!r} and {width} fields, got {line!r}")
+            yield f"{name} {i}", fields[1:]
 
     def new_name(self, seen, name: str, where: str) -> str:
         """`name`, unless an earlier row of its section already has it."""
@@ -123,41 +126,28 @@ def load_model(data: bytes):
     if kind == "majority":
         model = MajorityModel()
         model.global_counts = np.array(r.values("global"), dtype=np.int64)
-        n = r.value("words")
-        for i in range(n):
-            parts = r.next().split("\t")
-            if len(parts) != 3 or parts[0] != "word":
-                raise CorpusFormatError(f"bad word row {i}: {parts!r}")
-            _, word, counts = parts
-            word = r.new_name(model.per_word, word, f"word row {i}")
+        for where, (word, counts) in r.rows("word", r.value("words"), 2):
+            word = r.new_name(model.per_word, word, where)
             model.per_word[word] = np.array(
-                r.parse(int, counts.split(","), f"word row {i}"),
-                dtype=np.int64)
+                r.parse(int, counts.split(","), where), dtype=np.int64)
             if len(model.per_word[word]) != N_LABELS:
                 raise CorpusFormatError(f"bad count vector for {word!r}")
         return model
     if kind == "crf":
         labels = r.values("labels")
         l2 = r.value("l2_lambda", float)
-        n_feat = r.value("features")
         index: dict[str, int] = {}
         emis_rows = []
-        for i in range(n_feat):
-            parts = r.next().split("\t")
-            if parts[0] != "feature" or len(parts) != 2 + len(labels):
-                raise CorpusFormatError(f"bad feature row {i}")
-            index[r.new_name(index, parts[1], f"feature row {i}")] = i
-            emis_rows.append(r.parse(float, parts[2:], f"feature row {i}"))
+        feature_rows = r.rows("feature", r.value("features"), 1 + len(labels))
+        for i, (where, (feat, *weights)) in enumerate(feature_rows):
+            index[r.new_name(index, feat, where)] = i
+            emis_rows.append(r.parse(float, weights, where))
         n_states = r.value("states")
         if n_states != len(labels) + 1:
             raise CorpusFormatError("state count does not match label set")
-        trans_rows = []
-        for i in range(n_states):
-            parts = r.next().split("\t")
-            if parts[0] != "trans" or len(parts) != 1 + n_states:
-                raise CorpusFormatError("bad transition row")
-            trans_rows.append(r.parse(float, parts[1:], f"trans row {i}"))
-        emis = np.array(emis_rows).reshape(-1) if n_feat else np.empty(0)
+        trans_rows = [r.parse(float, fields, where)
+                      for where, fields in r.rows("trans", n_states, n_states)]
+        emis = np.array(emis_rows).reshape(-1) if index else np.empty(0)
         weights = np.concatenate([emis, np.array(trans_rows).ravel()])
         return CrfModel(labels=labels, feature_index=index, weights=weights,
                         l2_lambda=l2)
@@ -167,21 +157,13 @@ def load_model(data: bytes):
         window = r.value("window")
         if window != EMBED_WINDOW:
             raise CorpusFormatError(f"unsupported embed window {window}")
-        n_rows = r.value("rows")
-        rows = []
-        for i in range(n_rows):
-            parts = r.next().split("\t")
-            if parts[0] != "row" or len(parts) != 2 + 3 * dim:
-                raise CorpusFormatError("bad weight row")
-            rows.append(r.parse(float, parts[1:], f"row {i}"))
-        n_emb = r.value("embeddings")
+        rows = [r.parse(float, fields, where)
+                for where, fields in r.rows("row", r.value("rows"), 3 * dim + 1)]
         entries: dict[str, np.ndarray] = {}
-        for i in range(n_emb):
-            parts = r.next().split("\t")
-            if parts[0] != "emb" or len(parts) != 2 + dim:
-                raise CorpusFormatError("bad embedding row")
-            entries[r.new_name(entries, parts[1], f"emb row {i}")] = np.array(
-                r.parse(float, parts[2:], f"emb row {i}"))
+        for where, (token, *vec) in r.rows("emb", r.value("embeddings"),
+                                           1 + dim):
+            entries[r.new_name(entries, token, where)] = np.array(
+                r.parse(float, vec, where))
         table = EmbeddingTable(dimension=dim, entries=entries)
         return EmbeddingClassifier(table=table, labels=labels,
                                    weight_matrix=np.array(rows))

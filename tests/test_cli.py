@@ -273,7 +273,8 @@ def test_calibrate_binary_rejects_a_reference_label_not_0_or_1(
     assert run(["calibrate", values, reference]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"{reference} line 2: label must be 0 or 1: {label!r}" in err
+    reason = "not a finite number" if label == "nan" else "label must be 0 or 1"
+    assert f"{reference} line 2: {reason}: {label!r}" in err
 
 
 def test_calibrate_split_mode(tmp_path, capsys):
@@ -480,6 +481,26 @@ def test_train_embed_with_table(tmp_path, dataset_file, capsys):
     assert out_model.stat().st_size > 0
 
 
+@pytest.mark.parametrize("model, setting", [
+    ("crf", "l2_lambda=-10"), ("crf", "max_iterations=-5"),
+    ("crf", "tolerance=-1"), ("embed", "l2_lambda=-10"),
+    ("embed", "max_iterations=0"),
+])
+def test_train_rejects_an_out_of_range_setting(tmp_path, dataset_file,
+                                               capsys, model, setting):
+    if model == "embed":
+        cfg = write_training_config(tmp_path, setting + "\n")
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+    out = tmp_path / "m.model"
+    assert run(["train", dataset_file, out, "--model", model,
+                "--config", cfg]) == 1
+    key = setting.split("=")[0]
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_then_evaluate_matches_direct(tmp_path, dataset_file,
                                               capsys):
     model_path = tmp_path / "majority.model"
@@ -633,6 +654,132 @@ def test_evaluate_rejects_a_label_that_is_not_an_integer(tmp_path, capsys):
     assert run(["evaluate", preds, test, "--out", tmp_path / "eval"]) == 1
     assert ("line 12: label is neither NA nor an integer: 'x'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("label", ["-1", "7"])
+def test_evaluate_rejects_a_predicted_label_out_of_range(tmp_path, capsys,
+                                                        label, classes):
+    gold = _gold_pairs()
+    test, preds = _two_sentence_files(
+        tmp_path, [gold, [("Tell", label)] + gold[1:]])
+    assert run(["evaluate", preds, test, "--out", tmp_path / "eval",
+                "--classes", classes]) == 1
+    assert (f"line 12: label out of range: {label!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "eval.report.tsv").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("predicted-na", "sentence 2, token 1: predicted NA where the test file "
+                     "has a label"),
+    ("predicted-label", "sentence 2, token 5: predicted a label where the "
+                        "test file has NA"),
+    ("model", "sentence 2, token 1: predicted a label where the test file "
+              "has NA"),
+], ids=["predicted-na", "predicted-label", "model"])
+def test_evaluate_names_the_sentence_and_token_of_an_na_disagreement(
+        tmp_path, dataset_file, capsys, case, message):
+    gold = _gold_pairs()
+    if case == "model":
+        # the test file marks the word 'Tell' NA; a tagger labels every word
+        test = tmp_path / "test.tsv"
+        test.write_text(DATASET_SENTENCE + "\n" + DATASET_SENTENCE.replace(
+            "Tell\t2\t1.473", "Tell\tNA\tNA"), encoding="utf-8")
+        scored = tmp_path / "m.model"
+        assert run(["train", dataset_file, scored, "--model", "majority"]) == 0
+    else:
+        changed = ([("Tell", "NA")] + gold[1:] if case == "predicted-na"
+                   else gold[:4] + [(",", "1")] + gold[5:])
+        test, scored = _two_sentence_files(tmp_path, [gold, changed])
+    capsys.readouterr()
+    assert run(["evaluate", scored, test, "--out", tmp_path / "eval"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval.report.tsv").exists()
+
+
+# a CRF model file with no features; {v} is one transition weight
+NON_FINITE_CRF_MODEL = ("prosolab-model v1\ntype=crf\nlabels=0,1\n"
+                        "l2_lambda=0.0001\nfeatures=0\nstates=3\n"
+                        "trans\t{v}\t0.0\t0.0\n" + "trans\t0.0\t0.0\t0.0\n" * 2)
+NON_FINITE_TEXTGRID = """File type = "ooTextFile"
+Object class = "TextGrid"
+
+xmin = 0
+xmax = 1
+tiers? <exists>
+size = 1
+item []:
+    item [1]:
+        class = "IntervalTier"
+        name = "words"
+        xmin = 0
+        xmax = 1
+        intervals: size = 1
+        intervals [1]:
+            xmin = {v}
+            xmax = 1
+            text = "hello"
+"""
+# reader: (files to write, command, exit code, message); {v} is the value
+NON_FINITE_CASES = {
+    "config-theta1": (
+        {"values.txt": "0.5\n", "c.cfg": "theta1={v}\n"},
+        ["calibrate", "values.txt", "--mode", "split", "--config", "c.cfg"],
+        2, "config key theta1: not a finite number: '{v}'"),
+    "config-l2_lambda": (
+        {"train.tsv": DATASET_SENTENCE, "c.cfg": "l2_lambda={v}\n"},
+        ["train", "train.tsv", "m.model", "--model", "crf",
+         "--config", "c.cfg"],
+        2, "config key l2_lambda: not a finite number: '{v}'"),
+    "calibrate-values": (
+        {"values.txt": "0.1\n{v}\n0.3\n", "ref.txt": "0\n1\n0\n"},
+        ["calibrate", "values.txt", "ref.txt"],
+        1, "values.txt line 2: not a finite number: '{v}'"),
+    "theta1-flag": (
+        {"values.txt": "0.5\n"},
+        ["calibrate", "values.txt", "--mode", "split", "--theta1", "{v}"],
+        2, "--theta1: not a finite number: '{v}'"),
+    "dataset": (
+        {"train.tsv": "tok\t1\t{v}\n"},
+        ["train", "train.tsv", "m.model", "--model", "majority"],
+        1, "line 1: continuous value: not a finite number: '{v}'"),
+    "embeddings": (
+        {"train.tsv": DATASET_SENTENCE, "vectors.txt": "tell 1.0 {v}\n",
+         "c.cfg": "embeddings=vectors.txt\nembedding_dim=2\n"},
+        ["train", "train.tsv", "m.model", "--model", "embed",
+         "--config", "c.cfg"],
+        1, "line 1: not a finite number: '{v}'"),
+    "model-file": (
+        {"m.model": NON_FINITE_CRF_MODEL, "test.tsv": DATASET_SENTENCE},
+        ["predict", "m.model", "test.tsv", "out.tsv"],
+        1, "crf model, trans row 0: not a finite number: '{v}'"),
+    "textgrid": (
+        {"audio/u.wav": pcm16_wav_bytes(np.zeros(16000), 16000),
+         "align/u.TextGrid": NON_FINITE_TEXTGRID},
+        ["annotate", "audio", "align", "out.tsv"],
+        0, "interval block at tier 'words': not a finite number: '{v}'"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("reader", list(NON_FINITE_CASES))
+def test_every_reader_rejects_a_non_finite_number(tmp_path, monkeypatch,
+                                                  capsys, reader, value):
+    files, argv, code, message = NON_FINITE_CASES[reader]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content.replace("{v}", value), encoding="utf-8")
+    assert run([arg.replace("{v}", value) for arg in argv]) == code
+    err = capsys.readouterr().err
+    # annotate names a failed utterance in its manifest and goes on
+    shown = err if code else Path("out.tsv.manifest").read_text()
+    assert message.replace("{v}", value) in shown
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from prosolab.corpus_io import (
     load_embeddings,
     parse_dataset,
     parse_lab,
+    parse_predictions,
     parse_textgrid,
     read_wav,
     write_dataset,
@@ -121,9 +122,13 @@ def test_parse_lab_from_path(tmp_path):
 
 @pytest.mark.parametrize("content,pattern", [
     ("0.0 0.5\n", "line 1: expected 'start end token'"),
-    ("0.0 x word\n", "line 1: non-numeric time"),
-    ("0.0 0.5 a\n0.6 nan w\n", "line 2: non-finite time"),
-    ("inf inf w\n", "line 1: non-finite time"),
+    # these ids describe the case; the message quotes the bad text
+    pytest.param("0.0 x word\n", "line 1: not a number: 'x'",
+                 id="0.0 x word\n-line 1: non-numeric time"),
+    pytest.param("0.0 0.5 a\n0.6 nan w\n", "line 2: not a finite number: 'nan'",
+                 id="0.0 0.5 a\n0.6 nan w\n-line 2: non-finite time"),
+    pytest.param("inf inf w\n", "line 1: not a finite number: 'inf'",
+                 id="inf inf w\n-line 1: non-finite time"),
     ("-0.1 0.5 word\n", "line 1: negative start time"),
     ("0.5 0.2 word\n", "line 1: end before start"),
     ("0.5 0.5 word\n", "zero-length span for non-punctuation token 'word'"),
@@ -292,7 +297,9 @@ def test_format_record_na_coupling():
     (b"tok\t3\t0.5\n", "label out of range: '3'"),
     (b"tok\t-1\t0.5\n", "label out of range: '-1'"),
     (b"tok\t1\t-0.5\n", "negative continuous value"),
-    (b"tok\t1\tabc\n", "bad continuous value 'abc'"),
+    pytest.param(b"tok\t1\tabc\n",
+                 "line 1: continuous value: not a number: 'abc'",
+                 id="tok\t1\tabc\n-bad continuous value 'abc'"),
 ])
 def test_parse_dataset_rejects(content, pattern):
     with pytest.raises(CorpusFormatError, match=pattern):
@@ -336,7 +343,7 @@ def test_load_embeddings_dimension_mismatch():
 
 
 def test_load_embeddings_non_numeric():
-    with pytest.raises(CorpusFormatError, match="line 1: non-numeric value"):
+    with pytest.raises(CorpusFormatError, match="line 1: not a number: 'two'"):
         load_embeddings(b"cat 1.0 two\n", dimension=2)
 
 
@@ -389,3 +396,49 @@ def test_dataset_roundtrip_property(sentences):
                 assert g.continuous is None
             else:
                 assert g.continuous == pytest.approx(w.continuous, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# property: the text readers give valid values or a CorpusFormatError
+# ---------------------------------------------------------------------------
+
+# blank lines and lines of 2 or 3 tab-separated short fields, so that many
+# lines have the column count a reader wants and the fields decide; half the
+# fields are whole labels or non-finite spellings
+field_st = st.one_of(
+    st.sampled_from(["NA", "0", "1", "2", "nan", "inf", "-inf"]),
+    st.lists(st.sampled_from([*"0123456789", "NA", "nan", "inf", "-", ".",
+                              "a", "e", "x", "Q"]), max_size=3).map("".join))
+line_st = st.one_of(st.just(""), st.lists(field_st, min_size=2, max_size=3)
+                    .map("\t".join))
+reader_text_st = st.lists(line_st, max_size=5).map("\n".join)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, float) and np.isfinite(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader_text_st)
+def test_text_readers_give_valid_values_or_a_format_error(text):
+    labels = {None, 0, 1, 2}
+    try:
+        for sentence in parse_dataset(text):
+            for rec in sentence:
+                assert rec.discrete in labels
+                assert (rec.continuous is None if rec.discrete is None
+                        else _finite(rec.continuous) and rec.continuous >= 0)
+    except CorpusFormatError:
+        pass
+    try:
+        for tokens, predicted in parse_predictions(text):
+            assert len(tokens) == len(predicted)
+            assert set(predicted) <= labels
+    except CorpusFormatError:
+        pass
+    try:
+        table = load_embeddings(text, dimension=2)
+        for vec in table.entries.values():
+            assert vec.shape == (2,) and np.isfinite(vec).all()
+    except CorpusFormatError:
+        pass
