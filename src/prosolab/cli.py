@@ -21,9 +21,10 @@ from pathlib import Path
 
 from . import evaluation
 from .corpus_io import (CorpusFormatError, EmbeddingTable, ProminenceRecord,
-                        Utterance, load_embeddings, parse_dataset, parse_lab,
-                        parse_number, parse_predictions, parse_textgrid,
-                        read_wav, write_dataset)
+                        Utterance, decode_text, load_embeddings,
+                        parse_dataset, parse_lab, parse_number,
+                        parse_predictions, parse_textgrid, read_wav,
+                        write_dataset)
 from .discretize import calibrate_binary, split_prominent
 from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 # crf_loglik_grad is unused here, but perfbench's tracer looks it up here
@@ -81,9 +82,11 @@ def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = decode_text(Path(path).read_bytes(), f"config {path}")
     except OSError as exc:
         raise UsageError(f"unreadable config {path}: {exc}") from exc
+    except CorpusFormatError as exc:
+        raise UsageError(str(exc)) from exc
     cfg, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -233,7 +236,7 @@ def _read_floats(path: str, binary: bool = False) -> list[float]:
     """Numbers on the non-blank lines; with `binary`, each must be 0 or 1."""
     values = []
     for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+            decode_text(Path(path).read_bytes(), path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -329,10 +332,11 @@ def cmd_train(args) -> int:
 
 
 def _predictor(model, model_arg: str | None):
-    """(report name, tokens -> labels).  The model's type picks the decoder;
-    `model_arg`, when given, must name that type, and majority-global picks
-    global decoding of a majority model.  Decoders are looked up at call
-    time, so a tracer that rebinds them here sees every call."""
+    """(report name, sentences -> labels).  The model's type picks the
+    decoder, which labels a whole file's token lists in one call; `model_arg`,
+    when given, must name that type, and majority-global picks global
+    decoding of a majority model.  Decoders are looked up at call time, so a
+    tracer that rebinds them here sees every call."""
     kind = ("majority" if isinstance(model, MajorityModel)
             else "crf" if isinstance(model, CrfModel) else "embed")
     if model_arg is not None and model_arg.split("-")[0] != kind:
@@ -340,22 +344,23 @@ def _predictor(model, model_arg: str | None):
                          f"file, which holds a {kind} model")
     if model_arg == "majority-global":
         return ("majority-global",
-                lambda tokens: predict_majority(model, tokens, "global"))
+                lambda sentences: predict_majority(model, sentences, "global"))
     if kind == "majority":
         return ("majority-per-word",
-                lambda tokens: predict_majority(model, tokens, "per_word"))
+                lambda sentences: predict_majority(model, sentences,
+                                                   "per_word"))
     if kind == "crf":
-        return "crf", lambda tokens: viterbi(model, tokens)
-    return "embed", lambda tokens: predict_embed(model, tokens)
+        return "crf", lambda sentences: viterbi(model, sentences)
+    return "embed", lambda sentences: predict_embed(model, sentences)
 
 
 def cmd_predict(args) -> int:
-    model = load_model(Path(args.model_file).read_bytes())
+    model = load_model(Path(args.model_file).read_bytes(), args.model_file)
     sentences = _load_sentences(args.in_file, 3)
     _, predict = _predictor(model, args.model)
     blocks = []
-    for sent in sentences:
-        preds = predict(sent.tokens)
+    for sent, preds in zip(sentences,
+                           predict([sent.tokens for sent in sentences])):
         if args.classes == 2:
             preds = evaluation.merge_labels(preds)
         lines = [
@@ -402,15 +407,16 @@ def cmd_evaluate(args) -> int:
     data = Path(args.model_or_pred).read_bytes()
 
     if data.startswith(b"prosolab-model"):
-        name, predict = _predictor(load_model(data), args.model)
-        pred_sents = [(sent.tokens, predict(sent.tokens))
-                      for sent in gold_sents]
+        name, predict = _predictor(load_model(data, args.model_or_pred),
+                                   args.model)
+        tokens = [sent.tokens for sent in gold_sents]
+        pred_sents = list(zip(tokens, predict(tokens)))
     else:
         if args.model is not None:
             raise UsageError("--model applies to a model file, not to a "
                              "predictions file")
         name = "predictions"
-        pred_sents = parse_predictions(data)
+        pred_sents = parse_predictions(decode_text(data, args.model_or_pred))
     _check_predictions(pred_sents, gold_sents)
 
     preds: list[int | None] = []

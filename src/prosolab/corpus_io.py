@@ -118,13 +118,27 @@ def _as_bytes(source: bytes | str | Path) -> bytes:
     return source if isinstance(source, bytes) else Path(source).read_bytes()
 
 
+def decode_text(raw: bytes, where: str = "") -> str:
+    """`raw` as UTF-8 text.  Bytes that are not UTF-8 are a CorpusFormatError
+    naming their line, after `where` (the file) when it is given."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(
+            f"{where}{' ' if where else ''}line {line}: not UTF-8 text: "
+            f"byte 0x{raw[exc.start]:02x}") from None
+
+
 def _as_text(source: bytes | str | Path) -> str:
     """A ``str`` is the content itself; a ``Path`` names the file to read."""
     if isinstance(source, str):
-        raw = source.encode("utf-8")
+        text = source
+    elif isinstance(source, bytes):
+        text = decode_text(source)
     else:
-        raw = _as_bytes(source)
-    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = decode_text(Path(source).read_bytes(), str(source))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -131,17 +131,15 @@ def learning_curve(train_fn, train_corpus: list[LabeledSentence],
                    ) -> list[CurvePoint]:
     """Retrain from scratch at each fraction and score on the fixed test set.
 
-    train_fn(corpus) must return a predictor: tokens -> labels.
+    train_fn(corpus) must return a predictor that labels a list of token
+    lists in one call.
     """
+    tokens = [sent.tokens for sent in test_corpus]
+    golds = [lab for sent in test_corpus for lab in sent.labels]
     points = []
     for fraction in sorted(fractions):
-        sub = subset_training(train_corpus, fraction, seed)
-        predict = train_fn(sub)
-        preds = []
-        golds = []
-        for sent in test_corpus:
-            preds.extend(predict(sent.tokens))
-            golds.extend(sent.labels)
+        predict = train_fn(subset_training(train_corpus, fraction, seed))
+        preds = [lab for labels in predict(tokens) for lab in labels]
         points.append(CurvePoint(fraction=fraction,
                                  accuracy=accuracy(preds, golds)))
     return points

@@ -21,13 +21,32 @@ from scipy.optimize import minimize
 
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
 from ..corpus_io import is_punctuation
-from .common import LabeledSentence, check_training_settings, na_mask
+from .common import (Chunk, CompiledText, LabeledSentence,
+                     check_training_settings, compile_text, na_mask)
 
 log = logging.getLogger(__name__)
 
 BOS = "<BOS>"
 EOS = "<EOS>"
 MAX_AFFIX = 4
+# the neighbour templates, in template order after w0
+CONTEXT = (("w-1", -1), ("w+1", 1), ("w-2", -2), ("w+2", 2))
+# w0, the affixes and the three shape flags
+OWN_WIDTH = 2 * MAX_AFFIX + 4
+
+
+def _own_features(w: str, punct: bool) -> list[str]:
+    """The templates that read only the word itself, in template order;
+    `punct` is is_punctuation(w)."""
+    lw = w.lower()
+    feats = [f"w0={lw}"]
+    for n in range(1, min(MAX_AFFIX, len(w)) + 1):
+        feats.append(f"pre{n}={lw[:n]}")
+        feats.append(f"suf{n}={lw[-n:]}")
+    feats.append(f"cap={int(w[:1].isupper())}")
+    feats.append(f"dig={int(any(c.isdigit() for c in w))}")
+    feats.append(f"punct={int(punct)}")
+    return feats
 
 
 def crf_featurize(tokens: list[str], position: int) -> list[str]:
@@ -48,21 +67,9 @@ def crf_featurize(tokens: list[str], position: int) -> list[str]:
         return tokens[i].lower()
 
     w = tokens[position]
-    lw = w.lower()
-    feats = [
-        f"w0={lw}",
-        f"w-1={ctx(position - 1)}",
-        f"w+1={ctx(position + 1)}",
-        f"w-2={ctx(position - 2)}",
-        f"w+2={ctx(position + 2)}",
-    ]
-    for n in range(1, min(MAX_AFFIX, len(w)) + 1):
-        feats.append(f"pre{n}={lw[:n]}")
-        feats.append(f"suf{n}={lw[-n:]}")
-    feats.append(f"cap={int(w[:1].isupper())}")
-    feats.append(f"dig={int(any(c.isdigit() for c in w))}")
-    feats.append(f"punct={int(is_punctuation(w))}")
-    return feats
+    own = _own_features(w, is_punctuation(w))
+    return [own[0], *(f"{name}={ctx(position + d)}" for name, d in CONTEXT),
+            *own[1:]]
 
 
 @dataclass
@@ -106,22 +113,54 @@ def new_model(labels: list[int], feature_index: dict[str, int],
     return model
 
 
-def sentence_feature_ids(tokens: list[str], na,
-                         lookup) -> tuple[np.ndarray, np.ndarray]:
-    """Feature ids of the word positions, flat, and the position of each id.
-    NA positions are not featurized; `lookup` maps a feature string to its
-    id, and a feature it maps to None is dropped.  Ids run in position
-    order, then template order."""
-    ids, pos = [], []
-    for t, skip in enumerate(na):
-        if skip:
-            continue
-        for f in crf_featurize(tokens, t):
-            i = lookup(f)
-            if i is not None:
-                ids.append(i)
-                pos.append(t)
-    return np.array(ids, dtype=np.int64), np.array(pos, dtype=np.int64)
+@dataclass
+class FeatureIds:
+    """Feature ids of the word positions of a compiled text, kept per
+    distinct token and gathered for one chunk at a time; -1 marks a feature
+    the lookup had no id for."""
+
+    text: CompiledText
+    na: np.ndarray       # (N,) positions left unfeaturized
+    own: np.ndarray      # (n_types, OWN_WIDTH) ids of _own_features
+    # (n_types + 2, 4) ids of each CONTEXT template with the type as the
+    # neighbour; the last two rows stand for BOS and EOS
+    context: np.ndarray
+
+    def chunk(self, ch: Chunk) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the chunk's word positions, flat, in position order and
+        then template order, and the grid cell of each id."""
+        words = np.flatnonzero(~self.na[ch.start:ch.stop])
+        tid = self.text.type_ids[ch.start:ch.stop]
+        t, length = (a[words] for a in ch.places())
+        cols = [self.own[tid[words], :1]]
+        bos = len(self.context) - 2
+        for c, (_, d) in enumerate(CONTEXT):
+            near = tid[np.clip(words + d, 0, len(tid) - 1)]
+            near = np.where(t + d < 0, bos,
+                            np.where(t + d >= length, bos + 1, near))
+            cols.append(self.context[near, c, None])
+        cols.append(self.own[tid[words], 1:])
+        grid = np.hstack(cols)
+        keep = grid >= 0
+        return grid[keep], np.repeat(ch.cells[words], keep.sum(axis=1))
+
+
+def sentence_feature_ids(text: CompiledText, na: np.ndarray,
+                         lookup) -> FeatureIds:
+    """Feature ids of the positions of `text` that `na` does not mark.
+    Each distinct token is featurized once; `lookup` maps a feature string
+    to its id, and a feature it maps to None is dropped."""
+    def ids(feats) -> list[int]:
+        return [-1 if (i := lookup(f)) is None else i for f in feats]
+
+    own = np.full((len(text.types), OWN_WIDTH), -1, dtype=np.int64)
+    for k, (tok, punct) in enumerate(zip(text.types, text.type_na)):
+        row = ids(_own_features(tok, punct))
+        own[k, :len(row)] = row
+    words = [tok.lower() for tok in text.types] + [BOS, EOS]
+    context = np.array([ids(f"{name}={w}" for name, _ in CONTEXT)
+                        for w in words], dtype=np.int64)
+    return FeatureIds(text, na, own, context)
 
 
 def _states_from_labels(model: CrfModel,
@@ -135,36 +174,44 @@ def _states_from_labels(model: CrfModel,
             f"label {err.args[0]!r} not in model label set") from None
 
 
-def _potentials(model: CrfModel, na: np.ndarray, ids: np.ndarray,
-                pos: np.ndarray) -> np.ndarray:
-    """(T, S) log-potential matrix with masking baked in.  Each word row
-    starts at 0.0 and adds its emission rows one at a time, in id order."""
+def _potentials(model: CrfModel, ch: Chunk, na: np.ndarray, ids: np.ndarray,
+                cells: np.ndarray) -> np.ndarray:
+    """(B, T, S) log-potentials of a chunk with masking baked in, NEG_INF
+    past each sentence's end.  Each word row starts at 0.0 and adds its
+    emission rows one at a time, in id order, as np.bincount sums."""
     K = model.n_labels
     emis = model.weights[:model.n_emission].reshape(-1, K)
-    pot = np.full((len(na), model.n_states), NEG_INF)
-    pot[na, model.na_state] = 0.0
-    pot[~na, :K] = 0.0
-    np.add.at(pot[:, :K], pos, emis[ids])
-    return pot
+    n_cells = len(ch.lengths) * ch.width
+    summed = np.stack([np.bincount(cells, emis[ids, k], n_cells)
+                       for k in range(K)], axis=1)
+    rows = np.full((len(na), model.n_states), NEG_INF)
+    rows[na, model.na_state] = 0.0
+    rows[~na, :K] = summed[ch.cells[~na]]
+    return ch.pad(rows, NEG_INF)
 
 
-def _sentence_potentials(model: CrfModel, tokens: list[str],
-                         na) -> np.ndarray:
-    na = np.asarray(na, dtype=bool)
-    return _potentials(model, na, *sentence_feature_ids(
-        tokens, na, model.feature_index.get))
+def _path_scores(pot: np.ndarray, trans: np.ndarray, states: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """(B,) score of each sentence's state path, added left to right from
+    0.0: pot[0, s0], then for each later t pot[t, st] and trans[prev, st]."""
+    n_batch, n_pos = states.shape
+    live = np.arange(n_pos) < lengths[:, None]
+    # slot 2 stays 0.0, and so does every slot past a sentence's end, so
+    # each running sum meets the terms in loop order
+    terms = np.zeros((n_batch, 2 * n_pos + 1))
+    terms[:, 1::2] = np.where(
+        live, np.take_along_axis(pot, states[..., None], axis=2)[..., 0], 0.0)
+    terms[:, 4::2] = np.where(live[:, 1:],
+                              trans[states[:, :-1], states[:, 1:]], 0.0)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _path_score(pot: np.ndarray, trans: np.ndarray,
-                states: np.ndarray) -> float:
-    """Score of one state path, added left to right from 0.0: pot[0, s0],
-    then for each later t pot[t, st] and trans[prev, st]."""
-    T = len(states)
-    # slot 2 stays 0.0, so the running sum meets the terms in loop order
-    terms = np.zeros(2 * T + 1)
-    terms[1::2] = pot[np.arange(T), states]
-    terms[4::2] = trans[states[:-1], states[1:]]
-    return np.cumsum(terms)[-1]
+def _one_sentence(model: CrfModel, tokens: list[str],
+                  na: np.ndarray) -> tuple[Chunk, np.ndarray]:
+    text = compile_text([tokens])
+    ch = next(text.chunks())
+    feats = sentence_feature_ids(text, na, model.feature_index.get)
+    return ch, _potentials(model, ch, na, *feats.chunk(ch))
 
 
 def crf_score(model: CrfModel, tokens: list[str],
@@ -173,82 +220,166 @@ def crf_score(model: CrfModel, tokens: list[str],
     if len(tokens) != len(labels):
         raise ValueError("tokens and labels lengths differ")
     states = _states_from_labels(model, labels)
-    pot = _sentence_potentials(model, tokens, states == model.na_state)
-    return float(_path_score(pot, model.transition_matrix(), states))
+    ch, pot = _one_sentence(model, tokens, states == model.na_state)
+    return float(_path_scores(pot, model.transition_matrix(),
+                              ch.pad(states, 0), ch.lengths)[0])
 
 
 def forward_logZ(model: CrfModel, tokens: list[str]) -> float:
     """Log partition over all labelings with NA exactly at punctuation; the
     empty sentence has one (empty) labeling, so its logZ is 0."""
-    if not tokens:
-        return 0.0
-    pot = _sentence_potentials(model, tokens, na_mask(tokens))
-    logz, _ = chain_forward(pot, model.transition_matrix())
-    return float(logz)
+    ch, pot = _one_sentence(model, tokens,
+                            np.array(na_mask(tokens), dtype=bool))
+    logz, _ = chain_forward(pot, model.transition_matrix(), ch.lengths)
+    return float(logz[0])
 
 
-def _prep_sentence(model: CrfModel, sent: LabeledSentence):
-    """(na, ids, pos, states) of one training sentence."""
-    states = _states_from_labels(model, sent.labels)
+@dataclass
+class _TrainingChunk:
+    """What the objective needs of one chunk of training sentences that does
+    not depend on the weights."""
+
+    chunk: Chunk
+    na: np.ndarray        # (n,) positions with the NA state
+    ids: np.ndarray       # feature ids of the word positions
+    cells: np.ndarray     # grid cell of each id
+    states: np.ndarray    # (B, T) gold states, 0 past each end
+    # the emission and transition gradient updates, as _merge gives them
+    emis_index: np.ndarray
+    emis_counted: np.ndarray
+    trans_index: np.ndarray
+    trans_counted: np.ndarray
+
+
+def _merge(count_sentence: np.ndarray, count_index: np.ndarray,
+           marginal_sentence: np.ndarray,
+           marginal_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient cells of a chunk's observed counts and of its marginals, in
+    the order they are applied: sentence by sentence, a sentence's counts
+    before its marginals, each in position order.  Also returns which of
+    the merged updates are counts."""
+    # a stable sort keeps the position order within each group
+    order = np.argsort(np.concatenate(
+        [2 * count_sentence, 2 * marginal_sentence + 1]), kind="stable")
+    return (np.concatenate([count_index, marginal_index])[order],
+            order < len(count_index))
+
+
+def _training_chunks(model: CrfModel, feats: FeatureIds,
+                     states: np.ndarray) -> list[_TrainingChunk]:
+    K, S = model.n_labels, model.n_states
+    out = []
+    for ch in feats.text.chunks():
+        ids, cells = feats.chunk(ch)
+        grid = ch.pad(states[ch.start:ch.stop], 0)
+        sentence = np.arange(len(ch.lengths))
+        id_sentence = cells // ch.width
+        emis = _merge(id_sentence, ids * K + grid.ravel()[cells],
+                      np.repeat(id_sentence, K),
+                      (ids[:, None] * K + np.arange(K)).ravel())
+        live = np.arange(1, ch.width) < ch.lengths[:, None]
+        trans = _merge(np.broadcast_to(sentence[:, None], live.shape)[live],
+                       (grid[:, :-1] * S + grid[:, 1:])[live],
+                       np.repeat(sentence, S * S),
+                       np.tile(np.arange(S * S), len(sentence)))
+        out.append(_TrainingChunk(ch, feats.na[ch.start:ch.stop], ids, cells,
+                                  grid, *emis, *trans))
+    return out
+
+
+def _apply(grad: np.ndarray, index: np.ndarray, counted: np.ndarray,
+           marginals: np.ndarray) -> None:
+    """Add 1 for each count and subtract each marginal, in merged order."""
+    updates = np.empty(len(index))
+    updates[counted] = 1.0
+    updates[~counted] = -marginals.ravel()
+    np.add.at(grad, index, updates)
+
+
+def _prepare(model: CrfModel,
+             batch: list[LabeledSentence]) -> list[_TrainingChunk]:
+    text = compile_text([sent.tokens for sent in batch])
+    states = _states_from_labels(
+        model, [lab for sent in batch for lab in sent.labels])
     na = states == model.na_state
-    return (na, *sentence_feature_ids(sent.tokens, na,
-                                      model.feature_index.get), states)
+    return _training_chunks(
+        model, sentence_feature_ids(text, na, model.feature_index.get),
+        states)
 
 
 def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
-                    prepared=None) -> tuple[float, np.ndarray]:
+                    prepared: list[_TrainingChunk] | None = None,
+                    ) -> tuple[float, np.ndarray]:
     """Regularized conditional log-likelihood and its gradient.
 
     Value: sum over sentences of [score(gold) - logZ] - lambda * ||w||^2.
     Gradient: observed - expected feature counts - 2 * lambda * w, where the
     expectations come from forward-backward node and edge marginals.  Each
     gradient cell takes its updates in sentence order, then position order,
-    with a sentence's observed counts before its expectations.
+    with a sentence's observed counts before its expectations.  `prepared`
+    is the batch as _prepare gives it, to skip featurizing it again.
     """
     if not batch:
         raise ValueError("empty batch")
-    K = model.n_labels
-    emis_grad = np.zeros((len(model.feature_index), K))
+    K, S = model.n_labels, model.n_states
+    emis_grad = np.zeros(model.n_emission)
     trans = model.transition_matrix()
-    trans_grad = np.zeros_like(trans)
+    trans_grad = np.zeros(S * S)
     total = 0.0
     if prepared is None:
-        prepared = [_prep_sentence(model, sent) for sent in batch]
-    for na, ids, pos, states in prepared:
-        pot = _potentials(model, na, ids, pos)
-        logz, alpha = chain_forward(pot, trans)
-        beta = chain_backward(pot, trans)
-        total += _path_score(pot, trans, states) - logz
+        prepared = _prepare(model, batch)
+    for c in prepared:
+        lengths = c.chunk.lengths
+        pot = _potentials(model, c.chunk, c.na, c.ids, c.cells)
+        logz, alpha = chain_forward(pot, trans, lengths)
+        beta = chain_backward(pot, trans, lengths)
+        # the running total meets the sentences in order
+        total = np.cumsum(np.concatenate(
+            ([total], _path_scores(pot, trans, c.states, lengths) - logz)))[-1]
 
-        np.add.at(trans_grad, (states[:-1], states[1:]), 1.0)
-        np.add.at(emis_grad, (ids, states[pos]), 1.0)
-        node_marg = np.exp(alpha + beta - logz)  # (T, s)
-        np.subtract.at(emis_grad, ids, node_marg[pos, :K])
-        edge = np.exp(alpha[:-1, :, None] + trans[None, :, :]
-                      + (pot[1:] + beta[1:])[:, None, :] - logz)
-        trans_grad -= edge.sum(axis=0)  # zero for a 1-token sentence
+        node = np.exp(alpha + beta - logz[:, None, None])
+        _apply(emis_grad, c.emis_index, c.emis_counted,
+               node.reshape(-1, S)[c.cells, :K])
+        edge = np.exp(alpha[:, :-1, :, None] + trans
+                      + (pot[:, 1:] + beta[:, 1:])[:, :, None, :]
+                      - logz[:, None, None, None])
+        # summed per sentence first; zero for a 1-token sentence
+        _apply(trans_grad, c.trans_index, c.trans_counted, edge.sum(axis=1))
 
     w = model.weights
     total -= model.l2_lambda * float(w @ w)
-    grad = np.concatenate([emis_grad.ravel(), trans_grad.ravel()])
+    grad = np.concatenate([emis_grad, trans_grad])
     grad -= 2.0 * model.l2_lambda * w
-    return total, grad
+    return float(total), grad
 
 
 def build_feature_index(corpus: list[LabeledSentence]) -> tuple[
-        dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
-    """Feature -> id map in first-occurrence scan order, and the (ids,
-    positions) of each sentence from the same pass.
+        dict[str, int], FeatureIds]:
+    """Feature -> id map numbered by first occurrence in a scan of the word
+    positions (position order, then template order), and the corpus's
+    FeatureIds under that map.
 
     Only non-NA positions contribute; the NA state has no emissions, so
     features seen only at punctuation would never receive gradient.
     """
-    index: dict[str, int] = {}
-    featurized = [
-        sentence_feature_ids(sent.tokens, [lab is None for lab in sent.labels],
-                             lambda f: index.setdefault(f, len(index)))
-        for sent in corpus]
-    return index, featurized
+    text = compile_text([sent.tokens for sent in corpus])
+    na = np.array([lab is None for sent in corpus for lab in sent.labels],
+                  dtype=bool)
+    provisional: dict[str, int] = {}
+    feats = sentence_feature_ids(
+        text, na, lambda f: provisional.setdefault(f, len(provisional)))
+    # the last slot keeps "no feature" (-1) at -1
+    final = np.full(len(provisional) + 1, -1, dtype=np.int64)
+    order = []
+    for ch in text.chunks():
+        ids, _ = feats.chunk(ch)
+        fresh, first = np.unique(ids[final[ids] < 0], return_index=True)
+        fresh = fresh[np.argsort(first)]
+        final[fresh] = np.arange(len(order), len(order) + len(fresh))
+        order.extend(fresh.tolist())
+    names = list(provisional)
+    feats.own, feats.context = final[feats.own], final[feats.context]
+    return {names[p]: i for i, p in enumerate(order)}, feats
 
 
 def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
@@ -270,12 +401,10 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
         if not found:
             raise ValueError("all-NA corpus")
         labels = found
-    index, featurized = build_feature_index(corpus)
+    index, feats = build_feature_index(corpus)
     model = new_model(labels, index, l2_lambda)
-    prepared = []
-    for sent, (ids, pos) in zip(corpus, featurized):
-        states = _states_from_labels(model, sent.labels)
-        prepared.append((states == model.na_state, ids, pos, states))
+    prepared = _training_chunks(model, feats, _states_from_labels(
+        model, [lab for sent in corpus for lab in sent.labels]))
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         model.weights = w.copy()
@@ -303,11 +432,18 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
     return model
 
 
-def viterbi(model: CrfModel, tokens: list[str]) -> list[int | None]:
-    """Best-scoring labeling; NA forced at punctuation, ties to smaller label."""
-    if not tokens:
-        return []
-    pot = _sentence_potentials(model, tokens, na_mask(tokens))
-    path = chain_viterbi(pot, model.transition_matrix())
-    return [None if st == model.na_state else model.labels[int(st)]
-            for st in path]
+def viterbi(model: CrfModel,
+            sentences: list[list[str]]) -> list[list[int | None]]:
+    """Best-scoring labeling of each sentence; NA forced at punctuation,
+    ties to the smaller label."""
+    text = compile_text(sentences)
+    na = text.na()
+    feats = sentence_feature_ids(text, na, model.feature_index.get)
+    trans = model.transition_matrix()
+    names = np.array([*model.labels, None], dtype=object)
+    out: list[list[int | None]] = []
+    for ch in text.chunks():
+        pot = _potentials(model, ch, na[ch.start:ch.stop], *feats.chunk(ch))
+        path = chain_viterbi(pot, trans, ch.lengths)
+        out += ch.split(names[path.ravel()[ch.cells]].tolist())
+    return out

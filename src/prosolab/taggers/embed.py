@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus_io import EmbeddingTable
-from .common import LabeledSentence, check_training_settings, na_mask
+from .common import (Chunk, CompiledText, LabeledSentence,
+                     check_training_settings, compile_text)
 
 
 @dataclass
@@ -24,15 +25,28 @@ class EmbeddingClassifier:
     weight_matrix: np.ndarray  # (n_labels, 3 * dimension + 1)
 
 
-def _sentence_features(table: EmbeddingTable,
-                       tokens: list[str]) -> np.ndarray:
-    """(T, 3d + 1) rows [prev; cur; next; 1], one lookup per token; past
-    either end of the sentence the neighbour is the zero row."""
-    padded = np.zeros((len(tokens) + 2, table.dimension))
-    for t, token in enumerate(tokens):
-        padded[t + 1] = table.lookup(token)
-    return np.hstack([padded[:-2], padded[1:-1], padded[2:],
-                      np.ones((len(tokens), 1))])
+def _type_vectors(table: EmbeddingTable, types: list[str]) -> np.ndarray:
+    """(n_types, d) vector of each distinct token, one lookup each."""
+    return np.array([table.lookup(tok) for tok in types]).reshape(
+        len(types), table.dimension)
+
+
+def _window_rows(vectors: np.ndarray, text: CompiledText,
+                 ch: Chunk) -> np.ndarray:
+    """(n, 3d + 1) rows [prev; cur; next; 1] of the chunk's positions, from
+    the type vectors; past either end of a sentence the neighbour is the
+    zero row."""
+    d = vectors.shape[1]
+    cur = vectors[text.type_ids[ch.start:ch.stop]]
+    t, length = ch.places()
+    rows = np.zeros((len(cur), 3 * d + 1))
+    rows[1:, :d] = cur[:-1]
+    rows[t == 0, :d] = 0.0
+    rows[:, d:2 * d] = cur
+    rows[:-1, 2 * d:3 * d] = cur[1:]
+    rows[t == length - 1, 2 * d:3 * d] = 0.0
+    rows[:, -1] = 1.0
+    return rows
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -56,14 +70,15 @@ def train_embed_classifier(corpus: list[LabeledSentence],
         raise ValueError("all-NA corpus")
     label_pos = {lab: i for i, lab in enumerate(labels)}
 
-    rows = []
-    targets = []
-    for sent in corpus:
-        words = [t for t, lab in enumerate(sent.labels) if lab is not None]
-        rows.append(_sentence_features(table, sent.tokens)[words])
-        targets += [label_pos[sent.labels[t]] for t in words]
-    x = np.concatenate(rows)                 # (N, 3d + 1)
-    y = np.array(targets, dtype=np.int64)    # (N,)
+    text = compile_text([sent.tokens for sent in corpus])
+    flat = [lab for sent in corpus for lab in sent.labels]
+    words = np.array([lab is not None for lab in flat], dtype=bool)
+    vectors = _type_vectors(table, text.types)
+    x = np.concatenate([
+        _window_rows(vectors, text, ch)[words[ch.start:ch.stop]]
+        for ch in text.chunks()])               # (N, 3d + 1)
+    y = np.array([label_pos[lab] for lab in flat if lab is not None],
+                 dtype=np.int64)                # (N,)
     n, dim = x.shape
     k = len(labels)
     onehot = np.zeros((n, k))
@@ -102,9 +117,18 @@ def train_embed_classifier(corpus: list[LabeledSentence],
 
 
 def predict_embed(classifier: EmbeddingClassifier,
-                  tokens: list[str]) -> list[int | None]:
-    """Per-position argmax of logits; NA at punctuation, ties to smaller label."""
-    logits = (_sentence_features(classifier.table, tokens)
-              @ classifier.weight_matrix.T)
-    return [None if punct else classifier.labels[int(best)]
-            for punct, best in zip(na_mask(tokens), logits.argmax(axis=1))]
+                  sentences: list[list[str]]) -> list[list[int | None]]:
+    """Per-position argmax of logits for each sentence; NA at punctuation,
+    ties to the smaller label."""
+    text = compile_text(sentences)
+    vectors = _type_vectors(classifier.table, text.types)
+    na = text.na()
+    names = np.array([*classifier.labels, None], dtype=object)
+    out: list[list[int | None]] = []
+    for ch in text.chunks():
+        logits = (_window_rows(vectors, text, ch)
+                  @ classifier.weight_matrix.T)
+        best = np.where(na[ch.start:ch.stop], len(classifier.labels),
+                        logits.argmax(axis=1))
+        out += ch.split(names[best].tolist())
+    return out

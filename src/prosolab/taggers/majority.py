@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import LabeledSentence, na_mask
+from .common import LabeledSentence, compile_text
 
 N_LABELS = 3
 
@@ -44,23 +44,25 @@ def _argmax_label(counts: np.ndarray) -> int:
     return int(np.argmax(counts))
 
 
-def predict_majority(model: MajorityModel, tokens: list[str],
-                     mode: str = "per_word") -> list[int | None]:
+def predict_majority(model: MajorityModel, sentences: list[list[str]],
+                     mode: str = "per_word") -> list[list[int | None]]:
     """Most frequent label per word type (falling back to the global majority
-    for unseen words) or the global majority everywhere."""
+    for unseen words) or the global majority everywhere, for each sentence;
+    NA at punctuation."""
     if mode not in ("per_word", "global"):
         raise ValueError(f"unknown mode {mode!r}")
     if model.global_counts.sum() == 0:
         raise ValueError("untrained model")
     global_label = _argmax_label(model.global_counts)
-    out: list[int | None] = []
-    for token, punct in zip(tokens, na_mask(tokens)):
-        if punct:
-            out.append(None)
-        elif mode == "global":
-            out.append(global_label)
-        else:
-            counts = model.per_word.get(token.lower())
-            out.append(global_label if counts is None
+    text = compile_text(sentences)
+    by_type = []
+    for token, punct in zip(text.types, text.type_na):
+        counts = None if mode == "global" else model.per_word.get(
+            token.lower())
+        by_type.append(None if punct else global_label if counts is None
                        else _argmax_label(counts))
+    by_type = np.array(by_type, dtype=object)
+    out: list[list[int | None]] = []
+    for ch in text.chunks():
+        out += ch.split(by_type[text.type_ids[ch.start:ch.stop]].tolist())
     return out

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..corpus_io import CorpusFormatError, EmbeddingTable, parse_number
+from ..corpus_io import (CorpusFormatError, EmbeddingTable, decode_text,
+                         parse_number)
 from .crf import CrfModel
 from .embed import EmbeddingClassifier
 from .majority import N_LABELS, MajorityModel
@@ -66,8 +67,8 @@ def save_model(model) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.lines = data.decode("utf-8").split("\n")
+    def __init__(self, data: bytes, where: str):
+        self.lines = decode_text(data, where).split("\n")
         self.pos = 0
         self.section = "header"  # the model type once read; named in errors
 
@@ -118,8 +119,10 @@ class _Reader:
         return self.parse(int, self.expect_kv(key).split(","), f"key {key}")
 
 
-def load_model(data: bytes):
-    r = _Reader(data)
+def load_model(data: bytes, where: str = ""):
+    """The model that `data` holds; `where`, the file's name, prefixes the
+    error for bytes that are not UTF-8."""
+    r = _Reader(data, where)
     if r.next() != MAGIC:
         raise CorpusFormatError("not a model file (bad header)")
     kind = r.section = r.expect_kv("type")

@@ -62,8 +62,16 @@ def _random_chain(T, S, mask_prob=0.3):
         if mask[t].all():
             mask[t, RNG.integers(S)] = False
     pot[mask] = A.NEG_INF
-    trans = RNG.normal(size=(S, S))
-    return pot, trans
+    return pot
+
+
+def _batch(pots):
+    """Ragged chains padded with NEG_INF to one ``(B, T, S)`` batch."""
+    lengths = np.array([len(p) for p in pots])
+    batch = np.full((len(pots), lengths.max(), pots[0].shape[1]), A.NEG_INF)
+    for b, p in enumerate(pots):
+        batch[b, :len(p)] = p
+    return batch, lengths
 
 
 def _prefix_scores(pot, trans):
@@ -100,42 +108,56 @@ def _assert_log_close(got, want):
     for T, S, dead in [(2, 4, 0), (2, 4, 1), (6, 4, 3), (5, 5, 0), (5, 5, 4)]
 ])
 def test_chain_kernels_agree(T, S, dead):
-    """Forward, backward and Viterbi match enumeration of every state path.
+    """Forward, backward and Viterbi match enumeration of every state path,
+    for each sentence of a ragged padded batch: one of length T, and
+    shorter and longer ones around it.
 
-    With every state of position ``dead`` impossible, no path is alive: logZ,
-    alpha from ``dead`` on and beta before ``dead`` must all stay dead.
+    With every state of position ``dead`` of the length-T sentence
+    impossible, it has no live path: its logZ, its alpha from ``dead`` on
+    and its beta before ``dead`` must all stay dead.
     """
-    pot, trans = _random_chain(T, S)
+    pots = [_random_chain(n, S) for n in (T + 2, T, 1, max(T - 1, 1))]
     if dead is not None:
-        pot[dead] = A.NEG_INF
-    prefixes = _prefix_scores(pot, trans)
-    suffixes = _suffix_scores(pot, trans)
-    want_alpha = np.array([logsumexp(p.reshape(-1, S), axis=0)
-                           for p in prefixes])
-    want_beta = np.array([logsumexp(q.reshape(S, -1), axis=1)
-                          for q in suffixes])
-    paths = prefixes[-1]
+        pots[1][dead] = A.NEG_INF
+    trans = RNG.normal(size=(S, S))
+    batch, lengths = _batch(pots)
 
-    log_z, alpha = A.chain_forward(pot, trans)
-    beta = A.chain_backward(pot, trans)
-    _assert_log_close(alpha, want_alpha)
-    _assert_log_close(beta, want_beta)
-    if dead is None:
-        assert abs(log_z - logsumexp(paths)) < 1e-10
-        best = np.unravel_index(paths.argmax(), paths.shape)
-        assert A.chain_viterbi(pot, trans).tolist() == list(best)
-    else:
-        assert log_z <= A.NEG_INF / 2
-        assert np.all(alpha[dead:] <= A.NEG_INF / 2)
-        assert np.all(beta[:dead] <= A.NEG_INF / 2)
+    log_z, alpha = A.chain_forward(batch, trans, lengths)
+    beta = A.chain_backward(batch, trans, lengths)
+    paths = A.chain_viterbi(batch, trans, lengths)
+    for b, pot in enumerate(pots):
+        n = len(pot)
+        prefixes = _prefix_scores(pot, trans)
+        suffixes = _suffix_scores(pot, trans)
+        want_alpha = np.array([logsumexp(p.reshape(-1, S), axis=0)
+                               for p in prefixes])
+        want_beta = np.array([logsumexp(q.reshape(S, -1), axis=1)
+                              for q in suffixes])
+        _assert_log_close(alpha[b, :n], want_alpha)
+        _assert_log_close(beta[b, :n], want_beta)
+        # past the end: alpha dead on the NEG_INF padding, beta 0
+        assert np.all(alpha[b, n:] <= A.NEG_INF / 2)
+        assert np.all(beta[b, n:] == 0.0)
+        if dead is not None and b == 1:
+            assert log_z[b] <= A.NEG_INF / 2
+            assert np.all(alpha[b, dead:n] <= A.NEG_INF / 2)
+            assert np.all(beta[b, :dead] <= A.NEG_INF / 2)
+            continue
+        scores = prefixes[-1]
+        assert abs(log_z[b] - logsumexp(scores)) < 1e-10
+        best = np.unravel_index(scores.argmax(), scores.shape)
+        assert paths[b, :n].tolist() == list(best)
 
 
 def test_alpha_beta_consistency():
-    pot, trans = _random_chain(7, 4)
-    lz, alpha = A.chain_forward(pot, trans)
-    beta = A.chain_backward(pot, trans)
+    pots = [_random_chain(7, 4), _random_chain(3, 4)]
+    batch, lengths = _batch(pots)
+    trans = RNG.normal(size=(4, 4))
+    lz, alpha = A.chain_forward(batch, trans, lengths)
+    beta = A.chain_backward(batch, trans, lengths)
     # at every position, logsumexp(alpha + beta) equals logZ
-    for t in range(7):
-        row = alpha[t] + beta[t]
-        m = row.max()
-        assert abs(m + np.log(np.sum(np.exp(row - m))) - lz) < 1e-9
+    for b, n in enumerate(lengths):
+        for t in range(n):
+            row = alpha[b, t] + beta[b, t]
+            m = row.max()
+            assert abs(m + np.log(np.sum(np.exp(row - m))) - lz[b]) < 1e-9

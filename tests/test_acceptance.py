@@ -69,11 +69,10 @@ def merge_corpus(corpus: list[LabeledSentence]) -> list[LabeledSentence]:
 
 
 def corpus_accuracy(predict, corpus: list[LabeledSentence]) -> float:
-    pred: list[int | None] = []
-    gold: list[int | None] = []
-    for sent in corpus:
-        pred.extend(predict(sent.tokens))
-        gold.extend(sent.labels)
+    """`predict` labels the whole corpus's token lists in one call."""
+    pred = [lab for labels in predict([sent.tokens for sent in corpus])
+            for lab in labels]
+    gold = [lab for sent in corpus for lab in sent.labels]
     return accuracy(pred, gold)
 
 
@@ -246,7 +245,7 @@ def test_criterion_4_crf_exact_inference():
         scores = np.array([crf_score(model, tokens, lab)
                            for lab in labelings])
         assert abs(forward_logZ(model, tokens) - logsumexp(scores)) <= 1e-8
-        decoded = viterbi(model, tokens)
+        decoded = viterbi(model, [tokens])[0]
         assert abs(crf_score(model, tokens, decoded) - scores.max()) <= 1e-8
 
     # analytic gradient vs central differences over fresh random models
@@ -269,7 +268,7 @@ def test_criterion_4_crf_exact_inference():
     # a small separable corpus must be memorized perfectly
     trained = crf_train(TOY_CORPUS)
     for sent in TOY_CORPUS:
-        assert viterbi(trained, sent.tokens) == sent.labels
+        assert viterbi(trained, [sent.tokens])[0] == sent.labels
     assert time.perf_counter() - t0 < 120.0
 
 

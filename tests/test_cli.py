@@ -782,6 +782,58 @@ def test_every_reader_rejects_a_non_finite_number(tmp_path, monkeypatch,
     assert message.replace("{v}", value) in shown
 
 
+# reader: (files to write, command, exit code, message); each file holds one
+# byte that is not UTF-8
+NOT_UTF8_CASES = {
+    "dataset": (
+        {"train.tsv": b"tok\t1\t0.5\nt\xffk\t0\t0.1\n"},
+        ["train", "train.tsv", "m.model", "--model", "majority"],
+        1, "train.tsv line 2: not UTF-8 text: byte 0xff"),
+    "predictions": (
+        {"test.tsv": DATASET_SENTENCE, "pred.tsv": b"Tell\t2\n\xff\t0\n"},
+        ["evaluate", "pred.tsv", "test.tsv"],
+        1, "pred.tsv line 2: not UTF-8 text: byte 0xff"),
+    "model-file": (
+        {"m.model": b"prosolab-model v1\ntype=majority\nglobal=1,0,0\n"
+                    b"words=1\nword\t\xfe\t1,0,0\n",
+         "test.tsv": DATASET_SENTENCE},
+        ["predict", "m.model", "test.tsv", "out.tsv"],
+        1, "m.model line 5: not UTF-8 text: byte 0xfe"),
+    "embeddings": (
+        {"train.tsv": DATASET_SENTENCE,
+         "vectors.txt": b"tell 1.0 2.0\n\xffme 0.5 0.5\n",
+         "c.cfg": "embeddings=vectors.txt\nembedding_dim=2\n"},
+        ["train", "train.tsv", "m.model", "--model", "embed",
+         "--config", "c.cfg"],
+        1, "vectors.txt line 2: not UTF-8 text: byte 0xff"),
+    "config": (
+        {"train.tsv": DATASET_SENTENCE,
+         "c.cfg": b"# caf\xe9\nmax_iterations=5\n"},
+        ["train", "train.tsv", "m.model", "--model", "crf",
+         "--config", "c.cfg"],
+        2, "config c.cfg line 1: not UTF-8 text: byte 0xe9"),
+    "calibrate-values": (
+        {"values.txt": b"0.1\n0.2\xff\n", "ref.txt": "0\n1\n"},
+        ["calibrate", "values.txt", "ref.txt"],
+        1, "values.txt line 2: not UTF-8 text: byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("reader", list(NOT_UTF8_CASES))
+def test_every_reader_names_the_file_of_bytes_that_are_not_utf8(
+        tmp_path, monkeypatch, capsys, reader):
+    files, argv, code, message = NOT_UTF8_CASES[reader]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+    assert run(argv) == code
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # learning-curve
 # ---------------------------------------------------------------------------

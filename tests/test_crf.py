@@ -9,7 +9,8 @@ from scipy.special import logsumexp
 
 from prosolab._accel import (NEG_INF, chain_backward, chain_forward,
                              chain_viterbi)
-from prosolab.taggers.common import LabeledSentence, na_mask
+from prosolab.taggers import common
+from prosolab.taggers.common import LabeledSentence, compile_text, na_mask
 from prosolab.taggers.crf import (
     build_feature_index,
     crf_featurize,
@@ -161,7 +162,13 @@ def test_empty_sentence_has_one_empty_labeling():
     model = harvest_model(TOY_CORPUS, np.random.default_rng(3))
     assert crf_score(model, [], []) == 0.0
     assert forward_logZ(model, []) == 0.0
-    assert viterbi(model, []) == []
+    assert viterbi(model, [[]])[0] == []
+    # so it adds nothing to the objective or its gradient
+    value, grad = crf_loglik_grad(model, TOY_CORPUS)
+    padded_value, padded_grad = crf_loglik_grad(
+        model, TOY_CORPUS[:2] + [LabeledSentence([], [])] + TOY_CORPUS[2:])
+    assert padded_value == value
+    assert np.array_equal(padded_grad, grad)
 
 
 def test_logZ_exceeds_any_single_path():
@@ -266,6 +273,12 @@ def loop_path_score(pot, trans, states):
     return score
 
 
+def one_sentence(kernel, pot, trans):
+    """A batched chain kernel's output for a batch of the one sentence."""
+    out = kernel(pot[None], trans, np.array([len(pot)]))
+    return tuple(a[0] for a in out) if isinstance(out, tuple) else out[0]
+
+
 def loop_loglik_grad(model, batch):
     """Value and gradient with one Python pass per position."""
     K = model.n_labels
@@ -281,8 +294,8 @@ def loop_loglik_grad(model, batch):
                  for t in range(len(sent.tokens))]
         states = loop_states(model, sent.labels)
         pot = loop_potentials(model, sent.tokens, na)
-        logz, alpha = chain_forward(pot, trans)
-        beta = chain_backward(pot, trans)
+        logz, alpha = one_sentence(chain_forward, pot, trans)
+        beta = one_sentence(chain_backward, pot, trans)
         total += loop_path_score(pot, trans, states) - logz
         for t, st in enumerate(states):
             if t > 0:
@@ -324,24 +337,58 @@ def ragged_corpus(rng, labels, n=24):
     return corpus
 
 
+def chunked_corpus(rng, labels, n=24):
+    """ragged_corpus with a 60-token sentence in the middle, checked to span
+    more than three chunks."""
+    corpus = ragged_corpus(rng, labels, n)
+    long = [str(w) for w in rng.choice(WORDS, size=60)]
+    corpus.insert(len(corpus) // 2, LabeledSentence(
+        long, [int(rng.choice(labels)) for _ in long]))
+    text = compile_text([sent.tokens for sent in corpus])
+    assert len(list(text.chunks())) > 3
+    return corpus
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_index_pass_ids_match_a_lookup_on_the_finished_index(seed):
-    corpus = ragged_corpus(np.random.default_rng(seed), (0, 1, 2))
-    index, featurized = build_feature_index(corpus)
-    assert len(featurized) == len(corpus)
-    for sent, (ids, pos) in zip(corpus, featurized):
-        na = [lab is None for lab in sent.labels]
-        want_ids, want_pos = sentence_feature_ids(sent.tokens, na, index.get)
-        assert ids.dtype == pos.dtype == np.int64
-        np.testing.assert_array_equal(ids, want_ids)
-        np.testing.assert_array_equal(pos, want_pos)
+def test_index_pass_ids_match_a_lookup_on_the_finished_index(seed,
+                                                             monkeypatch):
+    monkeypatch.setattr(common, "CHUNK_CELLS", 40)
+    corpus = chunked_corpus(np.random.default_rng(seed), (0, 1, 2))
+    index, feats = build_feature_index(corpus)
+    text = compile_text([sent.tokens for sent in corpus])
+    na = np.array([lab is None for sent in corpus for lab in sent.labels])
+    looked_up = sentence_feature_ids(text, na, index.get)
+    # the per-position scan, numbering each feature when first seen
+    scan, want_ids, want_pos = {}, [], []
+    for start, sent in zip(text.offsets.tolist(), corpus):
+        for t, lab in enumerate(sent.labels):
+            if lab is not None:
+                for f in crf_featurize(sent.tokens, t):
+                    want_ids.append(scan.setdefault(f, len(scan)))
+                    want_pos.append(start + t)
+    assert list(index.items()) == list(scan.items())
+    got_ids, got_pos = [], []
+    for ch in text.chunks():
+        ids, cells = feats.chunk(ch)
+        lookup_ids, lookup_cells = looked_up.chunk(ch)
+        assert ids.dtype == cells.dtype == np.int64
+        np.testing.assert_array_equal(ids, lookup_ids)
+        np.testing.assert_array_equal(cells, lookup_cells)
+        got_ids.append(ids)
+        got_pos.append(ch.start + np.searchsorted(ch.cells, cells))
+    np.testing.assert_array_equal(np.concatenate(got_ids), want_ids)
+    np.testing.assert_array_equal(np.concatenate(got_pos), want_pos)
 
 
 @pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2)])
 @pytest.mark.parametrize("seed", range(4))
-def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels):
+def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels, monkeypatch):
+    # seed 0 runs at the real chunk bound on 1400 sentences; the others
+    # shrink the bound so that a short corpus spans many chunks
+    if seed:
+        monkeypatch.setattr(common, "CHUNK_CELLS", 40)
     rng = np.random.default_rng(seed)
-    corpus = ragged_corpus(rng, labels)
+    corpus = chunked_corpus(rng, labels, 24 if seed else 1400)
     # index half the corpus, so the rest brings features the index lacks
     model = new_model(list(labels), build_feature_index(corpus[::2])[0],
                       l2_lambda=0.01)
@@ -353,19 +400,22 @@ def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels):
     assert value == want_value
     assert np.array_equal(grad, want_grad)
 
+    want_paths = []
     for sent in corpus:
+        pot = loop_potentials(model, sent.tokens, na_mask(sent.tokens))
+        want_paths.append([None if st == model.na_state else model.labels[st]
+                           for st in one_sentence(chain_viterbi, pot, trans)])
+    assert viterbi(model, [sent.tokens for sent in corpus]) == want_paths
+
+    for sent in corpus[:40]:
         states = loop_states(model, sent.labels)
-        na = na_mask(sent.tokens)
         gold_pot = loop_potentials(model, sent.tokens,
                                    [lab is None for lab in sent.labels])
         assert crf_score(model, sent.tokens, sent.labels) == \
             loop_path_score(gold_pot, trans, states)
-        pot = loop_potentials(model, sent.tokens, na)
-        assert forward_logZ(model, sent.tokens) == chain_forward(pot,
-                                                                 trans)[0]
-        assert viterbi(model, sent.tokens) == [
-            None if st == model.na_state else model.labels[st]
-            for st in chain_viterbi(pot, trans)]
+        pot = loop_potentials(model, sent.tokens, na_mask(sent.tokens))
+        assert forward_logZ(model, sent.tokens) == one_sentence(
+            chain_forward, pot, trans)[0]
 
 
 def test_training_keeps_the_objective_it_reached():
@@ -394,7 +444,7 @@ def test_training_keeps_the_objective_after_a_failed_line_search(caplog):
 def test_train_fits_separable_toy_corpus():
     model = crf_train(TOY_CORPUS, max_iterations=200)
     for sent in TOY_CORPUS:
-        assert viterbi(model, sent.tokens) == sent.labels
+        assert viterbi(model, [sent.tokens])[0] == sent.labels
 
 
 def test_train_is_deterministic():
@@ -437,7 +487,7 @@ def test_viterbi_matches_enumeration():
     labelings = all_labelings(model, tokens)
     scores = [crf_score(model, tokens, labeling) for labeling in labelings]
     best = labelings[int(np.argmax(scores))]
-    path = viterbi(model, tokens)
+    path = viterbi(model, [tokens])[0]
     assert crf_score(model, tokens, path) == pytest.approx(max(scores),
                                                            abs=1e-9)
     assert path == best
@@ -445,14 +495,14 @@ def test_viterbi_matches_enumeration():
 
 def test_viterbi_zero_weights_ties_to_smallest():
     model = harvest_model(TOY_CORPUS)
-    assert viterbi(model, ["a", "b", ",", "c"]) == [0, 0, None, 0]
+    assert viterbi(model, [["a", "b", ",", "c"]])[0] == [0, 0, None, 0]
 
 
 def test_viterbi_forces_na_exactly_at_punctuation():
     rng = np.random.default_rng(9)
     model = harvest_model(TOY_CORPUS, rng)
     tokens = ["The", ",", "cat", "runs", "?", "!"]
-    path = viterbi(model, tokens)
+    path = viterbi(model, [tokens])[0]
     assert [lab is None for lab in path] == [False, True, False, False,
                                              True, True]
     assert all(lab in model.labels for lab in path if lab is not None)
@@ -460,7 +510,7 @@ def test_viterbi_forces_na_exactly_at_punctuation():
 
 def test_viterbi_handles_unseen_words():
     model = crf_train(TOY_CORPUS, max_iterations=100)
-    path = viterbi(model, ["zebra", "quokka"])
+    path = viterbi(model, [["zebra", "quokka"]])[0]
     assert all(lab in model.labels for lab in path)
 
 
@@ -476,8 +526,8 @@ def test_label_permutation_equivariance():
     mapped = crf_train(renamed, max_iterations=200)
     for sent in TOY_CORPUS:
         want = [None if lab is None else perm[lab]
-                for lab in viterbi(base, sent.tokens)]
-        assert viterbi(mapped, sent.tokens) == want
+                for lab in viterbi(base, [sent.tokens])[0]]
+        assert viterbi(mapped, [sent.tokens])[0] == want
 
 
 def test_two_label_model():
@@ -488,4 +538,4 @@ def test_two_label_model():
     model = crf_train(corpus, max_iterations=100)
     assert model.labels == [0, 1]
     assert model.n_states == 3
-    assert viterbi(model, ["up", "down"]) == [1, 0]
+    assert viterbi(model, [["up", "down"]])[0] == [1, 0]

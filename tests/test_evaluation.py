@@ -185,7 +185,7 @@ def test_learning_curve_full_fraction_matches_direct():
     preds = []
     golds = []
     for sent in corpus:
-        preds.extend(predict(sent.tokens))
+        preds.extend(predict([sent.tokens])[0])
         golds.extend(sent.labels)
     assert points[0].accuracy == pytest.approx(accuracy(preds, golds))
 

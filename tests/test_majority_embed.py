@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from prosolab.corpus_io import EmbeddingTable
-from prosolab.taggers.common import LabeledSentence
+from prosolab.taggers.common import LabeledSentence, compile_text, na_mask
 from prosolab.taggers.embed import (
-    _sentence_features,
+    _type_vectors,
+    _window_rows,
     predict_embed,
     train_embed_classifier,
 )
@@ -22,6 +23,43 @@ def corpus_from_pairs(*sentences):
             for tokens, labels in sentences]
 
 
+def loop_majority(model, tokens, mode):
+    """The per-sentence majority decoder, as the oracle of the whole-file
+    one."""
+    global_label = int(np.argmax(model.global_counts))
+    out = []
+    for token, punct in zip(tokens, na_mask(tokens)):
+        if punct:
+            out.append(None)
+        elif mode == "global":
+            out.append(global_label)
+        else:
+            counts = model.per_word.get(token.lower())
+            out.append(global_label if counts is None
+                       else int(np.argmax(counts)))
+    return out
+
+
+def loop_embed(classifier, tokens):
+    """The per-sentence embedding decoder, as the oracle of the whole-file
+    one: one lookup and one product per sentence."""
+    padded = np.zeros((len(tokens) + 2, classifier.table.dimension))
+    for t, token in enumerate(tokens):
+        padded[t + 1] = classifier.table.lookup(token)
+    rows = np.hstack([padded[:-2], padded[1:-1], padded[2:],
+                      np.ones((len(tokens), 1))])
+    logits = rows @ classifier.weight_matrix.T
+    return [None if punct else classifier.labels[int(best)]
+            for punct, best in zip(na_mask(tokens), logits.argmax(axis=1))]
+
+
+def sentence_features(table, tokens):
+    """The embed classifier's window rows of one sentence."""
+    text = compile_text([tokens])
+    return _window_rows(_type_vectors(table, text.types), text,
+                        next(text.chunks()))
+
+
 # ---------------------------------------------------------------------------
 # majority
 # ---------------------------------------------------------------------------
@@ -35,8 +73,8 @@ def test_majority_counts_per_type():
     model = train_majority(corpus)
     # "tell" saw labels 1, 1, 2 -> argmax 1; case folds into one type
     assert model.per_word["tell"].tolist() == [0, 2, 1]
-    assert predict_majority(model, ["tell"]) == [1]
-    assert predict_majority(model, ["TELL"]) == [1]
+    assert predict_majority(model, [["tell"]])[0] == [1]
+    assert predict_majority(model, [["TELL"]])[0] == [1]
 
 
 def test_majority_na_contributes_nothing():
@@ -56,26 +94,27 @@ def test_majority_unseen_word_falls_back_to_global():
          [0] * 10 + [1] * 5 + [2] * 5),
     )
     model = train_majority(corpus)
-    assert predict_majority(model, ["unseen"]) == [0]
-    assert predict_majority(model, ["b", "unseen", "c"]) == [1, 0, 2]
+    assert predict_majority(model, [["unseen"]])[0] == [0]
+    assert predict_majority(model, [["b", "unseen", "c"]])[0] == [1, 0, 2]
 
 
 def test_majority_global_mode_ignores_types():
     corpus = corpus_from_pairs((["a", "b", "b"], [0, 1, 1]))
     model = train_majority(corpus)
-    assert predict_majority(model, ["a", "b"], mode="global") == [1, 1]
+    assert predict_majority(model, [["a", "b"]], mode="global")[0] == [1, 1]
 
 
 def test_majority_tie_takes_smaller_label():
     corpus = corpus_from_pairs((["w", "w"], [2, 1]))
     model = train_majority(corpus)
-    assert predict_majority(model, ["w"]) == [1]
+    assert predict_majority(model, [["w"]])[0] == [1]
 
 
 def test_majority_punctuation_predicts_na():
     corpus = corpus_from_pairs((["a"], [1]))
     model = train_majority(corpus)
-    assert predict_majority(model, ["a", ",", "a", "?"]) == [1, None, 1, None]
+    assert predict_majority(model, [["a", ",", "a", "?"]])[0] == [
+        1, None, 1, None]
 
 
 def test_majority_training_accuracy_is_class_frequency():
@@ -84,7 +123,7 @@ def test_majority_training_accuracy_is_class_frequency():
     labels = rng.integers(0, 3, size=200).tolist()
     corpus = corpus_from_pairs(([f"t{i}" for i in range(200)], labels))
     model = train_majority(corpus)
-    predicted = predict_majority(model, corpus[0].tokens, mode="global")
+    predicted = predict_majority(model, [corpus[0].tokens], mode="global")[0]
     hits = sum(p == g for p, g in zip(predicted, labels))
     assert hits == max(np.bincount(labels, minlength=3))
 
@@ -93,10 +132,10 @@ def test_majority_rejects_all_na_and_untrained():
     with pytest.raises(ValueError, match="all-NA corpus"):
         train_majority(corpus_from_pairs(([","], [None])))
     with pytest.raises(ValueError, match="untrained model"):
-        predict_majority(MajorityModel(), ["a"])
+        predict_majority(MajorityModel(), [["a"]])
     model = train_majority(corpus_from_pairs((["a"], [0])))
     with pytest.raises(ValueError, match="unknown mode"):
-        predict_majority(model, ["a"], mode="typo")
+        predict_majority(model, [["a"]], mode="typo")
 
 
 # ---------------------------------------------------------------------------
@@ -130,25 +169,25 @@ def test_sentence_features_match_hand_built_rows():
     def row(prev, cur, nxt):
         return np.concatenate([prev, cur, nxt, [1.0]])
 
-    np.testing.assert_array_equal(_sentence_features(table, ["low"]),
+    np.testing.assert_array_equal(sentence_features(table, ["low"]),
                                   [row(zero, low, zero)])
     # "LOW" falls back to "low"; "HIGH" has no lowercase row, "unk" no row
     tokens = ["LOW", "High", "unk", "HIGH", ","]
-    np.testing.assert_array_equal(_sentence_features(table, tokens), [
+    np.testing.assert_array_equal(sentence_features(table, tokens), [
         row(zero, low, high), row(low, high, zero), row(high, zero, zero),
         row(zero, zero, zero), row(zero, zero, zero)])
-    assert _sentence_features(table, []).shape == (0, 7)
+    assert sentence_features(table, []).shape == (0, 7)
     assert predict_embed(train_embed_classifier(
-        [LabeledSentence(["low"], [1])], table), []) == []
+        [LabeledSentence(["low"], [1])], table), [[]])[0] == []
 
 
 def test_embed_fits_separable_corpus():
     table = separable_table()
     clf = train_embed_classifier(separable_corpus(), table)
     for sent in separable_corpus():
-        assert predict_embed(clf, sent.tokens) == sent.labels
+        assert predict_embed(clf, [sent.tokens])[0] == sent.labels
     # held-out pairing of the same word groups
-    assert predict_embed(clf, ["high2", "low2"]) == [2, 0]
+    assert predict_embed(clf, [["high2", "low2"]])[0] == [2, 0]
 
 
 def test_embed_zero_table_learns_priors():
@@ -160,19 +199,19 @@ def test_embed_zero_table_learns_priors():
         (["d", "e"], [1, 2]),
     )
     clf = train_embed_classifier(corpus, table)
-    assert predict_embed(clf, ["anything", "at", "all"]) == [1, 1, 1]
+    assert predict_embed(clf, [["anything", "at", "all"]])[0] == [1, 1, 1]
 
 
 def test_embed_case_fallback_lookup():
     table = separable_table()
     clf = train_embed_classifier(separable_corpus(), table)
     # uppercase token falls back to its lowercase vector
-    assert predict_embed(clf, ["LOW1", "HIGH1"]) == [0, 2]
+    assert predict_embed(clf, [["LOW1", "HIGH1"]])[0] == [0, 2]
 
 
 def test_embed_punctuation_predicts_na():
     clf = train_embed_classifier(separable_corpus(), separable_table())
-    assert predict_embed(clf, ["low1", ",", "high1"]) == [0, None, 2]
+    assert predict_embed(clf, [["low1", ",", "high1"]])[0] == [0, None, 2]
 
 
 def test_embed_window_uses_neighbors():
@@ -190,8 +229,8 @@ def test_embed_window_uses_neighbors():
         (["ctxb", "amb"], [1, 1]),
     )
     clf = train_embed_classifier(corpus, table)
-    assert predict_embed(clf, ["ctxa", "amb"])[1] == 0
-    assert predict_embed(clf, ["ctxb", "amb"])[1] == 1
+    assert predict_embed(clf, [["ctxa", "amb"]])[0][1] == 0
+    assert predict_embed(clf, [["ctxb", "amb"]])[0][1] == 1
 
 
 def test_embed_training_deterministic():
@@ -215,3 +254,33 @@ def test_embed_label_set_from_corpus():
     assert clf.labels == [0, 1]
     assert clf.weight_matrix.shape == (2, 3 * 4 + 1)
 
+
+
+WORDS = ["tell", "Tell", "me", "ME", "low1", "high2", "amb", "zebra", "x",
+         "R2D2"]
+PUNCT = [",", ".", "?", "\u2014"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_whole_file_decoders_match_the_per_sentence_loops(seed):
+    rng = np.random.default_rng(seed)
+    sentences = [[str(rng.choice(PUNCT)) if rng.random() < 0.2
+                  else str(rng.choice(WORDS))
+                  for _ in range(int(rng.integers(1, 10)))]
+                 for _ in range(1500)]
+    sentences[7] = []
+    sentences.insert(700, ["amb"] * 300)
+    assert len(list(compile_text(sentences).chunks())) > 3
+    corpus = [LabeledSentence(tokens, [None if punct else int(rng.integers(3))
+                                       for punct in na_mask(tokens)])
+              for tokens in sentences[::3]]
+
+    majority = train_majority(corpus)
+    for mode in ("per_word", "global"):
+        assert predict_majority(majority, sentences, mode) == [
+            loop_majority(majority, tokens, mode) for tokens in sentences]
+    table = EmbeddingTable(dimension=3, entries={
+        word: rng.normal(size=3) for word in WORDS[::2]})
+    classifier = train_embed_classifier(corpus, table, max_iterations=20)
+    assert predict_embed(classifier, sentences) == [
+        loop_embed(classifier, tokens) for tokens in sentences]
