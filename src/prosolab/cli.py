@@ -16,15 +16,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import evaluation
-from .corpus_io import (CorpusFormatError, EmbeddingTable, ProminenceRecord,
-                        Utterance, decode_text, load_embeddings,
-                        parse_dataset, parse_lab, parse_number,
-                        parse_predictions, parse_textgrid, read_wav,
-                        write_dataset)
+from .corpus_io import (CorpusFormatError, ProminenceRecord, Utterance,
+                        decode_text, load_embeddings, parse_dataset,
+                        parse_lab, parse_number, parse_predictions,
+                        parse_textgrid, read_wav, write_dataset)
 from .discretize import calibrate_binary, split_prominent
 from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 # crf_loglik_grad is unused here, but perfbench's tracer looks it up here
@@ -32,8 +32,6 @@ from .taggers import (crf_loglik_grad, crf_train, load_model,  # noqa: F401
                       predict_embed, predict_majority, save_model,
                       train_embed_classifier, train_majority, viterbi)
 from .taggers.common import LabeledSentence, sentence_from_records
-from .taggers.crf import CrfModel
-from .taggers.majority import MajorityModel
 
 log = logging.getLogger("prosolab")
 
@@ -69,12 +67,6 @@ ANNOTATE_KEYS = {
 }
 # `calibrate --mode split` reads theta1 from the annotate config file
 ANNOTATE_CONFIG_KEYS = (*ANNOTATE_KEYS, "textgrid_tier")
-# the training keys each tagger reads; majority-global trains as majority
-TRAIN_CONFIG_KEYS = {
-    "majority": (),
-    "crf": ("l2_lambda", "max_iterations", "tolerance"),
-    "embed": ("l2_lambda", "max_iterations", "embeddings", "embedding_dim"),
-}
 
 
 def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
@@ -285,82 +277,88 @@ def _load_sentences(path: str, n_classes: int) -> list[LabeledSentence]:
     return sentences
 
 
-def _embed_table(cfg: dict[str, str]):
+class Tagger(NamedTuple):
+    """What the CLI does with one --model value.  Entries call trainers and
+    decoders through this module's globals, so a tracer can rebind them."""
+    kind: str                     # the model file's type
+    name: str                     # the name `evaluate` reports
+    config_keys: tuple[str, ...]  # the training keys a config may set
+    trainer: Callable             # cfg -> (corpus -> model), built once
+    summary: Callable             # model -> the lines `train` prints
+    decode: Callable              # (model, token lists) -> label lists
+
+
+def _crf_trainer(cfg: dict[str, str]):
+    settings = {"l2_lambda": _cfg_value(cfg, "l2_lambda", 1e-4),
+                "max_iterations": _cfg_value(cfg, "max_iterations", 100),
+                "tolerance": _cfg_value(cfg, "tolerance", 1e-5)}
+    return lambda corpus: crf_train(corpus, **settings)
+
+
+def _embed_trainer(cfg: dict[str, str]):
     if "embeddings" not in cfg:
         raise UsageError("embed model needs config keys embeddings=<path> "
                          "and embedding_dim=<n>")
     dim = _cfg_value(cfg, "embedding_dim", 0)
     if dim <= 0:
         raise UsageError("config key embedding_dim must be a positive integer")
-    return load_embeddings(Path(cfg["embeddings"]), dim)
+    table = load_embeddings(Path(cfg["embeddings"]), dim)
+    settings = {"l2_lambda": _cfg_value(cfg, "l2_lambda", 1e-4),
+                "max_iterations": _cfg_value(cfg, "max_iterations", 500)}
+    return lambda corpus: train_embed_classifier(corpus, table, **settings)
 
 
-def _train(kind: str, corpus: list[LabeledSentence], cfg: dict[str, str],
-           table: EmbeddingTable | None):
-    """Fit a `kind` tagger; `train` and `learning-curve` both come here, so
-    they read the same config keys."""
-    if kind == "majority":
-        return train_majority(corpus)
-    l2_lambda = _cfg_value(cfg, "l2_lambda", 1e-4)
-    if kind == "crf":
-        return crf_train(
-            corpus, l2_lambda=l2_lambda,
-            max_iterations=_cfg_value(cfg, "max_iterations", 100),
-            tolerance=_cfg_value(cfg, "tolerance", 1e-5),
-        )
-    return train_embed_classifier(
-        corpus, table, l2_lambda=l2_lambda,
-        max_iterations=_cfg_value(cfg, "max_iterations", 500),
-    )
+_MAJORITY = Tagger(
+    "majority", "majority-per-word", (), lambda cfg: train_majority,
+    lambda model: [f"entries={len(model.per_word)}"],
+    lambda model, tokens: predict_majority(model, tokens, "per_word"))
+# keyed by --model; majority-global trains as majority and decodes a
+# majority model with the global label
+TAGGERS = {
+    "majority": _MAJORITY,
+    "majority-global": _MAJORITY._replace(name="majority-global", decode=(
+        lambda model, tokens: predict_majority(model, tokens, "global"))),
+    "crf": Tagger(
+        "crf", "crf", ("l2_lambda", "max_iterations", "tolerance"),
+        _crf_trainer, lambda model: [f"features={len(model.feature_index)}",
+                                     f"objective={model.objective:.6f}"],
+        lambda model, tokens: viterbi(model, tokens)),
+    "embed": Tagger(
+        "embed", "embed",
+        ("l2_lambda", "max_iterations", "embeddings", "embedding_dim"),
+        _embed_trainer, lambda model: [f"dimension={model.table.dimension}"],
+        lambda model, tokens: predict_embed(model, tokens)),
+}
+
+
+def _tagger(model, model_arg: str | None) -> Tagger:
+    """The entry that decodes `model`: `model_arg`'s when given, which must
+    name a tagger of the model file's kind, else the kind's own."""
+    tagger = TAGGERS[model_arg or model.kind]
+    if tagger.kind != model.kind:
+        raise UsageError(f"--model {model_arg} does not match the model "
+                         f"file, which holds a {model.kind} model")
+    return tagger
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, TRAIN_CONFIG_KEYS[args.model])
+    tagger = TAGGERS[args.model]
+    cfg = load_config(args.config, tagger.config_keys)
     corpus = _load_sentences(args.train_file, args.classes)
     log.info("training %s on %d sentences", args.model, len(corpus))
-    table = _embed_table(cfg) if args.model == "embed" else None
-    model = _train(args.model, corpus, cfg, table)
-    if args.model == "majority":
-        print(f"entries={len(model.per_word)}")
-    elif args.model == "crf":
-        print(f"features={len(model.feature_index)}")
-        print(f"objective={model.objective:.6f}")
-    else:
-        print(f"dimension={model.table.dimension}")
+    model = tagger.trainer(cfg)(corpus)
+    print(*tagger.summary(model), sep="\n")
     Path(args.out_model).write_bytes(save_model(model))
     return 0
-
-
-def _predictor(model, model_arg: str | None):
-    """(report name, sentences -> labels).  The model's type picks the
-    decoder, which labels a whole file's token lists in one call; `model_arg`,
-    when given, must name that type, and majority-global picks global
-    decoding of a majority model.  Decoders are looked up at call time, so a
-    tracer that rebinds them here sees every call."""
-    kind = ("majority" if isinstance(model, MajorityModel)
-            else "crf" if isinstance(model, CrfModel) else "embed")
-    if model_arg is not None and model_arg.split("-")[0] != kind:
-        raise UsageError(f"--model {model_arg} does not match the model "
-                         f"file, which holds a {kind} model")
-    if model_arg == "majority-global":
-        return ("majority-global",
-                lambda sentences: predict_majority(model, sentences, "global"))
-    if kind == "majority":
-        return ("majority-per-word",
-                lambda sentences: predict_majority(model, sentences,
-                                                   "per_word"))
-    if kind == "crf":
-        return "crf", lambda sentences: viterbi(model, sentences)
-    return "embed", lambda sentences: predict_embed(model, sentences)
 
 
 def cmd_predict(args) -> int:
     model = load_model(Path(args.model_file).read_bytes(), args.model_file)
     sentences = _load_sentences(args.in_file, 3)
-    _, predict = _predictor(model, args.model)
+    decode = _tagger(model, args.model).decode
     blocks = []
     for sent, preds in zip(sentences,
-                           predict([sent.tokens for sent in sentences])):
+                           decode(model, [sent.tokens for sent in sentences])):
         if args.classes == 2:
             preds = evaluation.merge_labels(preds)
         lines = [
@@ -407,10 +405,11 @@ def cmd_evaluate(args) -> int:
     data = Path(args.model_or_pred).read_bytes()
 
     if data.startswith(b"prosolab-model"):
-        name, predict = _predictor(load_model(data, args.model_or_pred),
-                                   args.model)
+        model = load_model(data, args.model_or_pred)
+        tagger = _tagger(model, args.model)
+        name = tagger.name
         tokens = [sent.tokens for sent in gold_sents]
-        pred_sents = list(zip(tokens, predict(tokens)))
+        pred_sents = list(zip(tokens, tagger.decode(model, tokens)))
     else:
         if args.model is not None:
             raise UsageError("--model applies to a model file, not to a "
@@ -449,18 +448,15 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def cmd_learning_curve(args) -> int:
-    kind = "majority" if args.model.startswith("majority") else args.model
-    cfg = load_config(args.config, TRAIN_CONFIG_KEYS[kind])
+    tagger = TAGGERS[args.model]
+    cfg = load_config(args.config, tagger.config_keys)
     train_corpus = _load_sentences(args.train_file, args.classes)
     test_corpus = _load_sentences(args.test_file, args.classes)
     fractions = _parse_fractions(args.fractions)
-    table = _embed_table(cfg) if kind == "embed" else None
-
-    def train_fn(corpus):
-        return _predictor(_train(kind, corpus, cfg, table), args.model)[1]
-
-    points = evaluation.learning_curve(train_fn, train_corpus, test_corpus,
-                                       fractions, args.seed)
+    train = tagger.trainer(cfg)
+    points = evaluation.learning_curve(
+        lambda corpus: partial(tagger.decode, train(corpus)),
+        train_corpus, test_corpus, fractions, args.seed)
     task = f"{args.classes}-way"
     Path(args.out_tsv).write_text(
         evaluation.report_tsv([(args.model, task, p.fraction, p.accuracy)
@@ -492,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="label granularity (default 3)")
 
     def model_option(p):
-        p.add_argument("--model", default=None,
-                       choices=("majority", "majority-global", "crf", "embed"),
+        p.add_argument("--model", default=None, choices=tuple(TAGGERS),
                        help="the model file sets the tagger; a --model that "
                             "names another is an error, and majority-global "
                             "decodes a majority model with the global label")
@@ -546,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train_file")
     p.add_argument("test_file")
     p.add_argument("out_tsv")
-    p.add_argument("--model", required=True,
-                   choices=("majority", "majority-global", "crf", "embed"))
+    p.add_argument("--model", required=True, choices=tuple(TAGGERS))
     p.add_argument("--fractions", default="1,5,10,50,100",
                    help="percent list from {1,5,10,50,100}")
     p.add_argument("--seed", type=int, default=0,

@@ -74,6 +74,7 @@ def crf_featurize(tokens: list[str], position: int) -> list[str]:
 
 @dataclass
 class CrfModel:
+    kind = "crf"  # the model file's type, not a field
     labels: list[int]
     feature_index: dict[str, int]
     weights: np.ndarray

@@ -20,6 +20,7 @@ from .common import (Chunk, CompiledText, LabeledSentence,
 
 @dataclass
 class EmbeddingClassifier:
+    kind = "embed"  # the model file's type, not a field
     table: EmbeddingTable
     labels: list[int]
     weight_matrix: np.ndarray  # (n_labels, 3 * dimension + 1)

@@ -13,6 +13,7 @@ N_LABELS = 3
 
 @dataclass
 class MajorityModel:
+    kind = "majority"  # the model file's type, not a field
     per_word: dict[str, np.ndarray] = field(default_factory=dict)
     global_counts: np.ndarray = field(
         default_factory=lambda: np.zeros(N_LABELS, dtype=np.int64))

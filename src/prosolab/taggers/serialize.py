@@ -19,6 +19,7 @@ from .majority import N_LABELS, MajorityModel
 
 MAGIC = "prosolab-model v1"
 EMBED_WINDOW = 1  # the embed classifier reads one neighbour on each side
+INT64 = np.iinfo(np.int64)
 
 
 def _floats(values) -> str:
@@ -30,18 +31,16 @@ def _ints(values) -> str:
 
 
 def save_model(model) -> bytes:
-    lines = [MAGIC]
-    if isinstance(model, MajorityModel):
-        lines.append("type=majority")
+    kind = getattr(model, "kind", None)
+    lines = [MAGIC, f"type={kind}"]
+    if kind == "majority":
         lines.append(f"global={_ints(model.global_counts)}")
         lines.append(f"words={len(model.per_word)}")
         for word in sorted(model.per_word):
             lines.append(f"word\t{word}\t{_ints(model.per_word[word])}")
-    elif isinstance(model, CrfModel):
-        k = model.n_labels
-        emis = model.weights[:model.n_emission].reshape(-1, k)
+    elif kind == "crf":
+        emis = model.weights[:model.n_emission].reshape(-1, model.n_labels)
         by_index = sorted(model.feature_index, key=model.feature_index.get)
-        lines.append("type=crf")
         lines.append(f"labels={_ints(model.labels)}")
         lines.append(f"l2_lambda={model.l2_lambda!r}")
         lines.append(f"features={len(by_index)}")
@@ -50,8 +49,7 @@ def save_model(model) -> bytes:
         lines.append(f"states={model.n_states}")
         for row in model.transition_matrix():
             lines.append(f"trans\t{_floats(row)}")
-    elif isinstance(model, EmbeddingClassifier):
-        lines.append("type=embed")
+    elif kind == "embed":
         lines.append(f"labels={_ints(model.labels)}")
         lines.append(f"dimension={model.table.dimension}")
         lines.append(f"window={EMBED_WINDOW}")
@@ -66,11 +64,22 @@ def save_model(model) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _number(text: str, kind: type, where: str) -> int | float:
+    """parse_number, with integers held to the int64 range the arrays use."""
+    value = parse_number(text, kind, where)
+    if kind is int and not INT64.min <= value <= INT64.max:
+        raise CorpusFormatError(f"{where}: integer out of range: {text!r}")
+    return value
+
+
 class _Reader:
     def __init__(self, data: bytes, where: str):
         self.lines = decode_text(data, where).split("\n")
         self.pos = 0
         self.section = "header"  # the model type once read; named in errors
+
+    def at(self, name: str) -> str:
+        return f"{self.section} model, {name}"
 
     def next(self) -> str:
         while self.pos < len(self.lines):
@@ -87,36 +96,62 @@ class _Reader:
             raise CorpusFormatError(f"expected {key}=..., got {line!r}")
         return line[len(prefix):]
 
-    def parse(self, kind: type, texts: list[str], where: str) -> list:
-        """Each text as `kind`; a bad one is an error naming `where`."""
-        where = f"{self.section} model, {where}"
-        return [parse_number(text, kind, where) for text in texts]
+    def value(self, key: str, kind: type = int):
+        return _number(self.expect_kv(key), kind, self.at(f"key {key}"))
 
-    def rows(self, prefix: str, count: int, width: int):
-        """(where, fields) of the next `count` lines, each `prefix` and
-        `width` tab-separated fields; weight rows are named ``row <i>``."""
+    def values(self, key: str) -> list[int]:
+        where = self.at(f"key {key}")
+        return [_number(t, int, where) for t in self.expect_kv(key).split(",")]
+
+    def labels(self) -> list[int]:
+        """The labels= key: distinct labels, each in 0..N_LABELS-1."""
+        labels = self.values("labels")
+        if len(set(labels) & set(range(N_LABELS))) < len(labels):
+            raise CorpusFormatError(self.at(
+                f"key labels: {_ints(labels)} are not distinct labels in "
+                f"0..{N_LABELS - 1}"))
+        return labels
+
+    def table(self, prefix: str, count: int, width: int, kind: type = float,
+              named: bool = False, sep: str | None = None):
+        """(name -> row, (count, width) array) of the next `count` lines:
+        `prefix`, a new name if `named`, then `width` numbers of `kind`, in
+        tab-separated fields or one field split on `sep`.  The numbers convert
+        in one numpy call, and one by one only to name a bad one's row."""
         name = prefix if prefix == "row" else f"{prefix} row"
+        n_fields = 1 + named + (1 if sep else width)
+        index: dict[str, int] = {}
+        texts: list[str] = []
         for i in range(count):
             line = self.next()
             fields = line.split("\t")
-            if fields[0] != prefix or len(fields) != 1 + width:
-                raise CorpusFormatError(
-                    f"{self.section} model, bad {name} {i}: expected "
-                    f"{prefix!r} and {width} fields, got {line!r}")
-            yield f"{name} {i}", fields[1:]
-
-    def new_name(self, seen, name: str, where: str) -> str:
-        """`name`, unless an earlier row of its section already has it."""
-        if name in seen:
-            raise CorpusFormatError(
-                f"{self.section} model, {where}: repeated name {name!r}")
-        return name
-
-    def value(self, key: str, kind: type = int):
-        return self.parse(kind, [self.expect_kv(key)], f"key {key}")[0]
-
-    def values(self, key: str) -> list[int]:
-        return self.parse(int, self.expect_kv(key).split(","), f"key {key}")
+            if fields[0] != prefix or len(fields) != n_fields:
+                raise CorpusFormatError(self.at(
+                    f"bad {name} {i}: expected {prefix!r} and "
+                    f"{n_fields - 1} fields, got {line!r}"))
+            numbers = fields[1 + named:]
+            if sep:
+                numbers = numbers[0].split(sep)
+                if len(numbers) != width:
+                    raise CorpusFormatError(
+                        f"bad count vector for {fields[1]!r}")
+            if named:
+                if fields[1] in index:
+                    raise CorpusFormatError(self.at(
+                        f"{name} {i}: repeated name {fields[1]!r}"))
+                index[fields[1]] = i
+            texts += numbers
+        dtype = np.float64 if kind is float else np.int64
+        try:
+            values = np.array(texts, dtype=dtype)
+        except (ValueError, OverflowError):
+            values = None
+        if values is None or not np.isfinite(values).all():
+            # one value at a time, so the first bad one names its row
+            values = np.array([
+                _number(text, kind, self.at(f"{name} {k // width}"))
+                for k, text in enumerate(texts)], dtype=dtype)
+        return index, values.reshape(count, width)
 
 
 def load_model(data: bytes, where: str = ""):
@@ -127,47 +162,46 @@ def load_model(data: bytes, where: str = ""):
         raise CorpusFormatError("not a model file (bad header)")
     kind = r.section = r.expect_kv("type")
     if kind == "majority":
-        model = MajorityModel()
-        model.global_counts = np.array(r.values("global"), dtype=np.int64)
-        for where, (word, counts) in r.rows("word", r.value("words"), 2):
-            word = r.new_name(model.per_word, word, where)
-            model.per_word[word] = np.array(
-                r.parse(int, counts.split(","), where), dtype=np.int64)
-            if len(model.per_word[word]) != N_LABELS:
-                raise CorpusFormatError(f"bad count vector for {word!r}")
-        return model
+        global_counts = np.array(r.values("global"), dtype=np.int64)
+        if len(global_counts) != N_LABELS or global_counts.min() < 0:
+            raise CorpusFormatError(r.at(
+                f"key global: expected {N_LABELS} counts >= 0, got "
+                f"{_ints(global_counts)}"))
+        words, counts = r.table("word", r.value("words"), N_LABELS, int,
+                                named=True, sep=",")
+        negative = np.flatnonzero((counts < 0).any(axis=1))
+        if len(negative):
+            raise CorpusFormatError(r.at(
+                f"word row {negative[0]}: negative count in "
+                f"{_ints(counts[negative[0]])}"))
+        return MajorityModel(per_word=dict(zip(words, counts)),
+                             global_counts=global_counts)
     if kind == "crf":
-        labels = r.values("labels")
+        labels = r.labels()
         l2 = r.value("l2_lambda", float)
-        index: dict[str, int] = {}
-        emis_rows = []
-        feature_rows = r.rows("feature", r.value("features"), 1 + len(labels))
-        for i, (where, (feat, *weights)) in enumerate(feature_rows):
-            index[r.new_name(index, feat, where)] = i
-            emis_rows.append(r.parse(float, weights, where))
+        features, emis = r.table("feature", r.value("features"), len(labels),
+                                 named=True)
         n_states = r.value("states")
         if n_states != len(labels) + 1:
             raise CorpusFormatError("state count does not match label set")
-        trans_rows = [r.parse(float, fields, where)
-                      for where, fields in r.rows("trans", n_states, n_states)]
-        emis = np.array(emis_rows).reshape(-1) if index else np.empty(0)
-        weights = np.concatenate([emis, np.array(trans_rows).ravel()])
-        return CrfModel(labels=labels, feature_index=index, weights=weights,
+        _, trans = r.table("trans", n_states, n_states)
+        return CrfModel(labels=labels, feature_index=features,
+                        weights=np.concatenate([emis.ravel(), trans.ravel()]),
                         l2_lambda=l2)
     if kind == "embed":
-        labels = r.values("labels")
+        labels = r.labels()
         dim = r.value("dimension")
         window = r.value("window")
         if window != EMBED_WINDOW:
             raise CorpusFormatError(f"unsupported embed window {window}")
-        rows = [r.parse(float, fields, where)
-                for where, fields in r.rows("row", r.value("rows"), 3 * dim + 1)]
-        entries: dict[str, np.ndarray] = {}
-        for where, (token, *vec) in r.rows("emb", r.value("embeddings"),
-                                           1 + dim):
-            entries[r.new_name(entries, token, where)] = np.array(
-                r.parse(float, vec, where))
-        table = EmbeddingTable(dimension=dim, entries=entries)
+        n_rows = r.value("rows")
+        if n_rows != len(labels):
+            raise CorpusFormatError(
+                r.at(f"key rows: {n_rows} rows for {len(labels)} labels"))
+        _, weights = r.table("row", n_rows, 3 * dim + 1)
+        tokens, vectors = r.table("emb", r.value("embeddings"), dim,
+                                  named=True)
+        table = EmbeddingTable(dim, dict(zip(tokens, vectors)))
         return EmbeddingClassifier(table=table, labels=labels,
-                                   weight_matrix=np.array(rows))
+                                   weight_matrix=weights)
     raise CorpusFormatError(f"unknown model type {kind!r}")

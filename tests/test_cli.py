@@ -2,6 +2,8 @@
 learning-curve, exit codes."""
 
 import hashlib
+import importlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import prosolab
+from prosolab import cli
 from prosolab.cli import main
 from prosolab.corpus_io import parse_dataset
 from prosolab.taggers.majority import MajorityModel
@@ -782,6 +785,28 @@ def test_every_reader_rejects_a_non_finite_number(tmp_path, monkeypatch,
     assert message.replace("{v}", value) in shown
 
 
+HUGE = "99999999999999999999999"  # an integer to int(), but past int64
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("global_, row, message", [
+    (HUGE, "1,0,0", f"majority model, key global: integer out of range: "
+                    f"'{HUGE}'"),
+    ("1", f"{HUGE},0,0", f"majority model, word row 0: integer out of "
+                         f"range: '{HUGE}'"),
+], ids=["global", "word"])
+def test_an_oversized_count_in_a_model_file_is_a_format_error(
+        tmp_path, capsys, command, global_, row, message):
+    model = tmp_path / "m.model"
+    model.write_text(f"prosolab-model v1\ntype=majority\n"
+                     f"global={global_},0,0\nwords=1\nword\ttell\t{row}\n",
+                     encoding="utf-8")
+    data = tmp_path / "test.tsv"
+    data.write_text(DATASET_SENTENCE, encoding="utf-8")
+    assert run(_decode_args(command, model, data, tmp_path)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # reader: (files to write, command, exit code, message); each file holds one
 # byte that is not UTF-8
 NOT_UTF8_CASES = {
@@ -882,6 +907,55 @@ def test_learning_curve_fits_what_train_fits(tmp_path, dataset_file, kind,
     evaluated = (tmp_path / "eval.report.tsv").read_text().splitlines()[1]
     curve_row = curve.read_text().splitlines()[1]
     assert curve_row.split("\t")[3] == evaluated.split("\t")[3]
+
+
+# what each --model decodes with, by its name in prosolab.cli
+DECODERS = {"majority": "predict_majority", "majority-global":
+            "predict_majority", "crf": "viterbi", "embed": "predict_embed"}
+
+
+def test_the_tracer_bindings_see_every_train_and_decode_call(
+        tmp_path, dataset_file, monkeypatch, capsys):
+    # perfbench/spans.py traces by rebinding names in prosolab.cli, so the
+    # commands must look them up there at call time
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.BINDINGS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+    calls = dict.fromkeys(["crf_train", *DECODERS.values(), "load_model"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+
+    def calls_made(argv):
+        before = dict(calls)
+        assert run(argv) == 0
+        return {name for name in calls if calls[name] > before[name]}
+
+    cfg = write_training_config(tmp_path)
+    for kind in DECODERS:
+        config = ["--config", cfg] if kind == "embed" else []
+        decoded = {DECODERS[kind]}
+        trained = {"crf_train"} if kind == "crf" else set()
+        model = tmp_path / f"{kind}.model"
+        if kind != "majority-global":
+            assert calls_made(["train", dataset_file, model, "--model", kind,
+                               *config]) == trained
+        else:
+            model = tmp_path / "majority.model"
+        assert calls_made(["predict", model, dataset_file, tmp_path / "p.tsv",
+                           "--model", kind]) == {"load_model", *decoded}
+        assert calls_made(["evaluate", model, dataset_file, "--model", kind,
+                           "--out", tmp_path / "eval"]) == {"load_model",
+                                                            *decoded}
+        assert calls_made(["learning-curve", dataset_file, dataset_file,
+                           tmp_path / "curve.tsv", "--model", kind, *config,
+                           "--fractions", "100"]) == {*trained, *decoded}
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,12 +15,14 @@ from prosolab.corpus_io import (
     is_punctuation,
     load_embeddings,
     parse_dataset,
+    parse_number,
     parse_lab,
     parse_predictions,
     parse_textgrid,
     read_wav,
     write_dataset,
 )
+from prosolab.taggers.serialize import _Reader
 
 from conftest import (
     DATASET_CONTINUOUS,
@@ -442,3 +444,57 @@ def test_text_readers_give_valid_values_or_a_format_error(text):
             assert vec.shape == (2,) and np.isfinite(vec).all()
     except CorpusFormatError:
         pass
+
+
+# number fields of a model file: digits in three scripts, signs, points,
+# exponents, underscores, spelled infinities and NaNs, surrounding whitespace,
+# integers past int64, and arbitrary text that keeps the row's tab layout
+number_text_st = st.one_of(
+    st.text(alphabet="0123456789+-._eE infatyINFATY\u0663\uff13\x0b\x1c\r",
+            max_size=8),
+    st.integers(min_value=-2**70, max_value=2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["infinity", " nan ", "1_000", "-Infinity", "\u0663.5",
+                     "1e400", f" {2**63} ", str(-2**63)]),
+    st.text(max_size=6).filter(lambda t: "\t" not in t and "\n" not in t))
+
+
+def _parsed_one_by_one(texts, kind, width):
+    """(values, None) as parse_number reads `texts`, integers held to int64,
+    or (None, the message for the first text it rejects)."""
+    values = []
+    for k, text in enumerate(texts):
+        where = f"crf model, trans row {k // width}"
+        try:
+            value = parse_number(text, kind, where)
+        except CorpusFormatError as exc:
+            return None, str(exc)
+        if kind is int and not -2**63 <= value < 2**63:
+            return None, f"{where}: integer out of range: {text!r}"
+        values.append(value)
+    return values, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([int, float]), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+def test_model_sections_read_in_bulk_what_parse_number_reads(kind, count,
+                                                             width, data):
+    texts = data.draw(st.lists(number_text_st, min_size=count * width,
+                               max_size=count * width))
+    lines = ["trans\t" + "\t".join(texts[i * width:(i + 1) * width])
+             for i in range(count)]
+    reader = _Reader("\n".join(lines).encode(), "")
+    reader.section = "crf"
+    want, error = _parsed_one_by_one(texts, kind, width)
+    try:
+        _, values = reader.table("trans", count, width, kind)
+    except CorpusFormatError as exc:
+        assert str(exc) == error
+        return
+    assert error is None and values.shape == (count, width)
+    got = values.ravel().tolist()
+    if kind is float:
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    else:
+        assert got == want

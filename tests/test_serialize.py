@@ -114,12 +114,24 @@ def test_embed_file_records_the_window_the_classifier_reads():
         load_model(data.replace("\nwindow=1\n", "\nwindow=2\n").encode())
 
 
-@pytest.mark.parametrize("row", ["word\tcat", "word\tcat\t0,2,0\textra"])
+# a row for 'cat' with too few or too many tab fields, or counts
+WRONG_SHAPE = {
+    "word\tcat": "bad word row 1",
+    "word\tcat\t0,2,0\textra": "bad word row 1",
+    "word\tcat\t0,2": "bad count vector for 'cat'",
+    "word\tcat\t0,2,0,1": "bad count vector for 'cat'",
+}
+
+
+@pytest.mark.parametrize("row", list(WRONG_SHAPE))
 def test_load_names_a_majority_row_with_wrong_column_count(row):
     data = save_model(train_majority(CORPUS)).decode()
     broken = data.replace("word\tcat\t0,0,2", row).encode()
-    with pytest.raises(CorpusFormatError, match="bad word row 1"):
+    with pytest.raises(CorpusFormatError, match=re.escape(WRONG_SHAPE[row])):
         load_model(broken)
+
+
+HUGE = "99999999999999999999999"  # past int64, but an integer to int()
 
 
 def _saved(kind):
@@ -141,7 +153,29 @@ def _saved(kind):
     ("majority", "global=", "x", "majority model, key global: not an integer"),
     ("majority", "word\t", "0,x,2",
      "majority model, word row 0: not an integer: 'x'"),
-], ids=["feature", "trans", "features", "row", "emb", "global", "word"])
+    # values that parse but that the decoders cannot honour
+    ("majority", "global=", f"2,{HUGE},3",
+     f"majority model, key global: integer out of range: '{HUGE}'"),
+    ("majority", "word\t", f"0,{HUGE},0",
+     f"majority model, word row 0: integer out of range: '{HUGE}'"),
+    ("majority", "global=", "5,3",
+     "majority model, key global: expected 3 counts >= 0, got 5,3"),
+    ("majority", "global=", "2,-4,3",
+     "majority model, key global: expected 3 counts >= 0, got 2,-4,3"),
+    ("majority", "word\t", "0,-1,0",
+     "majority model, word row 0: negative count in 0,-1,0"),
+    ("crf", "labels=", "0,1,7",
+     "crf model, key labels: 0,1,7 are not distinct labels in 0..2"),
+    ("crf", "labels=", "0,0,2",
+     "crf model, key labels: 0,0,2 are not distinct labels in 0..2"),
+    ("embed", "labels=", "-1,1,2",
+     "embed model, key labels: -1,1,2 are not distinct labels in 0..2"),
+    ("embed", "rows=", "4", "embed model, key rows: 4 rows for 3 labels"),
+    ("embed", "rows=", "2", "embed model, key rows: 2 rows for 3 labels"),
+], ids=["feature", "trans", "features", "row", "emb", "global", "word",
+        "global-huge", "word-huge", "global-short", "global-negative",
+        "word-negative", "crf-label-7", "crf-label-repeated",
+        "embed-label-negative", "embed-rows-4", "embed-rows-2"])
 def test_load_names_a_value_that_does_not_parse(kind, prefix, bad, message):
     # the last field of the first line that starts with `prefix` goes bad
     lines = _saved(kind).split("\n")
@@ -166,3 +200,4 @@ def test_load_rejects_a_name_repeated_in_a_section(kind, prefix):
     message = f"{kind} model, {prefix.strip()} row 1: repeated name {name!r}"
     with pytest.raises(CorpusFormatError, match=re.escape(message)):
         load_model("\n".join(lines).encode())
+
