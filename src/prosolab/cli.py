@@ -17,21 +17,23 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial, reduce
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import evaluation
-from .corpus_io import (CorpusFormatError, ProminenceRecord, Utterance,
-                        decode_text, load_embeddings, parse_dataset,
-                        parse_lab, parse_number, parse_predictions,
-                        parse_textgrid, read_wav, write_dataset)
+from .corpus_io import (Columns, CorpusFormatError, ProminenceRecord,
+                        Utterance, decode_text, format_predictions,
+                        load_embeddings, parse_dataset, parse_lab,
+                        parse_number, parse_predictions, parse_textgrid,
+                        read_wav, write_dataset)
 from .discretize import calibrate_binary, split_prominent
 from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 # crf_loglik_grad is unused here, but perfbench's tracer looks it up here
 from .taggers import (crf_loglik_grad, crf_train, load_model,  # noqa: F401
                       predict_embed, predict_majority, save_model,
                       train_embed_classifier, train_majority, viterbi)
-from .taggers.common import LabeledSentence, sentence_from_records
+from .taggers.common import LabeledSentence
 
 log = logging.getLogger("prosolab")
 
@@ -266,15 +268,20 @@ def cmd_calibrate(args) -> int:
 # train / predict / evaluate / learning-curve
 # ---------------------------------------------------------------------------
 
-def _load_sentences(path: str, n_classes: int) -> list[LabeledSentence]:
-    sentences = [sentence_from_records(block)
-                 for block in parse_dataset(Path(path))]
-    if not sentences:
+def _load_columns(path: str, n_classes: int) -> Columns:
+    """The dataset at `path`, its labels merged to 2-way if asked."""
+    data = parse_dataset(Path(path))
+    if not data.lengths:
         raise CorpusFormatError(f"no sentences in {path}")
     if n_classes == 2:
-        for sent in sentences:
-            sent.labels = evaluation.merge_labels(sent.labels)
-    return sentences
+        data.labels = evaluation.merge_labels(data.labels)
+    return data
+
+
+def _load_sentences(path: str, n_classes: int) -> list[LabeledSentence]:
+    data = _load_columns(path, n_classes)
+    return list(map(LabeledSentence, data.split(data.tokens),
+                    data.split(data.labels)))
 
 
 class Tagger(NamedTuple):
@@ -354,36 +361,38 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(Path(args.model_file).read_bytes(), args.model_file)
-    sentences = _load_sentences(args.in_file, 3)
+    data = _load_columns(args.in_file, 3)
     decode = _tagger(model, args.model).decode
-    blocks = []
-    for sent, preds in zip(sentences,
-                           decode(model, [sent.tokens for sent in sentences])):
-        if args.classes == 2:
-            preds = evaluation.merge_labels(preds)
-        lines = [
-            f"{tok}\t{'NA' if lab is None else lab}"
-            for tok, lab in zip(sent.tokens, preds)
-        ]
-        blocks.append("\n".join(lines))
-    Path(args.out_file).write_text("\n\n".join(blocks) + "\n",
-                                   encoding="utf-8")
-    print(f"{len(sentences)} sentences -> {args.out_file}")
+    labels = list(chain.from_iterable(decode(model, data.split(data.tokens))))
+    if args.classes == 2:
+        labels = evaluation.merge_labels(labels)
+    Path(args.out_file).write_text(
+        format_predictions(Columns(data.tokens, labels, None, data.lengths)),
+        encoding="utf-8")
+    print(f"{len(data.lengths)} sentences -> {args.out_file}")
     return 0
 
 
-def _check_predictions(pred_sents: list[tuple[list[str], list[int | None]]],
-                       gold_sents: list[LabeledSentence]) -> None:
+def _na_mask(labels: list[int | None]) -> list[bool]:
+    return [lab is None for lab in labels]
+
+
+def _check_predictions(pred: Columns, gold: Columns) -> None:
     """Predictions must hold the test file's sentences and tokens, with NA
-    exactly where the test file has NA."""
-    if len(pred_sents) != len(gold_sents):
+    exactly where the test file has NA.  Three whole-file comparisons decide;
+    the walk sentence by sentence only names the first mismatch."""
+    if (pred.lengths == gold.lengths and pred.tokens == gold.tokens
+            and _na_mask(pred.labels) == _na_mask(gold.labels)):
+        return
+    if len(pred.lengths) != len(gold.lengths):
         raise CorpusFormatError(
-            f"sentence count mismatch: {len(pred_sents)} predicted vs "
-            f"{len(gold_sents)} gold")
-    for i, ((tokens, labels), gold) in enumerate(zip(pred_sents, gold_sents),
-                                                 start=1):
+            f"sentence count mismatch: {len(pred.lengths)} predicted vs "
+            f"{len(gold.lengths)} gold")
+    for i, (tokens, labels, gold_tokens, gold_labels) in enumerate(zip(
+            pred.split(pred.tokens), pred.split(pred.labels),
+            gold.split(gold.tokens), gold.split(gold.labels)), start=1):
         for k, (p, g, p_lab, g_lab) in enumerate(
-                zip(tokens, gold.tokens, labels, gold.labels), start=1):
+                zip(tokens, gold_tokens, labels, gold_labels), start=1):
             if p != g:
                 raise CorpusFormatError(
                     f"sentence {i}, token {k}: predicted {p!r} where the "
@@ -394,40 +403,35 @@ def _check_predictions(pred_sents: list[tuple[list[str], list[int | None]]],
                 raise CorpusFormatError(
                     f"sentence {i}, token {k}: predicted {got} where the "
                     f"test file has {want}")
-        if len(tokens) != len(gold.tokens):
+        if len(tokens) != len(gold_tokens):
             raise CorpusFormatError(
                 f"sentence {i}: {len(tokens)} predicted tokens vs "
-                f"{len(gold.tokens)} in the test file")
+                f"{len(gold_tokens)} in the test file")
 
 
 def cmd_evaluate(args) -> int:
-    gold_sents = _load_sentences(args.test_file, args.classes)
+    gold = _load_columns(args.test_file, args.classes)
     data = Path(args.model_or_pred).read_bytes()
 
     if data.startswith(b"prosolab-model"):
         model = load_model(data, args.model_or_pred)
         tagger = _tagger(model, args.model)
         name = tagger.name
-        tokens = [sent.tokens for sent in gold_sents]
-        pred_sents = list(zip(tokens, tagger.decode(model, tokens)))
+        decoded = tagger.decode(model, gold.split(gold.tokens))
+        pred = Columns(gold.tokens, list(chain.from_iterable(decoded)), None,
+                       list(map(len, decoded)))
     else:
         if args.model is not None:
             raise UsageError("--model applies to a model file, not to a "
                              "predictions file")
         name = "predictions"
-        pred_sents = parse_predictions(decode_text(data, args.model_or_pred))
-    _check_predictions(pred_sents, gold_sents)
+        pred = parse_predictions(decode_text(data, args.model_or_pred))
+    _check_predictions(pred, gold)
+    if args.classes == 2:
+        pred.labels = evaluation.merge_labels(pred.labels)
 
-    preds: list[int | None] = []
-    golds: list[int | None] = []
-    for (_, pred), sent in zip(pred_sents, gold_sents):
-        if args.classes == 2:
-            pred = evaluation.merge_labels(pred)
-        preds.extend(pred)
-        golds.extend(sent.labels)
-
-    acc = evaluation.accuracy(preds, golds)
-    conf = evaluation.confusion(preds, golds, args.classes)
+    acc = evaluation.accuracy(pred.labels, gold.labels)
+    conf = evaluation.confusion(pred.labels, gold.labels, args.classes)
     task = f"{args.classes}-way"
     print(evaluation.format_summary({name: {task: acc}}), end="")
 

@@ -16,12 +16,17 @@ import re
 import unicodedata
 import wave
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, groupby, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
 INT16_SCALE = 32768.0
+INT64 = np.iinfo(np.int64)
+# Most values load_embeddings converts in one numpy call.  A fixed bound,
+# not a setting.
+EMBEDDING_BLOCK_VALUES = 4096
 
 
 class CorpusFormatError(ValueError):
@@ -101,6 +106,30 @@ def parse_number(text: str, kind: type, where: str) -> int | float:
     if kind is float and not math.isfinite(value):
         raise CorpusFormatError(f"{where}: not a finite number: {text!r}")
     return value
+
+
+def parse_numbers(texts: list[str], kind: type,
+                  where: Callable[[int], str]) -> np.ndarray:
+    """`texts` as one float64 or int64 array, as `kind` says, in one numpy
+    conversion (which reads each text as `kind` does) and one isfinite check.
+    Only when those fail are the texts read again one at a time through
+    parse_number, integers held to int64, so that the error starts with
+    ``where(k)`` for the first bad text k."""
+    dtype = np.float64 if kind is float else np.int64
+    try:
+        values = np.array(texts, dtype=dtype)
+    except (ValueError, OverflowError):
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values
+    values = []
+    for k, text in enumerate(texts):
+        value = parse_number(text, kind, where(k))
+        if kind is int and not INT64.min <= value <= INT64.max:
+            raise CorpusFormatError(
+                f"{where(k)}: integer out of range: {text!r}")
+        values.append(value)
+    return np.array(values, dtype=dtype)
 
 
 def is_punctuation(text: str) -> bool:
@@ -371,6 +400,23 @@ def write_dataset(
 
 
 _LABELS = {"NA": None, "0": 0, "1": 1, "2": 2}
+_LABEL_NAMES = {label: text for text, label in _LABELS.items()}
+
+
+@dataclass
+class Columns:
+    """A dataset or predictions file, one flat list per column over its
+    non-blank lines, sentence after sentence."""
+
+    tokens: list[str]
+    labels: list[int | None]        # None at NA
+    continuous: np.ndarray | None   # NaN at NA; None for a predictions file
+    lengths: list[int]              # each sentence's number of lines
+
+    def split(self, flat: list) -> list[list]:
+        """One list per sentence from a list over the file's lines."""
+        ends = list(accumulate(self.lengths))
+        return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _label(text: str) -> int | None:
@@ -383,31 +429,6 @@ def _label(text: str) -> int | None:
         raise CorpusFormatError(
             f"label is neither NA nor an integer: {text!r}") from None
     raise CorpusFormatError(f"label out of range: {text!r}")
-
-
-def _read_blocks(source: bytes | str | Path, n_cols: int,
-                 row: Callable[[list[str]], object]) -> list[list]:
-    """Blank-line-separated blocks of lines with `n_cols` tab-separated
-    columns, each line turned into ``row(columns)``; an error that `row`
-    raises is prefixed with the line number."""
-    blocks, block = [], []
-    for lineno, line in enumerate(_as_text(source).split("\n"), start=1):
-        if not line.strip():
-            if block:
-                blocks.append(block)
-                block = []
-            continue
-        cols = line.split("\t")
-        if len(cols) != n_cols:
-            raise CorpusFormatError(f"line {lineno}: expected {n_cols} "
-                                    f"tab-separated columns, got {len(cols)}")
-        try:
-            block.append(row(cols))
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from None
-    if block:
-        blocks.append(block)
-    return blocks
 
 
 def _record(cols: list[str]) -> ProminenceRecord:
@@ -423,25 +444,94 @@ def _record(cols: list[str]) -> ProminenceRecord:
     return ProminenceRecord(token, discrete, cont)
 
 
-def parse_dataset(
-    source: bytes | str | Path,
-) -> list[list[ProminenceRecord]]:
-    """Parse the dataset format back into per-sentence record lists.
+def _name_first_bad_line(lines: list[str], n_cols: int,
+                         row: Callable[[list[str]], object]) -> NoReturn:
+    """Raise the error of the first non-blank line that does not have
+    `n_cols` tab-separated columns or that ``row(columns)`` rejects,
+    prefixed with its line number."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            raise CorpusFormatError(f"line {lineno}: expected {n_cols} "
+                                    f"tab-separated columns, got {len(cols)}")
+        try:
+            row(cols)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from None
+    raise AssertionError("a bulk check failed where every line passes")
+
+
+def _read_columns(source: bytes | str | Path, n_cols: int) -> Columns:
+    """The columns of blank-line-separated sentences of lines with `n_cols`
+    tab-separated fields: token, label and, with 3 columns, a continuous
+    value >= 0 that is NA exactly where the label is.  Each check runs on a
+    whole column; when one fails, the lines are walked again one at a time
+    by the line rule (_record or _label) to name the first bad one."""
+    lines = _as_text(source).split("\n")
+    kept = list(map(bool, map(str.strip, lines)))
+    rows = list(compress(lines, kept))
+    lengths = [len(list(run)) for k, run in groupby(kept) if k]
+    columns = _checked_columns(rows, lengths, n_cols)
+    if columns is None:
+        _name_first_bad_line(lines, n_cols, _record if n_cols == 3
+                             else lambda cols: _label(cols[1]))
+    return columns
+
+
+def _checked_columns(rows: list[str], lengths: list[int],
+                     n_cols: int) -> Columns | None:
+    """The columns of `rows`, or None if a check fails."""
+    if not set(map(str.count, rows, repeat("\t"))) <= {n_cols - 1}:
+        return None
+    fields = "\t".join(rows).split("\t") if rows else []
+    label_texts = fields[1::n_cols]
+    if not _LABELS.keys() >= set(label_texts):
+        return None
+    labels = list(map(_LABELS.get, label_texts))
+    if n_cols == 2:
+        return Columns(fields[0::2], labels, None, lengths)
+    cont_texts = fields[2::3]
+    scored = list(map("NA".__ne__, label_texts))
+    value_texts = list(compress(cont_texts, scored))
+    # as many NA in both columns, and none where the label is not NA
+    if (cont_texts.count("NA") != label_texts.count("NA")
+            or "NA" in value_texts):
+        return None
+    try:
+        # `where` is unused: a bad value is named by the line walk
+        values = parse_numbers(value_texts, float, str)
+    except CorpusFormatError:
+        return None
+    if not (values >= 0).all():
+        return None
+    continuous = np.full(len(cont_texts), np.nan)
+    continuous[np.array(scored, dtype=bool)] = values
+    return Columns(fields[0::3], labels, continuous, lengths)
+
+
+def parse_dataset(source: bytes | str | Path) -> Columns:
+    """The columns of the dataset format: token, label, continuous value.
 
     Round-trips ``write_dataset`` output up to the 3-decimal precision of the
     continuous column.
     """
-    return _read_blocks(source, 3, _record)
+    return _read_columns(source, 3)
 
 
-def parse_predictions(
-    source: bytes | str | Path,
-) -> list[tuple[list[str], list[int | None]]]:
-    """(tokens, labels) of each sentence of the 2-column token<TAB>label
-    format that ``predict`` writes; labels follow the dataset's rule."""
-    blocks = _read_blocks(source, 2, lambda cols: (cols[0], _label(cols[1])))
-    return [([tok for tok, _ in block], [lab for _, lab in block])
-            for block in blocks]
+def parse_predictions(source: bytes | str | Path) -> Columns:
+    """The columns of the 2-column token<TAB>label format that ``predict``
+    writes; labels follow the dataset's rule."""
+    return _read_columns(source, 2)
+
+
+def format_predictions(predicted: Columns) -> str:
+    """The 2-column format that ``parse_predictions`` reads: a
+    token<TAB>label line per token and a blank line between sentences."""
+    lines = list(map("\t".join, zip(predicted.tokens, map(
+        _LABEL_NAMES.__getitem__, predicted.labels))))
+    return "\n\n".join(map("\n".join, predicted.split(lines))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -451,24 +541,38 @@ def parse_predictions(
 def load_embeddings(
     source: bytes | str | Path, dimension: int
 ) -> EmbeddingTable:
-    """Load a ``token v1 .. vD`` text table; first occurrence wins on duplicates."""
+    """Load a ``token v1 .. vD`` text table; first occurrence wins on
+    duplicates, and the rows of a repeated token are not read."""
     if dimension <= 0:
         raise ValueError("dimension must be positive")
-    text = _as_text(source)
-    entries: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    first: dict[str, int] = {}  # token -> line number of its first row
+    rows: list[str] = []        # the lines of those first rows
+    bad_shape = None
+    for lineno, line in enumerate(_as_text(source).split("\n"), start=1):
         parts = line.split()
-        if len(parts) != dimension + 1:
-            raise CorpusFormatError(
-                f"line {lineno}: expected {dimension} values, got {len(parts) - 1}"
-            )
-        token = parts[0]
-        if token in entries:
+        if not parts:
             continue
-        where = f"line {lineno}"
-        entries[token] = np.array(
-            [parse_number(p, float, where) for p in parts[1:]])
-    return EmbeddingTable(dimension=dimension, entries=entries)
+        if len(parts) != dimension + 1:
+            bad_shape = CorpusFormatError(f"line {lineno}: expected "
+                                          f"{dimension} values, got "
+                                          f"{len(parts) - 1}")
+            break
+        if parts[0] not in first:
+            first[parts[0]] = lineno
+            rows.append(line)
+    # One numpy conversion per block of rows: each value is a str object
+    # until it converts, so a whole table at once would hold several times
+    # the file's size in them.
+    linenos = list(first.values())
+    step = max(1, EMBEDDING_BLOCK_VALUES // dimension)
+    vectors: list[np.ndarray] = []
+    for a in range(0, len(rows), step):
+        texts = " ".join(rows[a:a + step]).split()
+        del texts[::dimension + 1]
+        vectors.extend(parse_numbers(
+            texts, float, lambda k: f"line {linenos[a + k // dimension]}",
+        ).reshape(-1, dimension))
+    # the rows before a bad one were read first: their error came first
+    if bad_shape is not None:
+        raise bad_shape
+    return EmbeddingTable(dimension, dict(zip(first, vectors)))

@@ -47,44 +47,52 @@ def check_fraction(fraction: float) -> float:
     return fraction
 
 
+def _codes(labels) -> tuple[np.ndarray, np.ndarray]:
+    """int64 codes of a label sequence, -1 at NA (None), and its NA mask."""
+    values = np.array(labels, dtype=object)
+    na = np.equal(values, None)
+    values[na] = -1
+    return values.astype(np.int64), na
+
+
 def _check_pair(pred, gold):
+    """Codes and NA masks of `pred` and `gold`, which must have the same
+    length and NA at the same positions."""
     if len(pred) != len(gold):
         raise ValueError(
             f"length mismatch: {len(pred)} predictions vs {len(gold)} gold"
         )
-    for i, (p, g) in enumerate(zip(pred, gold)):
-        if (p is None) != (g is None):
-            raise ValueError(
-                f"NA disagreement at position {i}: pred={p!r} gold={g!r}"
-            )
+    (p, p_na), (g, g_na) = _codes(pred), _codes(gold)
+    bad = np.flatnonzero(p_na != g_na)
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"NA disagreement at position {i}: pred={pred[i]!r} "
+            f"gold={gold[i]!r}"
+        )
+    return p, g, g_na
 
 
 def accuracy(pred, gold) -> float:
     """Fraction of matching non-NA positions.  NA must agree positionally."""
-    _check_pair(pred, gold)
-    scored = 0
-    matched = 0
-    for p, g in zip(pred, gold):
-        if g is None:
-            continue
-        scored += 1
-        if p == g:
-            matched += 1
+    p, g, na = _check_pair(pred, gold)
+    scored = int(len(g) - na.sum())
     if scored == 0:
         raise ValueError("no scored positions (all NA)")
-    return matched / scored
+    return int((p[~na] == g[~na]).sum()) / scored
 
 
 def confusion(pred, gold, n_labels: int) -> ConfusionMatrix:
-    _check_pair(pred, gold)
-    counts = np.zeros((n_labels, n_labels), dtype=np.int64)
-    for p, g in zip(pred, gold):
-        if g is None:
-            continue
-        if not (0 <= g < n_labels and 0 <= p < n_labels):
-            raise ValueError(f"label out of range: pred={p!r} gold={g!r}")
-        counts[g, p] += 1
-    return ConfusionMatrix(counts=counts,
+    p, g, na = _check_pair(pred, gold)
+    scored = np.flatnonzero(~na)
+    p, g = p[scored], g[scored]
+    bad = np.flatnonzero((g < 0) | (g >= n_labels) | (p < 0) | (p >= n_labels))
+    if len(bad):
+        i = int(scored[bad[0]])
+        raise ValueError(
+            f"label out of range: pred={pred[i]!r} gold={gold[i]!r}")
+    counts = np.bincount(g * n_labels + p, minlength=n_labels * n_labels)
+    return ConfusionMatrix(counts=counts.reshape(n_labels, n_labels),
                            label_names=[str(i) for i in range(n_labels)])
 
 

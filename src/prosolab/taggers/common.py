@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus_io import ProminenceRecord, is_punctuation
+from ..corpus_io import is_punctuation
 
 # Most padded (sentence, position) cells one chunk of a compiled text may
 # span.  Decoding and training build their position arrays, potentials and
@@ -26,13 +26,6 @@ class LabeledSentence:
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.labels):
             raise ValueError("tokens and labels lengths differ")
-
-
-def sentence_from_records(records: list[ProminenceRecord]) -> LabeledSentence:
-    return LabeledSentence(
-        tokens=[r.token for r in records],
-        labels=[r.discrete for r in records],
-    )
 
 
 def na_mask(tokens: list[str]) -> list[bool]:

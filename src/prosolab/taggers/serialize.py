@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..corpus_io import (CorpusFormatError, EmbeddingTable, decode_text,
-                         parse_number)
+                         parse_numbers)
 from .crf import CrfModel
 from .embed import EmbeddingClassifier
 from .majority import N_LABELS, MajorityModel
 
 MAGIC = "prosolab-model v1"
 EMBED_WINDOW = 1  # the embed classifier reads one neighbour on each side
-INT64 = np.iinfo(np.int64)
 
 
 def _floats(values) -> str:
@@ -64,14 +63,6 @@ def save_model(model) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _number(text: str, kind: type, where: str) -> int | float:
-    """parse_number, with integers held to the int64 range the arrays use."""
-    value = parse_number(text, kind, where)
-    if kind is int and not INT64.min <= value <= INT64.max:
-        raise CorpusFormatError(f"{where}: integer out of range: {text!r}")
-    return value
-
-
 class _Reader:
     def __init__(self, data: bytes, where: str):
         self.lines = decode_text(data, where).split("\n")
@@ -97,11 +88,14 @@ class _Reader:
         return line[len(prefix):]
 
     def value(self, key: str, kind: type = int):
-        return _number(self.expect_kv(key), kind, self.at(f"key {key}"))
+        where = self.at(f"key {key}")
+        return parse_numbers([self.expect_kv(key)], kind,
+                             lambda _: where).item()
 
     def values(self, key: str) -> list[int]:
         where = self.at(f"key {key}")
-        return [_number(t, int, where) for t in self.expect_kv(key).split(",")]
+        return parse_numbers(self.expect_kv(key).split(","), int,
+                             lambda _: where).tolist()
 
     def labels(self) -> list[int]:
         """The labels= key: distinct labels, each in 0..N_LABELS-1."""
@@ -133,24 +127,16 @@ class _Reader:
             if sep:
                 numbers = numbers[0].split(sep)
                 if len(numbers) != width:
-                    raise CorpusFormatError(
-                        f"bad count vector for {fields[1]!r}")
+                    raise CorpusFormatError(self.at(
+                        f"{name} {i}: bad count vector for {fields[1]!r}"))
             if named:
                 if fields[1] in index:
                     raise CorpusFormatError(self.at(
                         f"{name} {i}: repeated name {fields[1]!r}"))
                 index[fields[1]] = i
             texts += numbers
-        dtype = np.float64 if kind is float else np.int64
-        try:
-            values = np.array(texts, dtype=dtype)
-        except (ValueError, OverflowError):
-            values = None
-        if values is None or not np.isfinite(values).all():
-            # one value at a time, so the first bad one names its row
-            values = np.array([
-                _number(text, kind, self.at(f"{name} {k // width}"))
-                for k, text in enumerate(texts)], dtype=dtype)
+        values = parse_numbers(texts, kind,
+                               lambda k: self.at(f"{name} {k // width}"))
         return index, values.reshape(count, width)
 
 

@@ -23,18 +23,19 @@ from scipy.stats import spearmanr
 from prosolab.acoustics import AudioBuffer, FrameTrack, PitchConfig, \
     extract_energy, extract_f0, frame_audio
 from prosolab.conditioning import interpolate_gaps, smooth, znormalize
-from prosolab.corpus_io import Token, Utterance, parse_dataset, write_dataset
+from prosolab.corpus_io import (Columns, ProminenceRecord, Token, Utterance,
+                                parse_dataset, write_dataset)
 from prosolab.discretize import Thresholds, discretize, split_prominent
 from prosolab.evaluation import accuracy, merge_labels, subset_training
 from prosolab.prominence import AnnotateConfig, ScaleGrid, annotate_utterance, \
     cwt, extract_loma
-from prosolab.taggers.common import LabeledSentence, sentence_from_records
+from prosolab.taggers.common import LabeledSentence
 from prosolab.taggers.crf import build_feature_index, crf_loglik_grad, \
     crf_score, crf_train, forward_logZ, new_model, viterbi
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import (DATASET_CONTINUOUS, DATASET_DISCRETE, DATASET_SENTENCE,
-                      RATE, make_word_fixture, sine)
+                      DATASET_TOKENS, RATE, make_word_fixture, sine)
 
 DATASET_DIR_VAR = "PROSOLAB_DATASET_DIR"
 FULL_EVAL_VAR = "PROSOLAB_FULL_EVAL"
@@ -51,15 +52,16 @@ needs_full_eval = pytest.mark.skipif(
 )
 
 
-def load_public_split(filename: str) -> list[list]:
+def load_public_split(filename: str) -> Columns:
     path = Path(os.environ[DATASET_DIR_VAR]) / filename
     if not path.is_file():
         pytest.skip(f"{path} not found")
     return parse_dataset(path.read_bytes())
 
 
-def to_sentences(split) -> list[LabeledSentence]:
-    return [sentence_from_records(records) for records in split]
+def to_sentences(split: Columns) -> list[LabeledSentence]:
+    return [LabeledSentence(tokens, labels) for tokens, labels in
+            zip(split.split(split.tokens), split.split(split.labels))]
 
 
 def merge_corpus(corpus: list[LabeledSentence]) -> list[LabeledSentence]:
@@ -86,18 +88,24 @@ def stub_utterance(records, uid="u"):
     return Utterance(id=uid, speaker="s", tokens=tokens)
 
 
-def rewrite(sentences) -> bytes:
-    return write_dataset((stub_utterance(recs), recs) for recs in sentences)
+def rewrite(columns: Columns) -> bytes:
+    """The dataset bytes of parsed columns, NaN continuous values as NA."""
+    continuous = [None if math.isnan(c) else c
+                  for c in columns.continuous.tolist()]
+    records = [ProminenceRecord(*rec) for rec in
+               zip(columns.tokens, columns.labels, continuous)]
+    return write_dataset((stub_utterance(recs), recs)
+                         for recs in columns.split(records))
 
 
 def test_criterion_1_dataset_round_trip():
     t0 = time.perf_counter()
     data = DATASET_SENTENCE.encode()
-    sentences = parse_dataset(data)
-    assert len(sentences) == 1
-    assert rewrite(sentences) == data
+    columns = parse_dataset(data)
+    assert columns.lengths == [len(DATASET_TOKENS)]
+    assert rewrite(columns) == data
     # a second pass through both directions must be a fixed point
-    assert rewrite(parse_dataset(rewrite(sentences))) == data
+    assert rewrite(parse_dataset(rewrite(columns))) == data
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -396,9 +404,8 @@ def test_criterion_7_reference_thresholds():
 
 @needs_corpus
 def test_criterion_7_median_split_balance():
-    split = load_public_split("train_360.txt")
-    values = np.array([r.continuous for records in split for r in records
-                       if r.continuous is not None])
+    continuous = load_public_split("train_360.txt").continuous
+    values = continuous[~np.isnan(continuous)]
     theta2 = split_prominent(values, 0.5)
     prominent = values[values >= 0.5]
     n_upper = int(np.sum(prominent >= theta2))

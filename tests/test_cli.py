@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prosolab
 from prosolab import cli
 from prosolab.cli import main
-from prosolab.corpus_io import parse_dataset
+from prosolab.corpus_io import Columns, CorpusFormatError, parse_dataset
 from prosolab.taggers.majority import MajorityModel
 from prosolab.taggers.serialize import load_model
 
@@ -67,12 +69,14 @@ def test_annotate_two_utterances(tmp_path, capsys):
     assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
     assert "2 ok, 0 failed" in capsys.readouterr().out
 
-    sentences = parse_dataset(out)
-    assert len(sentences) == 2
-    assert [r.token for r in sentences[0]] == ["w0", "w1", "w2", "."]
-    assert sentences[0][3].discrete is None
-    assert all(r.discrete in (0, 1, 2) for r in sentences[0][:3])
-    assert all(r.continuous >= 0 for r in sentences[1])
+    data = parse_dataset(out)
+    assert len(data.lengths) == 2
+    tokens, labels, continuous = map(data.split, (
+        data.tokens, data.labels, data.continuous.tolist()))
+    assert tokens[0] == ["w0", "w1", "w2", "."]
+    assert labels[0][3] is None
+    assert all(lab in (0, 1, 2) for lab in labels[0][:3])
+    assert all(c >= 0 for c in continuous[1])
 
     manifest = (tmp_path / "data.tsv.manifest").read_text()
     assert "utt\tu1\tok" in manifest
@@ -90,7 +94,7 @@ def test_annotate_isolates_corrupt_wav(tmp_path, capsys):
     out = tmp_path / "data.tsv"
     assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
     assert "1 ok, 1 failed" in capsys.readouterr().out
-    assert len(parse_dataset(out)) == 1
+    assert len(parse_dataset(out).lengths) == 1
     manifest = (tmp_path / "data.tsv.manifest").read_text()
     assert "utt\tbad\tfailed: malformed or unsupported WAV" in manifest
     assert "utt\tgood\tok" in manifest
@@ -699,6 +703,72 @@ def test_evaluate_names_the_sentence_and_token_of_an_na_disagreement(
     assert run(["evaluate", scored, test, "--out", tmp_path / "eval"]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "eval.report.tsv").exists()
+
+
+def _check_sentence_by_sentence(pred, gold):
+    """The per-sentence reference for cli._check_predictions: None, or the
+    message of the first mismatch."""
+    if len(pred) != len(gold):
+        return (f"sentence count mismatch: {len(pred)} predicted vs "
+                f"{len(gold)} gold")
+    for i, ((tokens, labels), (gold_tokens, gold_labels)) in enumerate(
+            zip(pred, gold), start=1):
+        for k, (p, g, p_lab, g_lab) in enumerate(
+                zip(tokens, gold_tokens, labels, gold_labels), start=1):
+            if p != g:
+                return (f"sentence {i}, token {k}: predicted {p!r} where "
+                        f"the test file has {g!r}")
+            if (p_lab is None) != (g_lab is None):
+                got, want = (("NA", "a label") if p_lab is None
+                             else ("a label", "NA"))
+                return (f"sentence {i}, token {k}: predicted {got} where "
+                        f"the test file has {want}")
+        if len(tokens) != len(gold_tokens):
+            return (f"sentence {i}: {len(tokens)} predicted tokens vs "
+                    f"{len(gold_tokens)} in the test file")
+    return None
+
+
+def _columns(sentences):
+    return Columns([t for tokens, _ in sentences for t in tokens],
+                   [lab for _, labels in sentences for lab in labels], None,
+                   [len(tokens) for tokens, _ in sentences])
+
+
+# sentences of tokens "a"/"b" with labels None/0; predictions are the same
+# sentences with a few tokens, labels or sentence ends changed
+pair_sentence_st = st.lists(st.tuples(st.sampled_from("ab"),
+                                      st.sampled_from([None, 0])),
+                            min_size=1, max_size=4).map(
+    lambda rows: ([t for t, _ in rows], [lab for _, lab in rows]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pair_sentence_st, max_size=4), st.data())
+def test_check_predictions_equals_a_sentence_by_sentence_walk(gold, data):
+    flat = [(t, lab) for tokens, labels in gold
+            for t, lab in zip(tokens, labels)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        if flat:
+            k = data.draw(st.integers(0, len(flat) - 1))
+            flat[k] = data.draw(st.tuples(st.sampled_from("abc"),
+                                          st.sampled_from([None, 0])))
+    lengths = [len(tokens) for tokens, _ in gold]
+    if data.draw(st.booleans()) and lengths:
+        lengths = data.draw(st.permutations(lengths))
+    if data.draw(st.integers(0, 4)) == 0:
+        lengths = lengths[:-1] or lengths + [1]
+        flat = flat[:sum(lengths)] + [("a", 0)] * (sum(lengths) - len(flat))
+    ends = np.cumsum(lengths).tolist()
+    pred = [([t for t, _ in flat[a:b]], [lab for _, lab in flat[a:b]])
+            for a, b in zip([0, *ends], ends)]
+    want = _check_sentence_by_sentence(pred, gold)
+    try:
+        cli._check_predictions(_columns(pred), _columns(gold))
+    except CorpusFormatError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
 
 
 # a CRF model file with no features; {v} is one transition weight

@@ -1,10 +1,13 @@
 """File format round-trips and rejection behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosolab import corpus_io
 from prosolab.corpus_io import (
     CorpusFormatError,
     EmbeddingTable,
@@ -21,6 +24,8 @@ from prosolab.corpus_io import (
     parse_textgrid,
     read_wav,
     write_dataset,
+    _label,
+    _record,
 )
 from prosolab.taggers.serialize import _Reader
 
@@ -253,16 +258,16 @@ def test_write_dataset_exact_bytes():
 
 def test_dataset_roundtrip():
     utt = stub_utterance(DATASET_TOKENS)
-    sentences = parse_dataset(write_dataset([(utt, dataset_records())]))
-    assert len(sentences) == 1
-    got = sentences[0]
-    assert [r.token for r in got] == DATASET_TOKENS
-    assert [r.discrete for r in got] == DATASET_DISCRETE
-    for rec, want in zip(got, DATASET_CONTINUOUS):
+    data = parse_dataset(write_dataset([(utt, dataset_records())]))
+    assert data.lengths == [len(DATASET_TOKENS)]
+    assert data.tokens == DATASET_TOKENS
+    assert data.labels == DATASET_DISCRETE
+    assert len(data.continuous) == len(DATASET_CONTINUOUS)
+    for got, want in zip(data.continuous.tolist(), DATASET_CONTINUOUS):
         if want is None:
-            assert rec.continuous is None
+            assert math.isnan(got)
         else:
-            assert rec.continuous == pytest.approx(want, abs=5e-4)
+            assert got == pytest.approx(want, abs=5e-4)
 
 
 def test_write_dataset_blank_line_between_utterances():
@@ -270,12 +275,14 @@ def test_write_dataset_blank_line_between_utterances():
     recs = [ProminenceRecord("a", 0, 0.1), ProminenceRecord("b", 1, 0.6)]
     blob = write_dataset([(utt, recs), (utt, recs)])
     assert blob == b"a\t0\t0.100\nb\t1\t0.600\n\na\t0\t0.100\nb\t1\t0.600\n"
-    assert len(parse_dataset(blob)) == 2
+    assert parse_dataset(blob).lengths == [2, 2]
 
 
 def test_write_dataset_empty():
     assert write_dataset([]) == b""
-    assert parse_dataset(b"") == []
+    data = parse_dataset(b"")
+    assert (data.tokens, data.labels, data.lengths) == ([], [], [])
+    assert data.continuous.shape == (0,)
 
 
 def test_write_dataset_count_mismatch():
@@ -309,15 +316,14 @@ def test_parse_dataset_rejects(content, pattern):
 
 
 def test_one_line_str_is_content_not_a_path():
-    [[record]] = parse_dataset("Tell\t2\t1.473")
-    assert (record.token, record.discrete) == ("Tell", 2)
+    data = parse_dataset("Tell\t2\t1.473")
+    assert (data.tokens, data.labels, data.lengths) == (["Tell"], [2], [1])
     assert "cat" in load_embeddings("cat 1.0 2.0", dimension=2).entries
 
 
 def test_parse_dataset_crlf_and_trailing_blank():
     blob = b"a\t0\t0.100\r\nb\t1\t0.600\r\n\r\n"
-    sents = parse_dataset(blob)
-    assert len(sents) == 1 and len(sents[0]) == 2
+    assert parse_dataset(blob).lengths == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,33 @@ def test_load_embeddings_basic():
 def test_load_embeddings_duplicate_keeps_first():
     table = load_embeddings(b"cat 1.0 2.0\ncat 9.0 9.0\n", dimension=2)
     np.testing.assert_array_equal(table.lookup("cat"), [1.0, 2.0])
+    # a repeated token's row is not read, so its values may be anything
+    table = load_embeddings(b"cat 1.0 2.0\ncat 9.0 nine\n", dimension=2)
+    np.testing.assert_array_equal(table.lookup("cat"), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"cat 1.0 two\ndog 1.0\n", "line 1: not a number: 'two'"),
+    (b"cat 1.0 2.0\ndog 1.0\nemu 1.0 two\n",
+     "line 2: expected 2 values, got 1"),
+    (b"cat 1.0 2.0\n\ndog inf 0\n", "line 3: not a finite number: 'inf'"),
+])
+def test_load_embeddings_names_the_first_bad_line(content, message):
+    with pytest.raises(CorpusFormatError, match=f"^{message}$"):
+        load_embeddings(content, dimension=2)
+
+
+def test_load_embeddings_reads_a_table_of_several_blocks():
+    n = corpus_io.EMBEDDING_BLOCK_VALUES  # n rows of 2 values: two blocks
+    lines = [f"w{i} {i} {i}.5" for i in range(n)]
+    table = load_embeddings("\n".join(lines), dimension=2)
+    assert len(table.entries) == n
+    np.testing.assert_array_equal(table.lookup(f"w{n - 1}"),
+                                  [n - 1, n - 0.5])
+    lines[n - 3] = f"w{n - 3} 1 bad"
+    with pytest.raises(CorpusFormatError,
+                       match=f"^line {n - 2}: not a number: 'bad'$"):
+        load_embeddings("\n".join(lines), dimension=2)
 
 
 def test_load_embeddings_dimension_mismatch():
@@ -388,16 +421,17 @@ sentence_st = st.lists(record_st, min_size=1, max_size=6)
 def test_dataset_roundtrip_property(sentences):
     annotated = [(stub_utterance([r.token for r in recs]), recs)
                  for recs in sentences]
-    parsed = parse_dataset(write_dataset(annotated))
-    assert len(parsed) == len(sentences)
-    for got, want in zip(parsed, sentences):
-        assert [r.token for r in got] == [r.token for r in want]
-        assert [r.discrete for r in got] == [r.discrete for r in want]
-        for g, w in zip(got, want):
-            if w.continuous is None:
-                assert g.continuous is None
-            else:
-                assert g.continuous == pytest.approx(w.continuous, abs=5e-4)
+    data = parse_dataset(write_dataset(annotated))
+    assert data.lengths == [len(recs) for recs in sentences]
+    want = [rec for recs in sentences for rec in recs]
+    assert data.tokens == [r.token for r in want]
+    assert data.labels == [r.discrete for r in want]
+    assert len(data.continuous) == len(want)
+    for got, w in zip(data.continuous.tolist(), want):
+        if w.continuous is None:
+            assert math.isnan(got)
+        else:
+            assert got == pytest.approx(w.continuous, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +459,19 @@ def _finite(value) -> bool:
 def test_text_readers_give_valid_values_or_a_format_error(text):
     labels = {None, 0, 1, 2}
     try:
-        for sentence in parse_dataset(text):
-            for rec in sentence:
-                assert rec.discrete in labels
-                assert (rec.continuous is None if rec.discrete is None
-                        else _finite(rec.continuous) and rec.continuous >= 0)
+        data = parse_dataset(text)
+        assert (len(data.tokens) == len(data.labels) == len(data.continuous)
+                == sum(data.lengths))
+        for label, cont in zip(data.labels, data.continuous.tolist()):
+            assert label in labels
+            assert (math.isnan(cont) if label is None
+                    else _finite(cont) and cont >= 0)
     except CorpusFormatError:
         pass
     try:
-        for tokens, predicted in parse_predictions(text):
-            assert len(tokens) == len(predicted)
-            assert set(predicted) <= labels
+        data = parse_predictions(text)
+        assert len(data.tokens) == len(data.labels) == sum(data.lengths)
+        assert set(data.labels) <= labels and data.continuous is None
     except CorpusFormatError:
         pass
     try:
@@ -444,6 +480,128 @@ def test_text_readers_give_valid_values_or_a_format_error(text):
             assert vec.shape == (2,) and np.isfinite(vec).all()
     except CorpusFormatError:
         pass
+
+
+def _read_line_by_line(text: str, n_cols: int):
+    """(tokens, labels, continuous, lengths) as the per-line rule reads
+    `text`, continuous None for 2 columns and at NA; or the message of the
+    first line it rejects."""
+    tokens, labels, continuous, lengths, n = [], [], [], [], 0
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            if n:
+                lengths.append(n)
+            n = 0
+            continue
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            return (f"line {lineno}: expected {n_cols} tab-separated "
+                    f"columns, got {len(cols)}")
+        try:
+            if n_cols == 3:
+                rec = _record(cols)
+                row = (rec.token, rec.discrete, rec.continuous)
+            else:
+                row = (cols[0], _label(cols[1]), None)
+        except CorpusFormatError as exc:
+            return f"line {lineno}: {exc}"
+        for column, value in zip((tokens, labels, continuous), row):
+            column.append(value)
+        n += 1
+    if n:
+        lengths.append(n)
+    return tokens, labels, continuous, lengths
+
+
+# lines a reader must also take: valid dataset and predictions lines,
+# whitespace-only lines, and column counts that offset each other over two
+# lines ("a\tb" then "c\td\te\tf" has 3 fields per line on average)
+odd_line_st = st.one_of(
+    st.sampled_from([" ", "\t", " \t ", "\x0b", "\u3000", "a\tb",
+                     "c\td\te\tf", "a\t1\t0.5\textra", ",\tNA\tNA", ",\tNA",
+                     "w\t1\t-0.0", "w\t2\t1e400", "w\t0\t1_0"]),
+    st.tuples(word_st, st.sampled_from(["0", "1", "2"]),
+              st.floats(0, 50).map("{:.3f}".format)).map("\t".join),
+    st.tuples(word_st, st.sampled_from(["NA", "0", "1", "2"]))
+    .map("\t".join))
+column_text_st = st.tuples(
+    st.sampled_from(["", "\n", "\n \n"]),
+    st.lists(st.one_of(line_st, odd_line_st), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["", "\n", "\n\n", " \n"]),
+).map(lambda p: p[0] + p[2].join(p[1]) + p[3])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(reader_text_st, column_text_st), st.sampled_from([2, 3]))
+def test_columns_read_what_the_line_rule_reads(text, n_cols):
+    want = _read_line_by_line(text, n_cols)
+    read = parse_dataset if n_cols == 3 else parse_predictions
+    try:
+        data = read(text)
+    except CorpusFormatError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    tokens, labels, continuous, lengths = want
+    assert (data.tokens, data.labels, data.lengths) == (tokens, labels,
+                                                        lengths)
+    if n_cols == 2:
+        assert data.continuous is None
+    else:
+        assert [v.hex() for v in data.continuous.tolist()] == [
+            float("nan" if v is None else v).hex() for v in continuous]
+
+
+def _embeddings_line_by_line(text: str, dimension: int):
+    """token -> values as a per-line reader takes them, first row of a
+    token wins and a repeated token's row is not read; or the message of
+    the first line it rejects."""
+    entries = {}
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != dimension + 1:
+            return (f"line {lineno}: expected {dimension} values, got "
+                    f"{len(parts) - 1}")
+        if parts[0] not in entries:
+            try:
+                entries[parts[0]] = [parse_number(p, float, f"line {lineno}")
+                                     for p in parts[1:]]
+            except CorpusFormatError as exc:
+                return str(exc)
+    return entries
+
+
+embedding_line_st = st.one_of(
+    st.just(""),
+    st.lists(st.sampled_from(["cat", "dog", "1.5", "-2", "x", "nan", "1e400",
+                              "1_0", "\u0663"]), min_size=1, max_size=4)
+    .map(" ".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(embedding_line_st, max_size=6).map("\n".join),
+       st.sampled_from([1, 2, 5, corpus_io.EMBEDDING_BLOCK_VALUES]))
+def test_embeddings_read_in_bulk_what_the_line_rule_reads(text, block):
+    want = _embeddings_line_by_line(text, 2)
+    saved, corpus_io.EMBEDDING_BLOCK_VALUES = (
+        corpus_io.EMBEDDING_BLOCK_VALUES, block)
+    try:
+        table = load_embeddings(text, dimension=2)
+    except CorpusFormatError as exc:
+        assert str(exc) == want
+        return
+    finally:
+        corpus_io.EMBEDDING_BLOCK_VALUES = saved
+    assert not isinstance(want, str), want
+    assert list(table.entries) == list(want)
+    for token, values in want.items():
+        assert [v.hex() for v in table.entries[token].tolist()] == [
+            v.hex() for v in values]
 
 
 # number fields of a model file: digits in three scripts, signs, points,

@@ -68,6 +68,79 @@ def test_confusion_label_out_of_range():
         confusion([0], [3], n_labels=3)
 
 
+def _accuracy_loop(pred, gold):
+    """The position-by-position reference for accuracy."""
+    if len(pred) != len(gold):
+        raise ValueError(
+            f"length mismatch: {len(pred)} predictions vs {len(gold)} gold")
+    for i, (p, g) in enumerate(zip(pred, gold)):
+        if (p is None) != (g is None):
+            raise ValueError(
+                f"NA disagreement at position {i}: pred={p!r} gold={g!r}")
+    scored = [(p, g) for p, g in zip(pred, gold) if g is not None]
+    if not scored:
+        raise ValueError("no scored positions (all NA)")
+    return sum(p == g for p, g in scored) / len(scored)
+
+
+def _confusion_loop(pred, gold, n_labels):
+    """The position-by-position reference for confusion's counts."""
+    try:
+        _accuracy_loop(pred, gold)
+    except ValueError as exc:
+        if "no scored positions" not in str(exc):
+            raise
+    counts = np.zeros((n_labels, n_labels), dtype=np.int64)
+    for p, g in zip(pred, gold):
+        if g is None:
+            continue
+        if not (0 <= g < n_labels and 0 <= p < n_labels):
+            raise ValueError(f"label out of range: pred={p!r} gold={g!r}")
+        counts[g, p] += 1
+    return counts
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# gold and predicted labels with NA, mostly in range; each position usually
+# has NA on both sides or on neither, and the lists usually one length
+label_st = st.one_of(st.none(), st.integers(0, 2), st.integers(-2, 4))
+label_pair_st = st.lists(st.tuples(label_st, label_st), max_size=12).flatmap(
+    lambda pairs: st.tuples(
+        st.just([g for _, g in pairs]),
+        st.lists(st.sampled_from([True] * 9 + [False]), min_size=len(pairs),
+                 max_size=len(pairs))
+        .map(lambda couple: [
+            (None if g is None else g if p is None else p) if c else p
+            for (p, g), c in zip(pairs, couple)]),
+        st.sampled_from([0, 0, 0, 1, -1])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_pair_st, st.sampled_from([2, 3]))
+def test_scores_equal_a_loop(labels, n_labels):
+    gold, pred, extra = labels
+    if extra > 0:
+        pred = pred + [1]
+    elif extra < 0:
+        gold = gold + [None]
+    got = _outcome(accuracy, pred, gold)
+    want = _outcome(_accuracy_loop, pred, gold)
+    assert got == want
+    got = _outcome(confusion, pred, gold, n_labels)
+    want = _outcome(_confusion_loop, pred, gold, n_labels)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.counts.dtype == np.int64
+        np.testing.assert_array_equal(got.counts, want)
+
+
 def test_confusion_tsv():
     cm = ConfusionMatrix(counts=np.array([[2, 1], [0, 3]]),
                          label_names=["0", "1"])

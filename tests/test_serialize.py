@@ -118,8 +118,9 @@ def test_embed_file_records_the_window_the_classifier_reads():
 WRONG_SHAPE = {
     "word\tcat": "bad word row 1",
     "word\tcat\t0,2,0\textra": "bad word row 1",
-    "word\tcat\t0,2": "bad count vector for 'cat'",
-    "word\tcat\t0,2,0,1": "bad count vector for 'cat'",
+    "word\tcat\t0,2": "majority model, word row 1: bad count vector for 'cat'",
+    "word\tcat\t0,2,0,1":
+        "majority model, word row 1: bad count vector for 'cat'",
 }
 
 
@@ -127,8 +128,10 @@ WRONG_SHAPE = {
 def test_load_names_a_majority_row_with_wrong_column_count(row):
     data = save_model(train_majority(CORPUS)).decode()
     broken = data.replace("word\tcat\t0,0,2", row).encode()
-    with pytest.raises(CorpusFormatError, match=re.escape(WRONG_SHAPE[row])):
+    with pytest.raises(CorpusFormatError,
+                       match=re.escape(WRONG_SHAPE[row])) as info:
         load_model(broken)
+    assert str(info.value).startswith("majority model, ")
 
 
 HUGE = "99999999999999999999999"  # past int64, but an integer to int()
