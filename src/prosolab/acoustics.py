@@ -5,6 +5,11 @@ at sample i * hop (hop = rate * frame_shift_s rounded to whole samples), edges
 zero-padded, and the number of frames is ceil(n_samples / hop).  That framing
 is the one grid: pitch and energy read its frames, and the duration track and
 every frame time read its frame count and its real period, hop / rate.
+
+The per-frame work (RMS, the taper, the FFT autocorrelation and the peak
+picking) runs over blocks of at most FRAME_BLOCK frames, so its arrays stay
+in cache and its memory does not grow with the utterance.  Every step works
+row by row, so no result depends on where the blocks fall.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from .corpus_io import AudioBuffer, Utterance
 ENERGY_FLOOR = 1e-6
 SILENCE_RMS = 1e-4
 OCTAVE_COST = 0.01  # per-octave penalty separating a period from its multiples
+# Most frames one step of the front end holds at a time: at 16 kHz a block's
+# spectra and autocorrelations take under 1 MiB.  A fixed bound, not a
+# setting.
+FRAME_BLOCK = 64
 
 
 @dataclass
@@ -84,8 +93,12 @@ def frame_audio(audio: AudioBuffer, frame_shift_s: float,
     n_frames = math.ceil(n / hop)
     padded = np.concatenate([np.zeros(win), audio.samples, np.zeros(win)])
     frames = sliding_window_view(padded, win)[win - win // 2::hop][:n_frames]
-    return Frames(samples=frames, rms=np.sqrt(np.mean(frames**2, axis=1)),
-                  sample_rate=rate, frame_shift_s=hop / rate)
+    rms = np.empty(n_frames)
+    for a in range(0, n_frames, FRAME_BLOCK):
+        block = frames[a:a + FRAME_BLOCK]
+        rms[a:a + FRAME_BLOCK] = np.sqrt(np.mean(block**2, axis=1))
+    return Frames(samples=frames, rms=rms, sample_rate=rate,
+                  frame_shift_s=hop / rate)
 
 
 def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
@@ -112,41 +125,45 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
         raise ValueError("window too short for the requested f0 range")
 
     taper = np.hanning(win)
-    rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
-    loud = frames.samples[rows]
-    loud -= loud.mean(axis=1, keepdims=True)
-    loud *= taper
     # one lag beyond the search range so the local-max test has neighbors
-    acf = frame_acf(loud, lag_max + 1)
     w_acf = frame_acf(taper[None, :], lag_max + 1)[0]
-    live = acf[:, 0] > 0
-    rows, acf = rows[live], acf[live]
-
-    corr = acf / w_acf * (w_acf[0] / acf[:, :1])
     lags = np.arange(lag_min, lag_max + 1)
-    c = corr[:, lag_min:lag_max + 1]
     # lags whose window overlap is too thin carry no usable signal, and
-    # dividing by a near-zero window ACF would just amplify rounding noise;
-    # a true period shows as an interior local maximum, whereas a boundary
-    # argmax on a monotone slope is window-envelope correlation, not pitch
-    is_peak = ((w_acf[lags + 1] > 1e-3 * w_acf[0])
-               & (c > corr[:, lag_min - 1:lag_max])
-               & (c > corr[:, lag_min + 1:lag_max + 2]))
-    score = np.where(is_peak, c - OCTAVE_COST * np.log2(lags), -np.inf)
-    j = lag_min + score.argmax(axis=1)
-    at = np.arange(len(rows))
-    y0, y1, y2 = corr[at, j - 1], corr[at, j], corr[at, j + 1]
-    ok = is_peak.any(axis=1) & (y1 >= cfg.voicing_threshold)
-    denom = y0 - 2 * y1 + y2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = 0.5 * (y0 - y2) / denom
-    refine = (np.abs(denom) > 1e-12) & (-1 < delta) & (delta < 1)
-    lag = np.where(refine, j + delta, j)
+    # dividing by a near-zero window ACF would just amplify rounding noise
+    thick = w_acf[lags + 1] > 1e-3 * w_acf[0]
+    octave = OCTAVE_COST * np.log2(lags)
 
     values = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
-    values[rows[ok]] = np.clip(rate / lag[ok], cfg.f0_min, cfg.f0_max)
-    voiced[rows[ok]] = True
+    loud_rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
+    for a in range(0, len(loud_rows), FRAME_BLOCK):
+        rows = loud_rows[a:a + FRAME_BLOCK]
+        loud = frames.samples[rows]
+        loud -= loud.mean(axis=1, keepdims=True)
+        loud *= taper
+        acf = frame_acf(loud, lag_max + 1)
+        live = acf[:, 0] > 0
+        rows, acf = rows[live], acf[live]
+
+        corr = acf / w_acf * (w_acf[0] / acf[:, :1])
+        c = corr[:, lag_min:lag_max + 1]
+        # a true period shows as an interior local maximum, whereas a
+        # boundary argmax on a monotone slope is window-envelope
+        # correlation, not pitch
+        is_peak = (thick & (c > corr[:, lag_min - 1:lag_max])
+                   & (c > corr[:, lag_min + 1:lag_max + 2]))
+        score = np.where(is_peak, c - octave, -np.inf)
+        j = lag_min + score.argmax(axis=1)
+        at = np.arange(len(rows))
+        y0, y1, y2 = corr[at, j - 1], corr[at, j], corr[at, j + 1]
+        ok = is_peak.any(axis=1) & (y1 >= cfg.voicing_threshold)
+        denom = y0 - 2 * y1 + y2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = 0.5 * (y0 - y2) / denom
+        refine = (np.abs(denom) > 1e-12) & (-1 < delta) & (delta < 1)
+        lag = np.where(refine, j + delta, j)
+        values[rows[ok]] = np.clip(rate / lag[ok], cfg.f0_min, cfg.f0_max)
+        voiced[rows[ok]] = True
     return FrameTrack(values=values, frame_shift_s=frames.frame_shift_s,
                       valid=voiced)
 

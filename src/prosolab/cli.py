@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -163,6 +163,8 @@ def _annotate_one(job) -> tuple[
 
 
 def cmd_annotate(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg_dict = load_config(args.config, ANNOTATE_CONFIG_KEYS)
     cfg = build_annotate_config(cfg_dict, args.classes)
     tier = cfg_dict.get("textgrid_tier", "words")
@@ -186,10 +188,12 @@ def cmd_annotate(args) -> int:
         else:
             missing.append(align_path.stem)
 
+    # a fork pool forks all its workers at the first task: one per job at most
+    workers = max(1, min(args.jobs, len(jobs)))
     log.info("annotating %d utterances with %d worker(s)", len(jobs),
-             args.jobs)
-    if args.jobs > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+             workers)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_annotate_one, jobs))
     else:
         results = [_annotate_one(job) for job in jobs]
@@ -475,7 +479,9 @@ def cmd_learning_curve(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="prosolab",
         description="Word prominence annotation from audio and text-only "

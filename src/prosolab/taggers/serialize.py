@@ -19,6 +19,9 @@ from .majority import N_LABELS, MajorityModel
 
 MAGIC = "prosolab-model v1"
 EMBED_WINDOW = 1  # the embed classifier reads one neighbour on each side
+# Most numbers _Reader.table converts in one numpy call.  A fixed bound, not
+# a setting.
+TABLE_BLOCK_VALUES = 4096
 
 
 def _floats(values) -> str:
@@ -111,11 +114,19 @@ class _Reader:
         """(name -> row, (count, width) array) of the next `count` lines:
         `prefix`, a new name if `named`, then `width` numbers of `kind`, in
         tab-separated fields or one field split on `sep`.  The numbers convert
-        in one numpy call, and one by one only to name a bad one's row."""
+        a block of rows per numpy call, and one by one only to name a bad
+        one's row.  A bad number is raised once every row's layout has been
+        checked, so a bad layout anywhere is named first."""
         name = prefix if prefix == "row" else f"{prefix} row"
         n_fields = 1 + named + (1 if sep else width)
+        # a width below 1 comes from a bad dimension key: 0 leaves nothing
+        # to convert, and a negative one fails the first row's layout check
+        step = max(1, TABLE_BLOCK_VALUES // max(width, 1))
         index: dict[str, int] = {}
+        values = np.empty((count, max(width, 0)),
+                          dtype=np.float64 if kind is float else np.int64)
         texts: list[str] = []
+        bad_number = None
         for i in range(count):
             line = self.next()
             fields = line.split("\t")
@@ -135,9 +146,18 @@ class _Reader:
                         f"{name} {i}: repeated name {fields[1]!r}"))
                 index[fields[1]] = i
             texts += numbers
-        values = parse_numbers(texts, kind,
-                               lambda k: self.at(f"{name} {k // width}"))
-        return index, values.reshape(count, width)
+            if i + 1 == count or (i + 1) % step == 0:
+                a = i - i % step  # the block's first row
+                try:
+                    values[a:i + 1] = parse_numbers(texts, kind, lambda k: (
+                        self.at(f"{name} {a + k // width}"))).reshape(
+                            i + 1 - a, width)
+                except CorpusFormatError as exc:
+                    bad_number = bad_number or exc
+                texts = []
+        if bad_number is not None:
+            raise bad_number
+        return index, values
 
 
 def load_model(data: bytes, where: str = ""):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from prosolab import acoustics
 from prosolab._accel import frame_acf
 from prosolab.acoustics import (
     ENERGY_FLOOR,
+    FRAME_BLOCK,
     FrameTrack,
     OCTAVE_COST,
     SILENCE_RMS,
@@ -155,7 +157,7 @@ def _between(x, filler):
     return np.concatenate([x, filler, x])
 
 
-@pytest.mark.parametrize("samples,rate,cfg", [
+F0_CASES = [
     pytest.param(make_word_fixture([0.2, 0.8, 0.5])[0].samples, RATE,
                  PitchConfig(), id="word_fixture_gaps"),
     # a constant 0.5 clears the RMS floor but is exactly zero once the frame
@@ -175,7 +177,10 @@ def _between(x, filler):
                  id="hop_not_dividing"),
     pytest.param(harmonic(180.0, 0.04), RATE, PitchConfig(), id="one_window"),
     pytest.param(np.zeros(RATE // 4), RATE, PitchConfig(), id="all_zero"),
-])
+]
+
+
+@pytest.mark.parametrize("samples,rate,cfg", F0_CASES)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_f0_matches_frame_loop(samples, rate, cfg):
     """Bit for bit the per-frame loop, including frames that skip the ACF."""
@@ -183,6 +188,47 @@ def test_f0_matches_frame_loop(samples, rate, cfg):
     want_values, want_voiced = loop_f0_track(samples, rate, cfg)
     assert np.array_equal(track.valid, want_voiced)
     assert np.array_equal(track.values, want_values)
+
+
+# a DC run of 2 * FRAME_BLOCK + 8 hops holds whole blocks of loud frames that
+# are exactly zero once their mean is removed, so every ACF in such a block
+# has r0 == 0 and the block is empty after that filter
+DC_BLOCK = np.full((2 * FRAME_BLOCK + 8) * round(RATE * SHIFT), 0.5)
+
+
+@pytest.mark.parametrize("samples,rate,cfg", F0_CASES + [
+    pytest.param(np.concatenate([DC_BLOCK, harmonic(150.0, 0.2)]), RATE,
+                 PitchConfig(), id="dc_whole_block"),
+    pytest.param(_between(np.zeros(RATE // 4), harmonic(180.0, 0.1)), RATE,
+                 PitchConfig(), id="under_one_block"),
+])
+@pytest.mark.parametrize("block", [1, 3, 7, FRAME_BLOCK])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_f0_and_rms_do_not_depend_on_the_block_size(monkeypatch, block,
+                                                     samples, rate, cfg):
+    """Bit for bit the per-frame loop and the whole-utterance RMS, wherever
+    the blocks of frames fall."""
+    monkeypatch.setattr(acoustics, "FRAME_BLOCK", block)
+    frames = framed(samples, rate)
+    gathered = gather_frames(samples, rate, SHIFT, WINDOW)
+    assert np.array_equal(frames.rms, np.sqrt(np.mean(gathered**2, axis=1)))
+    track = extract_f0(frames, cfg)
+    want_values, want_voiced = loop_f0_track(samples, rate, cfg)
+    assert np.array_equal(track.valid, want_voiced)
+    assert np.array_equal(track.values, want_values)
+
+
+def test_block_cases_hit_an_empty_block_and_a_short_tail():
+    """The DC case has a whole block of loud frames that the r0 filter
+    empties; the short case has fewer loud frames than one block."""
+    frames = framed(np.concatenate([DC_BLOCK, harmonic(150.0, 0.2)]))
+    loud = frames.samples[frames.rms >= SILENCE_RMS]
+    flat = (loud == loud[:, :1]).all(axis=1)
+    n_blocks = len(loud) // FRAME_BLOCK
+    assert flat[:n_blocks * FRAME_BLOCK].reshape(n_blocks, -1).all(
+        axis=1).any()
+    short = framed(_between(np.zeros(RATE // 4), harmonic(180.0, 0.1)))
+    assert 0 < (short.rms >= SILENCE_RMS).sum() < FRAME_BLOCK
 
 
 def test_f0_pure_tone_220hz():

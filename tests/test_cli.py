@@ -144,6 +144,53 @@ def test_annotate_parallel_matches_serial(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_annotate_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        ("u1", [0.2, 0.8, 0.5], None)])
+    out = tmp_path / "data.tsv"
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg,
+                "--jobs", jobs]) == 2
+    assert (f"error: --jobs must be at least 1, got {jobs}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs, n_utterances, pools", [
+    ("64", 2, [2]), ("2", 3, [2]), ("8", 1, []), ("1", 2, [])])
+def test_annotate_starts_no_more_workers_than_utterances(
+        tmp_path, monkeypatch, capsys, jobs, n_utterances, pools):
+    """The pool is sized min(--jobs, utterances); one worker runs in this
+    process.  A stand-in executor records the size and maps in-process, so
+    no worker is ever forked."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        (f"u{i}", [0.2, 0.8, 0.5], None) for i in range(n_utterances)])
+    serial, pooled = tmp_path / "serial.tsv", tmp_path / "pooled.tsv"
+    assert run(["annotate", audio_dir, align_dir, serial,
+                "--config", cfg]) == 0
+    assert sizes == []
+    assert run(["annotate", audio_dir, align_dir, pooled, "--config", cfg,
+                "--jobs", jobs]) == 0
+    assert sizes == pools
+    assert serial.read_bytes() == pooled.read_bytes()
+
+
 GOLDEN_UTTERANCES = [
     ("g1", [0.2, 0.8, 0.5], "."),
     ("g2", [0.7, 0.3, 0.4, 0.9], None),
@@ -1124,3 +1171,18 @@ def test_log_level_env_controls_verbosity(tmp_path):
     quiet = run_proc("WARNING")
     assert quiet.returncode == 0, quiet.stderr
     assert "training majority" not in quiet.stderr
+
+
+def test_the_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    annotate = ["annotate", "audio", "align", "out.tsv"]
+    assert parser.parse_args([*annotate, "--jobs", "3"]).jobs == 3
+    assert parser.parse_args(annotate).jobs == 1
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["train", "--help"], ["train", "x"],
+                     ["bogus"]):
+            outputs.append((run(argv), capsys.readouterr()))
+    assert outputs[:4] == outputs[4:]
+    assert [code for code, _ in outputs[:4]] == [0, 0, 2, 2]

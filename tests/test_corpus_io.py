@@ -27,6 +27,7 @@ from prosolab.corpus_io import (
     _label,
     _record,
 )
+from prosolab.taggers import serialize
 from prosolab.taggers.serialize import _Reader
 
 from conftest import (
@@ -635,9 +636,10 @@ def _parsed_one_by_one(texts, kind, width):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([int, float]), st.integers(1, 3), st.integers(1, 3),
-       st.data())
+       st.sampled_from([1, 2, 5, serialize.TABLE_BLOCK_VALUES]), st.data())
 def test_model_sections_read_in_bulk_what_parse_number_reads(kind, count,
-                                                             width, data):
+                                                             width, block,
+                                                             data):
     texts = data.draw(st.lists(number_text_st, min_size=count * width,
                                max_size=count * width))
     lines = ["trans\t" + "\t".join(texts[i * width:(i + 1) * width])
@@ -645,11 +647,14 @@ def test_model_sections_read_in_bulk_what_parse_number_reads(kind, count,
     reader = _Reader("\n".join(lines).encode(), "")
     reader.section = "crf"
     want, error = _parsed_one_by_one(texts, kind, width)
+    saved, serialize.TABLE_BLOCK_VALUES = serialize.TABLE_BLOCK_VALUES, block
     try:
         _, values = reader.table("trans", count, width, kind)
     except CorpusFormatError as exc:
         assert str(exc) == error
         return
+    finally:
+        serialize.TABLE_BLOCK_VALUES = saved
     assert error is None and values.shape == (count, width)
     got = values.ravel().tolist()
     if kind is float:

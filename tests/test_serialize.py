@@ -10,6 +10,7 @@ from prosolab.taggers.common import LabeledSentence
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
 from prosolab.taggers.majority import predict_majority, train_majority
+from prosolab.taggers import serialize
 from prosolab.taggers.serialize import MAGIC, load_model, save_model
 
 CORPUS = [
@@ -204,3 +205,22 @@ def test_load_rejects_a_name_repeated_in_a_section(kind, prefix):
     with pytest.raises(CorpusFormatError, match=re.escape(message)):
         load_model("\n".join(lines).encode())
 
+
+@pytest.mark.parametrize("block", [1, 4096])
+def test_a_bad_layout_is_named_before_a_bad_number_in_an_earlier_block(
+        monkeypatch, block):
+    """A section converts a block of rows at a time, but a bad layout in any
+    row is still reported before a bad number in an earlier one."""
+    monkeypatch.setattr(serialize, "TABLE_BLOCK_VALUES", block)
+    lines = _saved("crf").split("\n")
+    rows = [k for k, line in enumerate(lines) if line.startswith("feature\t")]
+    lines[rows[0]] = lines[rows[0]].rpartition("\t")[0] + "\tnope"
+    lines[rows[2]] += "\t1.0"
+    with pytest.raises(CorpusFormatError, match=re.escape(
+            "crf model, bad feature row 2: expected 'feature' and 4 fields")):
+        load_model("\n".join(lines).encode())
+    # with the layout mended, the bad number is named by its own row
+    lines[rows[2]] = lines[rows[2]].rpartition("\t")[0]
+    with pytest.raises(CorpusFormatError, match=re.escape(
+            "crf model, feature row 0: not a number: 'nope'")):
+        load_model("\n".join(lines).encode())
