@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache, partial, reduce
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -33,7 +32,6 @@ from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 from .taggers import (crf_loglik_grad, crf_train, load_model,  # noqa: F401
                       predict_embed, predict_majority, save_model,
                       train_embed_classifier, train_majority, viterbi)
-from .taggers.common import LabeledSentence
 
 log = logging.getLogger("prosolab")
 
@@ -282,28 +280,22 @@ def _load_columns(path: str, n_classes: int) -> Columns:
     return data
 
 
-def _load_sentences(path: str, n_classes: int) -> list[LabeledSentence]:
-    data = _load_columns(path, n_classes)
-    return list(map(LabeledSentence, data.split(data.tokens),
-                    data.split(data.labels)))
-
-
 class Tagger(NamedTuple):
     """What the CLI does with one --model value.  Entries call trainers and
     decoders through this module's globals, so a tracer can rebind them."""
     kind: str                     # the model file's type
     name: str                     # the name `evaluate` reports
     config_keys: tuple[str, ...]  # the training keys a config may set
-    trainer: Callable             # cfg -> (corpus -> model), built once
+    trainer: Callable             # cfg -> (Columns -> model), built once
     summary: Callable             # model -> the lines `train` prints
-    decode: Callable              # (model, token lists) -> label lists
+    decode: Callable              # (model, Columns) -> a label per token
 
 
 def _crf_trainer(cfg: dict[str, str]):
     settings = {"l2_lambda": _cfg_value(cfg, "l2_lambda", 1e-4),
                 "max_iterations": _cfg_value(cfg, "max_iterations", 100),
                 "tolerance": _cfg_value(cfg, "tolerance", 1e-5)}
-    return lambda corpus: crf_train(corpus, **settings)
+    return lambda data: crf_train(data, **settings)
 
 
 def _embed_trainer(cfg: dict[str, str]):
@@ -316,29 +308,29 @@ def _embed_trainer(cfg: dict[str, str]):
     table = load_embeddings(Path(cfg["embeddings"]), dim)
     settings = {"l2_lambda": _cfg_value(cfg, "l2_lambda", 1e-4),
                 "max_iterations": _cfg_value(cfg, "max_iterations", 500)}
-    return lambda corpus: train_embed_classifier(corpus, table, **settings)
+    return lambda data: train_embed_classifier(data, table, **settings)
 
 
 _MAJORITY = Tagger(
     "majority", "majority-per-word", (), lambda cfg: train_majority,
     lambda model: [f"entries={len(model.per_word)}"],
-    lambda model, tokens: predict_majority(model, tokens, "per_word"))
+    lambda model, data: predict_majority(model, data, "per_word"))
 # keyed by --model; majority-global trains as majority and decodes a
 # majority model with the global label
 TAGGERS = {
     "majority": _MAJORITY,
     "majority-global": _MAJORITY._replace(name="majority-global", decode=(
-        lambda model, tokens: predict_majority(model, tokens, "global"))),
+        lambda model, data: predict_majority(model, data, "global"))),
     "crf": Tagger(
         "crf", "crf", ("l2_lambda", "max_iterations", "tolerance"),
         _crf_trainer, lambda model: [f"features={len(model.feature_index)}",
                                      f"objective={model.objective:.6f}"],
-        lambda model, tokens: viterbi(model, tokens)),
+        lambda model, data: viterbi(model, data)),
     "embed": Tagger(
         "embed", "embed",
         ("l2_lambda", "max_iterations", "embeddings", "embedding_dim"),
         _embed_trainer, lambda model: [f"dimension={model.table.dimension}"],
-        lambda model, tokens: predict_embed(model, tokens)),
+        lambda model, data: predict_embed(model, data)),
 }
 
 
@@ -355,9 +347,9 @@ def _tagger(model, model_arg: str | None) -> Tagger:
 def cmd_train(args) -> int:
     tagger = TAGGERS[args.model]
     cfg = load_config(args.config, tagger.config_keys)
-    corpus = _load_sentences(args.train_file, args.classes)
-    log.info("training %s on %d sentences", args.model, len(corpus))
-    model = tagger.trainer(cfg)(corpus)
+    data = _load_columns(args.train_file, args.classes)
+    log.info("training %s on %d sentences", args.model, len(data.lengths))
+    model = tagger.trainer(cfg)(data)
     print(*tagger.summary(model), sep="\n")
     Path(args.out_model).write_bytes(save_model(model))
     return 0
@@ -366,8 +358,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(Path(args.model_file).read_bytes(), args.model_file)
     data = _load_columns(args.in_file, 3)
-    decode = _tagger(model, args.model).decode
-    labels = list(chain.from_iterable(decode(model, data.split(data.tokens))))
+    labels = _tagger(model, args.model).decode(model, data)
     if args.classes == 2:
         labels = evaluation.merge_labels(labels)
     Path(args.out_file).write_text(
@@ -392,25 +383,28 @@ def _check_predictions(pred: Columns, gold: Columns) -> None:
         raise CorpusFormatError(
             f"sentence count mismatch: {len(pred.lengths)} predicted vs "
             f"{len(gold.lengths)} gold")
-    for i, (tokens, labels, gold_tokens, gold_labels) in enumerate(zip(
-            pred.split(pred.tokens), pred.split(pred.labels),
-            gold.split(gold.tokens), gold.split(gold.labels)), start=1):
-        for k, (p, g, p_lab, g_lab) in enumerate(
-                zip(tokens, gold_tokens, labels, gold_labels), start=1):
+    # every sentence before the first mismatch has its length in both, so
+    # its tokens sit at the same flat positions in both
+    start = 0
+    for i, (n, n_gold) in enumerate(zip(pred.lengths, gold.lengths), start=1):
+        for k in range(min(n, n_gold)):
+            p, g = pred.tokens[start + k], gold.tokens[start + k]
+            p_lab, g_lab = pred.labels[start + k], gold.labels[start + k]
             if p != g:
                 raise CorpusFormatError(
-                    f"sentence {i}, token {k}: predicted {p!r} where the "
+                    f"sentence {i}, token {k + 1}: predicted {p!r} where the "
                     f"test file has {g!r}")
             if (p_lab is None) != (g_lab is None):
                 got, want = (("NA", "a label") if p_lab is None
                              else ("a label", "NA"))
                 raise CorpusFormatError(
-                    f"sentence {i}, token {k}: predicted {got} where the "
+                    f"sentence {i}, token {k + 1}: predicted {got} where the "
                     f"test file has {want}")
-        if len(tokens) != len(gold_tokens):
+        if n != n_gold:
             raise CorpusFormatError(
-                f"sentence {i}: {len(tokens)} predicted tokens vs "
-                f"{len(gold_tokens)} in the test file")
+                f"sentence {i}: {n} predicted tokens vs {n_gold} in the test "
+                "file")
+        start += n
 
 
 def cmd_evaluate(args) -> int:
@@ -421,9 +415,8 @@ def cmd_evaluate(args) -> int:
         model = load_model(data, args.model_or_pred)
         tagger = _tagger(model, args.model)
         name = tagger.name
-        decoded = tagger.decode(model, gold.split(gold.tokens))
-        pred = Columns(gold.tokens, list(chain.from_iterable(decoded)), None,
-                       list(map(len, decoded)))
+        pred = Columns(gold.tokens, tagger.decode(model, gold), None,
+                       gold.lengths)
     else:
         if args.model is not None:
             raise UsageError("--model applies to a model file, not to a "
@@ -458,13 +451,13 @@ def _parse_fractions(text: str) -> list[float]:
 def cmd_learning_curve(args) -> int:
     tagger = TAGGERS[args.model]
     cfg = load_config(args.config, tagger.config_keys)
-    train_corpus = _load_sentences(args.train_file, args.classes)
-    test_corpus = _load_sentences(args.test_file, args.classes)
+    train_data = _load_columns(args.train_file, args.classes)
+    test_data = _load_columns(args.test_file, args.classes)
     fractions = _parse_fractions(args.fractions)
     train = tagger.trainer(cfg)
     points = evaluation.learning_curve(
-        lambda corpus: partial(tagger.decode, train(corpus)),
-        train_corpus, test_corpus, fractions, args.seed)
+        lambda data: partial(tagger.decode, train(data)),
+        train_data, test_data, fractions, args.seed)
     task = f"{args.classes}-way"
     Path(args.out_tsv).write_text(
         evaluation.report_tsv([(args.model, task, p.fraction, p.accuracy)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .taggers.common import LabeledSentence
+from .corpus_io import Columns
 
 CURVE_FRACTIONS = (0.01, 0.05, 0.10, 0.50, 1.00)
 
@@ -101,12 +102,11 @@ def merge_labels(labels):
     return [None if v is None else (1 if v >= 1 else 0) for v in labels]
 
 
-def non_na_count(corpus: list[LabeledSentence]) -> int:
-    return sum(1 for sent in corpus for lab in sent.labels if lab is not None)
+def non_na_count(data: Columns) -> int:
+    return len(data.labels) - data.labels.count(None)
 
 
-def subset_training(corpus: list[LabeledSentence], fraction: float,
-                    seed: int) -> list[LabeledSentence]:
+def subset_training(data: Columns, fraction: float, seed: int) -> Columns:
     """Sample whole sentences until the non-NA token budget is first reached.
 
     Sentences are taken in a seeded shuffle order, so equal seeds give
@@ -116,40 +116,38 @@ def subset_training(corpus: list[LabeledSentence], fraction: float,
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction {fraction} outside (0, 1]")
     if fraction == 1.0:
-        return list(corpus)
-    total = non_na_count(corpus)
+        return data
+    total = non_na_count(data)
     if total == 0:
         raise ValueError("corpus has no labeled tokens")
-    target = fraction * total
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    picked = []
-    covered = 0
-    for idx in order:
-        picked.append(int(idx))
-        covered += sum(1 for lab in corpus[idx].labels if lab is not None)
-        if covered >= target:
-            break
-    return [corpus[i] for i in sorted(picked)]
+    labeled = np.cumsum([0] + [lab is not None for lab in data.labels])
+    per_sentence = np.diff(labeled[np.cumsum([0, *data.lengths])])
+    order = np.random.default_rng(seed).permutation(len(data.lengths))
+    # the first sentence in `order` at which the running count reaches the
+    # budget is the last one taken
+    last = np.searchsorted(np.cumsum(per_sentence[order]), fraction * total)
+    picked = np.zeros(len(data.lengths), dtype=bool)
+    picked[order[:last + 1]] = True
+    keep = np.repeat(picked, data.lengths).tolist()
+    return Columns(
+        list(compress(data.tokens, keep)), list(compress(data.labels, keep)),
+        None if data.continuous is None else data.continuous[keep],
+        list(compress(data.lengths, picked.tolist())))
 
 
-def learning_curve(train_fn, train_corpus: list[LabeledSentence],
-                   test_corpus: list[LabeledSentence],
+def learning_curve(train_fn, train_data: Columns, test_data: Columns,
                    fractions=CURVE_FRACTIONS, seed: int = 0,
                    ) -> list[CurvePoint]:
     """Retrain from scratch at each fraction and score on the fixed test set.
 
-    train_fn(corpus) must return a predictor that labels a list of token
-    lists in one call.
+    train_fn(data) must return a predictor that labels every token of a
+    Columns in one call.
     """
-    tokens = [sent.tokens for sent in test_corpus]
-    golds = [lab for sent in test_corpus for lab in sent.labels]
     points = []
     for fraction in sorted(fractions):
-        predict = train_fn(subset_training(train_corpus, fraction, seed))
-        preds = [lab for labels in predict(tokens) for lab in labels]
-        points.append(CurvePoint(fraction=fraction,
-                                 accuracy=accuracy(preds, golds)))
+        predict = train_fn(subset_training(train_data, fraction, seed))
+        points.append(CurvePoint(fraction=fraction, accuracy=accuracy(
+            predict(test_data), test_data.labels)))
     return points
 
 

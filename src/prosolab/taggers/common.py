@@ -1,9 +1,10 @@
-"""Shared sentence container and text compiler for the text-only taggers."""
+"""The text compiler shared by the text-only taggers."""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -14,18 +15,6 @@ from ..corpus_io import is_punctuation
 # dynamic-programming tensors one chunk at a time, so their memory stays
 # bounded however long the file is.  A fixed bound, not a setting.
 CHUNK_CELLS = 4096
-
-
-@dataclass
-class LabeledSentence:
-    """Tokens with aligned labels; None marks NA (excluded from loss/score)."""
-
-    tokens: list[str]
-    labels: list[int | None]
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.labels):
-            raise ValueError("tokens and labels lengths differ")
 
 
 def na_mask(tokens: list[str]) -> list[bool]:
@@ -56,11 +45,6 @@ class Chunk:
         """Index of each position in its sentence, and that sentence's
         length."""
         return self.cells % self.width, np.repeat(self.lengths, self.lengths)
-
-    def split(self, flat: list) -> list[list]:
-        """One list per sentence from a list over the chunk's positions."""
-        bounds = [0, *np.cumsum(self.lengths).tolist()]
-        return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -98,15 +82,14 @@ class CompiledText:
         return Chunk(start, stop, lengths, width, row * width + t)
 
 
-def compile_text(sentences: list[list[str]]) -> CompiledText:
-    """Number the distinct tokens of `sentences` and lay the positions out
-    flat; punctuation is tested once per distinct token."""
-    index: dict[str, int] = {}
-    type_ids = np.array([index.setdefault(tok, len(index))
-                         for tokens in sentences for tok in tokens],
-                        dtype=np.int64)
-    lengths = np.array([len(tokens) for tokens in sentences], dtype=np.int64)
-    offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
+def compile_text(tokens: list[str], lengths: list[int]) -> CompiledText:
+    """Number the distinct `tokens`, first occurrence first, of sentences of
+    `lengths` tokens each; punctuation is tested once per distinct token."""
+    index = dict(zip(dict.fromkeys(tokens), count()))
+    type_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
+                           count=len(tokens))
+    lengths = np.array(lengths, dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     types = list(index)
     return CompiledText(

@@ -20,9 +20,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
-from ..corpus_io import is_punctuation
-from .common import (Chunk, CompiledText, LabeledSentence,
-                     check_training_settings, compile_text, na_mask)
+from ..corpus_io import Columns, is_punctuation
+from .common import (Chunk, CompiledText, check_training_settings,
+                     compile_text, na_mask)
 
 log = logging.getLogger(__name__)
 
@@ -209,7 +209,7 @@ def _path_scores(pot: np.ndarray, trans: np.ndarray, states: np.ndarray,
 
 def _one_sentence(model: CrfModel, tokens: list[str],
                   na: np.ndarray) -> tuple[Chunk, np.ndarray]:
-    text = compile_text([tokens])
+    text = compile_text(tokens, [len(tokens)])
     ch = next(text.chunks())
     feats = sentence_feature_ids(text, na, model.feature_index.get)
     return ch, _potentials(model, ch, na, *feats.chunk(ch))
@@ -297,38 +297,35 @@ def _apply(grad: np.ndarray, index: np.ndarray, counted: np.ndarray,
     np.add.at(grad, index, updates)
 
 
-def _prepare(model: CrfModel,
-             batch: list[LabeledSentence]) -> list[_TrainingChunk]:
-    text = compile_text([sent.tokens for sent in batch])
-    states = _states_from_labels(
-        model, [lab for sent in batch for lab in sent.labels])
+def prepare(model: CrfModel, data: Columns) -> list[_TrainingChunk]:
+    """The batch `data` as crf_loglik_grad reads it, featurized under the
+    model's feature index and labels."""
+    if not data.lengths:
+        raise ValueError("empty batch")
+    text = compile_text(data.tokens, data.lengths)
+    states = _states_from_labels(model, data.labels)
     na = states == model.na_state
     return _training_chunks(
         model, sentence_feature_ids(text, na, model.feature_index.get),
         states)
 
 
-def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
-                    prepared: list[_TrainingChunk] | None = None,
+def crf_loglik_grad(model: CrfModel, prepared: list[_TrainingChunk],
                     ) -> tuple[float, np.ndarray]:
-    """Regularized conditional log-likelihood and its gradient.
+    """Regularized conditional log-likelihood and its gradient over a batch
+    as prepare gives it.
 
     Value: sum over sentences of [score(gold) - logZ] - lambda * ||w||^2.
     Gradient: observed - expected feature counts - 2 * lambda * w, where the
     expectations come from forward-backward node and edge marginals.  Each
     gradient cell takes its updates in sentence order, then position order,
-    with a sentence's observed counts before its expectations.  `prepared`
-    is the batch as _prepare gives it, to skip featurizing it again.
+    with a sentence's observed counts before its expectations.
     """
-    if not batch:
-        raise ValueError("empty batch")
     K, S = model.n_labels, model.n_states
     emis_grad = np.zeros(model.n_emission)
     trans = model.transition_matrix()
     trans_grad = np.zeros(S * S)
     total = 0.0
-    if prepared is None:
-        prepared = _prepare(model, batch)
     for c in prepared:
         lengths = c.chunk.lengths
         pot = _potentials(model, c.chunk, c.na, c.ids, c.cells)
@@ -354,18 +351,16 @@ def crf_loglik_grad(model: CrfModel, batch: list[LabeledSentence],
     return float(total), grad
 
 
-def build_feature_index(corpus: list[LabeledSentence]) -> tuple[
-        dict[str, int], FeatureIds]:
+def build_feature_index(data: Columns) -> tuple[dict[str, int], FeatureIds]:
     """Feature -> id map numbered by first occurrence in a scan of the word
-    positions (position order, then template order), and the corpus's
+    positions (position order, then template order), and `data`'s
     FeatureIds under that map.
 
     Only non-NA positions contribute; the NA state has no emissions, so
     features seen only at punctuation would never receive gradient.
     """
-    text = compile_text([sent.tokens for sent in corpus])
-    na = np.array([lab is None for sent in corpus for lab in sent.labels],
-                  dtype=bool)
+    text = compile_text(data.tokens, data.lengths)
+    na = np.array([lab is None for lab in data.labels], dtype=bool)
     provisional: dict[str, int] = {}
     feats = sentence_feature_ids(
         text, na, lambda f: provisional.setdefault(f, len(provisional)))
@@ -383,7 +378,7 @@ def build_feature_index(corpus: list[LabeledSentence]) -> tuple[
     return {names[p]: i for i, p in enumerate(order)}, feats
 
 
-def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
+def crf_train(data: Columns, l2_lambda: float = 1e-4,
               max_iterations: int = 100, tolerance: float = 1e-5,
               labels: list[int] | None = None) -> CrfModel:
     """Fit weights by maximizing the regularized conditional log-likelihood.
@@ -391,25 +386,24 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
     Deterministic: fixed feature order, zero init, full-batch L-BFGS.  Two
     runs on identical input produce identical weights.
     """
-    if not corpus:
+    if not data.lengths:
         raise ValueError("empty corpus")
     check_training_settings(l2_lambda, max_iterations)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if labels is None:
-        found = sorted({lab for sent in corpus for lab in sent.labels
-                        if lab is not None})
-        if not found:
+        labels = sorted(set(data.labels) - {None})
+        if not labels:
             raise ValueError("all-NA corpus")
-        labels = found
-    index, feats = build_feature_index(corpus)
+    index, feats = build_feature_index(data)
     model = new_model(labels, index, l2_lambda)
-    prepared = _training_chunks(model, feats, _states_from_labels(
-        model, [lab for sent in corpus for lab in sent.labels]))
+    # the index pass already featurized `data`: prepare it from those ids
+    prepared = _training_chunks(model, feats,
+                                _states_from_labels(model, data.labels))
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         model.weights = w.copy()
-        value, grad = crf_loglik_grad(model, corpus, prepared=prepared)
+        value, grad = crf_loglik_grad(model, prepared)
         model.objective = value
         if not np.isfinite(value):
             raise FloatingPointError(
@@ -429,22 +423,21 @@ def crf_train(corpus: list[LabeledSentence], l2_lambda: float = 1e-4,
         # a failed line search puts result.x back to an earlier iterate
         # than the one evaluated last, and leaves result.fun at that one
         model.weights = result.x
-        model.objective, _ = crf_loglik_grad(model, corpus, prepared)
+        model.objective, _ = crf_loglik_grad(model, prepared)
     return model
 
 
-def viterbi(model: CrfModel,
-            sentences: list[list[str]]) -> list[list[int | None]]:
-    """Best-scoring labeling of each sentence; NA forced at punctuation,
-    ties to the smaller label."""
-    text = compile_text(sentences)
+def viterbi(model: CrfModel, data: Columns) -> list[int | None]:
+    """The labels of each sentence's best-scoring labeling, one per token of
+    `data`; NA forced at punctuation, ties to the smaller label."""
+    text = compile_text(data.tokens, data.lengths)
     na = text.na()
     feats = sentence_feature_ids(text, na, model.feature_index.get)
     trans = model.transition_matrix()
     names = np.array([*model.labels, None], dtype=object)
-    out: list[list[int | None]] = []
+    out: list[int | None] = []
     for ch in text.chunks():
         pot = _potentials(model, ch, na[ch.start:ch.stop], *feats.chunk(ch))
         path = chain_viterbi(pot, trans, ch.lengths)
-        out += ch.split(names[path.ravel()[ch.cells]].tolist())
+        out += names[path.ravel()[ch.cells]].tolist()
     return out

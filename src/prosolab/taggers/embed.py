@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus_io import EmbeddingTable
-from .common import (Chunk, CompiledText, LabeledSentence,
-                     check_training_settings, compile_text)
+from ..corpus_io import Columns, EmbeddingTable
+from .common import Chunk, CompiledText, check_training_settings, compile_text
 
 
 @dataclass
@@ -56,29 +55,26 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_embed_classifier(corpus: list[LabeledSentence],
-                           table: EmbeddingTable,
+def train_embed_classifier(data: Columns, table: EmbeddingTable,
                            l2_lambda: float = 1e-4,
                            max_iterations: int = 500,
                            tolerance: float = 1e-6) -> EmbeddingClassifier:
-    """Fit the softmax weights on all non-NA positions of the corpus."""
-    if not corpus:
+    """Fit the softmax weights on all non-NA positions of `data`."""
+    if not data.lengths:
         raise ValueError("empty corpus")
     check_training_settings(l2_lambda, max_iterations)
-    labels = sorted({lab for sent in corpus for lab in sent.labels
-                     if lab is not None})
+    labels = sorted(set(data.labels) - {None})
     if not labels:
         raise ValueError("all-NA corpus")
     label_pos = {lab: i for i, lab in enumerate(labels)}
 
-    text = compile_text([sent.tokens for sent in corpus])
-    flat = [lab for sent in corpus for lab in sent.labels]
-    words = np.array([lab is not None for lab in flat], dtype=bool)
+    text = compile_text(data.tokens, data.lengths)
+    words = np.array([lab is not None for lab in data.labels], dtype=bool)
     vectors = _type_vectors(table, text.types)
     x = np.concatenate([
         _window_rows(vectors, text, ch)[words[ch.start:ch.stop]]
         for ch in text.chunks()])               # (N, 3d + 1)
-    y = np.array([label_pos[lab] for lab in flat if lab is not None],
+    y = np.array([label_pos[lab] for lab in data.labels if lab is not None],
                  dtype=np.int64)                # (N,)
     n, dim = x.shape
     k = len(labels)
@@ -118,18 +114,18 @@ def train_embed_classifier(corpus: list[LabeledSentence],
 
 
 def predict_embed(classifier: EmbeddingClassifier,
-                  sentences: list[list[str]]) -> list[list[int | None]]:
-    """Per-position argmax of logits for each sentence; NA at punctuation,
-    ties to the smaller label."""
-    text = compile_text(sentences)
+                  data: Columns) -> list[int | None]:
+    """Per-position argmax of logits for each of `data`'s tokens; NA at
+    punctuation, ties to the smaller label."""
+    text = compile_text(data.tokens, data.lengths)
     vectors = _type_vectors(classifier.table, text.types)
     na = text.na()
     names = np.array([*classifier.labels, None], dtype=object)
-    out: list[list[int | None]] = []
+    out: list[int | None] = []
     for ch in text.chunks():
         logits = (_window_rows(vectors, text, ch)
                   @ classifier.weight_matrix.T)
         best = np.where(na[ch.start:ch.stop], len(classifier.labels),
                         logits.argmax(axis=1))
-        out += ch.split(names[best].tolist())
+        out += names[best].tolist()
     return out

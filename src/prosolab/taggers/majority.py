@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import LabeledSentence, compile_text
+from ..corpus_io import Columns
+from .common import compile_text
 
 N_LABELS = 3
 
@@ -19,22 +20,21 @@ class MajorityModel:
         default_factory=lambda: np.zeros(N_LABELS, dtype=np.int64))
 
 
-def train_majority(corpus: list[LabeledSentence]) -> MajorityModel:
+def train_majority(data: Columns) -> MajorityModel:
     """Count labels per lowercased word type; NA positions contribute nothing."""
     model = MajorityModel()
     seen = False
-    for sent in corpus:
-        for token, label in zip(sent.tokens, sent.labels):
-            if label is None:
-                continue
-            seen = True
-            key = token.lower()
-            counts = model.per_word.get(key)
-            if counts is None:
-                counts = np.zeros(N_LABELS, dtype=np.int64)
-                model.per_word[key] = counts
-            counts[label] += 1
-            model.global_counts[label] += 1
+    for token, label in zip(data.tokens, data.labels):
+        if label is None:
+            continue
+        seen = True
+        key = token.lower()
+        counts = model.per_word.get(key)
+        if counts is None:
+            counts = np.zeros(N_LABELS, dtype=np.int64)
+            model.per_word[key] = counts
+        counts[label] += 1
+        model.global_counts[label] += 1
     if not seen:
         raise ValueError("all-NA corpus: nothing to count")
     return model
@@ -45,25 +45,21 @@ def _argmax_label(counts: np.ndarray) -> int:
     return int(np.argmax(counts))
 
 
-def predict_majority(model: MajorityModel, sentences: list[list[str]],
-                     mode: str = "per_word") -> list[list[int | None]]:
+def predict_majority(model: MajorityModel, data: Columns,
+                     mode: str = "per_word") -> list[int | None]:
     """Most frequent label per word type (falling back to the global majority
-    for unseen words) or the global majority everywhere, for each sentence;
-    NA at punctuation."""
+    for unseen words) or the global majority everywhere, for each of
+    `data`'s tokens; NA at punctuation."""
     if mode not in ("per_word", "global"):
         raise ValueError(f"unknown mode {mode!r}")
     if model.global_counts.sum() == 0:
         raise ValueError("untrained model")
     global_label = _argmax_label(model.global_counts)
-    text = compile_text(sentences)
+    text = compile_text(data.tokens, data.lengths)
     by_type = []
     for token, punct in zip(text.types, text.type_na):
         counts = None if mode == "global" else model.per_word.get(
             token.lower())
         by_type.append(None if punct else global_label if counts is None
                        else _argmax_label(counts))
-    by_type = np.array(by_type, dtype=object)
-    out: list[list[int | None]] = []
-    for ch in text.chunks():
-        out += ch.split(by_type[text.type_ids[ch.start:ch.stop]].tolist())
-    return out
+    return np.array(by_type, dtype=object)[text.type_ids].tolist()

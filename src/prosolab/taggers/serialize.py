@@ -119,11 +119,9 @@ class _Reader:
         checked, so a bad layout anywhere is named first."""
         name = prefix if prefix == "row" else f"{prefix} row"
         n_fields = 1 + named + (1 if sep else width)
-        # a width below 1 comes from a bad dimension key: 0 leaves nothing
-        # to convert, and a negative one fails the first row's layout check
-        step = max(1, TABLE_BLOCK_VALUES // max(width, 1))
+        step = max(1, TABLE_BLOCK_VALUES // width)
         index: dict[str, int] = {}
-        values = np.empty((count, max(width, 0)),
+        values = np.empty((count, width),
                           dtype=np.float64 if kind is float else np.int64)
         texts: list[str] = []
         bad_number = None
@@ -197,6 +195,9 @@ def load_model(data: bytes, where: str = ""):
     if kind == "embed":
         labels = r.labels()
         dim = r.value("dimension")
+        if dim < 1:
+            raise CorpusFormatError(
+                r.at(f"key dimension: expected a value >= 1, got {dim}"))
         window = r.value("window")
         if window != EMBED_WINDOW:
             raise CorpusFormatError(f"unsupported embed window {window}")

@@ -1,4 +1,5 @@
-"""Shared fixtures: WAV byte synthesis, sine-word utterances, frozen dataset."""
+"""Shared fixtures: WAV byte synthesis, sine-word utterances, frozen dataset,
+labeled sentences as columns."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import wave
 import numpy as np
 import pytest
 
-from prosolab.corpus_io import AudioBuffer, Token, Utterance
+from prosolab.corpus_io import AudioBuffer, Columns, Token, Utterance
 
 RATE = 16000
 
@@ -30,6 +31,22 @@ DATASET_TOKENS = ["Tell", "me", "you", "rascal", ",",
 DATASET_DISCRETE = [2, 0, 0, 0, None, 2, 0, 0, 1, None]
 DATASET_CONTINUOUS = [1.473, 0.333, 0.003, 0.167, None,
                       2.160, 0.006, 0.037, 0.719, None]
+
+
+def make_columns(*sentences) -> Columns:
+    """The Columns of (tokens, labels) sentences, as a predictions file
+    holds them: no continuous column."""
+    for tokens, labels in sentences:
+        assert len(tokens) == len(labels), (tokens, labels)
+    return Columns([tok for tokens, _ in sentences for tok in tokens],
+                   [lab for _, labels in sentences for lab in labels],
+                   None, [len(tokens) for tokens, _ in sentences])
+
+
+def unlabeled(*sentences) -> Columns:
+    """make_columns of token lists, every label NA."""
+    return make_columns(*((tokens, [None] * len(tokens))
+                          for tokens in sentences))
 
 
 def pcm16_wav_bytes(samples: np.ndarray, rate: int = RATE,

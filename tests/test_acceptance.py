@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,13 @@ from prosolab.discretize import Thresholds, discretize, split_prominent
 from prosolab.evaluation import accuracy, merge_labels, subset_training
 from prosolab.prominence import AnnotateConfig, ScaleGrid, annotate_utterance, \
     cwt, extract_loma
-from prosolab.taggers.common import LabeledSentence
 from prosolab.taggers.crf import build_feature_index, crf_loglik_grad, \
-    crf_score, crf_train, forward_logZ, new_model, viterbi
+    crf_score, crf_train, forward_logZ, new_model, prepare, viterbi
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import (DATASET_CONTINUOUS, DATASET_DISCRETE, DATASET_SENTENCE,
-                      DATASET_TOKENS, RATE, make_word_fixture, sine)
+                      DATASET_TOKENS, RATE, make_columns, make_word_fixture,
+                      sine, unlabeled)
 
 DATASET_DIR_VAR = "PROSOLAB_DATASET_DIR"
 FULL_EVAL_VAR = "PROSOLAB_FULL_EVAL"
@@ -59,23 +60,13 @@ def load_public_split(filename: str) -> Columns:
     return parse_dataset(path.read_bytes())
 
 
-def to_sentences(split: Columns) -> list[LabeledSentence]:
-    return [LabeledSentence(tokens, labels) for tokens, labels in
-            zip(split.split(split.tokens), split.split(split.labels))]
+def merge_corpus(corpus: Columns) -> Columns:
+    return replace(corpus, labels=merge_labels(corpus.labels))
 
 
-def merge_corpus(corpus: list[LabeledSentence]) -> list[LabeledSentence]:
-    return [LabeledSentence(tokens=list(s.tokens),
-                            labels=merge_labels(s.labels))
-            for s in corpus]
-
-
-def corpus_accuracy(predict, corpus: list[LabeledSentence]) -> float:
-    """`predict` labels the whole corpus's token lists in one call."""
-    pred = [lab for labels in predict([sent.tokens for sent in corpus])
-            for lab in labels]
-    gold = [lab for sent in corpus for lab in sent.labels]
-    return accuracy(pred, gold)
+def corpus_accuracy(predict, corpus: Columns) -> float:
+    """`predict` labels every token of the corpus in one call."""
+    return accuracy(predict(corpus), corpus.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +110,19 @@ def test_criterion_2_majority_share_arithmetic():
     labels = np.repeat(list(counts), list(counts.values()))
     total = labels.size
     assert total == 90_063
-    corpus = [
-        LabeledSentence(tokens=["w"] * len(chunk), labels=list(chunk))
-        for chunk in np.array_split(labels, math.ceil(total / 1000))
-    ]
+    corpus = make_columns(*(
+        (["w"] * len(chunk), list(chunk))
+        for chunk in np.array_split(labels, math.ceil(total / 1000))))
 
     model3 = train_majority(corpus)
     acc3 = corpus_accuracy(
-        lambda toks: predict_majority(model3, toks, mode="global"), corpus)
+        lambda data: predict_majority(model3, data, mode="global"), corpus)
     assert abs(acc3 - 0.480) <= 0.0005
 
     merged = merge_corpus(corpus)
     model2 = train_majority(merged)
     acc2 = corpus_accuracy(
-        lambda toks: predict_majority(model2, toks, mode="global"), merged)
+        lambda data: predict_majority(model2, data, mode="global"), merged)
     assert abs(acc2 - 0.520) <= 0.0005
     assert time.perf_counter() - t0 < 10.0
 
@@ -146,8 +136,8 @@ def test_criterion_3_public_corpus_subsample():
     # 5% training subsample: same pipeline as the full run at a fraction of
     # the cost, so the accuracy bands are widened by 1.5 points on each side
     t0 = time.perf_counter()
-    train = to_sentences(load_public_split("train_360.txt"))
-    test = to_sentences(load_public_split("test.txt"))
+    train = load_public_split("train_360.txt")
+    test = load_public_split("test.txt")
     sub = subset_training(train, 0.05, seed=0)
     test2 = merge_corpus(test)
     sub2 = merge_corpus(sub)
@@ -174,8 +164,8 @@ def test_criterion_3_public_corpus_subsample():
 @needs_full_eval
 def test_criterion_3_public_corpus_full():
     t0 = time.perf_counter()
-    train = to_sentences(load_public_split("train_360.txt"))
-    test = to_sentences(load_public_split("test.txt"))
+    train = load_public_split("train_360.txt")
+    test = load_public_split("test.txt")
     test2 = merge_corpus(test)
     train2 = merge_corpus(train)
 
@@ -206,11 +196,11 @@ def test_criterion_3_public_corpus_full():
 # gate 4: CRF inference and gradient against brute force
 # ---------------------------------------------------------------------------
 
-TOY_CORPUS = [
-    LabeledSentence(["tell", "me", ",", "now"], [2, 0, None, 1]),
-    LabeledSentence(["the", "pig", "ran"], [0, 2, 1]),
-    LabeledSentence(["tell", "the", "pig"], [2, 0, 1]),
-    LabeledSentence(["me", "now", "."], [0, 1, None]),
+TOY_SENTENCES = [
+    (["tell", "me", ",", "now"], [2, 0, None, 1]),
+    (["the", "pig", "ran"], [0, 2, 1]),
+    (["tell", "the", "pig"], [2, 0, 1]),
+    (["me", "now", "."], [0, 1, None]),
 ]
 
 VOCAB = ["tell", "me", "where", "the", "pig", "is", "you",
@@ -240,11 +230,10 @@ def random_sentences(rng, count, max_len, vocab):
 def test_criterion_4_crf_exact_inference():
     t0 = time.perf_counter()
     rng = np.random.default_rng(41)
-    harvest = [
-        LabeledSentence(toks, [None if all(not c.isalnum() for c in w)
-                               else int(rng.integers(0, 3)) for w in toks])
-        for toks in random_sentences(rng, 12, 6, VOCAB)
-    ]
+    harvest = make_columns(*(
+        (toks, [None if all(not c.isalnum() for c in w)
+                else int(rng.integers(0, 3)) for w in toks])
+        for toks in random_sentences(rng, 12, 6, VOCAB)))
     model = random_model(rng, harvest)
 
     # partition function and decoding vs full enumeration, 200 sentences
@@ -253,30 +242,31 @@ def test_criterion_4_crf_exact_inference():
         scores = np.array([crf_score(model, tokens, lab)
                            for lab in labelings])
         assert abs(forward_logZ(model, tokens) - logsumexp(scores)) <= 1e-8
-        decoded = viterbi(model, [tokens])[0]
+        decoded = viterbi(model, unlabeled(tokens))
         assert abs(crf_score(model, tokens, decoded) - scores.max()) <= 1e-8
 
     # analytic gradient vs central differences over fresh random models
     step = 1e-5
     for _ in range(10):
         m = random_model(rng, harvest)
-        _, grad = crf_loglik_grad(m, harvest)
+        prepared = prepare(m, harvest)
+        _, grad = crf_loglik_grad(m, prepared)
         fd = np.empty_like(m.weights)
         for j in range(len(m.weights)):
             w0 = m.weights[j]
             m.weights[j] = w0 + step
-            hi, _ = crf_loglik_grad(m, harvest)
+            hi, _ = crf_loglik_grad(m, prepared)
             m.weights[j] = w0 - step
-            lo, _ = crf_loglik_grad(m, harvest)
+            lo, _ = crf_loglik_grad(m, prepared)
             m.weights[j] = w0
             fd[j] = (hi - lo) / (2 * step)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0)
         assert rel <= 1e-4
 
     # a small separable corpus must be memorized perfectly
-    trained = crf_train(TOY_CORPUS)
-    for sent in TOY_CORPUS:
-        assert viterbi(trained, [sent.tokens])[0] == sent.labels
+    trained = crf_train(make_columns(*TOY_SENTENCES))
+    for tokens, labels in TOY_SENTENCES:
+        assert viterbi(trained, unlabeled(tokens)) == labels
     assert time.perf_counter() - t0 < 120.0
 
 

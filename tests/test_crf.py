@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.special import logsumexp
 
 from prosolab._accel import (NEG_INF, chain_backward, chain_forward,
                              chain_viterbi)
-from prosolab.taggers import common
-from prosolab.taggers.common import LabeledSentence, compile_text, na_mask
+from prosolab.taggers import common, crf
+from prosolab.taggers.common import compile_text, na_mask
 from prosolab.taggers.crf import (
     build_feature_index,
     crf_featurize,
@@ -19,17 +20,26 @@ from prosolab.taggers.crf import (
     crf_train,
     forward_logZ,
     new_model,
+    prepare,
     sentence_feature_ids,
     viterbi,
 )
 from prosolab.taggers.serialize import load_model, save_model
 
-TOY_CORPUS = [
-    LabeledSentence(["The", "cat", "runs", "."], [0, 2, 1, None]),
-    LabeledSentence(["The", "dog", "runs", "."], [0, 2, 1, None]),
-    LabeledSentence(["big", "cat", ",", "runs"], [1, 2, None, 1]),
-    LabeledSentence(["The", "big", "dog", "sits"], [0, 1, 2, 1]),
+from conftest import make_columns, unlabeled
+
+TOY_SENTENCES = [
+    (["The", "cat", "runs", "."], [0, 2, 1, None]),
+    (["The", "dog", "runs", "."], [0, 2, 1, None]),
+    (["big", "cat", ",", "runs"], [1, 2, None, 1]),
+    (["The", "big", "dog", "sits"], [0, 1, 2, 1]),
 ]
+TOY_CORPUS = make_columns(*TOY_SENTENCES)
+
+
+def loglik(model, data):
+    """crf_loglik_grad over `data`, prepared under `model`."""
+    return crf_loglik_grad(model, prepare(model, data))
 
 
 def harvest_model(corpus, rng=None, labels=(0, 1, 2)):
@@ -113,9 +123,9 @@ def test_featurize_position_out_of_range():
 def test_score_matches_manual_recomputation():
     rng = np.random.default_rng(3)
     model = harvest_model(TOY_CORPUS, rng)
-    for sent in TOY_CORPUS:
-        got = crf_score(model, sent.tokens, sent.labels)
-        want = manual_score(model, sent.tokens, sent.labels)
+    for tokens, labels in TOY_SENTENCES:
+        got = crf_score(model, tokens, labels)
+        want = manual_score(model, tokens, labels)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -162,11 +172,11 @@ def test_empty_sentence_has_one_empty_labeling():
     model = harvest_model(TOY_CORPUS, np.random.default_rng(3))
     assert crf_score(model, [], []) == 0.0
     assert forward_logZ(model, []) == 0.0
-    assert viterbi(model, [[]])[0] == []
+    assert viterbi(model, unlabeled([])) == []
     # so it adds nothing to the objective or its gradient
-    value, grad = crf_loglik_grad(model, TOY_CORPUS)
-    padded_value, padded_grad = crf_loglik_grad(
-        model, TOY_CORPUS[:2] + [LabeledSentence([], [])] + TOY_CORPUS[2:])
+    value, grad = loglik(model, TOY_CORPUS)
+    padded_value, padded_grad = loglik(model, make_columns(
+        *TOY_SENTENCES[:2], ([], []), *TOY_SENTENCES[2:]))
     assert padded_value == value
     assert np.array_equal(padded_grad, grad)
 
@@ -187,12 +197,13 @@ def test_logZ_exceeds_any_single_path():
 def finite_difference(model, batch, step=1e-5):
     base = model.weights.copy()
     grad = np.empty_like(base)
+    prepared = prepare(model, batch)
     for i in range(len(base)):
         model.weights = base.copy()
         model.weights[i] = base[i] + step
-        up, _ = crf_loglik_grad(model, batch)
+        up, _ = crf_loglik_grad(model, prepared)
         model.weights[i] = base[i] - step
-        down, _ = crf_loglik_grad(model, batch)
+        down, _ = crf_loglik_grad(model, prepared)
         grad[i] = (up - down) / (2.0 * step)
     model.weights = base
     return grad
@@ -200,13 +211,13 @@ def finite_difference(model, batch, step=1e-5):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_gradient_matches_central_differences(seed):
-    corpus = [
-        LabeledSentence(["The", "cat", ",", "runs"], [0, 2, None, 1]),
-        LabeledSentence(["dog", "sits", "."], [2, 1, None]),
-    ]
+    corpus = make_columns(
+        (["The", "cat", ",", "runs"], [0, 2, None, 1]),
+        (["dog", "sits", "."], [2, 1, None]),
+    )
     rng = np.random.default_rng(seed)
     model = harvest_model(corpus, rng)
-    _, grad = crf_loglik_grad(model, corpus)
+    _, grad = loglik(model, corpus)
     fd = finite_difference(model, corpus)
     assert np.linalg.norm(fd - grad) <= 1e-4 * (1.0 + np.linalg.norm(grad))
     assert np.max(np.abs(fd - grad) / (1.0 + np.abs(grad))) <= 1e-4
@@ -217,9 +228,9 @@ def test_gradient_transition_only_model():
     model = new_model([0, 1], {})
     rng = np.random.default_rng(5)
     model.weights = rng.normal(0.0, 0.5, size=model.expected_size())
-    batch = [LabeledSentence(["a", "b", "c"], [0, 1, 0])]
+    batch = make_columns((["a", "b", "c"], [0, 1, 0]))
     assert model.n_emission == 0
-    _, grad = crf_loglik_grad(model, batch)
+    _, grad = loglik(model, batch)
     fd = finite_difference(model, batch)
     assert np.max(np.abs(fd - grad)) <= 1e-6
 
@@ -228,14 +239,14 @@ def test_gradient_zero_at_optimum_direction():
     # gold counts equal expected counts when weights maximize the objective,
     # so after training the gradient norm should be small
     model = crf_train(TOY_CORPUS, max_iterations=200)
-    _, grad = crf_loglik_grad(model, TOY_CORPUS)
+    _, grad = loglik(model, TOY_CORPUS)
     assert np.linalg.norm(grad) < 0.1
 
 
 def test_loglik_empty_batch():
     model = harvest_model(TOY_CORPUS)
     with pytest.raises(ValueError, match="empty batch"):
-        crf_loglik_grad(model, [])
+        prepare(model, make_columns())
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +291,21 @@ def one_sentence(kernel, pot, trans):
 
 
 def loop_loglik_grad(model, batch):
-    """Value and gradient with one Python pass per position."""
+    """Value and gradient with one Python pass per position; `batch` holds
+    (tokens, labels) sentences."""
     K = model.n_labels
     emis_grad = np.zeros((len(model.feature_index), K))
     trans_grad = np.zeros((model.n_states, model.n_states))
     trans = model.transition_matrix()
     total = 0.0
-    for sent in batch:
-        na = [lab is None for lab in sent.labels]
+    for tokens, labels in batch:
+        na = [lab is None for lab in labels]
         feats = [[model.feature_index[f]
-                  for f in crf_featurize(sent.tokens, t)
+                  for f in crf_featurize(tokens, t)
                   if f in model.feature_index]
-                 for t in range(len(sent.tokens))]
-        states = loop_states(model, sent.labels)
-        pot = loop_potentials(model, sent.tokens, na)
+                 for t in range(len(tokens))]
+        states = loop_states(model, labels)
+        pot = loop_potentials(model, tokens, na)
         logz, alpha = one_sentence(chain_forward, pot, trans)
         beta = one_sentence(chain_backward, pot, trans)
         total += loop_path_score(pot, trans, states) - logz
@@ -323,17 +335,15 @@ PUNCT = [",", ".", "?", "!", "\u2014"]
 
 
 def ragged_corpus(rng, labels, n=24):
-    """Sentences of 1 to 9 tokens, about one in five punctuation, with a
-    1-token sentence and an all-NA one always present."""
-    corpus = [LabeledSentence(["one"], [labels[-1]]),
-              LabeledSentence([",", "."], [None, None])]
+    """(tokens, labels) sentences of 1 to 9 tokens, about one in five
+    punctuation, with a 1-token sentence and an all-NA one always present."""
+    corpus = [(["one"], [labels[-1]]), ([",", "."], [None, None])]
     for _ in range(n):
         tokens = [str(rng.choice(PUNCT)) if rng.random() < 0.2
                   else str(rng.choice(WORDS))
                   for _ in range(int(rng.integers(1, 10)))]
-        corpus.append(LabeledSentence(
-            tokens, [None if is_na else int(rng.choice(labels))
-                     for is_na in na_mask(tokens)]))
+        corpus.append((tokens, [None if is_na else int(rng.choice(labels))
+                                for is_na in na_mask(tokens)]))
     return corpus
 
 
@@ -342,10 +352,10 @@ def chunked_corpus(rng, labels, n=24):
     more than three chunks."""
     corpus = ragged_corpus(rng, labels, n)
     long = [str(w) for w in rng.choice(WORDS, size=60)]
-    corpus.insert(len(corpus) // 2, LabeledSentence(
-        long, [int(rng.choice(labels)) for _ in long]))
-    text = compile_text([sent.tokens for sent in corpus])
-    assert len(list(text.chunks())) > 3
+    corpus.insert(len(corpus) // 2,
+                  (long, [int(rng.choice(labels)) for _ in long]))
+    data = make_columns(*corpus)
+    assert len(list(compile_text(data.tokens, data.lengths).chunks())) > 3
     return corpus
 
 
@@ -354,16 +364,17 @@ def test_index_pass_ids_match_a_lookup_on_the_finished_index(seed,
                                                              monkeypatch):
     monkeypatch.setattr(common, "CHUNK_CELLS", 40)
     corpus = chunked_corpus(np.random.default_rng(seed), (0, 1, 2))
-    index, feats = build_feature_index(corpus)
-    text = compile_text([sent.tokens for sent in corpus])
-    na = np.array([lab is None for sent in corpus for lab in sent.labels])
+    data = make_columns(*corpus)
+    index, feats = build_feature_index(data)
+    text = compile_text(data.tokens, data.lengths)
+    na = np.array([lab is None for lab in data.labels])
     looked_up = sentence_feature_ids(text, na, index.get)
     # the per-position scan, numbering each feature when first seen
     scan, want_ids, want_pos = {}, [], []
-    for start, sent in zip(text.offsets.tolist(), corpus):
-        for t, lab in enumerate(sent.labels):
+    for start, (tokens, labels) in zip(text.offsets.tolist(), corpus):
+        for t, lab in enumerate(labels):
             if lab is not None:
-                for f in crf_featurize(sent.tokens, t):
+                for f in crf_featurize(tokens, t):
                     want_ids.append(scan.setdefault(f, len(scan)))
                     want_pos.append(start + t)
     assert list(index.items()) == list(scan.items())
@@ -389,39 +400,41 @@ def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels, monkeypatch):
         monkeypatch.setattr(common, "CHUNK_CELLS", 40)
     rng = np.random.default_rng(seed)
     corpus = chunked_corpus(rng, labels, 24 if seed else 1400)
+    data = make_columns(*corpus)
     # index half the corpus, so the rest brings features the index lacks
-    model = new_model(list(labels), build_feature_index(corpus[::2])[0],
+    model = new_model(list(labels),
+                      build_feature_index(make_columns(*corpus[::2]))[0],
                       l2_lambda=0.01)
     model.weights = rng.normal(0.0, 0.7, size=model.expected_size())
     trans = model.transition_matrix()
 
-    value, grad = crf_loglik_grad(model, corpus)
+    value, grad = loglik(model, data)
     want_value, want_grad = loop_loglik_grad(model, corpus)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
 
     want_paths = []
-    for sent in corpus:
-        pot = loop_potentials(model, sent.tokens, na_mask(sent.tokens))
-        want_paths.append([None if st == model.na_state else model.labels[st]
-                           for st in one_sentence(chain_viterbi, pot, trans)])
-    assert viterbi(model, [sent.tokens for sent in corpus]) == want_paths
+    for tokens, _ in corpus:
+        pot = loop_potentials(model, tokens, na_mask(tokens))
+        want_paths += [None if st == model.na_state else model.labels[st]
+                       for st in one_sentence(chain_viterbi, pot, trans)]
+    assert viterbi(model, data) == want_paths
 
-    for sent in corpus[:40]:
-        states = loop_states(model, sent.labels)
-        gold_pot = loop_potentials(model, sent.tokens,
-                                   [lab is None for lab in sent.labels])
-        assert crf_score(model, sent.tokens, sent.labels) == \
+    for tokens, labels in corpus[:40]:
+        states = loop_states(model, labels)
+        gold_pot = loop_potentials(model, tokens,
+                                   [lab is None for lab in labels])
+        assert crf_score(model, tokens, labels) == \
             loop_path_score(gold_pot, trans, states)
-        pot = loop_potentials(model, sent.tokens, na_mask(sent.tokens))
-        assert forward_logZ(model, sent.tokens) == one_sentence(
+        pot = loop_potentials(model, tokens, na_mask(tokens))
+        assert forward_logZ(model, tokens) == one_sentence(
             chain_forward, pot, trans)[0]
 
 
 def test_training_keeps_the_objective_it_reached():
-    corpus = ragged_corpus(np.random.default_rng(7), (0, 1, 2))
+    corpus = make_columns(*ragged_corpus(np.random.default_rng(7), (0, 1, 2)))
     model = crf_train(corpus, max_iterations=20)
-    value, _ = crf_loglik_grad(model, corpus)
+    value, _ = loglik(model, corpus)
     assert model.objective == value
     assert load_model(save_model(model)).objective is None
 
@@ -429,12 +442,41 @@ def test_training_keeps_the_objective_it_reached():
 def test_training_keeps_the_objective_after_a_failed_line_search(caplog):
     # this tolerance cannot be met, so L-BFGS-B ends on a line search it
     # rejected and puts the weights back to the iterate before it
-    corpus = ragged_corpus(np.random.default_rng(1), (0, 1))
+    corpus = make_columns(*ragged_corpus(np.random.default_rng(1), (0, 1)))
     with caplog.at_level(logging.WARNING, logger="prosolab.taggers.crf"):
         model = crf_train(corpus, max_iterations=2000, tolerance=1e-14)
     assert "ABNORMAL" in caplog.text
-    value, _ = crf_loglik_grad(model, corpus)
+    value, _ = loglik(model, corpus)
     assert model.objective == value
+
+
+@pytest.mark.parametrize("seed, labels, tolerance, outcome, after", [
+    (7, (0, 1, 2), 1e-5, "CONVERGENCE", 0),
+    # the failed line search above: one more evaluation at the weights
+    # L-BFGS-B puts back
+    (1, (0, 1), 1e-14, "ABNORMAL", 1),
+], ids=["converged", "failed-line-search"])
+def test_training_evaluates_through_the_module_global(
+        monkeypatch, caplog, seed, labels, tolerance, outcome, after):
+    """A tracer that wraps crf.crf_loglik_grad sees every evaluation that
+    crf_train makes, and the last one it sees is the objective kept."""
+    corpus = make_columns(*ragged_corpus(np.random.default_rng(seed),
+                                         labels))
+    values = []
+
+    def counting(model, prepared):
+        value, grad = unwrapped(model, prepared)
+        values.append(value)
+        return value, grad
+
+    unwrapped = crf.crf_loglik_grad
+    monkeypatch.setattr(crf, "crf_loglik_grad", counting)
+    with caplog.at_level(logging.INFO, logger="prosolab.taggers.crf"):
+        model = crf_train(corpus, max_iterations=2000, tolerance=tolerance)
+    assert outcome in caplog.text
+    nfev = int(re.search(r"nfev=(\d+)", caplog.text).group(1))
+    assert len(values) == nfev + after
+    assert model.objective == values[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +485,8 @@ def test_training_keeps_the_objective_after_a_failed_line_search(caplog):
 
 def test_train_fits_separable_toy_corpus():
     model = crf_train(TOY_CORPUS, max_iterations=200)
-    for sent in TOY_CORPUS:
-        assert viterbi(model, [sent.tokens])[0] == sent.labels
+    for tokens, labels in TOY_SENTENCES:
+        assert viterbi(model, unlabeled(tokens)) == labels
 
 
 def test_train_is_deterministic():
@@ -475,9 +517,9 @@ def test_train_regularization_shrinks_weights():
 
 def test_train_rejects_empty_and_all_na():
     with pytest.raises(ValueError, match="empty corpus"):
-        crf_train([])
+        crf_train(make_columns())
     with pytest.raises(ValueError, match="all-NA corpus"):
-        crf_train([LabeledSentence([","], [None])])
+        crf_train(make_columns(([","], [None])))
 
 
 def test_viterbi_matches_enumeration():
@@ -487,7 +529,7 @@ def test_viterbi_matches_enumeration():
     labelings = all_labelings(model, tokens)
     scores = [crf_score(model, tokens, labeling) for labeling in labelings]
     best = labelings[int(np.argmax(scores))]
-    path = viterbi(model, [tokens])[0]
+    path = viterbi(model, unlabeled(tokens))
     assert crf_score(model, tokens, path) == pytest.approx(max(scores),
                                                            abs=1e-9)
     assert path == best
@@ -495,14 +537,14 @@ def test_viterbi_matches_enumeration():
 
 def test_viterbi_zero_weights_ties_to_smallest():
     model = harvest_model(TOY_CORPUS)
-    assert viterbi(model, [["a", "b", ",", "c"]])[0] == [0, 0, None, 0]
+    assert viterbi(model, unlabeled(["a", "b", ",", "c"])) == [0, 0, None, 0]
 
 
 def test_viterbi_forces_na_exactly_at_punctuation():
     rng = np.random.default_rng(9)
     model = harvest_model(TOY_CORPUS, rng)
     tokens = ["The", ",", "cat", "runs", "?", "!"]
-    path = viterbi(model, [tokens])[0]
+    path = viterbi(model, unlabeled(tokens))
     assert [lab is None for lab in path] == [False, True, False, False,
                                              True, True]
     assert all(lab in model.labels for lab in path if lab is not None)
@@ -510,32 +552,29 @@ def test_viterbi_forces_na_exactly_at_punctuation():
 
 def test_viterbi_handles_unseen_words():
     model = crf_train(TOY_CORPUS, max_iterations=100)
-    path = viterbi(model, [["zebra", "quokka"]])[0]
+    path = viterbi(model, unlabeled(["zebra", "quokka"]))
     assert all(lab in model.labels for lab in path)
 
 
 def test_label_permutation_equivariance():
     perm = {0: 2, 1: 0, 2: 1}
-    renamed = [
-        LabeledSentence(sent.tokens,
-                        [None if lab is None else perm[lab]
-                         for lab in sent.labels])
-        for sent in TOY_CORPUS
-    ]
+    renamed = make_columns(*(
+        (tokens, [None if lab is None else perm[lab] for lab in labels])
+        for tokens, labels in TOY_SENTENCES))
     base = crf_train(TOY_CORPUS, max_iterations=200)
     mapped = crf_train(renamed, max_iterations=200)
-    for sent in TOY_CORPUS:
+    for tokens, _ in TOY_SENTENCES:
         want = [None if lab is None else perm[lab]
-                for lab in viterbi(base, [sent.tokens])[0]]
-        assert viterbi(mapped, [sent.tokens])[0] == want
+                for lab in viterbi(base, unlabeled(tokens))]
+        assert viterbi(mapped, unlabeled(tokens)) == want
 
 
 def test_two_label_model():
-    corpus = [
-        LabeledSentence(["up", "down", "."], [1, 0, None]),
-        LabeledSentence(["down", "up"], [0, 1]),
-    ]
+    corpus = make_columns(
+        (["up", "down", "."], [1, 0, None]),
+        (["down", "up"], [0, 1]),
+    )
     model = crf_train(corpus, max_iterations=100)
     assert model.labels == [0, 1]
     assert model.n_states == 3
-    assert viterbi(model, [["up", "down"]])[0] == [1, 0]
+    assert viterbi(model, unlabeled(["up", "down"])) == [1, 0]

@@ -1,5 +1,6 @@
-"""Whole-file decoding works one chunk of sentences at a time, so its memory
-is bounded however long the file is."""
+"""Whole-file decoding keeps no per-sentence state: the CRF and the embed
+classifier work one chunk of sentences at a time and majority decoding is
+one gather, so memory is bounded however long the file is."""
 
 import tracemalloc
 
@@ -7,17 +8,21 @@ import numpy as np
 import pytest
 
 from prosolab.corpus_io import EmbeddingTable
-from prosolab.taggers.common import LabeledSentence, na_mask
+from prosolab.taggers.common import na_mask
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
+from prosolab.taggers.majority import predict_majority, train_majority
+
+from conftest import make_columns, unlabeled
 
 WORDS = [f"w{i}" for i in range(400)]
 # Far above what chunked decoding needs (about 3.5 MiB at 5000 sentences,
 # the labels returned included) and far below what decoding a whole file at
 # once needs (over 20 MiB at 2500 sentences).
 CEILING = 8 * 2**20
-# The only arrays that grow with the file are the flat ones of about 10
-# bytes a token (type ids, NA flags); 2500 more sentences add 0.5 MiB.
+# The only arrays that grow with the file are the flat ones: about 10 bytes
+# a token for the CRF and embed (type ids, NA flags) and 16 for majority
+# (type ids, the gathered labels); 2500 more sentences add 0.4-0.8 MiB.
 GROWTH = 2**20
 
 
@@ -33,37 +38,41 @@ def synthetic_file(rng, n):
     return out
 
 
-def working_memory(decode, sentences):
+def working_memory(decode, data):
     """Peak bytes allocated while `decode` runs, less the labels it keeps."""
     tracemalloc.start()
     try:
-        labels = decode(sentences)
+        labels = decode(data)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(labels) == len(sentences)
+    assert len(labels) == len(data.tokens)
     return peak, peak - kept
 
 
 @pytest.fixture(scope="module")
 def decoders():
     rng = np.random.default_rng(0)
-    train = [LabeledSentence(tokens, [None if punct else int(rng.integers(3))
-                                      for punct in na_mask(tokens)])
-             for tokens in synthetic_file(rng, 100)]
+    train = make_columns(*(
+        (tokens, [None if punct else int(rng.integers(3))
+                  for punct in na_mask(tokens)])
+        for tokens in synthetic_file(rng, 100)))
     crf = crf_train(train, max_iterations=5)
     table = EmbeddingTable(16, {w: rng.normal(size=16) for w in WORDS[::2]})
     embed = train_embed_classifier(train, table, max_iterations=5)
-    return {"crf": lambda s: viterbi(crf, s),
-            "embed": lambda s: predict_embed(embed, s)}
+    majority = train_majority(train)
+    return {"crf": lambda data: viterbi(crf, data),
+            "embed": lambda data: predict_embed(embed, data),
+            "majority": lambda data: predict_majority(majority, data)}
 
 
-@pytest.mark.parametrize("kind", ["crf", "embed"])
+@pytest.mark.parametrize("kind", ["crf", "embed", "majority"])
 def test_decoding_memory_does_not_grow_with_the_file(decoders, kind):
     rng = np.random.default_rng(1)
     peaks, working = [], []
     for n in (2500, 5000):
-        peak, work = working_memory(decoders[kind], synthetic_file(rng, n))
+        peak, work = working_memory(decoders[kind],
+                                    unlabeled(*synthetic_file(rng, n)))
         peaks.append(peak)
         working.append(work)
     assert max(peaks) < CEILING

@@ -18,8 +18,9 @@ from prosolab.evaluation import (
     report_tsv,
     subset_training,
 )
-from prosolab.taggers.common import LabeledSentence
 from prosolab.taggers.majority import predict_majority, train_majority
+
+from conftest import make_columns
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +157,38 @@ def test_merge_labels():
 # subset sampling
 # ---------------------------------------------------------------------------
 
+SMALL = [
+    (["a", "b", "."], [0, 1, None]),
+    (["c"], [2]),
+    (["d", "e", "f"], [0, 0, 1]),
+    (["g", ","], [2, None]),
+    (["h", "i"], [1, 1]),
+]
+
+
 def small_corpus():
-    return [
-        LabeledSentence(["a", "b", "."], [0, 1, None]),
-        LabeledSentence(["c"], [2]),
-        LabeledSentence(["d", "e", "f"], [0, 0, 1]),
-        LabeledSentence(["g", ","], [2, None]),
-        LabeledSentence(["h", "i"], [1, 1]),
-    ]
+    return make_columns(*SMALL)
+
+
+def sentences(data):
+    """The (tokens, labels) sentences of `data`, in order."""
+    return list(zip(data.split(data.tokens), data.split(data.labels)))
 
 
 def test_non_na_count():
     assert non_na_count(small_corpus()) == 9
-    assert non_na_count([]) == 0
+    assert non_na_count(make_columns()) == 0
 
 
 def test_subset_deterministic_and_ordered():
     corpus = small_corpus()
     first = subset_training(corpus, 0.5, seed=3)
     second = subset_training(corpus, 0.5, seed=3)
-    assert [s.tokens for s in first] == [s.tokens for s in second]
-    positions = [corpus.index(s) for s in first]
+    assert first == second
+    # whole sentences of the corpus, each with its labels, in corpus order
+    positions = [SMALL.index(s) for s in sentences(first)]
     assert positions == sorted(positions)
+    assert first.lengths == [len(SMALL[i][0]) for i in positions]
 
 
 def test_subset_full_fraction_is_identity():
@@ -188,11 +199,9 @@ def test_subset_full_fraction_is_identity():
 def test_subset_nested_across_fractions():
     corpus = small_corpus()
     for seed in range(5):
-        smaller = subset_training(corpus, 0.2, seed=seed)
-        larger = subset_training(corpus, 0.8, seed=seed)
-        ids_small = {id(s) for s in smaller}
-        ids_large = {id(s) for s in larger}
-        assert ids_small <= ids_large
+        smaller = sentences(subset_training(corpus, 0.2, seed=seed))
+        larger = sentences(subset_training(corpus, 0.8, seed=seed))
+        assert all(s in larger for s in smaller)
 
 
 def test_subset_rejects_bad_input():
@@ -200,14 +209,13 @@ def test_subset_rejects_bad_input():
         subset_training(small_corpus(), 0.0, seed=0)
     with pytest.raises(ValueError, match="outside"):
         subset_training(small_corpus(), 1.5, seed=0)
-    empty = [LabeledSentence([","], [None])]
+    empty = make_columns(([","], [None]))
     with pytest.raises(ValueError, match="no labeled tokens"):
         subset_training(empty, 0.5, seed=0)
 
 
 sentence_strategy = st.builds(
-    lambda labels: LabeledSentence([f"w{i}" for i in range(len(labels))],
-                                   labels),
+    lambda labels: ([f"w{i}" for i in range(len(labels))], labels),
     st.lists(st.sampled_from([0, 1, 2, None]), min_size=1, max_size=8),
 )
 
@@ -217,15 +225,16 @@ sentence_strategy = st.builds(
        st.floats(min_value=0.01, max_value=0.99),
        st.integers(min_value=0, max_value=10_000))
 def test_subset_budget_overshoot_bounded(corpus, fraction, seed):
-    total = non_na_count(corpus)
+    data = make_columns(*corpus)
+    total = non_na_count(data)
     if total == 0:
         with pytest.raises(ValueError, match="no labeled tokens"):
-            subset_training(corpus, fraction, seed)
+            subset_training(data, fraction, seed)
         return
-    sub = subset_training(corpus, fraction, seed)
+    sub = subset_training(data, fraction, seed)
     got = non_na_count(sub)
     target = fraction * total
-    longest = max(non_na_count([s]) for s in corpus)
+    longest = max(non_na_count(make_columns(s)) for s in corpus)
     # stops at the first sentence crossing the budget, so the overshoot is
     # less than one sentence worth of labeled tokens
     assert got >= target
@@ -238,7 +247,7 @@ def test_subset_budget_overshoot_bounded(corpus, fraction, seed):
 
 def majority_train_fn(corpus):
     model = train_majority(corpus)
-    return lambda tokens: predict_majority(model, tokens)
+    return lambda data: predict_majority(model, data)
 
 
 def test_curve_point_validates_fraction():
@@ -257,9 +266,9 @@ def test_learning_curve_full_fraction_matches_direct():
     predict = majority_train_fn(corpus)
     preds = []
     golds = []
-    for sent in corpus:
-        preds.extend(predict([sent.tokens])[0])
-        golds.extend(sent.labels)
+    for tokens, labels in SMALL:
+        preds.extend(predict(make_columns((tokens, labels))))
+        golds.extend(labels)
     assert points[0].accuracy == pytest.approx(accuracy(preds, golds))
 
 

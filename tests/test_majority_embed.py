@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prosolab.corpus_io import EmbeddingTable
-from prosolab.taggers.common import LabeledSentence, compile_text, na_mask
+from prosolab.taggers.common import compile_text, na_mask
 from prosolab.taggers.embed import (
     _type_vectors,
     _window_rows,
@@ -17,10 +17,7 @@ from prosolab.taggers.majority import (
     MajorityModel,
 )
 
-
-def corpus_from_pairs(*sentences):
-    return [LabeledSentence(list(tokens), list(labels))
-            for tokens, labels in sentences]
+from conftest import make_columns, unlabeled
 
 
 def loop_majority(model, tokens, mode):
@@ -55,7 +52,7 @@ def loop_embed(classifier, tokens):
 
 def sentence_features(table, tokens):
     """The embed classifier's window rows of one sentence."""
-    text = compile_text([tokens])
+    text = compile_text(tokens, [len(tokens)])
     return _window_rows(_type_vectors(table, text.types), text,
                         next(text.chunks()))
 
@@ -65,7 +62,7 @@ def sentence_features(table, tokens):
 # ---------------------------------------------------------------------------
 
 def test_majority_counts_per_type():
-    corpus = corpus_from_pairs(
+    corpus = make_columns(
         (["tell", "me"], [1, 0]),
         (["Tell", "me"], [1, 0]),
         (["tell", "him"], [2, 0]),
@@ -73,12 +70,12 @@ def test_majority_counts_per_type():
     model = train_majority(corpus)
     # "tell" saw labels 1, 1, 2 -> argmax 1; case folds into one type
     assert model.per_word["tell"].tolist() == [0, 2, 1]
-    assert predict_majority(model, [["tell"]])[0] == [1]
-    assert predict_majority(model, [["TELL"]])[0] == [1]
+    assert predict_majority(model, unlabeled(["tell"])) == [1]
+    assert predict_majority(model, unlabeled(["TELL"])) == [1]
 
 
 def test_majority_na_contributes_nothing():
-    corpus = corpus_from_pairs(
+    corpus = make_columns(
         ([",", "me"], [None, 0]),
         (["me", "."], [2, None]),
     )
@@ -89,31 +86,33 @@ def test_majority_na_contributes_nothing():
 
 
 def test_majority_unseen_word_falls_back_to_global():
-    corpus = corpus_from_pairs(
+    corpus = make_columns(
         (["a"] * 10 + ["b"] * 5 + ["c"] * 5,
          [0] * 10 + [1] * 5 + [2] * 5),
     )
     model = train_majority(corpus)
-    assert predict_majority(model, [["unseen"]])[0] == [0]
-    assert predict_majority(model, [["b", "unseen", "c"]])[0] == [1, 0, 2]
+    assert predict_majority(model, unlabeled(["unseen"])) == [0]
+    assert predict_majority(model, unlabeled(["b", "unseen", "c"])) == [
+        1, 0, 2]
 
 
 def test_majority_global_mode_ignores_types():
-    corpus = corpus_from_pairs((["a", "b", "b"], [0, 1, 1]))
+    corpus = make_columns((["a", "b", "b"], [0, 1, 1]))
     model = train_majority(corpus)
-    assert predict_majority(model, [["a", "b"]], mode="global")[0] == [1, 1]
+    assert predict_majority(model, unlabeled(["a", "b"]),
+                            mode="global") == [1, 1]
 
 
 def test_majority_tie_takes_smaller_label():
-    corpus = corpus_from_pairs((["w", "w"], [2, 1]))
+    corpus = make_columns((["w", "w"], [2, 1]))
     model = train_majority(corpus)
-    assert predict_majority(model, [["w"]])[0] == [1]
+    assert predict_majority(model, unlabeled(["w"])) == [1]
 
 
 def test_majority_punctuation_predicts_na():
-    corpus = corpus_from_pairs((["a"], [1]))
+    corpus = make_columns((["a"], [1]))
     model = train_majority(corpus)
-    assert predict_majority(model, [["a", ",", "a", "?"]])[0] == [
+    assert predict_majority(model, unlabeled(["a", ",", "a", "?"])) == [
         1, None, 1, None]
 
 
@@ -121,21 +120,21 @@ def test_majority_training_accuracy_is_class_frequency():
     # in global mode, training accuracy equals the majority class share
     rng = np.random.default_rng(4)
     labels = rng.integers(0, 3, size=200).tolist()
-    corpus = corpus_from_pairs(([f"t{i}" for i in range(200)], labels))
+    corpus = make_columns(([f"t{i}" for i in range(200)], labels))
     model = train_majority(corpus)
-    predicted = predict_majority(model, [corpus[0].tokens], mode="global")[0]
+    predicted = predict_majority(model, corpus, mode="global")
     hits = sum(p == g for p, g in zip(predicted, labels))
     assert hits == max(np.bincount(labels, minlength=3))
 
 
 def test_majority_rejects_all_na_and_untrained():
     with pytest.raises(ValueError, match="all-NA corpus"):
-        train_majority(corpus_from_pairs(([","], [None])))
+        train_majority(make_columns(([","], [None])))
     with pytest.raises(ValueError, match="untrained model"):
-        predict_majority(MajorityModel(), [["a"]])
-    model = train_majority(corpus_from_pairs((["a"], [0])))
+        predict_majority(MajorityModel(), unlabeled(["a"]))
+    model = train_majority(make_columns((["a"], [0])))
     with pytest.raises(ValueError, match="unknown mode"):
-        predict_majority(model, [["a"]], mode="typo")
+        predict_majority(model, unlabeled(["a"]), mode="typo")
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +151,16 @@ def separable_table():
     return EmbeddingTable(dimension=4, entries=entries)
 
 
+SEPARABLE = [
+    (["low1", "high1"], [0, 2]),
+    (["low2", "high2", "."], [0, 2, None]),
+    (["high3", "low3"], [2, 0]),
+    (["low1", "high3"], [0, 2]),
+]
+
+
 def separable_corpus():
-    return corpus_from_pairs(
-        (["low1", "high1"], [0, 2]),
-        (["low2", "high2", "."], [0, 2, None]),
-        (["high3", "low3"], [2, 0]),
-        (["low1", "high3"], [0, 2]),
-    )
+    return make_columns(*SEPARABLE)
 
 
 def test_sentence_features_match_hand_built_rows():
@@ -178,40 +180,42 @@ def test_sentence_features_match_hand_built_rows():
         row(zero, zero, zero), row(zero, zero, zero)])
     assert sentence_features(table, []).shape == (0, 7)
     assert predict_embed(train_embed_classifier(
-        [LabeledSentence(["low"], [1])], table), [[]])[0] == []
+        make_columns((["low"], [1])), table), unlabeled([])) == []
 
 
 def test_embed_fits_separable_corpus():
     table = separable_table()
     clf = train_embed_classifier(separable_corpus(), table)
-    for sent in separable_corpus():
-        assert predict_embed(clf, [sent.tokens])[0] == sent.labels
+    for tokens, labels in SEPARABLE:
+        assert predict_embed(clf, unlabeled(tokens)) == labels
     # held-out pairing of the same word groups
-    assert predict_embed(clf, [["high2", "low2"]])[0] == [2, 0]
+    assert predict_embed(clf, unlabeled(["high2", "low2"])) == [2, 0]
 
 
 def test_embed_zero_table_learns_priors():
     # with no usable vectors only the bias is informative, so every word
     # gets the most frequent label
     table = EmbeddingTable(dimension=3, entries={})
-    corpus = corpus_from_pairs(
+    corpus = make_columns(
         (["a", "b", "c"], [1, 1, 0]),
         (["d", "e"], [1, 2]),
     )
     clf = train_embed_classifier(corpus, table)
-    assert predict_embed(clf, [["anything", "at", "all"]])[0] == [1, 1, 1]
+    assert predict_embed(clf, unlabeled(["anything", "at", "all"])) == [
+        1, 1, 1]
 
 
 def test_embed_case_fallback_lookup():
     table = separable_table()
     clf = train_embed_classifier(separable_corpus(), table)
     # uppercase token falls back to its lowercase vector
-    assert predict_embed(clf, [["LOW1", "HIGH1"]])[0] == [0, 2]
+    assert predict_embed(clf, unlabeled(["LOW1", "HIGH1"])) == [0, 2]
 
 
 def test_embed_punctuation_predicts_na():
     clf = train_embed_classifier(separable_corpus(), separable_table())
-    assert predict_embed(clf, [["low1", ",", "high1"]])[0] == [0, None, 2]
+    assert predict_embed(clf, unlabeled(["low1", ",", "high1"])) == [
+        0, None, 2]
 
 
 def test_embed_window_uses_neighbors():
@@ -222,15 +226,15 @@ def test_embed_window_uses_neighbors():
         "ctxb": np.array([0.0, 1.0]),
     }
     table = EmbeddingTable(dimension=2, entries=entries)
-    corpus = corpus_from_pairs(
+    corpus = make_columns(
         (["ctxa", "amb"], [0, 0]),
         (["ctxb", "amb"], [1, 1]),
         (["ctxa", "amb"], [0, 0]),
         (["ctxb", "amb"], [1, 1]),
     )
     clf = train_embed_classifier(corpus, table)
-    assert predict_embed(clf, [["ctxa", "amb"]])[0][1] == 0
-    assert predict_embed(clf, [["ctxb", "amb"]])[0][1] == 1
+    assert predict_embed(clf, unlabeled(["ctxa", "amb"]))[1] == 0
+    assert predict_embed(clf, unlabeled(["ctxb", "amb"]))[1] == 1
 
 
 def test_embed_training_deterministic():
@@ -242,14 +246,14 @@ def test_embed_training_deterministic():
 def test_embed_rejects_empty_and_all_na():
     table = separable_table()
     with pytest.raises(ValueError, match="empty corpus"):
-        train_embed_classifier([], table)
+        train_embed_classifier(make_columns(), table)
     with pytest.raises(ValueError, match="all-NA corpus"):
-        train_embed_classifier(corpus_from_pairs(([","], [None])), table)
+        train_embed_classifier(make_columns(([","], [None])), table)
 
 
 def test_embed_label_set_from_corpus():
     table = separable_table()
-    corpus = corpus_from_pairs((["low1", "high1"], [0, 1]))
+    corpus = make_columns((["low1", "high1"], [0, 1]))
     clf = train_embed_classifier(corpus, table)
     assert clf.labels == [0, 1]
     assert clf.weight_matrix.shape == (2, 3 * 4 + 1)
@@ -270,17 +274,20 @@ def test_whole_file_decoders_match_the_per_sentence_loops(seed):
                  for _ in range(1500)]
     sentences[7] = []
     sentences.insert(700, ["amb"] * 300)
-    assert len(list(compile_text(sentences).chunks())) > 3
-    corpus = [LabeledSentence(tokens, [None if punct else int(rng.integers(3))
-                                       for punct in na_mask(tokens)])
-              for tokens in sentences[::3]]
+    data = unlabeled(*sentences)
+    assert len(list(compile_text(data.tokens, data.lengths).chunks())) > 3
+    corpus = make_columns(*(
+        (tokens, [None if punct else int(rng.integers(3))
+                  for punct in na_mask(tokens)])
+        for tokens in sentences[::3]))
 
     majority = train_majority(corpus)
     for mode in ("per_word", "global"):
-        assert predict_majority(majority, sentences, mode) == [
-            loop_majority(majority, tokens, mode) for tokens in sentences]
+        assert predict_majority(majority, data, mode) == [
+            lab for tokens in sentences
+            for lab in loop_majority(majority, tokens, mode)]
     table = EmbeddingTable(dimension=3, entries={
         word: rng.normal(size=3) for word in WORDS[::2]})
     classifier = train_embed_classifier(corpus, table, max_iterations=20)
-    assert predict_embed(classifier, sentences) == [
-        loop_embed(classifier, tokens) for tokens in sentences]
+    assert predict_embed(classifier, data) == [
+        lab for tokens in sentences for lab in loop_embed(classifier, tokens)]

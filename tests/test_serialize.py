@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from prosolab.corpus_io import CorpusFormatError, EmbeddingTable
-from prosolab.taggers.common import LabeledSentence
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
 from prosolab.taggers.majority import predict_majority, train_majority
 from prosolab.taggers import serialize
 from prosolab.taggers.serialize import MAGIC, load_model, save_model
 
-CORPUS = [
-    LabeledSentence(["The", "cat", "runs", "."], [0, 2, 1, None]),
-    LabeledSentence(["The", "dog", "sits"], [0, 2, 1]),
-    LabeledSentence(["big", "cat", ",", "runs"], [1, 2, None, 1]),
-]
+from conftest import make_columns, unlabeled
+
+CORPUS = make_columns(
+    (["The", "cat", "runs", "."], [0, 2, 1, None]),
+    (["The", "dog", "sits"], [0, 2, 1]),
+    (["big", "cat", ",", "runs"], [1, 2, None, 1]),
+)
 
 TABLE = EmbeddingTable(dimension=2, entries={
     "cat": np.array([1.0, -0.5]),
@@ -34,9 +35,9 @@ def test_majority_round_trip():
         np.testing.assert_array_equal(clone.per_word[word],
                                       model.per_word[word])
     np.testing.assert_array_equal(clone.global_counts, model.global_counts)
-    tokens = ["the", "cat", "unseen", "?"]
-    assert (predict_majority(clone, [tokens])
-            == predict_majority(model, [tokens]))
+    tokens = unlabeled(["the", "cat", "unseen", "?"])
+    assert (predict_majority(clone, tokens)
+            == predict_majority(model, tokens))
 
 
 def test_crf_round_trip_exact():
@@ -47,8 +48,8 @@ def test_crf_round_trip_exact():
     assert clone.l2_lambda == model.l2_lambda
     # repr floats survive the text round trip bit for bit
     assert clone.weights.tobytes() == model.weights.tobytes()
-    tokens = ["The", "big", "cat", "runs", "."]
-    assert viterbi(clone, [tokens]) == viterbi(model, [tokens])
+    tokens = unlabeled(["The", "big", "cat", "runs", "."])
+    assert viterbi(clone, tokens) == viterbi(model, tokens)
 
 
 def test_embed_round_trip_exact():
@@ -62,8 +63,8 @@ def test_embed_round_trip_exact():
         np.testing.assert_array_equal(clone.table.entries[token],
                                       TABLE.entries[token])
     assert clone.weight_matrix.tobytes() == model.weight_matrix.tobytes()
-    tokens = ["the", "cat", ",", "dog"]
-    assert predict_embed(clone, [tokens]) == predict_embed(model, [tokens])
+    tokens = unlabeled(["the", "cat", ",", "dog"])
+    assert predict_embed(clone, tokens) == predict_embed(model, tokens)
 
 
 def test_save_is_byte_deterministic():
@@ -176,10 +177,18 @@ def _saved(kind):
      "embed model, key labels: -1,1,2 are not distinct labels in 0..2"),
     ("embed", "rows=", "4", "embed model, key rows: 4 rows for 3 labels"),
     ("embed", "rows=", "2", "embed model, key rows: 2 rows for 3 labels"),
+    ("embed", "dimension=", "0",
+     "embed model, key dimension: expected a value >= 1, got 0"),
+    ("embed", "dimension=", "-1",
+     "embed model, key dimension: expected a value >= 1, got -1"),
+    ("embed", "dimension=", "-2",
+     "embed model, key dimension: expected a value >= 1, got -2"),
 ], ids=["feature", "trans", "features", "row", "emb", "global", "word",
         "global-huge", "word-huge", "global-short", "global-negative",
         "word-negative", "crf-label-7", "crf-label-repeated",
-        "embed-label-negative", "embed-rows-4", "embed-rows-2"])
+        "embed-label-negative", "embed-rows-4", "embed-rows-2",
+        "embed-dimension-0", "embed-dimension-minus-1",
+        "embed-dimension-minus-2"])
 def test_load_names_a_value_that_does_not_parse(kind, prefix, bad, message):
     # the last field of the first line that starts with `prefix` goes bad
     lines = _saved(kind).split("\n")
