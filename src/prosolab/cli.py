@@ -3,21 +3,23 @@ learning-curve.
 
 Every run is reproducible: flat key=value config files, explicit seeds, and
 deterministic training make identical inputs produce identical output bytes
-(the manifest timestamp line is the single exception).  Exit codes: 0 success,
-1 data/validation failure, 2 usage or config failure.
+(the manifest's `#` lines, its timestamp and the workers' busy time, are the
+only exception).  Exit codes: 0 success, 1 data/validation failure, 2 usage or
+config failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache, partial, reduce
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, NamedTuple
 
 from . import evaluation
@@ -160,6 +162,64 @@ def _annotate_one(job) -> tuple[
         return stem, None, str(exc)
 
 
+def _claims(order: list[int], counter):
+    """The entries of `order` that this worker claims from `counter`."""
+    while True:
+        with counter.get_lock():
+            k, counter.value = counter.value, counter.value + 1
+        if k >= len(order):
+            return
+        yield order[k]
+
+
+def _annotate_all(jobs, workers: int) -> tuple[list, list[float]]:
+    """Every job's result in job order, and each worker's busy seconds.
+
+    This process is one of the `workers` and forks the rest.  They claim
+    jobs, largest WAV first, from one shared counter, and each child sends
+    its results back through a pipe.  One worker forks nothing."""
+    def share(claims) -> tuple[float, list]:
+        t0 = perf_counter()
+        done = [(i, _annotate_one(jobs[i])) for i in claims]
+        return perf_counter() - t0, done
+
+    claims, children = range(len(jobs)), []
+    try:
+        if workers > 1:
+            ctx = multiprocessing.get_context("fork")
+            claims = _claims(sorted(range(len(jobs)), reverse=True,
+                                    key=lambda i: jobs[i][1].stat().st_size),
+                             ctx.Value("q", 0))
+            for _ in range(workers - 1):
+                recv, send = ctx.Pipe(duplex=False)
+                # the child runs its own copy of the unstarted `claims`
+                proc = ctx.Process(target=lambda conn: conn.send(
+                    share(claims)), args=(send,))
+                proc.start()
+                send.close()
+                children.append((proc, recv))
+        shares = [share(claims)]
+        for k, (proc, recv) in enumerate(children, start=2):
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"annotate worker {k} (pid {proc.pid}) exited with status "
+                    f"{proc.exitcode} and sent no results") from None
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            recv.close()
+            proc.join()
+    done = sorted((pair for _, pairs in shares for pair in pairs),
+                  key=lambda pair: pair[0])
+    return [result for _, result in done], [busy for busy, _ in shares]
+
+
 def cmd_annotate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
@@ -186,15 +246,10 @@ def cmd_annotate(args) -> int:
         else:
             missing.append(align_path.stem)
 
-    # a fork pool forks all its workers at the first task: one per job at most
     workers = max(1, min(args.jobs, len(jobs)))
     log.info("annotating %d utterances with %d worker(s)", len(jobs),
              workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_annotate_one, jobs))
-    else:
-        results = [_annotate_one(job) for job in jobs]
+    results, busy = _annotate_all(jobs, workers)
 
     status: list[tuple[str, str]] = [(s, "failed: missing audio")
                                      for s in missing]
@@ -214,7 +269,10 @@ def cmd_annotate(args) -> int:
     n_ok = sum(1 for _, st in status if st == "ok")
     n_fail = len(status) - n_ok
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    manifest = [f"# generated {stamp}", "command=annotate"]
+    manifest = [f"# generated {stamp}",
+                f"# workers {workers}, busy "
+                + ", ".join(f"{b:.3f} s" for b in busy),
+                "command=annotate"]
     manifest.extend(_config_lines(cfg))
     manifest.extend(f"utt\t{stem}\t{st}" for stem, st in status)
     manifest.append(f"summary\t{n_ok} ok, {n_fail} failed")
@@ -502,7 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("align_dir")
     p.add_argument("out_file")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (default 1)")
+                   help="worker processes, this one included (default 1); "
+                        "utterances go out longest audio first and the "
+                        "output stays in stem order; more than one forks "
+                        "(POSIX only)")
     common(p)
     p.set_defaults(func=cmd_annotate)
 

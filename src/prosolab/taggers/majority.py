@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus_io import Columns
-from .common import compile_text
+from .common import CHUNK_CELLS, compile_text
 
 N_LABELS = 3
 
@@ -62,4 +62,9 @@ def predict_majority(model: MajorityModel, data: Columns,
             token.lower())
         by_type.append(None if punct else global_label if counts is None
                        else _argmax_label(counts))
-    return np.array(by_type, dtype=object)[text.type_ids].tolist()
+    # gather a chunk at a time: no object array as long as the file
+    names = np.array(by_type, dtype=object)
+    out: list[int | None] = []
+    for lo in range(0, len(text.type_ids), CHUNK_CELLS):
+        out += names[text.type_ids[lo:lo + CHUNK_CELLS]].tolist()
+    return out

@@ -4,10 +4,13 @@ learning-curve, exit codes."""
 import hashlib
 import importlib
 import importlib.util
+import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +129,13 @@ def test_annotate_deterministic_except_timestamp(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
     lines_a = (tmp_path / "a.tsv.manifest").read_text().splitlines()
     lines_b = (tmp_path / "b.tsv.manifest").read_text().splitlines()
+    # the timestamp and the workers' busy time are the only comment lines
     assert lines_a[0].startswith("# generated ")
-    assert lines_a[1:] == lines_b[1:]
+    assert lines_a[1].startswith("# workers 1, busy ")
+    assert lines_a[1].endswith(" s")
+    assert ([line for line in lines_a if not line.startswith("#")]
+            == [line for line in lines_b if not line.startswith("#")]
+            == lines_a[2:])
 
 
 def test_annotate_parallel_matches_serial(tmp_path, capsys):
@@ -156,39 +164,140 @@ def test_annotate_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks while the test runs."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Every pid in `pids` has exited and been waited for."""
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 @pytest.mark.parametrize("jobs, n_utterances, pools", [
-    ("64", 2, [2]), ("2", 3, [2]), ("8", 1, []), ("1", 2, [])])
+    ("64", 2, [1]), ("2", 3, [1]), ("8", 1, []), ("1", 2, [])])
 def test_annotate_starts_no_more_workers_than_utterances(
-        tmp_path, monkeypatch, capsys, jobs, n_utterances, pools):
-    """The pool is sized min(--jobs, utterances); one worker runs in this
-    process.  A stand-in executor records the size and maps in-process, so
-    no worker is ever forked."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        tmp_path, capsys, forks, jobs, n_utterances, pools):
+    """min(--jobs, utterances) workers, this process one of them, so each
+    command that forks forks one child fewer; `pools` lists what each such
+    command forks.  One worker forks nothing."""
     audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
         (f"u{i}", [0.2, 0.8, 0.5], None) for i in range(n_utterances)])
     serial, pooled = tmp_path / "serial.tsv", tmp_path / "pooled.tsv"
-    assert run(["annotate", audio_dir, align_dir, serial,
-                "--config", cfg]) == 0
-    assert sizes == []
-    assert run(["annotate", audio_dir, align_dir, pooled, "--config", cfg,
-                "--jobs", jobs]) == 0
-    assert sizes == pools
+    forked = []
+    for out, flags in ((serial, []), (pooled, ["--jobs", jobs])):
+        before = len(forks)
+        assert run(["annotate", audio_dir, align_dir, out, "--config", cfg,
+                    *flags]) == 0
+        forked.append(len(forks) - before)
+    assert [n for n in forked if n] == pools
+    assert_reaped(forks)
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_annotate_output_does_not_depend_on_the_order_of_work(
+        tmp_path, monkeypatch, capsys):
+    """Utterances go out largest WAV first, which is not stem order here;
+    the dataset and every deterministic manifest line are the same at any
+    --jobs."""
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        ("a", [0.5, 0.2], None), ("b", [0.3, 0.9, 0.1, 0.6, 0.4, 0.8], "."),
+        ("c", [0.7, 0.2, 0.5], None), ("d", [0.1, 0.6, 0.3, 0.9, 0.5], ","),
+        ("e", [0.4, 0.8, 0.2, 0.6], None)])
+    (audio_dir / "f.wav").write_bytes(b"this is not a RIFF file")
+    write_lab(align_dir / "f.lab", make_word_fixture([0.5])[1])
+    sizes = [(audio_dir / f"{stem}.wav").stat().st_size for stem in "abcdef"]
+    longest_first = sorted(range(6), key=lambda i: -sizes[i])
+    assert longest_first == [1, 3, 4, 2, 0, 5]
+    orders, claims = [], cli._claims
+    monkeypatch.setattr(cli, "_claims", lambda order, counter: (
+        orders.append(order) or claims(order, counter)))
+    outputs = {}
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}.tsv"
+        assert run(["annotate", audio_dir, align_dir, out, "--config", cfg,
+                    "--jobs", jobs]) == 0
+        manifest = Path(f"{out}.manifest").read_text().splitlines()
+        busy = r"\d+\.\d{3} s"
+        assert re.fullmatch(rf"# workers {jobs}, busy {busy}(, {busy})*",
+                            manifest[1])
+        assert manifest[1].count(" s") == jobs
+        outputs[jobs] = (out.read_bytes(), [
+            line for line in manifest if not line.startswith("#")])
+        # one worker takes the jobs in stem order, without a counter
+        assert orders == ([longest_first] if jobs > 1 else [])
+        orders.clear()
+    assert any(line.startswith("utt\tf\tfailed: malformed or unsupported")
+               for line in outputs[1][1])
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_workers_claim_each_job_once():
+    """Four processes, more than the cores, drain one shared counter: every
+    entry of the order is claimed exactly once, each worker's claims in
+    that order."""
+    ctx = multiprocessing.get_context("fork")
+    order = list(range(20000, 0, -1))
+    claims = cli._claims(order, ctx.Value("q", 0))
+    procs, conns = [], []
+    for _ in range(3):
+        recv, send = ctx.Pipe(duplex=False)
+        procs.append(ctx.Process(target=lambda conn: conn.send(list(claims)),
+                                 args=(send,)))
+        procs[-1].start()
+        send.close()
+        conns.append(recv)
+    shares = [list(claims), *(conn.recv() for conn in conns)]
+    for proc in procs:
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+    assert sorted(i for share in shares for i in share) == sorted(order)
+    assert all(share == sorted(share, reverse=True) for share in shares)
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_annotate_names_a_worker_that_dies(tmp_path, monkeypatch, capsys,
+                                           forks, jobs):
+    """A child that exits mid-run fails the command: exit 1, an error that
+    names the worker and its status, no dataset, and every child joined.
+    A child still working is stopped, not waited for."""
+    parent, annotate_one = os.getpid(), cli._annotate_one
+
+    def dies_in_a_child(job):
+        if os.getpid() == parent:
+            time.sleep(0.2)  # leave the children time to claim a job each
+            return annotate_one(job)
+        if not forks:  # the first child: nothing was forked before it
+            os._exit(3)
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_annotate_one", dies_in_a_child)
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        (f"u{i}", [0.2, 0.8, 0.5], None) for i in range(4)])
+    out = tmp_path / "data.tsv"
+    t0 = time.monotonic()
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg,
+                "--jobs", jobs]) == 1
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == int(jobs) - 1
+    assert (f"error: annotate worker 2 (pid {forks[0]}) exited with status 3"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert not Path(f"{out}.manifest").exists()
+    assert_reaped(forks)
 
 
 GOLDEN_UTTERANCES = [

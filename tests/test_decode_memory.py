@@ -1,6 +1,7 @@
 """Whole-file decoding keeps no per-sentence state: the CRF and the embed
-classifier work one chunk of sentences at a time and majority decoding is
-one gather, so memory is bounded however long the file is."""
+classifier work one chunk of sentences at a time and majority decoding
+gathers one chunk of positions at a time, so memory is bounded however long
+the file is."""
 
 import tracemalloc
 
@@ -20,9 +21,9 @@ WORDS = [f"w{i}" for i in range(400)]
 # the labels returned included) and far below what decoding a whole file at
 # once needs (over 20 MiB at 2500 sentences).
 CEILING = 8 * 2**20
-# The only arrays that grow with the file are the flat ones: about 10 bytes
-# a token for the CRF and embed (type ids, NA flags) and 16 for majority
-# (type ids, the gathered labels); 2500 more sentences add 0.4-0.8 MiB.
+# The only arrays that grow with the file are the flat ones, about 10 bytes
+# a token: the type ids, plus the NA flags for the CRF and embed; 2500 more
+# sentences add about 0.45 MiB for each decoder.
 GROWTH = 2**20
 
 
