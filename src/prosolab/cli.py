@@ -578,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a text-only tagger")
     p.add_argument("train_file")
     p.add_argument("out_model")
-    p.add_argument("--model", required=True,
-                   choices=("majority", "crf", "embed"))
+    p.add_argument("--model", required=True, choices=tuple(dict.fromkeys(
+        tagger.kind for tagger in TAGGERS.values())))
     common(p)
     p.set_defaults(func=cmd_train)
 

@@ -16,17 +16,17 @@ import re
 import unicodedata
 import wave
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 INT16_SCALE = 32768.0
 INT64 = np.iinfo(np.int64)
-# Most values load_embeddings converts in one numpy call.  A fixed bound,
-# not a setting.
-EMBEDDING_BLOCK_VALUES = 4096
+# Most numbers parse_rows converts in one numpy call: a whole table at once
+# would hold several times its text in str objects.  Not a setting.
+BLOCK_VALUES = 4096
 
 
 class CorpusFormatError(ValueError):
@@ -130,6 +130,28 @@ def parse_numbers(texts: list[str], kind: type,
                 f"{where(k)}: integer out of range: {text!r}")
         values.append(value)
     return np.array(values, dtype=dtype)
+
+
+def parse_rows(rows: Iterable[list[str]], width: int, kind: type,
+               where: Callable[[int], str]
+               ) -> Iterator[tuple[int, np.ndarray]]:
+    """`rows` of `width` number texts, converted by parse_numbers a block of
+    rows at a time: (i, an (n, width) array of rows i..i+n-1) per block, and
+    ``where(i)`` names row i.  An error that `rows` raises reaches the caller
+    at once, the first bad number only once the rows have run out."""
+    rows, done, bad = iter(rows), 0, None
+    while texts := list(chain.from_iterable(
+            islice(rows, max(1, BLOCK_VALUES // width)))):
+        try:
+            block = parse_numbers(texts, kind,
+                                  lambda k: where(done + k // width))
+        except CorpusFormatError as exc:
+            bad = bad or exc
+        else:
+            yield done, block.reshape(-1, width)
+        done += len(texts) // width
+    if bad is not None:
+        raise bad
 
 
 def is_punctuation(text: str) -> bool:
@@ -400,6 +422,7 @@ def write_dataset(
 
 
 _LABELS = {"NA": None, "0": 0, "1": 1, "2": 2}
+N_LABELS = len(_LABELS) - 1  # labels 0..N_LABELS-1; NA is not a label
 _LABEL_NAMES = {label: text for text, label in _LABELS.items()}
 
 
@@ -546,32 +569,28 @@ def load_embeddings(
     if dimension <= 0:
         raise ValueError("dimension must be positive")
     first: dict[str, int] = {}  # token -> line number of its first row
-    rows: list[str] = []        # the lines of those first rows
+    linenos: list[int] = []     # the same line numbers, in row order
     bad_shape = None
-    for lineno, line in enumerate(_as_text(source).split("\n"), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != dimension + 1:
-            bad_shape = CorpusFormatError(f"line {lineno}: expected "
-                                          f"{dimension} values, got "
-                                          f"{len(parts) - 1}")
-            break
-        if parts[0] not in first:
-            first[parts[0]] = lineno
-            rows.append(line)
-    # One numpy conversion per block of rows: each value is a str object
-    # until it converts, so a whole table at once would hold several times
-    # the file's size in them.
-    linenos = list(first.values())
-    step = max(1, EMBEDDING_BLOCK_VALUES // dimension)
-    vectors: list[np.ndarray] = []
-    for a in range(0, len(rows), step):
-        texts = " ".join(rows[a:a + step]).split()
-        del texts[::dimension + 1]
-        vectors.extend(parse_numbers(
-            texts, float, lambda k: f"line {linenos[a + k // dimension]}",
-        ).reshape(-1, dimension))
+
+    def rows():
+        nonlocal bad_shape
+        for lineno, line in enumerate(_as_text(source).split("\n"), start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != dimension + 1:
+                bad_shape = CorpusFormatError(f"line {lineno}: expected "
+                                              f"{dimension} values, got "
+                                              f"{len(parts) - 1}")
+                return
+            if parts[0] not in first:
+                first[parts[0]] = lineno
+                linenos.append(lineno)
+                yield parts[1:]
+
+    vectors = [row for _, block in parse_rows(
+        rows(), dimension, float, lambda i: f"line {linenos[i]}")
+        for row in block]
     # the rows before a bad one were read first: their error came first
     if bad_shape is not None:
         raise bad_shape

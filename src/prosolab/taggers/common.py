@@ -1,4 +1,5 @@
-"""The text compiler shared by the text-only taggers."""
+"""The text compiler and model-file row formats shared by the text-only
+taggers."""
 
 from __future__ import annotations
 
@@ -15,6 +16,15 @@ from ..corpus_io import is_punctuation
 # dynamic-programming tensors one chunk at a time, so their memory stays
 # bounded however long the file is.  A fixed bound, not a setting.
 CHUNK_CELLS = 4096
+
+
+def tab_floats(values) -> str:
+    """A model-file row's floats, in repr, which round-trips exactly."""
+    return "\t".join(repr(float(v)) for v in values)
+
+
+def comma_ints(values) -> str:
+    return ",".join(str(int(v)) for v in values)
 
 
 def na_mask(tokens: list[str]) -> list[bool]:

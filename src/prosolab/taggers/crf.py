@@ -20,9 +20,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
-from ..corpus_io import Columns, is_punctuation
+from ..corpus_io import Columns, CorpusFormatError, is_punctuation
 from .common import (Chunk, CompiledText, check_training_settings,
-                     compile_text, na_mask)
+                     comma_ints, compile_text, na_mask, tab_floats)
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +104,37 @@ class CrfModel:
 
     def expected_size(self) -> int:
         return self.n_emission + self.n_states**2
+
+
+def write_section(model: CrfModel) -> list[str]:
+    """The model file's lines after its type line; features in index
+    order, which is part of the model."""
+    emis = model.weights[:model.n_emission].reshape(-1, model.n_labels)
+    by_index = sorted(model.feature_index, key=model.feature_index.get)
+    return [f"labels={comma_ints(model.labels)}",
+            f"l2_lambda={model.l2_lambda!r}", f"features={len(by_index)}",
+            *(f"feature\t{feat}\t{tab_floats(row)}"
+              for feat, row in zip(by_index, emis)),
+            f"states={model.n_states}",
+            *(f"trans\t{tab_floats(row)}"
+              for row in model.transition_matrix())]
+
+
+def read_section(r) -> CrfModel:
+    """write_section's model, from the lines that serialize's `r` reads."""
+    labels = r.labels()
+    l2 = r.value("l2_lambda", float)
+    features, emis = r.table("feature", r.value("features", least=0),
+                             len(labels), named=True)
+    n_states = r.value("states")
+    if n_states != len(labels) + 1:
+        raise CorpusFormatError(r.at(
+            f"key states: state count {n_states} does not match label set "
+            f"{comma_ints(labels)}"))
+    _, trans = r.table("trans", n_states, n_states)
+    return CrfModel(labels=labels, feature_index=features,
+                    weights=np.concatenate([emis.ravel(), trans.ravel()]),
+                    l2_lambda=l2)
 
 
 def new_model(labels: list[int], feature_index: dict[str, int],

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus_io import Columns, EmbeddingTable
-from .common import Chunk, CompiledText, check_training_settings, compile_text
+from ..corpus_io import Columns, CorpusFormatError, EmbeddingTable
+from .common import (Chunk, CompiledText, check_training_settings,
+                     comma_ints, compile_text, tab_floats)
 
 
 @dataclass
@@ -25,10 +26,45 @@ class EmbeddingClassifier:
     weight_matrix: np.ndarray  # (n_labels, 3 * dimension + 1)
 
 
+def write_section(model: EmbeddingClassifier) -> list[str]:
+    """The model file's lines after its type line; tokens sorted."""
+    entries = model.table.entries
+    return [f"labels={comma_ints(model.labels)}",
+            f"dimension={model.table.dimension}", f"window={EMBED_WINDOW}",
+            f"rows={model.weight_matrix.shape[0]}",
+            *(f"row\t{tab_floats(row)}" for row in model.weight_matrix),
+            f"embeddings={len(entries)}",
+            *(f"emb\t{token}\t{tab_floats(entries[token])}"
+              for token in sorted(entries))]
+
+
+def read_section(r) -> EmbeddingClassifier:
+    """write_section's model, from the lines that serialize's `r` reads."""
+    labels = r.labels()
+    dim = r.value("dimension", least=1)
+    window = r.value("window")
+    if window != EMBED_WINDOW:
+        raise CorpusFormatError(
+            r.at(f"key window: unsupported embed window {window}"))
+    n_rows = r.value("rows")
+    if n_rows != len(labels):
+        raise CorpusFormatError(
+            r.at(f"key rows: {n_rows} rows for {len(labels)} labels"))
+    _, weights = r.table("row", n_rows, 3 * dim + 1)
+    tokens, vectors = r.table("emb", r.value("embeddings", least=0), dim,
+                              named=True)
+    return EmbeddingClassifier(
+        table=EmbeddingTable(dim, dict(zip(tokens, vectors))), labels=labels,
+        weight_matrix=weights)
+
+
 def _type_vectors(table: EmbeddingTable, types: list[str]) -> np.ndarray:
     """(n_types, d) vector of each distinct token, one lookup each."""
     return np.array([table.lookup(tok) for tok in types]).reshape(
         len(types), table.dimension)
+
+
+EMBED_WINDOW = 1  # _window_rows reads one neighbour on each side
 
 
 def _window_rows(vectors: np.ndarray, text: CompiledText,

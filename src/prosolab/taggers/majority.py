@@ -6,10 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus_io import Columns
-from .common import CHUNK_CELLS, compile_text
-
-N_LABELS = 3
+from ..corpus_io import N_LABELS, Columns, CorpusFormatError
+from .common import CHUNK_CELLS, comma_ints, compile_text
 
 
 @dataclass
@@ -18,6 +16,32 @@ class MajorityModel:
     per_word: dict[str, np.ndarray] = field(default_factory=dict)
     global_counts: np.ndarray = field(
         default_factory=lambda: np.zeros(N_LABELS, dtype=np.int64))
+
+
+def write_section(model: MajorityModel) -> list[str]:
+    """The model file's lines after its type line; words sorted."""
+    return [f"global={comma_ints(model.global_counts)}",
+            f"words={len(model.per_word)}",
+            *(f"word\t{word}\t{comma_ints(model.per_word[word])}"
+              for word in sorted(model.per_word))]
+
+
+def read_section(r) -> MajorityModel:
+    """write_section's model, from the lines that serialize's `r` reads."""
+    global_counts = np.array(r.values("global"), dtype=np.int64)
+    if len(global_counts) != N_LABELS or global_counts.min() < 0:
+        raise CorpusFormatError(r.at(
+            f"key global: expected {N_LABELS} counts >= 0, got "
+            f"{comma_ints(global_counts)}"))
+    words, counts = r.table("word", r.value("words", least=0), N_LABELS, int,
+                            named=True, sep=",")
+    negative = np.flatnonzero((counts < 0).any(axis=1))
+    if len(negative):
+        raise CorpusFormatError(r.at(
+            f"word row {negative[0]}: negative count in "
+            f"{comma_ints(counts[negative[0]])}"))
+    return MajorityModel(per_word=dict(zip(words, counts)),
+                         global_counts=global_counts)
 
 
 def train_majority(data: Columns) -> MajorityModel:

@@ -27,7 +27,6 @@ from prosolab.corpus_io import (
     _label,
     _record,
 )
-from prosolab.taggers import serialize
 from prosolab.taggers.serialize import _Reader
 
 from conftest import (
@@ -361,7 +360,7 @@ def test_load_embeddings_names_the_first_bad_line(content, message):
 
 
 def test_load_embeddings_reads_a_table_of_several_blocks():
-    n = corpus_io.EMBEDDING_BLOCK_VALUES  # n rows of 2 values: two blocks
+    n = corpus_io.BLOCK_VALUES  # n rows of 2 values: two blocks
     lines = [f"w{i} {i} {i}.5" for i in range(n)]
     table = load_embeddings("\n".join(lines), dimension=2)
     assert len(table.entries) == n
@@ -586,18 +585,17 @@ embedding_line_st = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(embedding_line_st, max_size=6).map("\n".join),
-       st.sampled_from([1, 2, 5, corpus_io.EMBEDDING_BLOCK_VALUES]))
+       st.sampled_from([1, 2, 5, corpus_io.BLOCK_VALUES]))
 def test_embeddings_read_in_bulk_what_the_line_rule_reads(text, block):
     want = _embeddings_line_by_line(text, 2)
-    saved, corpus_io.EMBEDDING_BLOCK_VALUES = (
-        corpus_io.EMBEDDING_BLOCK_VALUES, block)
+    saved, corpus_io.BLOCK_VALUES = corpus_io.BLOCK_VALUES, block
     try:
         table = load_embeddings(text, dimension=2)
     except CorpusFormatError as exc:
         assert str(exc) == want
         return
     finally:
-        corpus_io.EMBEDDING_BLOCK_VALUES = saved
+        corpus_io.BLOCK_VALUES = saved
     assert not isinstance(want, str), want
     assert list(table.entries) == list(want)
     for token, values in want.items():
@@ -636,7 +634,7 @@ def _parsed_one_by_one(texts, kind, width):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([int, float]), st.integers(1, 3), st.integers(1, 3),
-       st.sampled_from([1, 2, 5, serialize.TABLE_BLOCK_VALUES]), st.data())
+       st.sampled_from([1, 2, 5, corpus_io.BLOCK_VALUES]), st.data())
 def test_model_sections_read_in_bulk_what_parse_number_reads(kind, count,
                                                              width, block,
                                                              data):
@@ -647,14 +645,14 @@ def test_model_sections_read_in_bulk_what_parse_number_reads(kind, count,
     reader = _Reader("\n".join(lines).encode(), "")
     reader.section = "crf"
     want, error = _parsed_one_by_one(texts, kind, width)
-    saved, serialize.TABLE_BLOCK_VALUES = serialize.TABLE_BLOCK_VALUES, block
+    saved, corpus_io.BLOCK_VALUES = corpus_io.BLOCK_VALUES, block
     try:
         _, values = reader.table("trans", count, width, kind)
     except CorpusFormatError as exc:
         assert str(exc) == error
         return
     finally:
-        serialize.TABLE_BLOCK_VALUES = saved
+        corpus_io.BLOCK_VALUES = saved
     assert error is None and values.shape == (count, width)
     got = values.ravel().tolist()
     if kind is float:

@@ -9,7 +9,7 @@ from prosolab.corpus_io import CorpusFormatError, EmbeddingTable
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
 from prosolab.taggers.majority import predict_majority, train_majority
-from prosolab.taggers import serialize
+from prosolab import corpus_io
 from prosolab.taggers.serialize import MAGIC, load_model, save_model
 
 from conftest import make_columns, unlabeled
@@ -74,9 +74,9 @@ def test_save_is_byte_deterministic():
         assert save_model(model) == save_model(model)
 
 
-def test_double_round_trip_is_stable():
-    model = crf_train(CORPUS, max_iterations=30)
-    once = save_model(model)
+@pytest.mark.parametrize("kind", ["majority", "crf", "embed"])
+def test_double_round_trip_is_stable(kind):
+    once = _saved(kind).encode()
     assert save_model(load_model(once)) == once
 
 
@@ -183,12 +183,23 @@ def _saved(kind):
      "embed model, key dimension: expected a value >= 1, got -1"),
     ("embed", "dimension=", "-2",
      "embed model, key dimension: expected a value >= 1, got -2"),
+    ("majority", "words=", "-1",
+     "majority model, key words: expected a value >= 0, got -1"),
+    ("crf", "features=", "-2",
+     "crf model, key features: expected a value >= 0, got -2"),
+    ("embed", "embeddings=", "-3",
+     "embed model, key embeddings: expected a value >= 0, got -3"),
+    ("crf", "states=", "3", "crf model, key states: state count 3 does not "
+     "match label set 0,1,2"),
+    ("embed", "window=", "2",
+     "embed model, key window: unsupported embed window 2"),
 ], ids=["feature", "trans", "features", "row", "emb", "global", "word",
         "global-huge", "word-huge", "global-short", "global-negative",
         "word-negative", "crf-label-7", "crf-label-repeated",
         "embed-label-negative", "embed-rows-4", "embed-rows-2",
         "embed-dimension-0", "embed-dimension-minus-1",
-        "embed-dimension-minus-2"])
+        "embed-dimension-minus-2", "words-negative", "features-negative",
+        "embeddings-negative", "crf-states-3", "embed-window-2"])
 def test_load_names_a_value_that_does_not_parse(kind, prefix, bad, message):
     # the last field of the first line that starts with `prefix` goes bad
     lines = _saved(kind).split("\n")
@@ -220,7 +231,7 @@ def test_a_bad_layout_is_named_before_a_bad_number_in_an_earlier_block(
         monkeypatch, block):
     """A section converts a block of rows at a time, but a bad layout in any
     row is still reported before a bad number in an earlier one."""
-    monkeypatch.setattr(serialize, "TABLE_BLOCK_VALUES", block)
+    monkeypatch.setattr(corpus_io, "BLOCK_VALUES", block)
     lines = _saved("crf").split("\n")
     rows = [k for k, line in enumerate(lines) if line.startswith("feature\t")]
     lines[rows[0]] = lines[rows[0]].rpartition("\t")[0] + "\tnope"
