@@ -349,7 +349,7 @@ def parse_textgrid(
     i = 0
     while i < len(block):
         if re.fullmatch(r"intervals\s*\[\d+\]\s*:", block[i]):
-            if i + 3 > len(block):
+            if i + 3 >= len(block):
                 raise CorpusFormatError("truncated interval block")
             ctx = f"interval block at tier {tier_name!r}"
             if not block[i + 1].startswith("xmin"):

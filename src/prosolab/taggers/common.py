@@ -20,7 +20,7 @@ CHUNK_CELLS = 4096
 
 def tab_floats(values) -> str:
     """A model-file row's floats, in repr, which round-trips exactly."""
-    return "\t".join(repr(float(v)) for v in values)
+    return "\t".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def comma_ints(values) -> str:

@@ -14,6 +14,7 @@ transition weights flattened row-major, S = K + 1.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +36,26 @@ CONTEXT = (("w-1", -1), ("w+1", 1), ("w-2", -2), ("w+2", 2))
 OWN_WIDTH = 2 * MAX_AFFIX + 4
 
 
-def _own_features(w: str, punct: bool) -> list[str]:
-    """The templates that read only the word itself, in template order;
-    `punct` is is_punctuation(w)."""
-    lw = w.lower()
-    feats = [f"w0={lw}"]
-    for n in range(1, min(MAX_AFFIX, len(w)) + 1):
-        feats.append(f"pre{n}={lw[:n]}")
-        feats.append(f"suf{n}={lw[-n:]}")
-    feats.append(f"cap={int(w[:1].isupper())}")
-    feats.append(f"dig={int(any(c.isdigit() for c in w))}")
-    feats.append(f"punct={int(punct)}")
-    return feats
+def _own_templates(tokens: list[str], punct: list[bool]) -> Iterator[
+        tuple[list[int], list[str]]]:
+    """The templates that read only the word itself, in template order:
+    for each, the indices of the `tokens` it applies to and their feature
+    strings.  `punct[i]` is is_punctuation(tokens[i]); an affix of length n
+    applies to the tokens of at least n characters."""
+    lows = [tok.lower() for tok in tokens]
+    sizes = [len(tok) for tok in tokens]
+    every = list(range(len(tokens)))
+    yield every, ["w0=" + low for low in lows]
+    for n in range(1, MAX_AFFIX + 1):
+        fit = [i for i, size in enumerate(sizes) if size >= n]
+        long_enough = [lows[i] for i in fit]
+        pre, suf = f"pre{n}=", f"suf{n}="
+        yield fit, [pre + low[:n] for low in long_enough]
+        yield fit, [suf + low[-n:] for low in long_enough]
+    yield every, [("cap=0", "cap=1")[tok[:1].isupper()] for tok in tokens]
+    yield every, [("dig=0", "dig=1")[any(map(str.isdigit, tok))]
+                  for tok in tokens]
+    yield every, [("punct=0", "punct=1")[p] for p in punct]
 
 
 def crf_featurize(tokens: list[str], position: int) -> list[str]:
@@ -67,7 +76,8 @@ def crf_featurize(tokens: list[str], position: int) -> list[str]:
         return tokens[i].lower()
 
     w = tokens[position]
-    own = _own_features(w, is_punctuation(w))
+    own = [f for _, feats in _own_templates([w], [is_punctuation(w)])
+           for f in feats]
     return [own[0], *(f"{name}={ctx(position + d)}" for name, d in CONTEXT),
             *own[1:]]
 
@@ -153,7 +163,9 @@ class FeatureIds:
 
     text: CompiledText
     na: np.ndarray       # (N,) positions left unfeaturized
-    own: np.ndarray      # (n_types, OWN_WIDTH) ids of _own_features
+    # (n_types, OWN_WIDTH) ids of the _own_templates, one column each; an
+    # affix longer than the type is -1
+    own: np.ndarray
     # (n_types + 2, 4) ids of each CONTEXT template with the type as the
     # neighbour; the last two rows stand for BOS and EOS
     context: np.ndarray
@@ -180,18 +192,19 @@ class FeatureIds:
 def sentence_feature_ids(text: CompiledText, na: np.ndarray,
                          lookup) -> FeatureIds:
     """Feature ids of the positions of `text` that `na` does not mark.
-    Each distinct token is featurized once; `lookup` maps a feature string
-    to its id, and a feature it maps to None is dropped."""
-    def ids(feats) -> list[int]:
+    Each template is built and looked up for all distinct tokens at once;
+    `lookup` maps a feature string to its id, and a feature it maps to None
+    is dropped."""
+    def ids(feats: list[str]) -> list[int]:
         return [-1 if (i := lookup(f)) is None else i for f in feats]
 
     own = np.full((len(text.types), OWN_WIDTH), -1, dtype=np.int64)
-    for k, (tok, punct) in enumerate(zip(text.types, text.type_na)):
-        row = ids(_own_features(tok, punct))
-        own[k, :len(row)] = row
+    for col, (rows, feats) in enumerate(
+            _own_templates(text.types, text.type_na.tolist())):
+        own[rows, col] = ids(feats)
     words = [tok.lower() for tok in text.types] + [BOS, EOS]
-    context = np.array([ids(f"{name}={w}" for name, _ in CONTEXT)
-                        for w in words], dtype=np.int64)
+    context = np.array([ids([f"{name}={w}" for w in words])
+                        for name, _ in CONTEXT], dtype=np.int64).T
     return FeatureIds(text, na, own, context)
 
 

@@ -9,13 +9,17 @@ embeddings the classifier converges to the label priors (global majority).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._accel import fold
 from ..corpus_io import Columns, CorpusFormatError, EmbeddingTable
 from .common import (Chunk, CompiledText, check_training_settings,
                      comma_ints, compile_text, tab_floats)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -86,9 +90,24 @@ def _window_rows(vectors: np.ndarray, text: CompiledText,
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of (N, k) logits, reduced over the k columns one at
+    a time."""
+    e = np.exp(z - fold(np.maximum, z.T)[:, None])
+    return e / fold(np.add, e.T)[:, None]
+
+
+def _penalized(w: np.ndarray) -> np.ndarray:
+    """`w` with its bias column, which the L2 penalty leaves out, at 0."""
+    out = w.copy()
+    out[:, -1] = 0.0
+    return out
+
+
+def _gradient(x: np.ndarray, onehot: np.ndarray, w: np.ndarray,
+              p: np.ndarray, l2_lambda: float) -> np.ndarray:
+    """The training objective's gradient at `w`, where `p` is the softmax
+    of ``x @ w.T`` and `onehot` the gold labels."""
+    return (p - onehot).T @ x + 2.0 * l2_lambda * _penalized(w)
 
 
 def train_embed_classifier(data: Columns, table: EmbeddingTable,
@@ -114,30 +133,31 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
                  dtype=np.int64)                # (N,)
     n, dim = x.shape
     k = len(labels)
+    gold = np.arange(n) * k + y                 # flat index of each label
     onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+    onehot.flat[gold] = 1.0
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
+        """The objective at `w`, and the softmax its gradient needs."""
         p = _softmax_rows(x @ w.T)           # (N, k)
-        ll = -np.sum(np.log(np.maximum(p[np.arange(n), y], 1e-300)))
-        penalized = w.copy()
-        penalized[:, -1] = 0.0               # bias not regularized
-        value = ll + l2_lambda * float(np.sum(penalized**2))
-        grad = (p - onehot).T @ x + 2.0 * l2_lambda * penalized
-        return value, grad
+        ll = -np.sum(np.log(np.maximum(p.take(gold), 1e-300)))
+        return ll + l2_lambda * float(np.sum(_penalized(w)**2)), p
 
     w = np.zeros((k, dim))
-    value, grad = objective(w)
-    step = 1.0
-    for _ in range(max_iterations):
+    value, p = objective(w)
+    grad = _gradient(x, onehot, w, p, l2_lambda)
+    iterations, evaluations, step = 0, 1, 1.0
+    while iterations < max_iterations:
         gnorm2 = float(np.sum(grad**2))
         if np.sqrt(gnorm2) < tolerance:
             break
-        # Armijo backtracking from the last accepted step size
+        # Armijo backtracking from the last accepted step size; only the
+        # accepted trial's gradient is computed
         step = min(step * 2.0, 1e4)
         while True:
             trial = w - step * grad
-            trial_value, trial_grad = objective(trial)
+            trial_value, p = objective(trial)
+            evaluations += 1
             if trial_value <= value - 1e-4 * step * gnorm2:
                 break
             step *= 0.5
@@ -145,7 +165,16 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
                 break
         if step < 1e-12:
             break
-        w, value, grad = trial, trial_value, trial_grad
+        w, value = trial, trial_value
+        grad = _gradient(x, onehot, w, p, l2_lambda)
+        iterations += 1
+    gnorm = float(np.sqrt(np.sum(grad**2)))
+    converged = gnorm < tolerance
+    log.log(logging.INFO if converged else logging.WARNING,
+            "embed training %s (iterations=%d, evaluations=%d, |grad|=%.3g)",
+            "converged" if converged
+            else "stopped at the step floor" if step < 1e-12
+            else "stopped at max_iterations", iterations, evaluations, gnorm)
     return EmbeddingClassifier(table=table, labels=labels, weight_matrix=w)
 
 

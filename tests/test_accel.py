@@ -1,12 +1,17 @@
 """Each numpy kernel against an independent oracle: np.pad reflection for the
 mirror correlation, a direct sum for the autocorrelation, and enumeration of
-every state path for the linear-chain dynamic programs."""
+every state path for the linear-chain dynamic programs.  The dynamic programs
+and the embed softmax also equal, bit for bit, the same steps written with
+numpy's axis reductions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from prosolab import _accel as A
+from prosolab.taggers.embed import _softmax_rows
 
 RNG = np.random.default_rng(42)
 
@@ -54,13 +59,13 @@ def test_frame_acf_matches_direct_sum():
                                atol=1e-10)
 
 
-def _random_chain(T, S, mask_prob=0.3):
-    pot = RNG.normal(size=(T, S))
-    mask = RNG.random(size=(T, S)) < mask_prob
+def _random_chain(T, S, mask_prob=0.3, rng=RNG):
+    pot = rng.normal(size=(T, S))
+    mask = rng.random(size=(T, S)) < mask_prob
     # keep at least one state alive per position
     for t in range(T):
         if mask[t].all():
-            mask[t, RNG.integers(S)] = False
+            mask[t, rng.integers(S)] = False
     pot[mask] = A.NEG_INF
     return pot
 
@@ -161,3 +166,98 @@ def test_alpha_beta_consistency():
             row = alpha[b, t] + beta[b, t]
             m = row.max()
             assert abs(m + np.log(np.sum(np.exp(row - m))) - lz[b]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the column folds against numpy's axis reductions, bit for bit
+# ---------------------------------------------------------------------------
+
+def axis_forward(log_pot, trans, lengths):
+    """chain_forward as one max and one sum along the state axis per step."""
+    n_batch, n_pos, n_states = log_pot.shape
+    alpha = np.empty((n_batch, n_pos, n_states))
+    alpha[:, 0] = log_pot[:, 0]
+    for t in range(1, n_pos):
+        scores = alpha[:, t - 1, :, None] + trans
+        m = scores.max(axis=1)
+        alpha[:, t] = log_pot[:, t] + (
+            m + np.log(np.exp(scores - m[:, None, :]).sum(axis=1)))
+    last = alpha[np.arange(n_batch), lengths - 1]
+    m = last.max(axis=1)
+    log_z = m + np.log(np.exp(last - m[:, None]).sum(axis=1))
+    return np.where(lengths > 0, log_z, 0.0), alpha
+
+
+def axis_backward(log_pot, trans, lengths):
+    n_batch, n_pos, n_states = log_pot.shape
+    beta = np.zeros((n_batch, n_pos, n_states))
+    inside = lengths[:, None] - 1
+    for t in range(n_pos - 2, -1, -1):
+        scores = trans + (log_pot[:, t + 1] + beta[:, t + 1])[:, None, :]
+        m = scores.max(axis=2)
+        beta[:, t] = np.where(
+            t < inside,
+            m + np.log(np.exp(scores - m[:, :, None]).sum(axis=2)), 0.0)
+    return beta
+
+
+def axis_viterbi(log_pot, trans, lengths):
+    n_batch, n_pos, n_states = log_pot.shape
+    delta = np.empty((n_batch, n_pos, n_states))
+    back = np.zeros((n_batch, n_pos, n_states), dtype=np.int64)
+    delta[:, 0] = log_pot[:, 0]
+    for t in range(1, n_pos):
+        scores = delta[:, t - 1, :, None] + trans
+        back[:, t] = scores.argmax(axis=1)
+        delta[:, t] = log_pot[:, t] + np.take_along_axis(
+            scores, back[:, t, None, :], axis=1)[:, 0]
+    rows = np.arange(n_batch)
+    last = delta[rows, lengths - 1].argmax(axis=1)
+    path = np.zeros((n_batch, n_pos), dtype=np.int64)
+    state = last
+    for t in range(n_pos - 1, -1, -1):
+        state = np.where(lengths - 1 == t, last, state)
+        path[:, t] = state
+        state = back[rows, t, state]
+    return path
+
+
+def axis_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 5),
+       n_batch=st.integers(1, 8), width=st.integers(1, 9),
+       dead=st.floats(0.0, 0.6), ties=st.booleans())
+def test_chain_kernels_equal_the_axis_reductions(seed, n_states, n_batch,
+                                                 width, dead, ties):
+    """Ragged padded batches, empty sentences after the first, some
+    positions NEG_INF, some rounded so that scores tie: every output equals
+    the axis-reduction kernel's."""
+    rng = np.random.default_rng(seed)
+    pots = [_random_chain(int(rng.integers(b == 0, width + 1)), n_states,
+                          mask_prob=dead, rng=rng) for b in range(n_batch)]
+    if ties:
+        pots = [np.where(p > A.NEG_INF, np.round(p), p) for p in pots]
+    batch, lengths = _batch(pots)
+    trans = rng.normal(size=(n_states, n_states))
+    if ties:
+        trans = np.round(trans)
+    for got, want in zip(A.chain_forward(batch, trans, lengths),
+                         axis_forward(batch, trans, lengths)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(A.chain_backward(batch, trans, lengths),
+                          axis_backward(batch, trans, lengths))
+    assert np.array_equal(A.chain_viterbi(batch, trans, lengths),
+                          axis_viterbi(batch, trans, lengths))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+def test_softmax_rows_equal_the_axis_reductions(k, scale):
+    z = RNG.normal(size=(5000, k)) * scale
+    z[::7, 1] = z[::7, 0]  # tied logits
+    assert np.array_equal(_softmax_rows(z), axis_softmax(z))

@@ -233,6 +233,14 @@ def test_parse_textgrid_rejects_zero_length_word():
         parse_textgrid(grid, "words")
 
 
+def test_parse_textgrid_rejects_a_block_cut_after_xmax():
+    # the file ends at the interval's xmax line, with no newline after it
+    grid = ('item [1]:\nclass = "IntervalTier"\nname = "words"\n'
+            'intervals [1]:\nxmin = 0\nxmax = 1')
+    with pytest.raises(CorpusFormatError, match="truncated interval block"):
+        parse_textgrid(grid, "words")
+
+
 def test_parse_textgrid_all_empty_tier():
     grid = TEXTGRID.replace('text = "hello"', 'text = ""')
     grid = grid.replace('text = "world"', 'text = ""')

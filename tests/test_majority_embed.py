@@ -1,9 +1,13 @@
 """Majority baselines and the embedding classifier."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from prosolab.corpus_io import EmbeddingTable
+from prosolab.taggers import embed
 from prosolab.taggers.common import compile_text, na_mask
 from prosolab.taggers.embed import (
     _type_vectors,
@@ -291,3 +295,132 @@ def test_whole_file_decoders_match_the_per_sentence_loops(seed):
     classifier = train_embed_classifier(corpus, table, max_iterations=20)
     assert predict_embed(classifier, data) == [
         lab for tokens in sentences for lab in loop_embed(classifier, tokens)]
+
+
+def loop_train_embed(data, table, l2_lambda=1e-4, max_iterations=500,
+                     tolerance=1e-6):
+    """The embed trainer as it was written with numpy's axis reductions in
+    its softmax and a gradient for every trial step.  Returns the weights
+    and the number of objective evaluations."""
+    labels = sorted(set(data.labels) - {None})
+    label_pos = {lab: i for i, lab in enumerate(labels)}
+    text = compile_text(data.tokens, data.lengths)
+    words = np.array([lab is not None for lab in data.labels], dtype=bool)
+    vectors = _type_vectors(table, text.types)
+    x = np.concatenate([
+        _window_rows(vectors, text, ch)[words[ch.start:ch.stop]]
+        for ch in text.chunks()])
+    y = np.array([label_pos[lab] for lab in data.labels if lab is not None],
+                 dtype=np.int64)
+    n, dim = x.shape
+    k = len(labels)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+
+    def objective(w):
+        z = x @ w.T
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        ll = -np.sum(np.log(np.maximum(p[np.arange(n), y], 1e-300)))
+        penalized = w.copy()
+        penalized[:, -1] = 0.0
+        value = ll + l2_lambda * float(np.sum(penalized**2))
+        grad = (p - onehot).T @ x + 2.0 * l2_lambda * penalized
+        return value, grad
+
+    w = np.zeros((k, dim))
+    value, grad = objective(w)
+    evaluations, step = 1, 1.0
+    for _ in range(max_iterations):
+        gnorm2 = float(np.sum(grad**2))
+        if np.sqrt(gnorm2) < tolerance:
+            break
+        step = min(step * 2.0, 1e4)
+        while True:
+            trial = w - step * grad
+            trial_value, trial_grad = objective(trial)
+            evaluations += 1
+            if trial_value <= value - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+            if step < 1e-12:
+                break
+        if step < 1e-12:
+            break
+        w, value, grad = trial, trial_value, trial_grad
+    return w, evaluations
+
+
+def counting(monkeypatch, name):
+    """Replace embed.`name` with a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(embed, name)
+
+    def wrapper(*args):
+        calls.append(None)
+        return inner(*args)
+    monkeypatch.setattr(embed, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n_labels", [2, 3])
+@pytest.mark.parametrize("seed, max_iterations", [(0, 500), (1, 40),
+                                                  (2, 500)])
+def test_embed_trainer_matches_the_loop_with_one_gradient_per_step(
+        monkeypatch, caplog, seed, max_iterations, n_labels):
+    rng = np.random.default_rng(seed)
+    sentences = [[str(rng.choice(PUNCT)) if rng.random() < 0.1
+                  else str(rng.choice(WORDS))
+                  for _ in range(int(rng.integers(1, 12)))]
+                 for _ in range(300)]
+    corpus = make_columns(*(
+        (tokens, [None if punct else int(rng.integers(n_labels))
+                  for punct in na_mask(tokens)]) for tokens in sentences))
+    table = EmbeddingTable(dimension=4, entries={
+        word: rng.normal(size=4) for word in WORDS[1:]})
+    want, want_evaluations = loop_train_embed(corpus, table,
+                                              max_iterations=max_iterations)
+
+    softmaxes = counting(monkeypatch, "_softmax_rows")
+    gradients = counting(monkeypatch, "_gradient")
+    with caplog.at_level(logging.INFO, logger="prosolab.taggers.embed"):
+        got = train_embed_classifier(corpus, table,
+                                     max_iterations=max_iterations)
+    assert got.weight_matrix.tobytes() == want.tobytes()
+    [record] = caplog.records
+    fields = dict(re.findall(r"(\w+)=(\d+)", record.getMessage()))
+    assert int(fields["evaluations"]) == len(softmaxes) == want_evaluations
+    # the start point's gradient, then one per accepted step
+    assert len(gradients) == int(fields["iterations"]) + 1
+    assert len(gradients) < len(softmaxes)
+
+
+@pytest.mark.parametrize("settings, level, outcome", [
+    ({}, logging.INFO, "converged (iterations=25, evaluations=43, "),
+    ({"max_iterations": 5}, logging.WARNING,
+     "stopped at max_iterations (iterations=5, evaluations=6, "),
+], ids=["converged", "max-iterations"])
+def test_embed_trainer_logs_its_outcome(caplog, settings, level, outcome):
+    with caplog.at_level(logging.INFO, logger="prosolab.taggers.embed"):
+        train_embed_classifier(separable_corpus(), separable_table(),
+                               **settings)
+    [record] = caplog.records
+    assert record.levelno == level
+    message = record.getMessage()
+    assert message.startswith(f"embed training {outcome}|grad|=")
+    gnorm = float(message.rsplit("=", 1)[1].rstrip(")"))
+    assert (gnorm < 1e-6) == (level == logging.INFO)
+
+
+def test_embed_trainer_logs_a_stop_at_the_step_floor(monkeypatch, caplog):
+    # an uphill "gradient" fails every Armijo trial down to the floor
+    uphill = embed._gradient
+    monkeypatch.setattr(embed, "_gradient", lambda *args: -uphill(*args))
+    with caplog.at_level(logging.INFO, logger="prosolab.taggers.embed"):
+        clf = train_embed_classifier(separable_corpus(), separable_table())
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage().startswith(
+        "embed training stopped at the step floor (iterations=0, ")
+    assert not clf.weight_matrix.any()

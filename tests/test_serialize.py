@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prosolab.corpus_io import CorpusFormatError, EmbeddingTable
+from prosolab.taggers.common import tab_floats
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
 from prosolab.taggers.majority import predict_majority, train_majority
@@ -244,3 +245,19 @@ def test_a_bad_layout_is_named_before_a_bad_number_in_an_earlier_block(
     with pytest.raises(CorpusFormatError, match=re.escape(
             "crf model, feature row 0: not a number: 'nope'")):
         load_model("\n".join(lines).encode())
+
+
+def test_tab_floats_writes_each_value_as_repr_of_float():
+    rng = np.random.default_rng(7)
+    rows = [
+        np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 2.2250738585072014e-308]),
+        np.array([1.0, -3.0, 0.0, 1e16, 2.0**53, 123456789.0]),
+        rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, size=50),
+        rng.random(50),
+        np.arange(4),  # integers are written as floats
+        np.zeros(0),
+    ]
+    for row in rows:
+        assert tab_floats(row) == "\t".join(repr(float(v)) for v in row)
+    assert tab_floats([0.1, -2]) == "0.1\t-2.0"
