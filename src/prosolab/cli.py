@@ -22,8 +22,10 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import evaluation
-from .corpus_io import (Columns, CorpusFormatError, ProminenceRecord,
+from .corpus_io import (NA, Columns, CorpusFormatError, ProminenceRecord,
                         Utterance, decode_text, format_predictions,
                         load_embeddings, parse_dataset, parse_lab,
                         parse_number, parse_predictions, parse_textgrid,
@@ -34,6 +36,7 @@ from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 from .taggers import (crf_loglik_grad, crf_train, load_model,  # noqa: F401
                       predict_embed, predict_majority, save_model,
                       train_embed_classifier, train_majority, viterbi)
+from .taggers.serialize import MAGIC
 
 log = logging.getLogger("prosolab")
 
@@ -346,7 +349,7 @@ class Tagger(NamedTuple):
     config_keys: tuple[str, ...]  # the training keys a config may set
     trainer: Callable             # cfg -> (Columns -> model), built once
     summary: Callable             # model -> the lines `train` prints
-    decode: Callable              # (model, Columns) -> a label per token
+    decode: Callable              # (model, Columns) -> a label code per token
 
 
 def _crf_trainer(cfg: dict[str, str]):
@@ -426,16 +429,12 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _na_mask(labels: list[int | None]) -> list[bool]:
-    return [lab is None for lab in labels]
-
-
 def _check_predictions(pred: Columns, gold: Columns) -> None:
     """Predictions must hold the test file's sentences and tokens, with NA
     exactly where the test file has NA.  Three whole-file comparisons decide;
     the walk sentence by sentence only names the first mismatch."""
     if (pred.lengths == gold.lengths and pred.tokens == gold.tokens
-            and _na_mask(pred.labels) == _na_mask(gold.labels)):
+            and np.array_equal(pred.labels == NA, gold.labels == NA)):
         return
     if len(pred.lengths) != len(gold.lengths):
         raise CorpusFormatError(
@@ -447,14 +446,13 @@ def _check_predictions(pred: Columns, gold: Columns) -> None:
     for i, (n, n_gold) in enumerate(zip(pred.lengths, gold.lengths), start=1):
         for k in range(min(n, n_gold)):
             p, g = pred.tokens[start + k], gold.tokens[start + k]
-            p_lab, g_lab = pred.labels[start + k], gold.labels[start + k]
+            p_na = pred.labels[start + k] == NA
             if p != g:
                 raise CorpusFormatError(
                     f"sentence {i}, token {k + 1}: predicted {p!r} where the "
                     f"test file has {g!r}")
-            if (p_lab is None) != (g_lab is None):
-                got, want = (("NA", "a label") if p_lab is None
-                             else ("a label", "NA"))
+            if p_na != (gold.labels[start + k] == NA):
+                got, want = ("NA", "a label") if p_na else ("a label", "NA")
                 raise CorpusFormatError(
                     f"sentence {i}, token {k + 1}: predicted {got} where the "
                     f"test file has {want}")
@@ -469,7 +467,7 @@ def cmd_evaluate(args) -> int:
     gold = _load_columns(args.test_file, args.classes)
     data = Path(args.model_or_pred).read_bytes()
 
-    if data.startswith(b"prosolab-model"):
+    if data.partition(b"\n")[0] == MAGIC.encode():
         model = load_model(data, args.model_or_pred)
         tagger = _tagger(model, args.model)
         name = tagger.name

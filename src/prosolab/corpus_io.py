@@ -155,8 +155,9 @@ def parse_rows(rows: Iterable[list[str]], width: int, kind: type,
 
 
 def is_punctuation(text: str) -> bool:
-    """True iff every character belongs to a Unicode punctuation category."""
-    return bool(text) and all(
+    """True iff every character belongs to a Unicode punctuation category.
+    No alphanumeric character is in one, so a word answers at once."""
+    return bool(text) and not text.isalnum() and all(
         unicodedata.category(ch).startswith("P") for ch in text
     )
 
@@ -421,18 +422,20 @@ def write_dataset(
     return ("\n\n".join(blocks) + "\n").encode("utf-8")
 
 
-_LABELS = {"NA": None, "0": 0, "1": 1, "2": 2}
+NA = -1  # the label code of an NA line
+# label text -> code; a code indexes _LABEL_NAMES, NA its last entry
+_LABELS = {"0": 0, "1": 1, "2": 2, "NA": NA}
 N_LABELS = len(_LABELS) - 1  # labels 0..N_LABELS-1; NA is not a label
-_LABEL_NAMES = {label: text for text, label in _LABELS.items()}
+_LABEL_NAMES = list(_LABELS)
 
 
 @dataclass
 class Columns:
-    """A dataset or predictions file, one flat list per column over its
+    """A dataset or predictions file, one flat column per field over its
     non-blank lines, sentence after sentence."""
 
     tokens: list[str]
-    labels: list[int | None]        # None at NA
+    labels: np.ndarray              # int8 label codes, NA at NA
     continuous: np.ndarray | None   # NaN at NA; None for a predictions file
     lengths: list[int]              # each sentence's number of lines
 
@@ -443,9 +446,9 @@ class Columns:
 
 
 def _label(text: str) -> int | None:
-    """The label of a dataset or predictions line: NA, 0, 1 or 2."""
+    """The label of a dataset or predictions line: None (NA), 0, 1 or 2."""
     if text in _LABELS:
-        return _LABELS[text]
+        return None if text == "NA" else _LABELS[text]
     try:
         parse_number(text, int, "label")
     except CorpusFormatError:
@@ -510,16 +513,18 @@ def _checked_columns(rows: list[str], lengths: list[int],
         return None
     fields = "\t".join(rows).split("\t") if rows else []
     label_texts = fields[1::n_cols]
-    if not _LABELS.keys() >= set(label_texts):
+    try:
+        labels = np.fromiter(map(_LABELS.__getitem__, label_texts),
+                             dtype=np.int8, count=len(label_texts))
+    except KeyError:
         return None
-    labels = list(map(_LABELS.get, label_texts))
     if n_cols == 2:
         return Columns(fields[0::2], labels, None, lengths)
     cont_texts = fields[2::3]
-    scored = list(map("NA".__ne__, label_texts))
-    value_texts = list(compress(cont_texts, scored))
+    scored = labels != NA
+    value_texts = list(compress(cont_texts, scored.tolist()))
     # as many NA in both columns, and none where the label is not NA
-    if (cont_texts.count("NA") != label_texts.count("NA")
+    if (cont_texts.count("NA") != len(labels) - len(value_texts)
             or "NA" in value_texts):
         return None
     try:
@@ -530,7 +535,7 @@ def _checked_columns(rows: list[str], lengths: list[int],
     if not (values >= 0).all():
         return None
     continuous = np.full(len(cont_texts), np.nan)
-    continuous[np.array(scored, dtype=bool)] = values
+    continuous[scored] = values
     return Columns(fields[0::3], labels, continuous, lengths)
 
 
@@ -553,7 +558,7 @@ def format_predictions(predicted: Columns) -> str:
     """The 2-column format that ``parse_predictions`` reads: a
     token<TAB>label line per token and a blank line between sentences."""
     lines = list(map("\t".join, zip(predicted.tokens, map(
-        _LABEL_NAMES.__getitem__, predicted.labels))))
+        _LABEL_NAMES.__getitem__, predicted.labels.tolist()))))
     return "\n\n".join(map("\n".join, predicted.split(lines))) + "\n"
 
 

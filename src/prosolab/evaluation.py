@@ -7,7 +7,7 @@ from itertools import compress
 
 import numpy as np
 
-from .corpus_io import Columns
+from .corpus_io import NA, Columns
 
 CURVE_FRACTIONS = (0.01, 0.05, 0.10, 0.50, 1.00)
 
@@ -48,62 +48,63 @@ def check_fraction(fraction: float) -> float:
     return fraction
 
 
-def _codes(labels) -> tuple[np.ndarray, np.ndarray]:
-    """int64 codes of a label sequence, -1 at NA (None), and its NA mask."""
-    values = np.array(labels, dtype=object)
-    na = np.equal(values, None)
-    values[na] = -1
-    return values.astype(np.int64), na
+def _shown(code) -> int | None:
+    """A label code as an error names it: None at NA."""
+    return None if code == NA else int(code)
 
 
-def _check_pair(pred, gold):
-    """Codes and NA masks of `pred` and `gold`, which must have the same
-    length and NA at the same positions."""
-    if len(pred) != len(gold):
+def _check_pair(pred, gold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label codes `pred` and `gold` as int64 arrays, and the mask of
+    their positions that are not NA.  They must have the same length and NA
+    at the same positions."""
+    p, g = np.asarray(pred, dtype=np.int64), np.asarray(gold, dtype=np.int64)
+    if len(p) != len(g):
         raise ValueError(
-            f"length mismatch: {len(pred)} predictions vs {len(gold)} gold"
+            f"length mismatch: {len(p)} predictions vs {len(g)} gold"
         )
-    (p, p_na), (g, g_na) = _codes(pred), _codes(gold)
-    bad = np.flatnonzero(p_na != g_na)
+    scored = g != NA
+    bad = np.flatnonzero((p != NA) != scored)
     if len(bad):
         i = int(bad[0])
         raise ValueError(
-            f"NA disagreement at position {i}: pred={pred[i]!r} "
-            f"gold={gold[i]!r}"
+            f"NA disagreement at position {i}: pred={_shown(p[i])!r} "
+            f"gold={_shown(g[i])!r}"
         )
-    return p, g, g_na
+    return p, g, scored
 
 
-def accuracy(pred, gold) -> float:
-    """Fraction of matching non-NA positions.  NA must agree positionally."""
-    p, g, na = _check_pair(pred, gold)
-    scored = int(len(g) - na.sum())
-    if scored == 0:
+def accuracy(pred: np.ndarray, gold: np.ndarray) -> float:
+    """Fraction of matching non-NA positions of two label code arrays.  NA
+    must agree positionally."""
+    p, g, scored = _check_pair(pred, gold)
+    n_scored = int(np.count_nonzero(scored))
+    if n_scored == 0:
         raise ValueError("no scored positions (all NA)")
-    return int((p[~na] == g[~na]).sum()) / scored
+    return int(np.count_nonzero((p == g) & scored)) / n_scored
 
 
-def confusion(pred, gold, n_labels: int) -> ConfusionMatrix:
-    p, g, na = _check_pair(pred, gold)
-    scored = np.flatnonzero(~na)
+def confusion(pred: np.ndarray, gold: np.ndarray,
+              n_labels: int) -> ConfusionMatrix:
+    p, g, scored = _check_pair(pred, gold)
+    scored = np.flatnonzero(scored)
     p, g = p[scored], g[scored]
     bad = np.flatnonzero((g < 0) | (g >= n_labels) | (p < 0) | (p >= n_labels))
     if len(bad):
         i = int(scored[bad[0]])
-        raise ValueError(
-            f"label out of range: pred={pred[i]!r} gold={gold[i]!r}")
+        raise ValueError(f"label out of range: pred={_shown(pred[i])!r} "
+                         f"gold={_shown(gold[i])!r}")
     counts = np.bincount(g * n_labels + p, minlength=n_labels * n_labels)
     return ConfusionMatrix(counts=counts.reshape(n_labels, n_labels),
                            label_names=[str(i) for i in range(n_labels)])
 
 
-def merge_labels(labels):
-    """Collapse 3-way labels to 2-way: {1, 2} -> 1, keeping 0 and NA."""
-    return [None if v is None else (1 if v >= 1 else 0) for v in labels]
+def merge_labels(labels: np.ndarray) -> np.ndarray:
+    """Collapse 3-way label codes to 2-way: {1, 2} -> 1, keeping 0 and NA."""
+    return np.minimum(labels, 1)
 
 
 def non_na_count(data: Columns) -> int:
-    return len(data.labels) - data.labels.count(None)
+    return int(np.count_nonzero(data.labels != NA))
 
 
 def subset_training(data: Columns, fraction: float, seed: int) -> Columns:
@@ -120,7 +121,7 @@ def subset_training(data: Columns, fraction: float, seed: int) -> Columns:
     total = non_na_count(data)
     if total == 0:
         raise ValueError("corpus has no labeled tokens")
-    labeled = np.cumsum([0] + [lab is not None for lab in data.labels])
+    labeled = np.concatenate(([0], np.cumsum(data.labels != NA)))
     per_sentence = np.diff(labeled[np.cumsum([0, *data.lengths])])
     order = np.random.default_rng(seed).permutation(len(data.lengths))
     # the first sentence in `order` at which the running count reaches the
@@ -128,9 +129,9 @@ def subset_training(data: Columns, fraction: float, seed: int) -> Columns:
     last = np.searchsorted(np.cumsum(per_sentence[order]), fraction * total)
     picked = np.zeros(len(data.lengths), dtype=bool)
     picked[order[:last + 1]] = True
-    keep = np.repeat(picked, data.lengths).tolist()
+    keep = np.repeat(picked, data.lengths)
     return Columns(
-        list(compress(data.tokens, keep)), list(compress(data.labels, keep)),
+        list(compress(data.tokens, keep.tolist())), data.labels[keep],
         None if data.continuous is None else data.continuous[keep],
         list(compress(data.lengths, picked.tolist())))
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
-from ..corpus_io import Columns, CorpusFormatError, is_punctuation
+from ..corpus_io import NA, Columns, CorpusFormatError, is_punctuation
 from .common import (Chunk, CompiledText, check_training_settings,
                      comma_ints, compile_text, na_mask, tab_floats)
 
@@ -208,15 +208,15 @@ def sentence_feature_ids(text: CompiledText, na: np.ndarray,
     return FeatureIds(text, na, own, context)
 
 
-def _states_from_labels(model: CrfModel,
-                        labels: list[int | None]) -> np.ndarray:
-    state = {lab: i for i, lab in enumerate(model.labels)}
-    state[None] = model.na_state
-    try:
-        return np.array([state[lab] for lab in labels], dtype=np.int64)
-    except KeyError as err:
+def _states_from_labels(model: CrfModel, labels) -> np.ndarray:
+    """The state of each label code; NA is the NA state."""
+    labels = np.asarray(labels, dtype=np.int64)
+    match = labels[:, None] == [*model.labels, NA]
+    missing = np.flatnonzero(~match.any(axis=1))
+    if len(missing):
         raise ValueError(
-            f"label {err.args[0]!r} not in model label set") from None
+            f"label {int(labels[missing[0]])!r} not in model label set")
+    return match.argmax(axis=1)
 
 
 def _potentials(model: CrfModel, ch: Chunk, na: np.ndarray, ids: np.ndarray,
@@ -259,9 +259,9 @@ def _one_sentence(model: CrfModel, tokens: list[str],
     return ch, _potentials(model, ch, na, *feats.chunk(ch))
 
 
-def crf_score(model: CrfModel, tokens: list[str],
-              labels: list[int | None]) -> float:
-    """Unnormalized log-score of one labeling (emissions + transitions)."""
+def crf_score(model: CrfModel, tokens: list[str], labels) -> float:
+    """Unnormalized log-score of one labeling, a label code per token
+    (emissions + transitions)."""
     if len(tokens) != len(labels):
         raise ValueError("tokens and labels lengths differ")
     states = _states_from_labels(model, labels)
@@ -404,7 +404,7 @@ def build_feature_index(data: Columns) -> tuple[dict[str, int], FeatureIds]:
     features seen only at punctuation would never receive gradient.
     """
     text = compile_text(data.tokens, data.lengths)
-    na = np.array([lab is None for lab in data.labels], dtype=bool)
+    na = data.labels == NA
     provisional: dict[str, int] = {}
     feats = sentence_feature_ids(
         text, na, lambda f: provisional.setdefault(f, len(provisional)))
@@ -436,7 +436,7 @@ def crf_train(data: Columns, l2_lambda: float = 1e-4,
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if labels is None:
-        labels = sorted(set(data.labels) - {None})
+        labels = np.unique(data.labels[data.labels != NA]).tolist()
         if not labels:
             raise ValueError("all-NA corpus")
     index, feats = build_feature_index(data)
@@ -471,17 +471,17 @@ def crf_train(data: Columns, l2_lambda: float = 1e-4,
     return model
 
 
-def viterbi(model: CrfModel, data: Columns) -> list[int | None]:
-    """The labels of each sentence's best-scoring labeling, one per token of
-    `data`; NA forced at punctuation, ties to the smaller label."""
+def viterbi(model: CrfModel, data: Columns) -> np.ndarray:
+    """The label codes of each sentence's best-scoring labeling, one per
+    token of `data`; NA forced at punctuation, ties to the smaller label."""
     text = compile_text(data.tokens, data.lengths)
     na = text.na()
     feats = sentence_feature_ids(text, na, model.feature_index.get)
     trans = model.transition_matrix()
-    names = np.array([*model.labels, None], dtype=object)
-    out: list[int | None] = []
+    codes = np.array([*model.labels, NA], dtype=np.int8)  # by state
+    out = np.empty(len(na), dtype=np.int8)
     for ch in text.chunks():
         pot = _potentials(model, ch, na[ch.start:ch.stop], *feats.chunk(ch))
         path = chain_viterbi(pot, trans, ch.lengths)
-        out += names[path.ravel()[ch.cells]].tolist()
+        out[ch.start:ch.stop] = codes[path.ravel()[ch.cells]]
     return out

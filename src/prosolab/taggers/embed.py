@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._accel import fold
-from ..corpus_io import Columns, CorpusFormatError, EmbeddingTable
+from ..corpus_io import NA, Columns, CorpusFormatError, EmbeddingTable
 from .common import (Chunk, CompiledText, check_training_settings,
                      comma_ints, compile_text, tab_floats)
 
@@ -118,19 +118,18 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
     if not data.lengths:
         raise ValueError("empty corpus")
     check_training_settings(l2_lambda, max_iterations)
-    labels = sorted(set(data.labels) - {None})
-    if not labels:
+    words = data.labels != NA
+    labels = np.unique(data.labels[words])
+    if not len(labels):
         raise ValueError("all-NA corpus")
-    label_pos = {lab: i for i, lab in enumerate(labels)}
 
     text = compile_text(data.tokens, data.lengths)
-    words = np.array([lab is not None for lab in data.labels], dtype=bool)
     vectors = _type_vectors(table, text.types)
     x = np.concatenate([
         _window_rows(vectors, text, ch)[words[ch.start:ch.stop]]
         for ch in text.chunks()])               # (N, 3d + 1)
-    y = np.array([label_pos[lab] for lab in data.labels if lab is not None],
-                 dtype=np.int64)                # (N,)
+    # each word's index in the sorted `labels`
+    y = np.searchsorted(labels, data.labels[words])  # (N,)
     n, dim = x.shape
     k = len(labels)
     gold = np.arange(n) * k + y                 # flat index of each label
@@ -175,22 +174,23 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
             "converged" if converged
             else "stopped at the step floor" if step < 1e-12
             else "stopped at max_iterations", iterations, evaluations, gnorm)
-    return EmbeddingClassifier(table=table, labels=labels, weight_matrix=w)
+    return EmbeddingClassifier(table=table, labels=labels.tolist(),
+                               weight_matrix=w)
 
 
 def predict_embed(classifier: EmbeddingClassifier,
-                  data: Columns) -> list[int | None]:
-    """Per-position argmax of logits for each of `data`'s tokens; NA at
-    punctuation, ties to the smaller label."""
+                  data: Columns) -> np.ndarray:
+    """The label code of the per-position argmax of logits for each of
+    `data`'s tokens; NA at punctuation, ties to the smaller label."""
     text = compile_text(data.tokens, data.lengths)
     vectors = _type_vectors(classifier.table, text.types)
     na = text.na()
-    names = np.array([*classifier.labels, None], dtype=object)
-    out: list[int | None] = []
+    codes = np.array([*classifier.labels, NA], dtype=np.int8)
+    out = np.empty(len(na), dtype=np.int8)
     for ch in text.chunks():
         logits = (_window_rows(vectors, text, ch)
                   @ classifier.weight_matrix.T)
-        best = np.where(na[ch.start:ch.stop], len(classifier.labels),
-                        logits.argmax(axis=1))
-        out += names[best].tolist()
+        out[ch.start:ch.stop] = codes[np.where(
+            na[ch.start:ch.stop], len(classifier.labels),
+            logits.argmax(axis=1))]
     return out

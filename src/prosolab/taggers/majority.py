@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 import numpy as np
 
-from ..corpus_io import N_LABELS, Columns, CorpusFormatError
-from .common import CHUNK_CELLS, comma_ints, compile_text
+from ..corpus_io import N_LABELS, NA, Columns, CorpusFormatError
+from .common import comma_ints, compile_text
 
 
 @dataclass
@@ -46,49 +47,35 @@ def read_section(r) -> MajorityModel:
 
 def train_majority(data: Columns) -> MajorityModel:
     """Count labels per lowercased word type; NA positions contribute nothing."""
-    model = MajorityModel()
-    seen = False
-    for token, label in zip(data.tokens, data.labels):
-        if label is None:
-            continue
-        seen = True
-        key = token.lower()
-        counts = model.per_word.get(key)
-        if counts is None:
-            counts = np.zeros(N_LABELS, dtype=np.int64)
-            model.per_word[key] = counts
-        counts[label] += 1
-        model.global_counts[label] += 1
-    if not seen:
+    scored = data.labels != NA
+    if not scored.any():
         raise ValueError("all-NA corpus: nothing to count")
-    return model
-
-
-def _argmax_label(counts: np.ndarray) -> int:
-    # np.argmax returns the first maximum, i.e. the smallest label on ties
-    return int(np.argmax(counts))
+    words = [tok.lower() for tok in compress(data.tokens, scored.tolist())]
+    index = dict(zip(dict.fromkeys(words), count()))
+    ids = np.fromiter(map(index.__getitem__, words), dtype=np.int64,
+                      count=len(words))
+    counts = np.bincount(ids * N_LABELS + data.labels[scored],
+                         minlength=len(index) * N_LABELS).reshape(-1, N_LABELS)
+    return MajorityModel(per_word=dict(zip(index, counts)),
+                         global_counts=counts.sum(axis=0))
 
 
 def predict_majority(model: MajorityModel, data: Columns,
-                     mode: str = "per_word") -> list[int | None]:
-    """Most frequent label per word type (falling back to the global majority
-    for unseen words) or the global majority everywhere, for each of
-    `data`'s tokens; NA at punctuation."""
+                     mode: str = "per_word") -> np.ndarray:
+    """The label code of the most frequent label per word type (falling back
+    to the global majority for unseen words) or of the global majority
+    everywhere, for each of `data`'s tokens; NA at punctuation.  Ties go to
+    the smallest label."""
     if mode not in ("per_word", "global"):
         raise ValueError(f"unknown mode {mode!r}")
     if model.global_counts.sum() == 0:
         raise ValueError("untrained model")
-    global_label = _argmax_label(model.global_counts)
     text = compile_text(data.tokens, data.lengths)
-    by_type = []
-    for token, punct in zip(text.types, text.type_na):
-        counts = None if mode == "global" else model.per_word.get(
-            token.lower())
-        by_type.append(None if punct else global_label if counts is None
-                       else _argmax_label(counts))
-    # gather a chunk at a time: no object array as long as the file
-    names = np.array(by_type, dtype=object)
-    out: list[int | None] = []
-    for lo in range(0, len(text.type_ids), CHUNK_CELLS):
-        out += names[text.type_ids[lo:lo + CHUNK_CELLS]].tolist()
-    return out
+    counts = [model.global_counts if mode == "global" else
+              model.per_word.get(token.lower(), model.global_counts)
+              for token in text.types]
+    # np.argmax returns the first maximum, i.e. the smallest label on ties
+    by_type = np.array(counts, dtype=np.int64).reshape(-1, N_LABELS).argmax(
+        axis=1).astype(np.int8)
+    by_type[text.type_na] = NA
+    return by_type[text.type_ids]

@@ -9,7 +9,7 @@ import wave
 import numpy as np
 import pytest
 
-from prosolab.corpus_io import AudioBuffer, Columns, Token, Utterance
+from prosolab.corpus_io import NA, AudioBuffer, Columns, Token, Utterance
 
 RATE = 16000
 
@@ -33,13 +33,33 @@ DATASET_CONTINUOUS = [1.473, 0.333, 0.003, 0.167, None,
                       2.160, 0.006, 0.037, 0.719, None]
 
 
+def codes(labels) -> np.ndarray:
+    """The int8 label codes of a list of labels with None at NA."""
+    return np.array([NA if lab is None else lab for lab in labels],
+                    dtype=np.int8)
+
+
+def labels_of(label_codes) -> list:
+    """The list of labels of label codes, None at NA; the inverse of
+    codes."""
+    return [None if c == NA else c for c in np.asarray(label_codes).tolist()]
+
+
+def same_columns(a: Columns, b: Columns) -> bool:
+    """Whether two Columns without a continuous column, as make_columns
+    builds them, hold the same tokens, labels and sentence lengths."""
+    assert a.continuous is None and b.continuous is None
+    return (a.tokens == b.tokens and np.array_equal(a.labels, b.labels)
+            and a.lengths == b.lengths)
+
+
 def make_columns(*sentences) -> Columns:
     """The Columns of (tokens, labels) sentences, as a predictions file
-    holds them: no continuous column."""
+    holds them: no continuous column; None marks NA in the labels."""
     for tokens, labels in sentences:
         assert len(tokens) == len(labels), (tokens, labels)
     return Columns([tok for tokens, _ in sentences for tok in tokens],
-                   [lab for _, labels in sentences for lab in labels],
+                   codes([lab for _, labels in sentences for lab in labels]),
                    None, [len(tokens) for tokens, _ in sentences])
 
 

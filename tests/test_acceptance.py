@@ -35,8 +35,8 @@ from prosolab.taggers.crf import build_feature_index, crf_loglik_grad, \
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import (DATASET_CONTINUOUS, DATASET_DISCRETE, DATASET_SENTENCE,
-                      DATASET_TOKENS, RATE, make_columns, make_word_fixture,
-                      sine, unlabeled)
+                      DATASET_TOKENS, RATE, codes, labels_of, make_columns,
+                      make_word_fixture, sine, unlabeled)
 
 DATASET_DIR_VAR = "PROSOLAB_DATASET_DIR"
 FULL_EVAL_VAR = "PROSOLAB_FULL_EVAL"
@@ -84,7 +84,7 @@ def rewrite(columns: Columns) -> bytes:
     continuous = [None if math.isnan(c) else c
                   for c in columns.continuous.tolist()]
     records = [ProminenceRecord(*rec) for rec in
-               zip(columns.tokens, columns.labels, continuous)]
+               zip(columns.tokens, labels_of(columns.labels), continuous)]
     return write_dataset((stub_utterance(recs), recs)
                          for recs in columns.split(records))
 
@@ -239,7 +239,7 @@ def test_criterion_4_crf_exact_inference():
     # partition function and decoding vs full enumeration, 200 sentences
     for tokens in random_sentences(rng, 200, 6, VOCAB):
         labelings = all_labelings(tokens, model.labels)
-        scores = np.array([crf_score(model, tokens, lab)
+        scores = np.array([crf_score(model, tokens, codes(lab))
                            for lab in labelings])
         assert abs(forward_logZ(model, tokens) - logsumexp(scores)) <= 1e-8
         decoded = viterbi(model, unlabeled(tokens))
@@ -266,7 +266,7 @@ def test_criterion_4_crf_exact_inference():
     # a small separable corpus must be memorized perfectly
     trained = crf_train(make_columns(*TOY_SENTENCES))
     for tokens, labels in TOY_SENTENCES:
-        assert viterbi(trained, unlabeled(tokens)) == labels
+        assert labels_of(viterbi(trained, unlabeled(tokens))) == labels
     assert time.perf_counter() - t0 < 120.0
 
 

@@ -25,7 +25,8 @@ from prosolab.corpus_io import Columns, CorpusFormatError, parse_dataset
 from prosolab.taggers.majority import MajorityModel
 from prosolab.taggers.serialize import load_model
 
-from conftest import DATASET_SENTENCE, make_word_fixture, pcm16_wav_bytes
+from conftest import (DATASET_SENTENCE, labels_of, make_columns,
+                      make_word_fixture, pcm16_wav_bytes)
 
 ANNOTATE_CFG = "n_scales=8\n"
 
@@ -75,7 +76,7 @@ def test_annotate_two_utterances(tmp_path, capsys):
     data = parse_dataset(out)
     assert len(data.lengths) == 2
     tokens, labels, continuous = map(data.split, (
-        data.tokens, data.labels, data.continuous.tolist()))
+        data.tokens, labels_of(data.labels), data.continuous.tolist()))
     assert tokens[0] == ["w0", "w1", "w2", "."]
     assert labels[0][3] is None
     assert all(lab in (0, 1, 2) for lab in labels[0][:3])
@@ -642,6 +643,120 @@ def test_train_embed_golden_bytes(tmp_path, capsys, classes):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == predict_sha
 
 
+# SHA-256 of every file of the `tag` round on the golden corpus, keyed by
+# file name (see _tag_round); recorded while labels were still lists
+GOLDEN_TAG_ROUND = {
+    "2": {
+        "crf.curve.tsv":
+            "e6660b24803b4a239e6ae5e59144d267d5106446ed158bd9d20eef1119c9999c",
+        "crf.model.confusion.tsv":
+            "f82ad45a31a69e074faab87e4a1df15e3b3a1e2616ec5fd649d0525a9aaeb97e",
+        "crf.model.report.tsv":
+            "11ceb3b87e189e1d10ba8b9029a4a1db43e31eb7fa67573fc8fcb14ff721900a",
+        "crf.pred":
+            "8075caba4c9a6da69e149aa1655a4c8871ccbde52d5f8f224c5983ec12120def",
+        "crf.pred.confusion.tsv":
+            "f82ad45a31a69e074faab87e4a1df15e3b3a1e2616ec5fd649d0525a9aaeb97e",
+        "crf.pred.report.tsv":
+            "fe07226d11c916e77be5536b4a727f60955f2d8e9fe45554ff9a0998f715613a",
+        "majority-global.model.confusion.tsv":
+            "d58a50f2824df1c8f31487f33cceb1448239dec3abe52fa6feeee1630f2ddb07",
+        "majority-global.model.report.tsv":
+            "a1b568696c4ee5d1d82992326c9bd422a57b919a80cae9b31cdcac191fe87313",
+        "majority-global.pred":
+            "d2b21b6ed66597fc9a4e8e06df93c46695fa42e3e032774a3e7be902d9f245b5",
+        "majority-global.pred.confusion.tsv":
+            "d58a50f2824df1c8f31487f33cceb1448239dec3abe52fa6feeee1630f2ddb07",
+        "majority-global.pred.report.tsv":
+            "81389d3568b3b35f55b780b637f82eaed3f15ca52dd0224b7ecc6882460f9cef",
+        "majority.curve.tsv":
+            "9ec6028874aa4a91c63517ef282622bf5a69cdc60259fd2dfc6cf446582e9f82",
+        "majority.model.confusion.tsv":
+            "2007211452d54c0609a9565a738745236bbcb0a2e9ceeda0e574eaf1f26c815a",
+        "majority.model.report.tsv":
+            "9cb68ccc1f3a263c95680cbbfccd637d9135c210d540d89342e1b1c50b652c30",
+        "majority.pred":
+            "590051aa37ae4272440756735e57995921f6449e485ba58ed6c12b699c069a2d",
+        "majority.pred.confusion.tsv":
+            "2007211452d54c0609a9565a738745236bbcb0a2e9ceeda0e574eaf1f26c815a",
+        "majority.pred.report.tsv":
+            "be5699f4f79e69fbe0760e5fc51ab2df8ef10ae5f9b3b2565ffaaa5b192a7a56",
+    },
+    "3": {
+        "crf.curve.tsv":
+            "ea469f09b74cfc9dd697315f6df05a03905cdc0c0e30a9d497dff35a00735123",
+        "crf.model.confusion.tsv":
+            "a5e89fbd213a4e2bcf1d02dc086b632b4bc83717599305c586109fc2aadf0ef1",
+        "crf.model.report.tsv":
+            "7c679cbae0de33eee35585dadec7b8f8da2f7de317ba25daa2e8695a8fb70712",
+        "crf.pred":
+            "f9f4998fba3cdd461f06ae8e20c3f1c41dde1481a63efc853e88eeca213ccf38",
+        "crf.pred.confusion.tsv":
+            "a5e89fbd213a4e2bcf1d02dc086b632b4bc83717599305c586109fc2aadf0ef1",
+        "crf.pred.report.tsv":
+            "ca7010ed0c303ebd72bc2f91254c9b988b536f30d36ee4f4299b2332be874fbe",
+        "majority-global.model.confusion.tsv":
+            "8a22ad1eccc293584d600ab2e9117441b6fb4f4efac910c6263905c9ca6e1be3",
+        "majority-global.model.report.tsv":
+            "0b30413cb5a728ddbbfac69a45cdece754747f1dac1ffeb6cafb3a69a47ddebe",
+        "majority-global.pred":
+            "78231b2218bd40ea78be6b2dbb323b77597024a7dbf5685cd4d24c53ff7d3508",
+        "majority-global.pred.confusion.tsv":
+            "8a22ad1eccc293584d600ab2e9117441b6fb4f4efac910c6263905c9ca6e1be3",
+        "majority-global.pred.report.tsv":
+            "e881f0992016ffa7d0e57cb49e297fc6c967353da7499e2da5fc75fb863ad0e4",
+        "majority.curve.tsv":
+            "c1dc20d46cf94ed74ff42de8f5cc2f84be6192735f4cf34757a807ac8f131c5c",
+        "majority.model.confusion.tsv":
+            "2be5520c14737e1cb676be1a2dca68757f69b430f1decdd72d993417104f8401",
+        "majority.model.report.tsv":
+            "75f345f4fe32a60ba6acb6aa044f575330e13f64409b91af93abd84f58834906",
+        "majority.pred":
+            "ccdf13bbb2480ab11ae848d4385a23669cc63d0f5fbf082efb9fe6ff3b4c019b",
+        "majority.pred.confusion.tsv":
+            "2be5520c14737e1cb676be1a2dca68757f69b430f1decdd72d993417104f8401",
+        "majority.pred.report.tsv":
+            "82943d4711a4848aff1124ee58f17f421bc038d98ba6cf16f1b9c16a3eebee2c",
+    },
+}
+
+
+def _tag_round(tmp_path, classes) -> dict[str, str]:
+    """Train majority and crf on golden_crf_corpus(); predict a test corpus
+    with majority, majority-global and crf; evaluate each predictions file
+    and each model; run learning-curve for majority and crf.  Returns the
+    SHA-256 of every file written, by file name."""
+    train = tmp_path / "train.tsv"
+    train.write_text(golden_crf_corpus(), encoding="utf-8")
+    test = tmp_path / "test.tsv"
+    test.write_text(golden_crf_corpus(n=25, seed=11), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    for kind in ("majority", "crf"):
+        assert run(["train", train, tmp_path / f"{kind}.model", "--model",
+                    kind, "--classes", classes]) == 0
+        assert run(["learning-curve", train, test, out / f"{kind}.curve.tsv",
+                    "--model", kind, "--classes", classes]) == 0
+    for name in ("majority", "majority-global", "crf"):
+        model = tmp_path / f"{name.split('-')[0]}.model"
+        pred = out / f"{name}.pred"
+        assert run(["predict", model, test, pred, "--model", name,
+                    "--classes", classes]) == 0
+        assert run(["evaluate", pred, test, "--out", out / f"{name}.pred",
+                    "--classes", classes]) == 0
+        assert run(["evaluate", model, test, "--model", name, "--out",
+                    out / f"{name}.model", "--classes", classes]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("classes", sorted(GOLDEN_TAG_ROUND))
+def test_tag_round_golden_bytes(tmp_path, capsys, classes):
+    """predict, evaluate (from a predictions file and from a model file) and
+    learning-curve write the bytes in GOLDEN_TAG_ROUND."""
+    assert _tag_round(tmp_path, classes) == GOLDEN_TAG_ROUND[classes]
+
+
 def test_train_embed_needs_table_config(tmp_path, dataset_file, capsys):
     assert run(["train", dataset_file, tmp_path / "m", "--model",
                 "embed"]) == 2
@@ -709,6 +824,21 @@ def test_predict_then_evaluate_matches_direct(tmp_path, dataset_file,
     # same accuracy either way; the model column differs by design
     assert acc_direct[1].split("\t")[3] == acc_via[1].split("\t")[3] == \
         "1.000000"
+
+
+def test_evaluate_reads_a_predictions_file_that_starts_like_a_model_file(
+        tmp_path, capsys):
+    """Only a first line equal to the model header makes a model file: a
+    predictions file whose first token is `prosolab-model` is scored."""
+    test = tmp_path / "test.tsv"
+    test.write_text("prosolab-model\t1\t0.500\nb\t0\t0.000\n",
+                    encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("prosolab-model\t1\nb\t0\n", encoding="utf-8")
+    assert run(["evaluate", pred, test, "--out", tmp_path / "e"]) == 0
+    assert (tmp_path / "e.report.tsv").read_text() == (
+        "model\ttask\tfraction\taccuracy\n"
+        "predictions\t3-way\t1\t1.000000\n")
 
 
 def test_evaluate_writes_confusion_and_summary(tmp_path, dataset_file,
@@ -909,12 +1039,6 @@ def _check_sentence_by_sentence(pred, gold):
     return None
 
 
-def _columns(sentences):
-    return Columns([t for tokens, _ in sentences for t in tokens],
-                   [lab for _, labels in sentences for lab in labels], None,
-                   [len(tokens) for tokens, _ in sentences])
-
-
 # sentences of tokens "a"/"b" with labels None/0; predictions are the same
 # sentences with a few tokens, labels or sentence ends changed
 pair_sentence_st = st.lists(st.tuples(st.sampled_from("ab"),
@@ -944,7 +1068,8 @@ def test_check_predictions_equals_a_sentence_by_sentence_walk(gold, data):
             for a, b in zip([0, *ends], ends)]
     want = _check_sentence_by_sentence(pred, gold)
     try:
-        cli._check_predictions(_columns(pred), _columns(gold))
+        cli._check_predictions(make_columns(*pred),
+                               make_columns(*gold))
     except CorpusFormatError as exc:
         assert str(exc) == want
     else:

@@ -1,6 +1,8 @@
 """File format round-trips and rejection behavior."""
 
 import math
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from conftest import (
     DATASET_DISCRETE,
     DATASET_SENTENCE,
     DATASET_TOKENS,
+    labels_of,
     pcm16_wav_bytes,
     sine,
 )
@@ -101,6 +104,31 @@ def test_read_wav_from_path(tmp_path):
 ])
 def test_is_punctuation(text, expected):
     assert is_punctuation(text) is expected
+
+
+def _all_punctuation_categories(text: str) -> bool:
+    """The definition: text is not empty and each character is in a Unicode
+    punctuation (P*) category."""
+    return bool(text) and all(unicodedata.category(ch).startswith("P")
+                              for ch in text)
+
+
+def test_is_punctuation_on_every_code_point():
+    # no alphanumeric character is punctuation, so is_punctuation may
+    # answer a word from str.isalnum without reading categories
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        punct = unicodedata.category(ch).startswith("P")
+        assert not (punct and ch.isalnum()), hex(code)
+        assert is_punctuation(ch) is punct, hex(code)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(
+    st.sampled_from(",.?!'\"-\u2014\u00bf\u3001a1\u00e9\u0663 "),
+    st.characters()), max_size=6))
+def test_is_punctuation_equals_the_category_definition(text):
+    assert is_punctuation(text) is _all_punctuation_categories(text)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +297,8 @@ def test_dataset_roundtrip():
     data = parse_dataset(write_dataset([(utt, dataset_records())]))
     assert data.lengths == [len(DATASET_TOKENS)]
     assert data.tokens == DATASET_TOKENS
-    assert data.labels == DATASET_DISCRETE
+    assert data.labels.dtype == np.int8
+    assert labels_of(data.labels) == DATASET_DISCRETE
     assert len(data.continuous) == len(DATASET_CONTINUOUS)
     for got, want in zip(data.continuous.tolist(), DATASET_CONTINUOUS):
         if want is None:
@@ -289,7 +318,8 @@ def test_write_dataset_blank_line_between_utterances():
 def test_write_dataset_empty():
     assert write_dataset([]) == b""
     data = parse_dataset(b"")
-    assert (data.tokens, data.labels, data.lengths) == ([], [], [])
+    assert (data.tokens, labels_of(data.labels), data.lengths) == (
+        [], [], [])
     assert data.continuous.shape == (0,)
 
 
@@ -325,7 +355,8 @@ def test_parse_dataset_rejects(content, pattern):
 
 def test_one_line_str_is_content_not_a_path():
     data = parse_dataset("Tell\t2\t1.473")
-    assert (data.tokens, data.labels, data.lengths) == (["Tell"], [2], [1])
+    assert (data.tokens, labels_of(data.labels), data.lengths) == (
+        ["Tell"], [2], [1])
     assert "cat" in load_embeddings("cat 1.0 2.0", dimension=2).entries
 
 
@@ -433,7 +464,7 @@ def test_dataset_roundtrip_property(sentences):
     assert data.lengths == [len(recs) for recs in sentences]
     want = [rec for recs in sentences for rec in recs]
     assert data.tokens == [r.token for r in want]
-    assert data.labels == [r.discrete for r in want]
+    assert labels_of(data.labels) == [r.discrete for r in want]
     assert len(data.continuous) == len(want)
     for got, w in zip(data.continuous.tolist(), want):
         if w.continuous is None:
@@ -470,7 +501,9 @@ def test_text_readers_give_valid_values_or_a_format_error(text):
         data = parse_dataset(text)
         assert (len(data.tokens) == len(data.labels) == len(data.continuous)
                 == sum(data.lengths))
-        for label, cont in zip(data.labels, data.continuous.tolist()):
+        assert data.labels.dtype == np.int8
+        for label, cont in zip(labels_of(data.labels),
+                               data.continuous.tolist()):
             assert label in labels
             assert (math.isnan(cont) if label is None
                     else _finite(cont) and cont >= 0)
@@ -479,7 +512,9 @@ def test_text_readers_give_valid_values_or_a_format_error(text):
     try:
         data = parse_predictions(text)
         assert len(data.tokens) == len(data.labels) == sum(data.lengths)
-        assert set(data.labels) <= labels and data.continuous is None
+        assert data.labels.dtype == np.int8
+        assert set(labels_of(data.labels)) <= labels
+        assert data.continuous is None
     except CorpusFormatError:
         pass
     try:
@@ -553,8 +588,9 @@ def test_columns_read_what_the_line_rule_reads(text, n_cols):
         return
     assert not isinstance(want, str), want
     tokens, labels, continuous, lengths = want
-    assert (data.tokens, data.labels, data.lengths) == (tokens, labels,
-                                                        lengths)
+    assert data.labels.dtype == np.int8
+    assert (data.tokens, labels_of(data.labels), data.lengths) == (
+        tokens, labels, lengths)
     if n_cols == 2:
         assert data.continuous is None
     else:

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from prosolab._accel import (NEG_INF, chain_backward, chain_forward,
                              chain_viterbi)
+from prosolab.corpus_io import NA
 from prosolab.taggers import common, crf
 from prosolab.taggers.common import compile_text, na_mask
 from prosolab.taggers.crf import (
@@ -26,7 +27,7 @@ from prosolab.taggers.crf import (
 )
 from prosolab.taggers.serialize import load_model, save_model
 
-from conftest import make_columns, unlabeled
+from conftest import codes, labels_of, make_columns, unlabeled
 
 TOY_SENTENCES = [
     (["The", "cat", "runs", "."], [0, 2, 1, None]),
@@ -124,7 +125,7 @@ def test_score_matches_manual_recomputation():
     rng = np.random.default_rng(3)
     model = harvest_model(TOY_CORPUS, rng)
     for tokens, labels in TOY_SENTENCES:
-        got = crf_score(model, tokens, labels)
+        got = crf_score(model, tokens, codes(labels))
         want = manual_score(model, tokens, labels)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -150,7 +151,7 @@ def test_score_unknown_label():
 def test_logZ_matches_enumeration(tokens):
     rng = np.random.default_rng(len(tokens))
     model = harvest_model(TOY_CORPUS, rng)
-    scores = [crf_score(model, tokens, labeling)
+    scores = [crf_score(model, tokens, codes(labeling))
               for labeling in all_labelings(model, tokens)]
     assert forward_logZ(model, tokens) == pytest.approx(
         logsumexp(scores), abs=1e-8)
@@ -172,7 +173,7 @@ def test_empty_sentence_has_one_empty_labeling():
     model = harvest_model(TOY_CORPUS, np.random.default_rng(3))
     assert crf_score(model, [], []) == 0.0
     assert forward_logZ(model, []) == 0.0
-    assert viterbi(model, unlabeled([])) == []
+    assert labels_of(viterbi(model, unlabeled([]))) == []
     # so it adds nothing to the objective or its gradient
     value, grad = loglik(model, TOY_CORPUS)
     padded_value, padded_grad = loglik(model, make_columns(
@@ -187,7 +188,7 @@ def test_logZ_exceeds_any_single_path():
     tokens = ["The", "cat", "runs"]
     for labeling in all_labelings(model, tokens):
         assert forward_logZ(model, tokens) > crf_score(model, tokens,
-                                                       labeling)
+                                                       codes(labeling))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,7 @@ def test_index_pass_ids_match_a_lookup_on_the_finished_index(seed,
     data = make_columns(*corpus)
     index, feats = build_feature_index(data)
     text = compile_text(data.tokens, data.lengths)
-    na = np.array([lab is None for lab in data.labels])
+    na = data.labels == NA
     looked_up = sentence_feature_ids(text, na, index.get)
     # the per-position scan, numbering each feature when first seen
     scan, want_ids, want_pos = {}, [], []
@@ -418,13 +419,13 @@ def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels, monkeypatch):
         pot = loop_potentials(model, tokens, na_mask(tokens))
         want_paths += [None if st == model.na_state else model.labels[st]
                        for st in one_sentence(chain_viterbi, pot, trans)]
-    assert viterbi(model, data) == want_paths
+    assert labels_of(viterbi(model, data)) == want_paths
 
     for tokens, labels in corpus[:40]:
         states = loop_states(model, labels)
         gold_pot = loop_potentials(model, tokens,
                                    [lab is None for lab in labels])
-        assert crf_score(model, tokens, labels) == \
+        assert crf_score(model, tokens, codes(labels)) == \
             loop_path_score(gold_pot, trans, states)
         pot = loop_potentials(model, tokens, na_mask(tokens))
         assert forward_logZ(model, tokens) == one_sentence(
@@ -486,7 +487,7 @@ def test_training_evaluates_through_the_module_global(
 def test_train_fits_separable_toy_corpus():
     model = crf_train(TOY_CORPUS, max_iterations=200)
     for tokens, labels in TOY_SENTENCES:
-        assert viterbi(model, unlabeled(tokens)) == labels
+        assert labels_of(viterbi(model, unlabeled(tokens))) == labels
 
 
 def test_train_is_deterministic():
@@ -527,24 +528,26 @@ def test_viterbi_matches_enumeration():
     model = harvest_model(TOY_CORPUS, rng)
     tokens = ["The", "cat", ",", "runs", "."]
     labelings = all_labelings(model, tokens)
-    scores = [crf_score(model, tokens, labeling) for labeling in labelings]
+    scores = [crf_score(model, tokens, codes(labeling))
+              for labeling in labelings]
     best = labelings[int(np.argmax(scores))]
     path = viterbi(model, unlabeled(tokens))
     assert crf_score(model, tokens, path) == pytest.approx(max(scores),
                                                            abs=1e-9)
-    assert path == best
+    assert labels_of(path) == best
 
 
 def test_viterbi_zero_weights_ties_to_smallest():
     model = harvest_model(TOY_CORPUS)
-    assert viterbi(model, unlabeled(["a", "b", ",", "c"])) == [0, 0, None, 0]
+    assert labels_of(viterbi(model, unlabeled(["a", "b", ",", "c"]))) == [
+        0, 0, None, 0]
 
 
 def test_viterbi_forces_na_exactly_at_punctuation():
     rng = np.random.default_rng(9)
     model = harvest_model(TOY_CORPUS, rng)
     tokens = ["The", ",", "cat", "runs", "?", "!"]
-    path = viterbi(model, unlabeled(tokens))
+    path = labels_of(viterbi(model, unlabeled(tokens)))
     assert [lab is None for lab in path] == [False, True, False, False,
                                              True, True]
     assert all(lab in model.labels for lab in path if lab is not None)
@@ -552,7 +555,7 @@ def test_viterbi_forces_na_exactly_at_punctuation():
 
 def test_viterbi_handles_unseen_words():
     model = crf_train(TOY_CORPUS, max_iterations=100)
-    path = viterbi(model, unlabeled(["zebra", "quokka"]))
+    path = labels_of(viterbi(model, unlabeled(["zebra", "quokka"])))
     assert all(lab in model.labels for lab in path)
 
 
@@ -565,8 +568,8 @@ def test_label_permutation_equivariance():
     mapped = crf_train(renamed, max_iterations=200)
     for tokens, _ in TOY_SENTENCES:
         want = [None if lab is None else perm[lab]
-                for lab in viterbi(base, unlabeled(tokens))]
-        assert viterbi(mapped, unlabeled(tokens)) == want
+                for lab in labels_of(viterbi(base, unlabeled(tokens)))]
+        assert labels_of(viterbi(mapped, unlabeled(tokens))) == want
 
 
 def test_two_label_model():
@@ -577,4 +580,4 @@ def test_two_label_model():
     model = crf_train(corpus, max_iterations=100)
     assert model.labels == [0, 1]
     assert model.n_states == 3
-    assert viterbi(model, unlabeled(["up", "down"])) == [1, 0]
+    assert labels_of(viterbi(model, unlabeled(["up", "down"]))) == [1, 0]

@@ -1,14 +1,14 @@
 """Whole-file decoding keeps no per-sentence state: the CRF and the embed
 classifier work one chunk of sentences at a time and majority decoding
-gathers one chunk of positions at a time, so memory is bounded however long
-the file is."""
+gathers one int8 label code per position from a table over the distinct
+tokens, so memory is bounded however long the file is."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from prosolab.corpus_io import EmbeddingTable
+from prosolab.corpus_io import N_LABELS, NA, EmbeddingTable
 from prosolab.taggers.common import na_mask
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
@@ -78,3 +78,15 @@ def test_decoding_memory_does_not_grow_with_the_file(decoders, kind):
         working.append(work)
     assert max(peaks) < CEILING
     assert working[1] - working[0] < GROWTH
+
+
+@pytest.mark.parametrize("kind", ["crf", "embed", "majority"])
+def test_decoders_return_int8_label_codes(decoders, kind):
+    """One int8 code per token: NA exactly at punctuation, a label in
+    0..N_LABELS-1 elsewhere."""
+    data = unlabeled(*synthetic_file(np.random.default_rng(2), 50))
+    labels = decoders[kind](data)
+    assert isinstance(labels, np.ndarray) and labels.dtype == np.int8
+    punct = np.array(na_mask(data.tokens))
+    np.testing.assert_array_equal(labels == NA, punct)
+    assert ((0 <= labels[~punct]) & (labels[~punct] < N_LABELS)).all()

@@ -21,7 +21,7 @@ from prosolab.taggers.majority import (
     MajorityModel,
 )
 
-from conftest import make_columns, unlabeled
+from conftest import labels_of, make_columns, unlabeled
 
 
 def loop_majority(model, tokens, mode):
@@ -74,8 +74,8 @@ def test_majority_counts_per_type():
     model = train_majority(corpus)
     # "tell" saw labels 1, 1, 2 -> argmax 1; case folds into one type
     assert model.per_word["tell"].tolist() == [0, 2, 1]
-    assert predict_majority(model, unlabeled(["tell"])) == [1]
-    assert predict_majority(model, unlabeled(["TELL"])) == [1]
+    assert labels_of(predict_majority(model, unlabeled(["tell"]))) == [1]
+    assert labels_of(predict_majority(model, unlabeled(["TELL"]))) == [1]
 
 
 def test_majority_na_contributes_nothing():
@@ -95,28 +95,30 @@ def test_majority_unseen_word_falls_back_to_global():
          [0] * 10 + [1] * 5 + [2] * 5),
     )
     model = train_majority(corpus)
-    assert predict_majority(model, unlabeled(["unseen"])) == [0]
-    assert predict_majority(model, unlabeled(["b", "unseen", "c"])) == [
+    assert labels_of(predict_majority(model, unlabeled(["unseen"]))) == [0]
+    assert labels_of(predict_majority(
+        model, unlabeled(["b", "unseen", "c"]))) == [
         1, 0, 2]
 
 
 def test_majority_global_mode_ignores_types():
     corpus = make_columns((["a", "b", "b"], [0, 1, 1]))
     model = train_majority(corpus)
-    assert predict_majority(model, unlabeled(["a", "b"]),
-                            mode="global") == [1, 1]
+    assert labels_of(predict_majority(model, unlabeled(["a", "b"]),
+                                      mode="global")) == [1, 1]
 
 
 def test_majority_tie_takes_smaller_label():
     corpus = make_columns((["w", "w"], [2, 1]))
     model = train_majority(corpus)
-    assert predict_majority(model, unlabeled(["w"])) == [1]
+    assert labels_of(predict_majority(model, unlabeled(["w"]))) == [1]
 
 
 def test_majority_punctuation_predicts_na():
     corpus = make_columns((["a"], [1]))
     model = train_majority(corpus)
-    assert predict_majority(model, unlabeled(["a", ",", "a", "?"])) == [
+    assert labels_of(predict_majority(
+        model, unlabeled(["a", ",", "a", "?"]))) == [
         1, None, 1, None]
 
 
@@ -183,17 +185,18 @@ def test_sentence_features_match_hand_built_rows():
         row(zero, low, high), row(low, high, zero), row(high, zero, zero),
         row(zero, zero, zero), row(zero, zero, zero)])
     assert sentence_features(table, []).shape == (0, 7)
-    assert predict_embed(train_embed_classifier(
-        make_columns((["low"], [1])), table), unlabeled([])) == []
+    assert labels_of(predict_embed(train_embed_classifier(
+        make_columns((["low"], [1])), table), unlabeled([]))) == []
 
 
 def test_embed_fits_separable_corpus():
     table = separable_table()
     clf = train_embed_classifier(separable_corpus(), table)
     for tokens, labels in SEPARABLE:
-        assert predict_embed(clf, unlabeled(tokens)) == labels
+        assert labels_of(predict_embed(clf, unlabeled(tokens))) == labels
     # held-out pairing of the same word groups
-    assert predict_embed(clf, unlabeled(["high2", "low2"])) == [2, 0]
+    assert labels_of(predict_embed(clf, unlabeled(["high2", "low2"]))) == [
+        2, 0]
 
 
 def test_embed_zero_table_learns_priors():
@@ -205,7 +208,8 @@ def test_embed_zero_table_learns_priors():
         (["d", "e"], [1, 2]),
     )
     clf = train_embed_classifier(corpus, table)
-    assert predict_embed(clf, unlabeled(["anything", "at", "all"])) == [
+    assert labels_of(predict_embed(
+        clf, unlabeled(["anything", "at", "all"]))) == [
         1, 1, 1]
 
 
@@ -213,12 +217,14 @@ def test_embed_case_fallback_lookup():
     table = separable_table()
     clf = train_embed_classifier(separable_corpus(), table)
     # uppercase token falls back to its lowercase vector
-    assert predict_embed(clf, unlabeled(["LOW1", "HIGH1"])) == [0, 2]
+    assert labels_of(predict_embed(clf, unlabeled(["LOW1", "HIGH1"]))) == [
+        0, 2]
 
 
 def test_embed_punctuation_predicts_na():
     clf = train_embed_classifier(separable_corpus(), separable_table())
-    assert predict_embed(clf, unlabeled(["low1", ",", "high1"])) == [
+    assert labels_of(predict_embed(
+        clf, unlabeled(["low1", ",", "high1"]))) == [
         0, None, 2]
 
 
@@ -287,13 +293,13 @@ def test_whole_file_decoders_match_the_per_sentence_loops(seed):
 
     majority = train_majority(corpus)
     for mode in ("per_word", "global"):
-        assert predict_majority(majority, data, mode) == [
+        assert labels_of(predict_majority(majority, data, mode)) == [
             lab for tokens in sentences
             for lab in loop_majority(majority, tokens, mode)]
     table = EmbeddingTable(dimension=3, entries={
         word: rng.normal(size=3) for word in WORDS[::2]})
     classifier = train_embed_classifier(corpus, table, max_iterations=20)
-    assert predict_embed(classifier, data) == [
+    assert labels_of(predict_embed(classifier, data)) == [
         lab for tokens in sentences for lab in loop_embed(classifier, tokens)]
 
 
@@ -302,15 +308,16 @@ def loop_train_embed(data, table, l2_lambda=1e-4, max_iterations=500,
     """The embed trainer as it was written with numpy's axis reductions in
     its softmax and a gradient for every trial step.  Returns the weights
     and the number of objective evaluations."""
-    labels = sorted(set(data.labels) - {None})
+    gold = labels_of(data.labels)
+    labels = sorted(set(gold) - {None})
     label_pos = {lab: i for i, lab in enumerate(labels)}
     text = compile_text(data.tokens, data.lengths)
-    words = np.array([lab is not None for lab in data.labels], dtype=bool)
+    words = np.array([lab is not None for lab in gold], dtype=bool)
     vectors = _type_vectors(table, text.types)
     x = np.concatenate([
         _window_rows(vectors, text, ch)[words[ch.start:ch.stop]]
         for ch in text.chunks()])
-    y = np.array([label_pos[lab] for lab in data.labels if lab is not None],
+    y = np.array([label_pos[lab] for lab in gold if lab is not None],
                  dtype=np.int64)
     n, dim = x.shape
     k = len(labels)
