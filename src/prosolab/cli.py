@@ -115,13 +115,6 @@ def _parse(text: str, kind: type, where: str):
         raise UsageError(str(exc)) from exc
 
 
-def _cfg_value(cfg: dict[str, str], key: str, default):
-    """cfg[key] parsed as the type of `default`, or `default` if unset."""
-    if key not in cfg:
-        return default
-    return _parse(cfg[key], type(default), f"config key {key}")
-
-
 def _setting(cfg: AnnotateConfig, path: str):
     return reduce(getattr, path.split("."), cfg)
 
@@ -232,30 +225,30 @@ def cmd_annotate(args) -> int:
     align_dir = Path(args.align_dir)
     audio_dir = Path(args.audio_dir)
 
-    aligns = sorted(
-        [p for p in align_dir.iterdir()
-         if p.suffix.lower() in (".lab", ".textgrid")],
-        key=lambda p: p.stem,
-    ) if align_dir.is_dir() else []
+    aligns: dict[str, list[Path]] = {}  # stem -> its alignment files
+    for p in sorted(align_dir.iterdir()) if align_dir.is_dir() else []:
+        if p.suffix.lower() in (".lab", ".textgrid"):
+            aligns.setdefault(p.stem, []).append(p)
     if not aligns:
         raise CorpusFormatError(f"empty input set: no alignments in {align_dir}")
 
     jobs = []
-    missing: list[str] = []
-    for align_path in aligns:
-        wav_path = audio_dir / (align_path.stem + ".wav")
-        if wav_path.is_file():
-            jobs.append((align_path.stem, wav_path, align_path, tier, cfg))
+    status: list[tuple[str, str]] = []
+    for stem in sorted(aligns):
+        wav_path = audio_dir / (stem + ".wav")
+        if len(aligns[stem]) > 1:
+            names = ", ".join(p.name for p in aligns[stem])
+            status.append((stem, f"failed: more than one alignment: {names}"))
+        elif wav_path.is_file():
+            jobs.append((stem, wav_path, aligns[stem][0], tier, cfg))
         else:
-            missing.append(align_path.stem)
+            status.append((stem, "failed: missing audio"))
 
     workers = max(1, min(args.jobs, len(jobs)))
     log.info("annotating %d utterances with %d worker(s)", len(jobs),
              workers)
     results, busy = _annotate_all(jobs, workers)
 
-    status: list[tuple[str, str]] = [(s, "failed: missing audio")
-                                     for s in missing]
     payload = []
     for stem, annotated, err in results:
         if annotated is None:
@@ -306,15 +299,24 @@ def _read_floats(path: str, binary: bool = False) -> list[float]:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config, ANNOTATE_CONFIG_KEYS)
-    values = _read_floats(args.values_file)
+    # an input the mode does not read is a usage error, not ignored
+    unread = ({"--theta1": args.theta1, "--config": args.config}
+              if args.mode == "binary"
+              else {"the reference file": args.reference_file})
+    for name, value in unread.items():
+        if value is not None:
+            raise UsageError(
+                f"{args.mode} mode does not read {name} ({value})")
     if args.mode == "binary":
         if args.reference_file is None:
             raise UsageError("binary mode needs a reference file")
+        values = _read_floats(args.values_file)
         reference = _read_floats(args.reference_file, binary=True)
         t = calibrate_binary(values, reference)
         print(f"theta1={t.theta1!r}")
     else:
+        cfg = load_config(args.config, ANNOTATE_CONFIG_KEYS)
+        values = _read_floats(args.values_file)
         if args.theta1 is not None:
             theta1 = _parse(args.theta1, float, "--theta1")
         elif "theta1" in cfg:
@@ -352,23 +354,30 @@ class Tagger(NamedTuple):
     decode: Callable              # (model, Columns) -> a label code per token
 
 
+# the type of each training setting a config may set; a key left unset
+# takes the trainer's own default
+TRAINING_KEYS = {"l2_lambda": float, "max_iterations": int, "tolerance": float}
+
+
+def _training_settings(cfg: dict[str, str]) -> dict:
+    return {key: _parse(cfg[key], kind, f"config key {key}")
+            for key, kind in TRAINING_KEYS.items() if key in cfg}
+
+
 def _crf_trainer(cfg: dict[str, str]):
-    settings = {"l2_lambda": _cfg_value(cfg, "l2_lambda", 1e-4),
-                "max_iterations": _cfg_value(cfg, "max_iterations", 100),
-                "tolerance": _cfg_value(cfg, "tolerance", 1e-5)}
+    settings = _training_settings(cfg)
     return lambda data: crf_train(data, **settings)
 
 
 def _embed_trainer(cfg: dict[str, str]):
-    if "embeddings" not in cfg:
+    if "embeddings" not in cfg or "embedding_dim" not in cfg:
         raise UsageError("embed model needs config keys embeddings=<path> "
                          "and embedding_dim=<n>")
-    dim = _cfg_value(cfg, "embedding_dim", 0)
+    dim = _parse(cfg["embedding_dim"], int, "config key embedding_dim")
     if dim <= 0:
         raise UsageError("config key embedding_dim must be a positive integer")
     table = load_embeddings(Path(cfg["embeddings"]), dim)
-    settings = {"l2_lambda": _cfg_value(cfg, "l2_lambda", 1e-4),
-                "max_iterations": _cfg_value(cfg, "max_iterations", 500)}
+    settings = _training_settings(cfg)
     return lambda data: train_embed_classifier(data, table, **settings)
 
 
@@ -486,12 +495,13 @@ def cmd_evaluate(args) -> int:
     acc = evaluation.accuracy(pred.labels, gold.labels)
     conf = evaluation.confusion(pred.labels, gold.labels, args.classes)
     task = f"{args.classes}-way"
-    print(evaluation.format_summary({name: {task: acc}}), end="")
+    print(evaluation.format_summary(name, task, acc), end="")
 
     prefix = args.out
     Path(f"{prefix}.report.tsv").write_text(
         evaluation.report_tsv([(name, task, 1.0, acc)]), encoding="utf-8")
-    Path(f"{prefix}.confusion.tsv").write_text(conf.to_tsv(), encoding="utf-8")
+    Path(f"{prefix}.confusion.tsv").write_text(evaluation.confusion_tsv(conf),
+                                              encoding="utf-8")
     return 0
 
 

@@ -60,7 +60,6 @@ class Token:
 @dataclass
 class Utterance:
     id: str
-    speaker: str
     tokens: list[Token]
 
     def word_indices(self) -> list[int]:
@@ -225,8 +224,16 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
             payload = wav.readframes(wav.getnframes())
     except wave.Error as exc:
         raise CorpusFormatError(f"malformed or unsupported WAV: {exc}") from exc
+    except EOFError:
+        raise CorpusFormatError(
+            "truncated WAV: the file ends inside its header (file length "
+            f"{len(raw)})") from None
     if rate <= 0:
         raise CorpusFormatError(f"invalid sample rate: {rate}")
+    if len(payload) % 2:
+        raise CorpusFormatError(
+            "truncated WAV: the data ends inside a 16-bit sample (data "
+            f"length {len(payload)})")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / INT16_SCALE
     if len(samples) == 0:
         raise CorpusFormatError("empty audio payload")
@@ -253,14 +260,10 @@ def _require_words(tokens: list[Token], context: str) -> None:
         raise CorpusFormatError(f"{context}: no non-punctuation tokens")
 
 
-def parse_lab(
-    source: bytes | str | Path,
-    utt_id: str = "",
-    speaker: str = "",
-) -> Utterance:
+def parse_lab(source: bytes | str | Path, utt_id: str = "") -> Utterance:
     """Parse ``start end token`` alignment lines into an Utterance.
 
-    Fields are separated by tabs or spaces; zero-length spans are allowed for
+    Fields are separated by any whitespace; zero-length spans are allowed for
     punctuation tokens only.
     """
     text = _as_text(source)
@@ -289,7 +292,7 @@ def parse_lab(
         raise CorpusFormatError("no alignment lines")
     _check_token_order(tokens, "lab alignment")
     _require_words(tokens, "lab alignment")
-    return Utterance(id=utt_id, speaker=speaker, tokens=tokens)
+    return Utterance(id=utt_id, tokens=tokens)
 
 
 _TG_ITEM_RE = re.compile(r"item\s*\[\d+\]\s*:")
@@ -309,12 +312,8 @@ def _tg_field(line: str, kind: str, context: str) -> float | str:
     return m.group(1).replace('""', '"')
 
 
-def parse_textgrid(
-    source: bytes | str | Path,
-    tier_name: str,
-    utt_id: str = "",
-    speaker: str = "",
-) -> Utterance:
+def parse_textgrid(source: bytes | str | Path, tier_name: str,
+                   utt_id: str = "") -> Utterance:
     """Extract one IntervalTier of a long-form Praat TextGrid as an Utterance.
 
     Intervals with empty text (silences) are skipped.  Only the long textual
@@ -362,6 +361,8 @@ def parse_textgrid(
             xmin = _tg_field(block[i + 1], "num", ctx)
             xmax = _tg_field(block[i + 2], "num", ctx)
             mark = str(_tg_field(block[i + 3], "str", ctx)).strip()
+            if mark and xmin < 0:
+                raise CorpusFormatError(f"{ctx}: negative start time")
             if xmax < xmin:
                 raise CorpusFormatError(
                     f"{ctx}: interval end {xmax} before start {xmin}"
@@ -382,7 +383,7 @@ def parse_textgrid(
         raise CorpusFormatError(f"tier {tier_name!r} has no non-empty intervals")
     _check_token_order(tokens, f"tier {tier_name!r}")
     _require_words(tokens, f"tier {tier_name!r}")
-    return Utterance(id=utt_id, speaker=speaker, tokens=tokens)
+    return Utterance(id=utt_id, tokens=tokens)
 
 
 # ---------------------------------------------------------------------------

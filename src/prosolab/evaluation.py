@@ -13,24 +13,6 @@ CURVE_FRACTIONS = (0.01, 0.05, 0.10, 0.50, 1.00)
 
 
 @dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (K, K), rows = gold, columns = predicted
-    label_names: list[str]
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts)) / self.total()
-
-    def to_tsv(self) -> str:
-        lines = ["\t".join([""] + self.label_names)]
-        for name, row in zip(self.label_names, self.counts):
-            lines.append("\t".join([name] + [str(int(v)) for v in row]))
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
 class CurvePoint:
     fraction: float
     accuracy: float
@@ -84,7 +66,9 @@ def accuracy(pred: np.ndarray, gold: np.ndarray) -> float:
 
 
 def confusion(pred: np.ndarray, gold: np.ndarray,
-              n_labels: int) -> ConfusionMatrix:
+              n_labels: int) -> np.ndarray:
+    """(n_labels, n_labels) counts of the non-NA positions: rows are gold
+    labels, columns predicted ones."""
     p, g, scored = _check_pair(pred, gold)
     scored = np.flatnonzero(scored)
     p, g = p[scored], g[scored]
@@ -94,8 +78,17 @@ def confusion(pred: np.ndarray, gold: np.ndarray,
         raise ValueError(f"label out of range: pred={_shown(pred[i])!r} "
                          f"gold={_shown(gold[i])!r}")
     counts = np.bincount(g * n_labels + p, minlength=n_labels * n_labels)
-    return ConfusionMatrix(counts=counts.reshape(n_labels, n_labels),
-                           label_names=[str(i) for i in range(n_labels)])
+    return counts.reshape(n_labels, n_labels)
+
+
+def confusion_tsv(counts: np.ndarray) -> str:
+    """The confusion file: a header of predicted labels, then a row per
+    gold label."""
+    names = [str(i) for i in range(len(counts))]
+    lines = ["\t".join(["", *names])]
+    for name, row in zip(names, counts.tolist()):
+        lines.append("\t".join([name, *map(str, row)]))
+    return "\n".join(lines) + "\n"
 
 
 def merge_labels(labels: np.ndarray) -> np.ndarray:
@@ -160,18 +153,10 @@ def report_tsv(rows: list[tuple[str, str, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_summary(results: dict[str, dict[str, float]]) -> str:
-    """Plain-text accuracy table: models as rows, tasks as columns, percent
-    to one decimal."""
-    tasks = sorted({t for per in results.values() for t in per})
-    name_w = max([len("Model")] + [len(m) for m in results])
-    header = "Model".ljust(name_w) + "".join(t.rjust(10) for t in tasks)
-    lines = [header, "-" * len(header)]
-    for model_name in results:
-        cells = "".join(
-            (f"{100.0 * results[model_name][t]:.1f}" if t in results[model_name]
-             else "-").rjust(10)
-            for t in tasks
-        )
-        lines.append(model_name.ljust(name_w) + cells)
-    return "\n".join(lines) + "\n"
+def format_summary(model_name: str, task: str, acc: float) -> str:
+    """The accuracy table `evaluate` prints: one model's row under a
+    header, in percent to one decimal."""
+    width = max(len("Model"), len(model_name))
+    header = "Model".ljust(width) + task.rjust(10)
+    row = model_name.ljust(width) + f"{100.0 * acc:.1f}".rjust(10)
+    return f"{header}\n{'-' * len(header)}\n{row}\n"

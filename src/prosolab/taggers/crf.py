@@ -88,7 +88,7 @@ class CrfModel:
     labels: list[int]
     feature_index: dict[str, int]
     weights: np.ndarray
-    l2_lambda: float = 1e-4
+    l2_lambda: float
     # the training objective at `weights`, set by crf_train; not saved
     objective: float | None = None
 
@@ -148,7 +148,7 @@ def read_section(r) -> CrfModel:
 
 
 def new_model(labels: list[int], feature_index: dict[str, int],
-              l2_lambda: float = 1e-4) -> CrfModel:
+              l2_lambda: float) -> CrfModel:
     model = CrfModel(labels=list(labels), feature_index=dict(feature_index),
                      weights=np.empty(0), l2_lambda=l2_lambda)
     model.weights = np.zeros(model.expected_size())

@@ -21,6 +21,9 @@ from .common import (Chunk, CompiledText, check_training_settings,
 
 log = logging.getLogger(__name__)
 
+# training stops once the gradient norm is below this; not a setting
+TOLERANCE = 1e-6
+
 
 @dataclass
 class EmbeddingClassifier:
@@ -112,8 +115,7 @@ def _gradient(x: np.ndarray, onehot: np.ndarray, w: np.ndarray,
 
 def train_embed_classifier(data: Columns, table: EmbeddingTable,
                            l2_lambda: float = 1e-4,
-                           max_iterations: int = 500,
-                           tolerance: float = 1e-6) -> EmbeddingClassifier:
+                           max_iterations: int = 500) -> EmbeddingClassifier:
     """Fit the softmax weights on all non-NA positions of `data`."""
     if not data.lengths:
         raise ValueError("empty corpus")
@@ -148,7 +150,7 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
     iterations, evaluations, step = 0, 1, 1.0
     while iterations < max_iterations:
         gnorm2 = float(np.sum(grad**2))
-        if np.sqrt(gnorm2) < tolerance:
+        if np.sqrt(gnorm2) < TOLERANCE:
             break
         # Armijo backtracking from the last accepted step size; only the
         # accepted trial's gradient is computed
@@ -168,7 +170,7 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
         grad = _gradient(x, onehot, w, p, l2_lambda)
         iterations += 1
     gnorm = float(np.sqrt(np.sum(grad**2)))
-    converged = gnorm < tolerance
+    converged = gnorm < TOLERANCE
     log.log(logging.INFO if converged else logging.WARNING,
             "embed training %s (iterations=%d, evaluations=%d, |grad|=%.3g)",
             "converged" if converged

@@ -134,7 +134,7 @@ def make_word_fixture(saliences, gap_s: float = 0.18, margin_s: float = 0.09,
         t += gap_s
     pieces.append(np.zeros(round(margin_s * rate)))
     audio = AudioBuffer(samples=np.concatenate(pieces), sample_rate=rate)
-    return audio, Utterance(id="fixture", speaker="", tokens=tokens)
+    return audio, Utterance(id="fixture", tokens=tokens)
 
 
 @pytest.fixture

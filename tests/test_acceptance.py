@@ -76,7 +76,7 @@ def corpus_accuracy(predict, corpus: Columns) -> float:
 def stub_utterance(records, uid="u"):
     tokens = [Token(r.token, float(i), i + 0.5, r.discrete is None)
               for i, r in enumerate(records)]
-    return Utterance(id=uid, speaker="s", tokens=tokens)
+    return Utterance(id=uid, tokens=tokens)
 
 
 def rewrite(columns: Columns) -> bytes:
@@ -208,7 +208,8 @@ VOCAB = ["tell", "me", "where", "the", "pig", "is", "you",
 
 
 def random_model(rng, corpus, labels=(0, 1, 2)):
-    model = new_model(list(labels), build_feature_index(corpus)[0])
+    model = new_model(list(labels), build_feature_index(corpus)[0],
+                      l2_lambda=1e-4)
     model.weights = rng.normal(0.0, 0.5, size=model.weights.shape)
     return model
 

@@ -348,7 +348,7 @@ def test_energy_time_shift_consistency():
 
 def _utt(spans):
     tokens = [Token(text, s, e, text == ",") for s, e, text in spans]
-    return Utterance(id="u", speaker="", tokens=tokens)
+    return Utterance(id="u", tokens=tokens)
 
 
 def test_duration_track_piecewise():

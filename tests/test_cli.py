@@ -4,6 +4,7 @@ learning-curve, exit codes."""
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import multiprocessing
 import os
 import random
@@ -22,6 +23,7 @@ import prosolab
 from prosolab import cli
 from prosolab.cli import main
 from prosolab.corpus_io import Columns, CorpusFormatError, parse_dataset
+from prosolab.taggers import crf_train, train_embed_classifier
 from prosolab.taggers.majority import MajorityModel
 from prosolab.taggers.serialize import load_model
 
@@ -115,6 +117,32 @@ def test_annotate_reports_missing_audio(tmp_path, capsys):
     assert "1 ok, 1 failed" in capsys.readouterr().out
     assert ("utt\torphan\tfailed: missing audio"
             in (tmp_path / "data.tsv.manifest").read_text())
+
+
+def test_annotate_fails_a_stem_with_two_alignments(tmp_path, capsys):
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        ("u", [0.3, 0.6, 0.2], None), ("v", [0.2, 0.8, 0.5], None),
+    ])
+    (align_dir / "u.TextGrid").write_text(
+        NON_FINITE_TEXTGRID.replace("{v}", "0"), encoding="utf-8")
+    out = tmp_path / "data.tsv"
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
+    assert "1 ok, 1 failed" in capsys.readouterr().out
+    assert len(parse_dataset(out).lengths) == 1
+    manifest = (tmp_path / "data.tsv.manifest").read_text().splitlines()
+    assert [line for line in manifest if line.startswith("utt\t")] == [
+        "utt\tu\tfailed: more than one alignment: u.TextGrid, u.lab",
+        "utt\tv\tok"]
+
+
+def test_annotate_names_why_an_empty_wav_failed(tmp_path, capsys):
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        ("u", [0.3, 0.6, 0.2], None)])
+    (audio_dir / "u.wav").write_bytes(b"")
+    out = tmp_path / "data.tsv"
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
+    assert ("utt\tu\tfailed: truncated WAV: the file ends inside its header "
+            "(file length 0)") in (tmp_path / "data.tsv.manifest").read_text()
 
 
 def test_annotate_deterministic_except_timestamp(tmp_path, capsys):
@@ -487,6 +515,23 @@ def test_calibrate_binary_without_reference_is_usage_error(tmp_path, capsys):
     assert "binary mode needs a reference file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--theta1", "0.3"], "binary mode does not read --theta1 (0.3)"),
+    (["--config", "c.cfg"], "binary mode does not read --config (c.cfg)"),
+    (["--mode", "split", "--theta1", "0.3"],
+     "split mode does not read the reference file (reference.txt)"),
+], ids=["binary-theta1", "binary-config", "split-reference"])
+def test_calibrate_input_the_mode_does_not_read_is_usage_error(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("values.txt").write_text("0.1\n0.2\n0.8\n0.9\n")
+    Path("reference.txt").write_text("0\n0\n1\n1\n")
+    Path("c.cfg").write_text("theta1=0.3\n")
+    assert run(["calibrate", "values.txt", "reference.txt", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_calibrate_bad_number_is_data_error(tmp_path, capsys):
     values = tmp_path / "values.txt"
     values.write_text("0.6\nnope\n")
@@ -801,6 +846,37 @@ def test_train_rejects_an_out_of_range_setting(tmp_path, dataset_file,
     key = setting.split("=")[0]
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+TRAINERS = {"crf": crf_train, "embed": train_embed_classifier}
+# a value of each training key far enough from its default to show
+AWAY = {"l2_lambda": "0.5", "max_iterations": "2", "tolerance": "0.5"}
+
+
+@pytest.mark.parametrize("model, key", [
+    (model, key) for model in TRAINERS
+    for key in cli.TAGGERS[model].config_keys if key in cli.TRAINING_KEYS])
+def test_every_training_setting_has_an_effect_and_one_default(
+        tmp_path, dataset_file, capsys, model, key):
+    """Set away from its default, a key changes the model file; set to the
+    default in the trainer's signature, it writes the bytes of leaving it
+    out."""
+    default = inspect.signature(TRAINERS[model]).parameters[key].default
+
+    def trained(setting: str) -> bytes:
+        if model == "embed":
+            cfg = write_training_config(tmp_path, setting)
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(setting)
+        out = tmp_path / "m.model"
+        assert run(["train", dataset_file, out, "--model", model,
+                    "--config", cfg]) == 0
+        return out.read_bytes()
+
+    unset = trained("")
+    assert trained(f"{key}={default!r}\n") == unset
+    assert trained(f"{key}={AWAY[key]}\n") != unset
 
 
 def test_predict_then_evaluate_matches_direct(tmp_path, dataset_file,

@@ -1,8 +1,10 @@
 """File format round-trips and rejection behavior."""
 
+import io
 import math
 import sys
 import unicodedata
+import wave
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ from conftest import (
 def stub_utterance(tokens):
     toks = [Token(t, 0.1 * i, 0.1 * i + 0.05, is_punctuation(t))
             for i, t in enumerate(tokens)]
-    return Utterance(id="u", speaker="s", tokens=toks)
+    return Utterance(id="u", tokens=toks)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,28 @@ def test_read_wav_rejects_garbage():
 def test_read_wav_rejects_empty_payload():
     with pytest.raises(CorpusFormatError, match="empty audio payload"):
         read_wav(pcm16_wav_bytes(np.zeros(0)))
+
+
+GOOD_WAV = pcm16_wav_bytes(sine(100.0, 0.02))
+IN_HEADER = "truncated WAV: the file ends inside its header (file length {})"
+IN_SAMPLE = ("truncated WAV: the data ends inside a 16-bit sample "
+             "(data length {})")
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"", IN_HEADER.format(0)),
+    (b"RIFF", IN_HEADER.format(4)),
+    (GOOD_WAV[:20], IN_HEADER.format(20)),
+    (GOOD_WAV[:30], IN_HEADER.format(30)),
+    # the 44-byte header, then one byte of the first sample
+    (GOOD_WAV[:45], IN_SAMPLE.format(1)),
+    (GOOD_WAV[:-1], IN_SAMPLE.format(639)),
+], ids=["empty", "RIFF", "20-bytes", "30-bytes", "one-data-byte",
+        "last-byte-cut"])
+def test_read_wav_names_a_truncated_file(raw, message):
+    with pytest.raises(CorpusFormatError) as err:
+        read_wav(raw)
+    assert str(err.value) == message
 
 
 def test_read_wav_from_path(tmp_path):
@@ -139,8 +163,8 @@ LAB_OK = "0.00 0.52 tell\n0.52\t0.80\tme\n0.80 0.80 ,\n0.90 1.40 more\n"
 
 
 def test_parse_lab_basic():
-    utt = parse_lab(LAB_OK, utt_id="u1", speaker="spk7")
-    assert utt.id == "u1" and utt.speaker == "spk7"
+    utt = parse_lab(LAB_OK, utt_id="u1")
+    assert utt.id == "u1"
     assert [t.text for t in utt.tokens] == ["tell", "me", ",", "more"]
     assert [t.is_punct for t in utt.tokens] == [False, False, True, False]
     assert utt.tokens[1].start_s == pytest.approx(0.52)
@@ -259,6 +283,16 @@ def test_parse_textgrid_rejects_zero_length_word():
     with pytest.raises(CorpusFormatError,
                        match="zero-length span for non-punctuation 'oops'"):
         parse_textgrid(grid, "words")
+
+
+def test_parse_textgrid_rejects_a_negative_start_as_parse_lab_does():
+    grid = TEXTGRID.replace("xmin = 0.4\n", "xmin = -1\n")
+    with pytest.raises(CorpusFormatError) as err:
+        parse_textgrid(grid, "words")
+    assert str(err.value) == ("interval block at tier 'words': negative start "
+                              "time")
+    with pytest.raises(CorpusFormatError, match="line 1: negative start time"):
+        parse_lab("-1 1.1 hello\n")
 
 
 def test_parse_textgrid_rejects_a_block_cut_after_xmax():
@@ -703,3 +737,130 @@ def test_model_sections_read_in_bulk_what_parse_number_reads(kind, count,
         assert [v.hex() for v in got] == [v.hex() for v in want]
     else:
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# fuzz gate: the audio and alignment readers give usable values or a
+# CorpusFormatError, and no other exception escapes
+# ---------------------------------------------------------------------------
+
+@st.composite
+def wav_bytes_st(draw):
+    """(WAV bytes, True when they are an intact 16-bit mono file): 1 or 2
+    channels, 8-, 16- or 24-bit samples, 16, 22.05 or 24 kHz and 0-40
+    frames, some cut at a random byte or with one byte past the last
+    whole frame in their data chunk.  Half are 16-bit mono."""
+    channels, width = draw(st.sampled_from([(1, 2)] * 5 + [
+        (1, 1), (1, 3), (2, 1), (2, 2), (2, 3)]))
+    frames = draw(st.integers(0, 40))
+    payload = draw(st.binary(min_size=frames * channels * width,
+                             max_size=frames * channels * width))
+    edit = draw(st.sampled_from(["none", "none", "cut", "extra"]))
+    if edit == "extra":
+        payload += b"\x00"
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(width)
+        w.setframerate(draw(st.sampled_from([16000, 22050, 24000])))
+        w.writeframes(payload)
+    raw = buf.getvalue()
+    if edit == "cut":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    return raw, edit != "cut" and (channels, width) == (1, 2) and frames > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(wav_bytes_st())
+def test_read_wav_gives_finite_samples_or_a_format_error(case):
+    raw, intact = case
+    try:
+        audio = read_wav(raw)
+    except CorpusFormatError:
+        assert not intact
+        return
+    assert audio.sample_rate > 0 and len(audio.samples) > 0
+    assert np.isfinite(audio.samples).all()
+    assert np.abs(audio.samples).max() <= 1.0
+
+
+# a time that is negative, non-finite, huge or not a number at all
+odd_time_st = st.one_of(
+    st.sampled_from(["-1", "-0.0", "nan", "inf", "-inf", "1e308", "1e400",
+                     "12345678901234567890", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+mark_st = st.sampled_from(["hello", "w0", "new york", "42", "$", "$5", "—",
+                           "…", "“", "”", ",", ".", "?!", "don't", ""])
+
+
+@st.composite
+def spans_st(draw, max_size):
+    """(start, end, mark) texts of spans laid end to end on a half-second
+    grid, so that they often touch, overlap or have zero length; now and
+    then a time is replaced by an odd one."""
+    spans, end = [], 0.0
+    for _ in range(draw(st.integers(0, max_size))):
+        start = max(0.0, end + draw(st.sampled_from([0.0, 0.0, 0.5, -0.5])))
+        end = start + draw(st.sampled_from([0.5, 0.5, 1.0, 0.0]))
+        times = [repr(start), repr(end)]
+        for k in (0, 1):
+            if draw(st.integers(0, 9)) == 0:
+                times[k] = draw(odd_time_st)
+        spans.append((*times, draw(mark_st)))
+    return spans
+
+
+@st.composite
+def lab_text_st(draw):
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    return "\n".join(sep.join(span).strip()
+                     for span in draw(spans_st(max_size=5)))
+
+
+@st.composite
+def textgrid_text_st(draw):
+    intervals = draw(spans_st(max_size=4))
+    tier = draw(st.sampled_from(["words"] * 4 + ["phones"]))
+    lines = ['File type = "ooTextFile"', 'Object class = "TextGrid"',
+             "item []:", "    item [1]:", '        class = "IntervalTier"',
+             f'        name = "{tier}"',
+             f"        intervals: size = {len(intervals)}"]
+    for k, (xmin, xmax, mark) in enumerate(intervals, start=1):
+        lines += [f"        intervals [{k}]:", f"            xmin = {xmin}",
+                  f"            xmax = {xmax}", f'            text = "{mark}"']
+    # a cut file ends inside a header or an interval block
+    if draw(st.integers(0, 3)) == 0:
+        lines = lines[:draw(st.integers(0, len(lines)))]
+    return "\n".join(lines) + "\n"
+
+
+def _check_alignment(utt: Utterance) -> None:
+    assert any(not tok.is_punct for tok in utt.tokens)
+    latest_end = 0.0
+    for tok in utt.tokens:
+        assert math.isfinite(tok.start_s) and math.isfinite(tok.end_s)
+        assert 0.0 <= tok.start_s <= tok.end_s
+        assert tok.start_s < tok.end_s or tok.is_punct
+        # spans may touch but not overlap, up to the readers' 1 ns slack
+        assert tok.start_s >= latest_end - 1e-9
+        latest_end = max(latest_end, tok.end_s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lab_text_st())
+def test_parse_lab_gives_an_ordered_alignment_or_a_format_error(text):
+    try:
+        utt = parse_lab(text)
+    except CorpusFormatError:
+        return
+    _check_alignment(utt)
+
+
+@settings(max_examples=400, deadline=None)
+@given(textgrid_text_st())
+def test_parse_textgrid_gives_an_ordered_alignment_or_a_format_error(text):
+    try:
+        utt = parse_textgrid(text, "words")
+    except CorpusFormatError:
+        return
+    _check_alignment(utt)

@@ -45,7 +45,8 @@ def loglik(model, data):
 
 def harvest_model(corpus, rng=None, labels=(0, 1, 2)):
     """Model over the corpus vocabulary, optionally with random weights."""
-    model = new_model(list(labels), build_feature_index(corpus)[0])
+    model = new_model(list(labels), build_feature_index(corpus)[0],
+                      l2_lambda=1e-4)
     if rng is not None:
         model.weights = rng.normal(0.0, 0.5, size=model.expected_size())
     return model
@@ -226,7 +227,7 @@ def test_gradient_matches_central_differences(seed):
 
 def test_gradient_transition_only_model():
     # empty feature index: emissions vanish and only transitions learn
-    model = new_model([0, 1], {})
+    model = new_model([0, 1], {}, l2_lambda=1e-4)
     rng = np.random.default_rng(5)
     model.weights = rng.normal(0.0, 0.5, size=model.expected_size())
     batch = make_columns((["a", "b", "c"], [0, 1, 0]))

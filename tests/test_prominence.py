@@ -274,7 +274,7 @@ def test_loma_path_invariants():
 def _five_words():
     tokens = [Token(f"w{i}", 0.1 + 0.4 * i, 0.5 + 0.4 * i, False)
               for i in range(5)]
-    return Utterance(id="u", speaker="", tokens=tokens)
+    return Utterance(id="u", tokens=tokens)
 
 
 def test_word_prominence_containment():
@@ -294,7 +294,7 @@ def test_word_prominence_from_isolated_bump_pipeline():
 
 
 def test_word_prominence_nearest_by_boundary():
-    utt = Utterance(id="u", speaker="", tokens=[
+    utt = Utterance(id="u", tokens=[
         Token("a", 0.1, 0.4, False), Token("b", 1.0, 1.4, False)])
     # 0.5 s sits in silence, 0.1 s from a's end and 0.5 s from b's start
     lomas = [Loma(path=[(0, 100)], strength=2.0)]
@@ -302,22 +302,20 @@ def test_word_prominence_nearest_by_boundary():
 
 
 def test_word_prominence_max_not_sum():
-    utt = Utterance(id="u", speaker="",
-                    tokens=[Token("a", 0.0, 1.0, False)])
+    utt = Utterance(id="u", tokens=[Token("a", 0.0, 1.0, False)])
     lomas = [Loma(path=[(0, 50)], strength=2.0),
              Loma(path=[(0, 120)], strength=5.0)]
     assert word_prominence(lomas, utt, SHIFT) == [5.0]
 
 
 def test_word_prominence_clamps_negative():
-    utt = Utterance(id="u", speaker="",
-                    tokens=[Token("a", 0.0, 1.0, False)])
+    utt = Utterance(id="u", tokens=[Token("a", 0.0, 1.0, False)])
     lomas = [Loma(path=[(0, 50)], strength=-1.0)]
     assert word_prominence(lomas, utt, SHIFT) == [0.0]
 
 
 def test_word_prominence_skips_punctuation():
-    utt = Utterance(id="u", speaker="", tokens=[
+    utt = Utterance(id="u", tokens=[
         Token("a", 0.1, 0.4, False), Token(",", 0.4, 0.6, True),
         Token("b", 0.6, 1.0, False)])
     # the line lands inside the punctuation span; a's end is nearer than b's
@@ -357,7 +355,7 @@ def test_annotate_all_silence_zero():
     audio_n = 2 * 16000
     from prosolab.corpus_io import AudioBuffer
     audio = AudioBuffer(np.zeros(audio_n), 16000)
-    utt = Utterance(id="s", speaker="", tokens=[
+    utt = Utterance(id="s", tokens=[
         Token("a", 0.2, 0.8, False), Token("b", 1.0, 1.7, False)])
     recs = annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
     assert [r.continuous for r in recs] == [0.0, 0.0]
@@ -390,7 +388,7 @@ def test_annotate_span_outside_audio():
 def test_annotate_input_rejects_span_outside_audio(start, end):
     # the input stage is the one check of spans against the audio
     audio, _ = make_word_fixture([0.5, 0.5])
-    utt = Utterance(id="u", speaker="", tokens=[Token("a", start, end, False)])
+    utt = Utterance(id="u", tokens=[Token("a", start, end, False)])
     with pytest.raises(AnnotationError,
                        match="span outside audio: token 'a'") as err:
         annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
@@ -410,7 +408,7 @@ def test_annotate_input_rejects_zero_length_word():
 
 def test_annotate_input_rejects_utterance_without_words():
     audio, _ = make_word_fixture([0.5, 0.5])
-    utt = Utterance(id="u", speaker="", tokens=[Token(",", 0.1, 0.2, True)])
+    utt = Utterance(id="u", tokens=[Token(",", 0.1, 0.2, True)])
     with pytest.raises(AnnotationError, match="stage input: no words"):
         annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
 
@@ -422,8 +420,7 @@ def test_streams_share_the_framing_grid_at_22050_hz(monkeypatch):
     x = np.zeros(25 * rate)
     word = np.arange(20 * rate, round(20.5 * rate))
     x[word] = 0.4 * np.sin(2 * np.pi * 150.0 * word / rate)
-    utt = Utterance(id="u", speaker="",
-                    tokens=[Token("w", 20.0, 20.5, False)])
+    utt = Utterance(id="u", tokens=[Token("w", 20.0, 20.5, False)])
     seen = {}
     for name in ("frame_audio", "extract_f0", "extract_energy",
                  "duration_track"):
