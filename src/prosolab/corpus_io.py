@@ -221,7 +221,8 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
                     f"unsupported encoding: {wav.getcomptype()} (PCM required)"
                 )
             rate = wav.getframerate()
-            payload = wav.readframes(wav.getnframes())
+            n_frames = wav.getnframes()
+            payload = wav.readframes(n_frames)
     except wave.Error as exc:
         raise CorpusFormatError(f"malformed or unsupported WAV: {exc}") from exc
     except EOFError:
@@ -234,6 +235,10 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
         raise CorpusFormatError(
             "truncated WAV: the data ends inside a 16-bit sample (data "
             f"length {len(payload)})")
+    if len(payload) < 2 * n_frames:
+        raise CorpusFormatError(
+            f"truncated WAV: the header declares {n_frames} frames, the data "
+            f"holds {len(payload) // 2}")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / INT16_SCALE
     if len(samples) == 0:
         raise CorpusFormatError("empty audio payload")

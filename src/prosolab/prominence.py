@@ -16,7 +16,7 @@ import numpy as np
 from ._accel import mirror_correlate
 from .acoustics import FrameTrack, PitchConfig, duration_track, \
     extract_energy, extract_f0, frame_audio
-from .conditioning import condition, interpolate_gaps, smooth, znormalize
+from .conditioning import condition
 from .corpus_io import AudioBuffer, ProminenceRecord, Utterance
 from .discretize import Thresholds, discretize
 

@@ -18,12 +18,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
-from ..corpus_io import NA, Columns, CorpusFormatError, is_punctuation
+from ..corpus_io import NA, Columns, CorpusFormatError
 from .common import (Chunk, CompiledText, check_training_settings,
-                     comma_ints, compile_text, na_mask, tab_floats)
+                     comma_ints, compile_text, lbfgs, tab_floats)
 
 log = logging.getLogger(__name__)
 
@@ -56,30 +55,6 @@ def _own_templates(tokens: list[str], punct: list[bool]) -> Iterator[
     yield every, [("dig=0", "dig=1")[any(map(str.isdigit, tok))]
                   for tok in tokens]
     yield every, [("punct=0", "punct=1")[p] for p in punct]
-
-
-def crf_featurize(tokens: list[str], position: int) -> list[str]:
-    """Feature strings for one position, in fixed template order.
-
-    Templates: surrounding words at offsets -2..2 (lowercased, with boundary
-    sentinels), prefixes and suffixes of the current word up to length 4, and
-    three binary shape flags (initial capital, contains digit, punctuation).
-    """
-    if not 0 <= position < len(tokens):
-        raise IndexError(f"position {position} out of range")
-
-    def ctx(i: int) -> str:
-        if i < 0:
-            return BOS
-        if i >= len(tokens):
-            return EOS
-        return tokens[i].lower()
-
-    w = tokens[position]
-    own = [f for _, feats in _own_templates([w], [is_punctuation(w)])
-           for f in feats]
-    return [own[0], *(f"{name}={ctx(position + d)}" for name, d in CONTEXT),
-            *own[1:]]
 
 
 @dataclass
@@ -249,34 +224,6 @@ def _path_scores(pot: np.ndarray, trans: np.ndarray, states: np.ndarray,
     terms[:, 4::2] = np.where(live[:, 1:],
                               trans[states[:, :-1], states[:, 1:]], 0.0)
     return np.cumsum(terms, axis=1)[:, -1]
-
-
-def _one_sentence(model: CrfModel, tokens: list[str],
-                  na: np.ndarray) -> tuple[Chunk, np.ndarray]:
-    text = compile_text(tokens, [len(tokens)])
-    ch = next(text.chunks())
-    feats = sentence_feature_ids(text, na, model.feature_index.get)
-    return ch, _potentials(model, ch, na, *feats.chunk(ch))
-
-
-def crf_score(model: CrfModel, tokens: list[str], labels) -> float:
-    """Unnormalized log-score of one labeling, a label code per token
-    (emissions + transitions)."""
-    if len(tokens) != len(labels):
-        raise ValueError("tokens and labels lengths differ")
-    states = _states_from_labels(model, labels)
-    ch, pot = _one_sentence(model, tokens, states == model.na_state)
-    return float(_path_scores(pot, model.transition_matrix(),
-                              ch.pad(states, 0), ch.lengths)[0])
-
-
-def forward_logZ(model: CrfModel, tokens: list[str]) -> float:
-    """Log partition over all labelings with NA exactly at punctuation; the
-    empty sentence has one (empty) labeling, so its logZ is 0."""
-    ch, pot = _one_sentence(model, tokens,
-                            np.array(na_mask(tokens), dtype=bool))
-    logz, _ = chain_forward(pot, model.transition_matrix(), ch.lengths)
-    return float(logz[0])
 
 
 @dataclass
@@ -449,20 +396,10 @@ def crf_train(data: Columns, l2_lambda: float = 1e-4,
         model.weights = w.copy()
         value, grad = crf_loglik_grad(model, prepared)
         model.objective = value
-        if not np.isfinite(value):
-            raise FloatingPointError(
-                f"training diverged: objective {value!r} with "
-                f"|w|_max {np.max(np.abs(w)):g}"
-            )
         return -value, -grad
 
-    result = minimize(objective, model.weights, jac=True, method="L-BFGS-B",
-                      options={"maxiter": max_iterations, "ftol": tolerance,
-                               "gtol": tolerance})
-    log.log(logging.INFO if result.success else logging.WARNING,
-            "L-BFGS %s: %s (nit=%d, nfev=%d)",
-            "converged" if result.success else "stopped without converging",
-            result.message, result.nit, result.nfev)
+    result = lbfgs(objective, model.weights, max_iterations,
+                   ftol=tolerance, gtol=tolerance, log=log)
     if not np.array_equal(model.weights, result.x):
         # a failed line search puts result.x back to an earlier iterate
         # than the one evaluated last, and leaves result.fun at that one

@@ -31,12 +31,13 @@ from prosolab.evaluation import accuracy, merge_labels, subset_training
 from prosolab.prominence import AnnotateConfig, ScaleGrid, annotate_utterance, \
     cwt, extract_loma
 from prosolab.taggers.crf import build_feature_index, crf_loglik_grad, \
-    crf_score, crf_train, forward_logZ, new_model, prepare, viterbi
+    crf_train, new_model, prepare, viterbi
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import (DATASET_CONTINUOUS, DATASET_DISCRETE, DATASET_SENTENCE,
                       DATASET_TOKENS, RATE, codes, labels_of, make_columns,
                       make_word_fixture, sine, unlabeled)
+from crf_oracles import crf_score, forward_logZ
 
 DATASET_DIR_VAR = "PROSOLAB_DATASET_DIR"
 FULL_EVAL_VAR = "PROSOLAB_FULL_EVAL"

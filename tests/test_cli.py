@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import multiprocessing
 import os
 import random
@@ -658,12 +659,13 @@ berlin -0.3 0.8 0.6
 2019 0.05 0.05 -0.9
 piano 0.7 0.1 0.4
 """
-# (model SHA-256, predict output SHA-256), recorded with the per-position
-# feature loops
+# (model SHA-256, predict output SHA-256); the predict SHAs were recorded with
+# the per-position feature loops and gradient-descent training, the model
+# SHAs with L-BFGS-B training, which moves no prediction
 GOLDEN_EMBED = {
-    "2": ("5cc4f2885d7084c3ade766f8a5fde225bcfc047d71aead811799d7e47aeaa83c",
+    "2": ("9b2051f54077a9ba3cc8992ae328640fe72be1546591ca96548dd77e32f2bbe8",
           "4b23d445e971c8127ed866e0bc66ad68b998ecc4a505e27d109992f26423f81c"),
-    "3": ("35055c865557668eecb11b6aa9bae2c058b3e691011be422f85abf04cb94baf0",
+    "3": ("0c8f8faf043369ed232062a2aad941182cfbd413b7f7418778216d21ebb28167",
           "79b93bea7620769567b8fadf288c9ede51868d1543c573071f2c0e53998acc94"),
 }
 
@@ -1483,25 +1485,36 @@ def test_exit_code_1_for_malformed_dataset(tmp_path, capsys):
     assert "expected 3 tab-separated columns" in capsys.readouterr().err
 
 
+# the variables perfbench/run.py pins, as the prosolab command does
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def child_env(**settings) -> dict[str, str]:
+    """This process's environment for a child Python, without the BLAS
+    thread variables, plus `settings`.  The child imports the same
+    prosolab as this process, whether it is installed or found through
+    PYTHONPATH."""
+    package_root = str(Path(prosolab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        p for p in [package_root, os.environ.get("PYTHONPATH")] if p)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    return {**env, "PYTHONPATH": pythonpath, **settings}
+
+
 def test_log_level_env_controls_verbosity(tmp_path):
     train = tmp_path / "train.tsv"
     train.write_text(DATASET_SENTENCE, encoding="utf-8")
     script = ("import sys; from prosolab.cli import main; "
               "sys.exit(main(sys.argv[1:]))")
 
-    # The child must import the same prosolab as this process, whether it
-    # is installed or found through PYTHONPATH; the subprocess is needed
-    # because basicConfig is a no-op once pytest has set up log capture.
-    package_root = str(Path(prosolab.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(
-        p for p in [package_root, os.environ.get("PYTHONPATH")] if p)
-
+    # the subprocess is needed because basicConfig is a no-op once pytest
+    # has set up log capture
     def run_proc(level):
-        env = {**os.environ, "PYTHONPATH": pythonpath, "PROSOLAB_LOG": level}
         return subprocess.run(
             [sys.executable, "-c", script, "train", str(train),
              str(tmp_path / "m.model"), "--model", "majority"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env(PROSOLAB_LOG=level))
 
     loud = run_proc("INFO")
     assert loud.returncode == 0, loud.stderr
@@ -1510,6 +1523,43 @@ def test_log_level_env_controls_verbosity(tmp_path):
     quiet = run_proc("WARNING")
     assert quiet.returncode == 0, quiet.stderr
     assert "training majority" not in quiet.stderr
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy.optimize takes most of a fresh command's start-up, and only
+    training uses it, so it is imported where training calls it."""
+    script = ("import sys, prosolab.cli; "
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=child_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module, preset, want", [
+    ("prosolab.__main__", {}, "1"),
+    ("prosolab.__main__", dict.fromkeys(BLAS_VARS, "2"), "2"),
+    ("prosolab.cli", {}, None),
+    ("prosolab", {}, None),
+], ids=["command", "user-set", "cli", "package"])
+def test_the_command_pins_blas_threads_unless_set(module, preset, want):
+    script = (f"import json, os, {module}; print(json.dumps("
+              f"[os.environ.get(v) for v in {BLAS_VARS!r}]))")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=child_env(**preset))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [want] * len(BLAS_VARS)
+
+
+def test_python_m_prosolab_runs_the_cli(tmp_path):
+    train = tmp_path / "train.tsv"
+    train.write_text(DATASET_SENTENCE, encoding="utf-8")
+    child = subprocess.run(
+        [sys.executable, "-m", "prosolab", "train", str(train),
+         str(tmp_path / "m.model"), "--model", "majority"],
+        capture_output=True, text=True, env=child_env())
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "m.model").read_text().startswith("prosolab-model v1")
 
 
 def test_the_parser_is_built_once_and_parses_each_call_afresh(capsys):

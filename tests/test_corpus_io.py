@@ -92,6 +92,7 @@ GOOD_WAV = pcm16_wav_bytes(sine(100.0, 0.02))
 IN_HEADER = "truncated WAV: the file ends inside its header (file length {})"
 IN_SAMPLE = ("truncated WAV: the data ends inside a 16-bit sample "
              "(data length {})")
+SHORT = "truncated WAV: the header declares {} frames, the data holds {}"
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -102,8 +103,10 @@ IN_SAMPLE = ("truncated WAV: the data ends inside a 16-bit sample "
     # the 44-byte header, then one byte of the first sample
     (GOOD_WAV[:45], IN_SAMPLE.format(1)),
     (GOOD_WAV[:-1], IN_SAMPLE.format(639)),
+    # 684 bytes, 320 frames declared: the header and one whole sample
+    (GOOD_WAV[:46], SHORT.format(320, 1)),
 ], ids=["empty", "RIFF", "20-bytes", "30-bytes", "one-data-byte",
-        "last-byte-cut"])
+        "last-byte-cut", "one-data-sample"])
 def test_read_wav_names_a_truncated_file(raw, message):
     with pytest.raises(CorpusFormatError) as err:
         read_wav(raw)
@@ -773,12 +776,15 @@ def wav_bytes_st(draw):
 @settings(max_examples=400, deadline=None)
 @given(wav_bytes_st())
 def test_read_wav_gives_finite_samples_or_a_format_error(case):
+    """An intact 16-bit mono file reads; any other, a file cut inside its
+    data chunk included, is a CorpusFormatError."""
     raw, intact = case
     try:
         audio = read_wav(raw)
     except CorpusFormatError:
         assert not intact
         return
+    assert intact
     assert audio.sample_rate > 0 and len(audio.samples) > 0
     assert np.isfinite(audio.samples).all()
     assert np.abs(audio.samples).max() <= 1.0

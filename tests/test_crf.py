@@ -15,11 +15,8 @@ from prosolab.taggers import common, crf
 from prosolab.taggers.common import compile_text, na_mask
 from prosolab.taggers.crf import (
     build_feature_index,
-    crf_featurize,
     crf_loglik_grad,
-    crf_score,
     crf_train,
-    forward_logZ,
     new_model,
     prepare,
     sentence_feature_ids,
@@ -28,6 +25,7 @@ from prosolab.taggers.crf import (
 from prosolab.taggers.serialize import load_model, save_model
 
 from conftest import codes, labels_of, make_columns, unlabeled
+from crf_oracles import crf_featurize, crf_score, forward_logZ
 
 TOY_SENTENCES = [
     (["The", "cat", "runs", "."], [0, 2, 1, None]),
@@ -450,6 +448,18 @@ def test_training_keeps_the_objective_after_a_failed_line_search(caplog):
     assert "ABNORMAL" in caplog.text
     value, _ = loglik(model, corpus)
     assert model.objective == value
+
+
+def test_training_stops_at_a_non_finite_objective(monkeypatch):
+    def diverging(model, prepared):
+        value, grad = unwrapped(model, prepared)
+        return np.nan, grad
+
+    unwrapped = crf.crf_loglik_grad
+    monkeypatch.setattr(crf, "crf_loglik_grad", diverging)
+    with pytest.raises(FloatingPointError,
+                       match=r"^training diverged: objective nan with "):
+        crf_train(TOY_CORPUS, max_iterations=5)
 
 
 @pytest.mark.parametrize("seed, labels, tolerance, outcome, after", [
