@@ -23,6 +23,10 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 
 INT16_SCALE = 32768.0
+# Frames of a 16-bit mono WAV whose data size is 0xFFFFFFFF, the placeholder
+# a writer that cannot seek back (ffmpeg to a pipe) leaves in the header.
+# Such a file is read to its end, not called truncated.
+STREAMED_FRAMES = 0xFFFFFFFF // 2
 INT64 = np.iinfo(np.int64)
 # Most numbers parse_rows converts in one numpy call: a whole table at once
 # would hold several times its text in str objects.  Not a setting.
@@ -235,7 +239,7 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
         raise CorpusFormatError(
             "truncated WAV: the data ends inside a 16-bit sample (data "
             f"length {len(payload)})")
-    if len(payload) < 2 * n_frames:
+    if len(payload) < 2 * n_frames and n_frames != STREAMED_FRAMES:
         raise CorpusFormatError(
             f"truncated WAV: the header declares {n_frames} frames, the data "
             f"holds {len(payload) // 2}")

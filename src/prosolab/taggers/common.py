@@ -28,11 +28,6 @@ def comma_ints(values) -> str:
     return ",".join(str(int(v)) for v in values)
 
 
-def na_mask(tokens: list[str]) -> list[bool]:
-    """Positions that must predict NA: pure punctuation tokens."""
-    return [is_punctuation(t) for t in tokens]
-
-
 @dataclass
 class Chunk:
     """A run of whole sentences of a compiled text, holding its flat

@@ -1,13 +1,19 @@
-"""Per-sentence CRF oracles: the feature strings of one position, the score
-of one labeling and one sentence's log partition.  The package computes
-these for whole files at once; the tests check it against them.  Each looks
-up the crf module's functions at call time, as the module itself does."""
+"""Per-sentence CRF oracles: the positions that must predict NA, the feature
+strings of one position, the score of one labeling and one sentence's log
+partition.  The package computes these for whole files at once; the tests
+check it against them.  Each looks up the crf module's functions at call
+time, as the module itself does."""
 
 import numpy as np
 
 from prosolab.corpus_io import is_punctuation
 from prosolab.taggers import crf
-from prosolab.taggers.common import compile_text, na_mask
+from prosolab.taggers.common import compile_text
+
+
+def na_mask(tokens: list[str]) -> list[bool]:
+    """Positions that must predict NA: pure punctuation tokens."""
+    return [is_punctuation(t) for t in tokens]
 
 
 def crf_featurize(tokens: list[str], position: int) -> list[str]:

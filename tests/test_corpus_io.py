@@ -113,6 +113,17 @@ def test_read_wav_names_a_truncated_file(raw, message):
     assert str(err.value) == message
 
 
+def test_read_wav_reads_a_streamed_file_to_its_end():
+    # ffmpeg writing to a pipe leaves 0xFFFFFFFF as the RIFF and data sizes
+    raw = bytearray(GOOD_WAV)
+    raw[4:8] = raw[40:44] = (0xFFFFFFFF).to_bytes(4, "little")
+    buf = read_wav(bytes(raw))
+    np.testing.assert_array_equal(buf.samples, read_wav(GOOD_WAV).samples)
+    # still a whole number of samples, or the file was cut
+    with pytest.raises(CorpusFormatError, match="ends inside a 16-bit sample"):
+        read_wav(bytes(raw[:-1]))
+
+
 def test_read_wav_from_path(tmp_path):
     p = tmp_path / "a.wav"
     p.write_bytes(pcm16_wav_bytes(sine(100.0, 0.02)))

@@ -12,7 +12,7 @@ from prosolab._accel import (NEG_INF, chain_backward, chain_forward,
                              chain_viterbi)
 from prosolab.corpus_io import NA
 from prosolab.taggers import common, crf
-from prosolab.taggers.common import compile_text, na_mask
+from prosolab.taggers.common import compile_text
 from prosolab.taggers.crf import (
     build_feature_index,
     crf_loglik_grad,
@@ -25,7 +25,7 @@ from prosolab.taggers.crf import (
 from prosolab.taggers.serialize import load_model, save_model
 
 from conftest import codes, labels_of, make_columns, unlabeled
-from crf_oracles import crf_featurize, crf_score, forward_logZ
+from crf_oracles import crf_featurize, crf_score, forward_logZ, na_mask
 
 TOY_SENTENCES = [
     (["The", "cat", "runs", "."], [0, 2, 1, None]),

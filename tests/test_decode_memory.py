@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from prosolab.corpus_io import N_LABELS, NA, EmbeddingTable
-from prosolab.taggers.common import na_mask
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import make_columns, unlabeled
+from crf_oracles import na_mask
 
 WORDS = [f"w{i}" for i in range(400)]
 # Far above what chunked decoding needs (about 3.5 MiB at 5000 sentences,

@@ -8,7 +8,7 @@ import pytest
 
 from prosolab.corpus_io import EmbeddingTable
 from prosolab.taggers import embed
-from prosolab.taggers.common import compile_text, na_mask
+from prosolab.taggers.common import compile_text
 from prosolab.taggers.embed import (
     _type_vectors,
     _window_rows,
@@ -22,6 +22,7 @@ from prosolab.taggers.majority import (
 )
 
 from conftest import labels_of, make_columns, unlabeled
+from crf_oracles import na_mask
 
 
 def loop_majority(model, tokens, mode):
