@@ -16,7 +16,7 @@ import re
 import unicodedata
 import wave
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, groupby, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -28,8 +28,9 @@ INT16_SCALE = 32768.0
 # Such a file is read to its end, not called truncated.
 STREAMED_FRAMES = 0xFFFFFFFF // 2
 INT64 = np.iinfo(np.int64)
-# Most numbers parse_rows converts in one numpy call: a whole table at once
-# would hold several times its text in str objects.  Not a setting.
+# Most numbers parse_rows converts in one numpy call, and most fields a model
+# file's table reader splits at once: a whole table at once would hold
+# several times its text in str objects.  Not a setting.
 BLOCK_VALUES = 4096
 
 
@@ -449,21 +450,20 @@ class Columns:
     continuous: np.ndarray | None   # NaN at NA; None for a predictions file
     lengths: list[int]              # each sentence's number of lines
 
-    def split(self, flat: list) -> list[list]:
-        """One list per sentence from a list over the file's lines."""
-        ends = list(accumulate(self.lengths))
-        return [flat[a:b] for a, b in zip([0, *ends], ends)]
-
 
 def _label(text: str) -> int | None:
     """The label of a dataset or predictions line: None (NA), 0, 1 or 2."""
     if text in _LABELS:
         return None if text == "NA" else _LABELS[text]
     try:
-        parse_number(text, int, "label")
+        value = parse_number(text, int, "label")
     except CorpusFormatError:
         raise CorpusFormatError(
             f"label is neither NA nor an integer: {text!r}") from None
+    if 0 <= value < N_LABELS:
+        raise CorpusFormatError(
+            f"not a label: {text!r} (labels are "
+            f"{', '.join(_LABEL_NAMES[:N_LABELS])} or NA)")
     raise CorpusFormatError(f"label out of range: {text!r}")
 
 
@@ -502,51 +502,93 @@ def _name_first_bad_line(lines: list[str], n_cols: int,
 def _read_columns(source: bytes | str | Path, n_cols: int) -> Columns:
     """The columns of blank-line-separated sentences of lines with `n_cols`
     tab-separated fields: token, label and, with 3 columns, a continuous
-    value >= 0 that is NA exactly where the label is.  Each check runs on a
-    whole column; when one fails, the lines are walked again one at a time
-    by the line rule (_record or _label) to name the first bad one."""
-    lines = _as_text(source).split("\n")
-    kept = list(map(bool, map(str.strip, lines)))
-    rows = list(compress(lines, kept))
-    lengths = [len(list(run)) for k, run in groupby(kept) if k]
-    columns = _checked_columns(rows, lengths, n_cols)
+    value >= 0 that is NA exactly where the label is.  A line is blank when
+    str.strip leaves nothing of it.  Each check runs on the whole file;
+    when one fails, the lines are walked again one at a time by the line
+    rule (_record or _label) to name the first bad one."""
+    text = _as_text(source)
+    columns = _checked_columns(text, n_cols)
     if columns is None:
-        _name_first_bad_line(lines, n_cols, _record if n_cols == 3
+        _name_first_bad_line(text.split("\n"), n_cols,
+                             _record if n_cols == 3
                              else lambda cols: _label(cols[1]))
     return columns
 
 
-def _checked_columns(rows: list[str], lengths: list[int],
-                     n_cols: int) -> Columns | None:
-    """The columns of `rows`, or None if a check fails."""
-    if not set(map(str.count, rows, repeat("\t"))) <= {n_cols - 1}:
+# first bytes of a UTF-8 line that str.strip may find blank: the ASCII
+# whitespace bytes and the lead byte of any other character
+_MAYBE_BLANK = np.array([c >= 0x80 or chr(c).isspace() for c in range(256)])
+
+
+def _checked_columns(text: str, n_cols: int) -> Columns | None:
+    """The columns of `text`, or None if a check fails.  _layout reads the
+    rows and their labels from the bytes; one split then cuts every field
+    from `text`, and the tokens and values are picked from it."""
+    layout = _layout(text.encode("utf-8", "surrogatepass") + b"\n", n_cols)
+    if layout is None:
         return None
-    fields = "\t".join(rows).split("\t") if rows else []
-    label_texts = fields[1::n_cols]
-    try:
-        labels = np.fromiter(map(_LABELS.__getitem__, label_texts),
-                             dtype=np.int8, count=len(label_texts))
-    except KeyError:
-        return None
+    row_fields, labels, lengths = layout
+    fields = text.replace("\n", "\t").split("\t")
+    tokens = [fields[i] for i in row_fields.tolist()]
     if n_cols == 2:
-        return Columns(fields[0::2], labels, None, lengths)
-    cont_texts = fields[2::3]
+        return Columns(tokens, labels, None, lengths)
     scored = labels != NA
-    value_texts = list(compress(cont_texts, scored.tolist()))
-    # as many NA in both columns, and none where the label is not NA
-    if (cont_texts.count("NA") != len(labels) - len(value_texts)
-            or "NA" in value_texts):
-        return None
     try:
         # `where` is unused: a bad value is named by the line walk
-        values = parse_numbers(value_texts, float, str)
+        values = parse_numbers(
+            [fields[i] for i in (row_fields[scored] + 2).tolist()], float, str)
     except CorpusFormatError:
         return None
     if not (values >= 0).all():
         return None
-    continuous = np.full(len(cont_texts), np.nan)
+    continuous = np.full(len(labels), np.nan)
     continuous[scored] = values
-    return Columns(fields[0::3], labels, continuous, lengths)
+    return Columns(tokens, labels, continuous, lengths)
+
+
+def _layout(raw: bytes, n_cols: int
+            ) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
+    """From the UTF-8 bytes of a file that end with a newline: the index of
+    each non-blank line's first field among the file's tab- and
+    newline-separated fields, its label code and the sentence lengths; or
+    None if a line has the wrong number of tabs, a label is not one of the
+    _LABELS or, with 3 columns, a value is NA where its label is not or the
+    other way round.  numpy scans the bytes; str.strip runs only on the
+    lines that may be blank."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # field k of the file ends at byte ends_at[k]; a line ends with a field
+    ends_at = np.flatnonzero((data == ord("\t")) | (data == ord("\n")))
+    last = np.flatnonzero(data[ends_at] == ord("\n"))  # each line's last field
+    first = np.concatenate(([0], last[:-1] + 1))       # and its first
+    ends = ends_at[last]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    blank = starts == ends
+    for i in np.flatnonzero(~blank & _MAYBE_BLANK[data[starts]]).tolist():
+        blank[i] = not raw[starts[i]:ends[i]].decode(
+            "utf-8", "surrogatepass").strip()
+    kept = ~blank
+    first = first[kept]
+    if not (last[kept] - first == n_cols - 1).all():
+        return None
+    label_at = ends_at[first] + 1
+    label_end = ends_at[first + 1]
+    is_na = _is_na(data, label_at, label_end)
+    digit = data[label_at].astype(np.int16) - ord("0")
+    if not (is_na | ((label_end - label_at == 1) & (digit >= 0)
+                     & (digit < N_LABELS))).all():
+        return None
+    if n_cols == 3 and not np.array_equal(
+            _is_na(data, label_end + 1, ends_at[first + 2]), is_na):
+        return None
+    edges = np.diff(kept.astype(np.int8), prepend=0, append=0)
+    return (first, np.where(is_na, NA, digit).astype(np.int8),
+            (np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)).tolist())
+
+
+def _is_na(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Whether each field data[start:end] is the two bytes ``NA``."""
+    return ((end - start == 2) & (data[start] == ord("N"))
+            & (data.take(start + 1, mode="clip") == ord("A")))
 
 
 def parse_dataset(source: bytes | str | Path) -> Columns:
@@ -567,9 +609,17 @@ def parse_predictions(source: bytes | str | Path) -> Columns:
 def format_predictions(predicted: Columns) -> str:
     """The 2-column format that ``parse_predictions`` reads: a
     token<TAB>label line per token and a blank line between sentences."""
-    lines = list(map("\t".join, zip(predicted.tokens, map(
-        _LABEL_NAMES.__getitem__, predicted.labels.tolist()))))
-    return "\n\n".join(map("\n".join, predicted.split(lines))) + "\n"
+    # each label's text with its tab and line end, then the same with the
+    # blank line that closes a sentence
+    tails = [f"\t{name}\n{end}" for end in ("", "\n") for name in _LABEL_NAMES]
+    closes = np.zeros(len(predicted.labels), dtype=np.int8)
+    closes[np.cumsum(predicted.lengths[:-1], dtype=np.int64) - 1] = len(
+        _LABEL_NAMES)
+    parts = [""] * (2 * len(closes))
+    parts[0::2] = predicted.tokens
+    parts[1::2] = [tails[i] for i in (
+        predicted.labels % len(_LABEL_NAMES) + closes).tolist()]
+    return "".join(parts) or "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ key=value lines and tab-separated bulk rows, which ``write_section`` and
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+from typing import NoReturn
+
 import numpy as np
 
-from ..corpus_io import (N_LABELS, CorpusFormatError, decode_text,
-                         parse_numbers, parse_rows)
+from .. import corpus_io
+from ..corpus_io import N_LABELS, CorpusFormatError, decode_text, parse_numbers
 from . import crf, embed, majority
 from .common import comma_ints
 
@@ -80,40 +83,77 @@ class _Reader:
               named: bool = False, sep: str | None = None):
         """(name -> row, (count, width) array) of the next `count` lines:
         `prefix`, a new name if `named`, then `width` numbers of `kind`, in
-        tab-separated fields or one field split on `sep`.  A bad layout is
-        raised as soon as it is read, and a bad number once every row's
-        layout has been checked, so a bad layout anywhere is named first."""
+        tab-separated fields or one field split on `sep`.  The lines are
+        read in blocks of at most corpus_io.BLOCK_VALUES fields: one split
+        cuts a block's fields, its layout is checked on the whole block and
+        its numbers are converted by one parse_numbers call.  A bad layout
+        is raised as soon as its block is read, and a bad number once every
+        row's layout has been checked, so a bad layout anywhere is named
+        first."""
         name = prefix if prefix == "row" else f"{prefix} row"
         n_fields = 1 + named + (1 if sep else width)
         index: dict[str, int] = {}
 
-        def rows():
-            for i in range(count):
-                line = self.next()
+        def name_bad_row(lines: list[str], first: int, n: int) -> NoReturn:
+            """Raise the error of the first of `lines`, rows `first`...,
+            that breaks the layout, or else the file's truncation."""
+            seen = set(index)
+            for i, line in enumerate(lines, start=first):
                 fields = line.split("\t")
                 if fields[0] != prefix or len(fields) != n_fields:
                     raise CorpusFormatError(self.at(
                         f"bad {name} {i}: expected {prefix!r} and "
                         f"{n_fields - 1} fields, got {line!r}"))
-                numbers = fields[1 + named:]
-                if sep:
-                    numbers = numbers[0].split(sep)
-                    if len(numbers) != width:
-                        raise CorpusFormatError(self.at(
-                            f"{name} {i}: bad count vector for "
-                            f"{fields[1]!r}"))
+                if sep and fields[-1].count(sep) != width - 1:
+                    raise CorpusFormatError(self.at(
+                        f"{name} {i}: bad count vector for {fields[1]!r}"))
                 if named:
-                    if fields[1] in index:
+                    if fields[1] in seen:
                         raise CorpusFormatError(self.at(
                             f"{name} {i}: repeated name {fields[1]!r}"))
-                    index[fields[1]] = i
-                yield numbers
+                    seen.add(fields[1])
+            if len(lines) < n:
+                raise CorpusFormatError("truncated model file")
+            raise AssertionError("a block check failed where every row passes")
 
         values = np.empty((count, width),
                           dtype=np.float64 if kind is float else np.int64)
-        for a, block in parse_rows(rows(), width, kind,
-                                   lambda i: self.at(f"{name} {i}")):
-            values[a:a + len(block)] = block
+        step, bad = max(1, corpus_io.BLOCK_VALUES // n_fields), None
+        for a in range(0, count, step):
+            n = min(step, count - a)
+            lines = list(islice(filter(None, self.lines), n))
+            # each line after the first starts with the field "\n" + prefix
+            # and no other field holds a "\n": when every n_fields-th field
+            # is one, every line holds n_fields fields, and only then are
+            # fields[1::n_fields] the rows' names
+            fields = "\t\n".join(lines).split("\t")
+            new = dict(zip(fields[1::n_fields], range(a, a + n))) \
+                if named else {}
+            ok = (len(lines) == n and len(fields) == n * n_fields
+                  and fields[0] == prefix
+                  and fields[n_fields::n_fields].count("\n" + prefix) == n - 1
+                  and (not named or len(new) == n
+                       and index.keys().isdisjoint(new)))
+            if ok:
+                del fields[::n_fields]  # the prefixes
+                if named:
+                    del fields[::n_fields - 1]  # the names
+                if sep:
+                    ok = set(map(str.count, fields, repeat(sep))) == {
+                        width - 1}
+                    fields = sep.join(fields).split(sep)
+            if not ok:
+                name_bad_row(lines, a, n)
+            index.update(new)
+            try:
+                block = parse_numbers(fields, kind, lambda k: self.at(
+                    f"{name} {a + k // width}"))
+            except CorpusFormatError as exc:
+                bad = bad or exc
+            else:
+                values[a:a + n] = block.reshape(n, width)
+        if bad is not None:
+            raise bad
         return index, values
 
 

@@ -4,9 +4,19 @@ labeled sentences as columns."""
 from __future__ import annotations
 
 import io
+import os
 import wave
+from itertools import accumulate
 
-import numpy as np
+# One BLAS thread, as the prosolab command and perfbench/run.py pin it, set
+# before numpy loads: the thread count decides how OpenBLAS splits long dot
+# products, so the golden CRF hashes would otherwise depend on the host's
+# core count.  A value set in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from prosolab.corpus_io import NA, AudioBuffer, Columns, Token, Utterance
@@ -43,6 +53,12 @@ def labels_of(label_codes) -> list:
     """The list of labels of label codes, None at NA; the inverse of
     codes."""
     return [None if c == NA else c for c in np.asarray(label_codes).tolist()]
+
+
+def by_sentence(data: Columns, flat: list) -> list[list]:
+    """One list per sentence of `data` from a list over its lines."""
+    ends = list(accumulate(data.lengths))
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def same_columns(a: Columns, b: Columns) -> bool:

@@ -35,8 +35,8 @@ from prosolab.taggers.crf import build_feature_index, crf_loglik_grad, \
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import (DATASET_CONTINUOUS, DATASET_DISCRETE, DATASET_SENTENCE,
-                      DATASET_TOKENS, RATE, codes, labels_of, make_columns,
-                      make_word_fixture, sine, unlabeled)
+                      DATASET_TOKENS, RATE, by_sentence, codes, labels_of,
+                      make_columns, make_word_fixture, sine, unlabeled)
 from crf_oracles import crf_score, forward_logZ
 
 DATASET_DIR_VAR = "PROSOLAB_DATASET_DIR"
@@ -87,7 +87,7 @@ def rewrite(columns: Columns) -> bytes:
     records = [ProminenceRecord(*rec) for rec in
                zip(columns.tokens, labels_of(columns.labels), continuous)]
     return write_dataset((stub_utterance(recs), recs)
-                         for recs in columns.split(records))
+                         for recs in by_sentence(columns, records))
 
 
 def test_criterion_1_dataset_round_trip():

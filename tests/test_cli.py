@@ -28,7 +28,7 @@ from prosolab.taggers import crf_train, train_embed_classifier
 from prosolab.taggers.majority import MajorityModel
 from prosolab.taggers.serialize import load_model
 
-from conftest import (DATASET_SENTENCE, labels_of, make_columns,
+from conftest import (DATASET_SENTENCE, by_sentence, labels_of, make_columns,
                       make_word_fixture, pcm16_wav_bytes)
 
 ANNOTATE_CFG = "n_scales=8\n"
@@ -78,7 +78,7 @@ def test_annotate_two_utterances(tmp_path, capsys):
 
     data = parse_dataset(out)
     assert len(data.lengths) == 2
-    tokens, labels, continuous = map(data.split, (
+    tokens, labels, continuous = (by_sentence(data, flat) for flat in (
         data.tokens, labels_of(data.labels), data.continuous.tolist()))
     assert tokens[0] == ["w0", "w1", "w2", "."]
     assert labels[0][3] is None
@@ -1061,6 +1061,18 @@ def test_evaluate_rejects_a_predicted_label_out_of_range(tmp_path, capsys,
     assert run(["evaluate", preds, test, "--out", tmp_path / "eval",
                 "--classes", classes]) == 1
     assert (f"line 12: label out of range: {label!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "eval.report.tsv").exists()
+
+
+@pytest.mark.parametrize("label", ["01", "+1", "-0", " 1", "1 "])
+def test_evaluate_rejects_a_label_spelled_another_way(tmp_path, capsys,
+                                                      label):
+    gold = _gold_pairs()
+    test, preds = _two_sentence_files(
+        tmp_path, [gold, [("Tell", label)] + gold[1:]])
+    assert run(["evaluate", preds, test, "--out", tmp_path / "eval"]) == 1
+    assert (f"line 12: not a label: {label!r} (labels are 0, 1, 2 or NA)"
             in capsys.readouterr().err)
     assert not (tmp_path / "eval.report.tsv").exists()
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 import unicodedata
 import wave
@@ -391,6 +392,11 @@ def test_format_record_na_coupling():
     (b"tok\t2\tNA\n", "NA together"),
     (b"tok\t3\t0.5\n", "label out of range: '3'"),
     (b"tok\t-1\t0.5\n", "label out of range: '-1'"),
+    *[(f"tok\t{label}\t0.5\n".encode(), re.escape(
+        f"line 1: not a label: {label!r} (labels are 0, 1, 2 or NA)") + "$")
+      for label in ["01", "+1", "-0", " 1", "1 ", "+2", "00"]],
+    (b"tok\tNb\tNA\n", "label is neither NA nor an integer: 'Nb'"),
+    (b"tok\tNA\tNb\n", "NA together"),
     (b"tok\t1\t-0.5\n", "negative continuous value"),
     pytest.param(b"tok\t1\tabc\n",
                  "line 1: continuous value: not a number: 'abc'",
@@ -606,15 +612,27 @@ def _read_line_by_line(text: str, n_cols: int):
 
 
 # lines a reader must also take: valid dataset and predictions lines,
-# whitespace-only lines, and column counts that offset each other over two
-# lines ("a\tb" then "c\td\te\tf" has 3 fields per line on average)
+# column counts that offset each other over two lines ("a\tb" then
+# "c\td\te\tf" has 3 fields per line on average), and what a byte-level
+# reading of the layout could get wrong: whitespace-only lines, lines that
+# start with whitespace or a multi-byte character, multi-byte tokens and
+# labels that spell an integer label another way
 odd_line_st = st.one_of(
     st.sampled_from([" ", "\t", " \t ", "\x0b", "\u3000", "a\tb",
                      "c\td\te\tf", "a\t1\t0.5\textra", ",\tNA\tNA", ",\tNA",
-                     "w\t1\t-0.0", "w\t2\t1e400", "w\t0\t1_0"]),
-    st.tuples(word_st, st.sampled_from(["0", "1", "2"]),
+                     "w\t1\t-0.0", "w\t2\t1e400", "w\t0\t1_0", "\t\t",
+                     " \t \t ", "\u3000w\t1\t0.5", "\xa0w\t0\t0.1", "\x1c",
+                     "\x85", "\x85\t1", "\x1cw\tNA\tNA", "\tNA", "\t2\t0.5",
+                     "w\tNb\tNA", ",\tNA\tNb", "w\tNb", "\ud800w\t1\t0.5",
+                     "w\ud800\t0"]),
+    st.tuples(st.one_of(word_st, st.sampled_from(["é", "—", "“", "中",
+                                                  "中文", "“é”"])),
+              st.sampled_from(["0", "1", "2", "01", "+1", "-0", " 1", "1 ",
+                               "Nb"]),
               st.floats(0, 50).map("{:.3f}".format)).map("\t".join),
-    st.tuples(word_st, st.sampled_from(["NA", "0", "1", "2"]))
+    st.tuples(word_st, st.sampled_from(["NA", "0", "1", "2", "01", "+1",
+                                        "-0", " 1", "1 ", "é", "N", "Nb",
+                                        "NAN"]))
     .map("\t".join))
 column_text_st = st.tuples(
     st.sampled_from(["", "\n", "\n \n"]),

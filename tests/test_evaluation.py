@@ -23,7 +23,8 @@ from prosolab.evaluation import (
 )
 from prosolab.taggers.majority import predict_majority, train_majority
 
-from conftest import codes, labels_of, make_columns, same_columns
+from conftest import (by_sentence, codes, labels_of, make_columns,
+                      same_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +201,8 @@ def small_corpus():
 
 def sentences(data):
     """The (tokens, labels) sentences of `data`, in order."""
-    return list(zip(data.split(data.tokens),
-                    data.split(labels_of(data.labels))))
+    return list(zip(by_sentence(data, data.tokens),
+                    by_sentence(data, labels_of(data.labels))))
 
 
 def test_non_na_count():

@@ -1,16 +1,20 @@
 """Model file round-trips for the three tagger types."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prosolab.corpus_io import CorpusFormatError, EmbeddingTable
+from prosolab.corpus_io import CorpusFormatError, EmbeddingTable, parse_rows
 from prosolab.taggers.common import tab_floats
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
 from prosolab.taggers.majority import predict_majority, train_majority
 from prosolab import corpus_io
+from prosolab.taggers import serialize
 from prosolab.taggers.serialize import MAGIC, load_model, save_model
 
 from conftest import make_columns, unlabeled
@@ -247,6 +251,112 @@ def test_a_bad_layout_is_named_before_a_bad_number_in_an_earlier_block(
     with pytest.raises(CorpusFormatError, match=re.escape(
             "crf model, feature row 0: not a number: 'nope'")):
         load_model("\n".join(lines).encode())
+
+
+def table_row_by_row(r, prefix, count, width, kind=float, named=False,
+                     sep=None):
+    """serialize._Reader.table read one row at a time: each row's layout
+    checked as it is read, the numbers converted by parse_rows.  The
+    oracle for the block reader."""
+    name = prefix if prefix == "row" else f"{prefix} row"
+    n_fields = 1 + named + (1 if sep else width)
+    index = {}
+
+    def rows():
+        for i in range(count):
+            line = r.next()
+            fields = line.split("\t")
+            if fields[0] != prefix or len(fields) != n_fields:
+                raise CorpusFormatError(r.at(
+                    f"bad {name} {i}: expected {prefix!r} and "
+                    f"{n_fields - 1} fields, got {line!r}"))
+            numbers = fields[1 + named:]
+            if sep:
+                numbers = numbers[0].split(sep)
+                if len(numbers) != width:
+                    raise CorpusFormatError(r.at(
+                        f"{name} {i}: bad count vector for {fields[1]!r}"))
+            if named:
+                if fields[1] in index:
+                    raise CorpusFormatError(r.at(
+                        f"{name} {i}: repeated name {fields[1]!r}"))
+                index[fields[1]] = i
+            yield numbers
+
+    values = np.empty((count, width),
+                      dtype=np.float64 if kind is float else np.int64)
+    for a, block in parse_rows(rows(), width, kind,
+                               lambda i: r.at(f"{name} {i}")):
+        values[a:a + len(block)] = block
+    return index, values
+
+
+def _outcome(data: bytes):
+    """The saved bytes of the model that `data` loads as, or the message
+    of the error that loading it raises."""
+    try:
+        return save_model(load_model(data))
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+SAVED = {kind: _saved(kind) for kind in ("majority", "crf", "embed")}
+ODD_NUMBERS = ["x", "nan", "inf", "-inf", "1e400", "", "1_0", " 1", "0x1",
+               "-0.0", "1.5", "7", HUGE]
+
+
+def _mutate(lines: list[str], draw) -> list[str]:
+    """`lines` with one table row broken or moved about, as `draw` picks."""
+    rows = [k for k, line in enumerate(lines) if "\t" in line]
+    if not rows:  # an earlier change cut them off
+        return lines
+    k = draw(st.sampled_from(rows))
+    fields = lines[k].split("\t")
+    how = draw(st.sampled_from(["prefix", "fewer", "more", "repeat",
+                                "number", "count", "blank", "cut", "end"]))
+    if how == "prefix":
+        fields[0] = draw(st.sampled_from(
+            ["", "x", "row", "emb", "word", "feature", "trans",
+             fields[0] + " "]))
+    elif how == "fewer":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif how == "more":
+        fields.insert(draw(st.integers(1, len(fields))),
+                      draw(st.sampled_from(ODD_NUMBERS)))
+    elif how == "repeat":
+        fields[1] = lines[draw(st.sampled_from(rows))].split("\t")[1]
+    elif how == "number":
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(
+            st.sampled_from(ODD_NUMBERS))
+    elif how == "count":
+        fields[-1] = ",".join(fields[-1].split(",")[:draw(st.integers(0, 4))])
+    elif how == "blank":
+        return lines[:k] + [draw(st.sampled_from(["", "", " ", "\t"]))] * \
+            draw(st.integers(1, 3)) + lines[k:]
+    elif how == "cut":
+        return lines[:k] + [lines[k][:draw(
+            st.integers(0, len(lines[k]) - 1))]] + lines[k + 1:]
+    else:  # the file ends inside the row
+        return lines[:k] + [lines[k][:draw(st.integers(0, len(lines[k])))]]
+    return lines[:k] + ["\t".join(fields)] + lines[k + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(SAVED)), st.sampled_from([1, 2, 7, 4096]),
+       st.integers(1, 2), st.data())
+def test_tables_read_in_blocks_what_the_row_rule_reads(kind, block, changes,
+                                                       data):
+    """Loading a saved model with rows broken gives the model, or the
+    error, that reading its tables one row at a time gives."""
+    lines = SAVED[kind].split("\n")
+    for _ in range(changes):
+        lines = _mutate(lines, data.draw)
+    text = "\n".join(lines).encode()
+    with mock.patch.object(corpus_io, "BLOCK_VALUES", block):
+        got = _outcome(text)
+        with mock.patch.object(serialize._Reader, "table", table_row_by_row):
+            want = _outcome(text)
+    assert got == want
 
 
 def test_tab_floats_writes_each_value_as_repr_of_float():
