@@ -41,15 +41,23 @@ def mirror_correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # frame-wise autocorrelation (pitch tracking)
 # ---------------------------------------------------------------------------
 
-def frame_acf(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """One-sided autocorrelation of each row for lags ``0..max_lag`` via FFT."""
-    n_frames, width = frames.shape
-    nfft = 1
-    while nfft < width + max_lag + 1:
-        nfft *= 2
-    spec = np.fft.rfft(frames, nfft, axis=1)
-    acf = np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)
-    return acf[:, : max_lag + 1].copy()
+def frame_acf(rows: np.ndarray, max_lag: int) -> np.ndarray:
+    """One-sided autocorrelation of each row for lags ``0..max_lag`` via FFT,
+    computed in place.
+
+    `rows` is a C-contiguous float64 ``(k, nfft)`` array, nfft even, whose
+    rows end in at least ``max_lag`` zeros, so the circular autocorrelation
+    of a row is its linear one.  The rows are overwritten with it, and the
+    result is a view of their first ``max_lag + 1`` columns.
+    """
+    spec = np.fft.rfft(rows, axis=1)
+    re, im = spec.real, spec.imag
+    re *= re
+    im *= im
+    re += im
+    im[:] = 0
+    np.fft.irfft(spec, rows.shape[1], axis=1, out=rows)
+    return rows[:, :max_lag + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Frame-synchronous prosodic stream extraction: pitch, energy, duration.
 
 The front end frames each utterance once (`frame_audio`): frame i is centered
-at sample i * hop (hop = rate * frame_shift_s rounded to whole samples), edges
-zero-padded, and the number of frames is ceil(n_samples / hop).  That framing
-is the one grid: pitch and energy read its frames, and the duration track and
-every frame time read its frame count and its real period, hop / rate.
+at sample i * hop (hop = rate * frame_shift_s rounded to whole samples), zero
+past either end of the audio, and the number of frames is ceil(n_samples /
+hop).  That framing is the one grid: pitch and energy read its frames, and the
+duration track and every frame time read its frame count and its real period,
+hop / rate.
 
 The per-frame work (RMS, the taper, the FFT autocorrelation and the peak
-picking) runs over blocks of at most FRAME_BLOCK frames, so its arrays stay
-in cache and its memory does not grow with the utterance.  Every step works
-row by row, so no result depends on where the blocks fall.
+picking) runs over blocks of at most FRAME_BLOCK frames, copied from the
+samples into one buffer that each pass reuses, so its memory does not grow
+with the utterance.  Every step works row by row, so no result depends on
+where the blocks fall.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .corpus_io import AudioBuffer, Utterance
 ENERGY_FLOOR = 1e-6
 SILENCE_RMS = 1e-4
 OCTAVE_COST = 0.01  # per-octave penalty separating a period from its multiples
-# Most frames one step of the front end holds at a time: at 16 kHz a block's
-# spectra and autocorrelations take under 1 MiB.  A fixed bound, not a
-# setting.
+# Most frames one step of the front end holds at a time.  At 16 kHz a pitch
+# block is one 64 x 1024 float64 buffer (512 KiB), transformed in place, and
+# its 513-bin spectrum (513 KiB).  A fixed bound, not a setting.
 FRAME_BLOCK = 64
 
 
@@ -70,18 +72,47 @@ class PitchConfig:
 
 @dataclass
 class Frames:
-    """One utterance cut on the front end's frame grid."""
+    """One utterance on the front end's frame grid: frame i is the `win`
+    samples that start at i * hop - win // 2, zero past either end."""
 
-    samples: np.ndarray  # read-only (n_frames, win) view of one padded copy
+    samples: np.ndarray  # the float64 audio itself, never written
+    hop: int
+    win: int
     rms: np.ndarray  # per-frame RMS of the raw samples
     sample_rate: int
-    frame_shift_s: float  # hop / sample_rate: the period the frames have
+
+    def __post_init__(self) -> None:
+        self._windows = sliding_window_view(self.samples, self.win)
+
+    @property
+    def frame_shift_s(self) -> float:
+        """hop / sample_rate: the period the frames have."""
+        return self.hop / self.sample_rate
+
+    def gather(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Copy frames `rows`, in ascending order, into the ``(len(rows),
+        win)`` array `out`."""
+        n, win, hop = len(self.samples), self.win, self.hop
+        starts = rows * hop - win // 2
+        # rows p..q-1 lie inside the audio, the others reach past an end
+        p, q = np.searchsorted(starts, (0, n - win + 1))
+        if q > p and rows[q - 1] - rows[p] == q - 1 - p:
+            # consecutive frames are one strided view: no index array
+            out[p:q] = self._windows[starts[p]::hop][:q - p]
+        else:
+            out[p:q] = self._windows[starts[p:q]]
+        for r in (*range(p), *range(q, len(rows))):
+            s = starts[r]
+            lo, hi = max(0, -s), min(win, n - s)
+            out[r, :lo] = 0
+            out[r, lo:hi] = self.samples[s + lo:s + hi]
+            out[r, hi:] = 0
+        return out
 
 
 def frame_audio(audio: AudioBuffer, frame_shift_s: float,
                 window_s: float) -> Frames:
-    """Cut the audio into centered, zero-padded frames and take each
-    frame's RMS."""
+    """Put the audio on the frame grid and take each frame's RMS."""
     rate = audio.sample_rate
     hop = max(1, round(rate * frame_shift_s))
     win = round(rate * window_s)
@@ -91,14 +122,16 @@ def frame_audio(audio: AudioBuffer, frame_shift_s: float,
             f"audio shorter than one window ({n} samples < {win})"
         )
     n_frames = math.ceil(n / hop)
-    padded = np.concatenate([np.zeros(win), audio.samples, np.zeros(win)])
-    frames = sliding_window_view(padded, win)[win - win // 2::hop][:n_frames]
-    rms = np.empty(n_frames)
+    frames = Frames(samples=np.asarray(audio.samples, dtype=np.float64),
+                    hop=hop, win=win, rms=np.empty(n_frames),
+                    sample_rate=rate)
+    buf = np.empty((min(FRAME_BLOCK, n_frames), win))
     for a in range(0, n_frames, FRAME_BLOCK):
-        block = frames[a:a + FRAME_BLOCK]
-        rms[a:a + FRAME_BLOCK] = np.sqrt(np.mean(block**2, axis=1))
-    return Frames(samples=frames, rms=rms, sample_rate=rate,
-                  frame_shift_s=hop / rate)
+        rows = np.arange(a, min(a + FRAME_BLOCK, n_frames))
+        block = frames.gather(rows, buf[:len(rows)])
+        np.square(block, out=block)
+        frames.rms[a:a + len(rows)] = np.sqrt(np.mean(block, axis=1))
+    return frames
 
 
 def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
@@ -116,17 +149,23 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
     with placeholder value 0.  Frames below the silence floor, which can
     never be voiced, skip the ACF altogether.
     """
-    rate = frames.sample_rate
-    n_frames, win = frames.samples.shape
+    rate, win, n_frames = frames.sample_rate, frames.win, len(frames.rms)
 
     lag_min = max(2, int(math.floor(rate / cfg.f0_max)))
     lag_max = min(win - 3, int(math.ceil(rate / cfg.f0_min)))
     if lag_max <= lag_min:
         raise ValueError("window too short for the requested f0 range")
 
+    # one lag beyond the search range so the local-max test has neighbors;
+    # a row holds a frame and at least that many zeros, so its circular ACF
+    # is the linear one
+    nfft = 1
+    while nfft < win + lag_max + 2:
+        nfft *= 2
+    buf = np.zeros((FRAME_BLOCK, nfft))
     taper = np.hanning(win)
-    # one lag beyond the search range so the local-max test has neighbors
-    w_acf = frame_acf(taper[None, :], lag_max + 1)[0]
+    buf[0, :win] = taper
+    w_acf = frame_acf(buf[:1], lag_max + 1)[0].copy()
     lags = np.arange(lag_min, lag_max + 1)
     # lags whose window overlap is too thin carry no usable signal, and
     # dividing by a near-zero window ACF would just amplify rounding noise
@@ -138,10 +177,12 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
     loud_rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
     for a in range(0, len(loud_rows), FRAME_BLOCK):
         rows = loud_rows[a:a + FRAME_BLOCK]
-        loud = frames.samples[rows]
+        block = buf[:len(rows)]
+        block[:, win:] = 0
+        loud = frames.gather(rows, block[:, :win])
         loud -= loud.mean(axis=1, keepdims=True)
         loud *= taper
-        acf = frame_acf(loud, lag_max + 1)
+        acf = frame_acf(block, lag_max + 1)
         live = acf[:, 0] > 0
         rows, acf = rows[live], acf[live]
 

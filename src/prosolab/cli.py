@@ -476,7 +476,7 @@ def cmd_evaluate(args) -> int:
     gold = _load_columns(args.test_file, args.classes)
     data = Path(args.model_or_pred).read_bytes()
 
-    if data.partition(b"\n")[0] == MAGIC.encode():
+    if data.partition(b"\n")[0].partition(b"\r")[0] == MAGIC.encode():
         model = load_model(data, args.model_or_pred)
         tagger = _tagger(model, args.model)
         name = tagger.name

@@ -194,6 +194,13 @@ def _as_text(source: bytes | str | Path) -> str:
         text = decode_text(source)
     else:
         text = decode_text(Path(source).read_bytes(), str(source))
+    return lf_text(text)
+
+
+def lf_text(text: str) -> str:
+    """`text` with its CRLF and lone CR line ends made LF."""
+    if "\r" not in text:
+        return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -209,8 +216,9 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
     reason rather than converted.
     """
     raw = _as_bytes(source)
+    stream = io.BytesIO(raw)
     try:
-        with wave.open(io.BytesIO(raw)) as wav:
+        with wave.open(stream) as wav:
             n_channels = wav.getnchannels()
             if n_channels != 1:
                 raise CorpusFormatError(
@@ -227,7 +235,12 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
                 )
             rate = wav.getframerate()
             n_frames = wav.getnframes()
-            payload = wav.readframes(n_frames)
+            # wave stops reading at the start of the data chunk; the payload
+            # is what readframes would return, a view instead of a copy
+            start = stream.tell()
+            riff_end = 8 + int.from_bytes(raw[4:8], "little")
+            payload = memoryview(raw)[
+                start:min(start + 2 * n_frames, riff_end)]
     except wave.Error as exc:
         raise CorpusFormatError(f"malformed or unsupported WAV: {exc}") from exc
     except EOFError:
@@ -244,7 +257,8 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
         raise CorpusFormatError(
             f"truncated WAV: the header declares {n_frames} frames, the data "
             f"holds {len(payload) // 2}")
-    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / INT16_SCALE
+    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+    samples /= INT16_SCALE
     if len(samples) == 0:
         raise CorpusFormatError("empty audio payload")
     return AudioBuffer(samples=samples, sample_rate=rate)

@@ -7,6 +7,7 @@ import logging
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import count
+from time import perf_counter
 
 import numpy as np
 
@@ -117,18 +118,33 @@ def lbfgs(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
           log: logging.Logger):
     """Minimize `objective` (value and gradient at a flat point) from `x0` by
     L-BFGS-B (Byrd, Lu, Nocedal and Zhu, SIAM J. Sci. Comput. 16, 1995), log
-    the outcome to the trainer's `log` and return scipy's result."""
+    each iteration (at INFO) and the outcome to the trainer's `log` and
+    return scipy's result."""
     from scipy.optimize import minimize  # 0.4 s to import: training only
+
+    started, last_grad, iterations = perf_counter(), [None], count(1)
 
     def checked(x: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad = objective(x)
         if not np.isfinite(value):
             raise FloatingPointError(f"training diverged: objective {value!r} "
                                      f"with |w|_max {np.max(np.abs(x)):g}")
+        last_grad[0] = grad
         return value, grad
 
-    result = minimize(checked, x0, jac=True, method="L-BFGS-B", options={
-        "maxiter": max_iterations, "ftol": ftol, "gtol": gtol})
+    def trace(intermediate_result) -> None:
+        # an iteration ends at the point that was evaluated last
+        iteration = next(iterations)
+        if log.isEnabledFor(logging.INFO):
+            log.info("L-BFGS iteration %d: objective %.10g, max |grad| %.4g, "
+                     "%.3f s", iteration, float(intermediate_result.fun),
+                     np.max(np.abs(last_grad[0])),
+                     perf_counter() - started)
+
+    result = minimize(checked, x0, jac=True, method="L-BFGS-B",
+                      callback=trace, options={
+                          "maxiter": max_iterations, "ftol": ftol,
+                          "gtol": gtol})
     log.log(logging.INFO if result.success else logging.WARNING,
             "L-BFGS %s: %s (nit=%d, nfev=%d)",
             "converged" if result.success else "stopped without converging",

@@ -2,7 +2,8 @@
 
 Layout: a magic header line, a type line, then that type's section of
 key=value lines and tab-separated bulk rows, which ``write_section`` and
-``read_section`` in its tagger module write and read.
+``read_section`` in its tagger module write and read.  Files are written
+with LF line ends and read with LF, CRLF or CR ones.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import NoReturn
 import numpy as np
 
 from .. import corpus_io
-from ..corpus_io import N_LABELS, CorpusFormatError, decode_text, parse_numbers
+from ..corpus_io import (N_LABELS, CorpusFormatError, decode_text, lf_text,
+                         parse_numbers)
 from . import crf, embed, majority
 from .common import comma_ints
 
@@ -36,7 +38,7 @@ def save_model(model) -> bytes:
 
 class _Reader:
     def __init__(self, data: bytes, where: str):
-        self.lines = iter(decode_text(data, where).split("\n"))
+        self.lines = iter(lf_text(decode_text(data, where)).split("\n"))
         self.section = "header"  # the model type once read; named in errors
 
     def at(self, name: str) -> str:

@@ -85,6 +85,13 @@ def unlabeled(*sentences) -> Columns:
                           for tokens in sentences))
 
 
+def lbfgs_log(caplog) -> tuple[list, list]:
+    """The per-iteration trace records of a training run, and the rest."""
+    trace = [r for r in caplog.records
+             if r.getMessage().startswith("L-BFGS iteration ")]
+    return trace, [r for r in caplog.records if r not in trace]
+
+
 def pcm16_wav_bytes(samples: np.ndarray, rate: int = RATE,
                     channels: int = 1, width: int = 2) -> bytes:
     """Encode float samples in [-1, 1] as a PCM WAV byte string."""

@@ -2,11 +2,12 @@
 mirror correlation, a direct sum for the autocorrelation, and enumeration of
 every state path for the linear-chain dynamic programs.  The dynamic programs
 and the embed softmax also equal, bit for bit, the same steps written with
-numpy's axis reductions."""
+numpy's axis reductions, and the in-place autocorrelation equals the
+out-of-place FFT formula."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -55,8 +56,39 @@ def test_frame_acf_matches_direct_sum():
         for lag in range(max_lag + 1):
             for j in range(48 - lag):
                 direct[i, lag] += frames[i, j] * frames[i, j + lag]
-    np.testing.assert_allclose(A.frame_acf(frames, max_lag), direct,
+    rows = np.zeros((5, 128))
+    rows[:, :48] = frames
+    np.testing.assert_allclose(A.frame_acf(rows, max_lag), direct,
                                atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+       log2_nfft=st.integers(1, 11), width_at=st.floats(0, 1),
+       lag_at=st.floats(0, 1), scale=st.floats(1e-6, 1e3),
+       zero_rows=st.booleans())
+@example(seed=0, k=1, log2_nfft=10, width_at=0.62, lag_at=1.0, scale=1e-6,
+         zero_rows=False)
+@example(seed=0, k=1, log2_nfft=10, width_at=0.62, lag_at=1.0, scale=1e3,
+         zero_rows=True)
+def test_frame_acf_in_place_equals_the_padded_transform(
+        seed, k, log2_nfft, width_at, lag_at, scale, zero_rows):
+    """Bit for bit the out-of-place formula: ``rfft`` padding each row to
+    nfft, then ``irfft`` of ``re**2 + im**2``."""
+    nfft = 2**log2_nfft
+    width = 1 + int(width_at * (nfft - 2))
+    max_lag = int(lag_at * (nfft - width - 1))
+    frames = scale * np.random.default_rng(seed).standard_normal((k, width))
+    if zero_rows:
+        frames[::2] = 0
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    want = np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)
+    rows = np.zeros((k, nfft))
+    rows[:, :width] = frames
+    got = A.frame_acf(rows, max_lag)
+    assert got.shape == (k, max_lag + 1)
+    assert np.array_equal(got.view(np.int64),
+                          want[:, :max_lag + 1].view(np.int64))
 
 
 def _random_chain(T, S, mask_prob=0.3, rng=RNG):

@@ -96,6 +96,17 @@ def gather_frames(x, rate, frame_shift_s, window_s):
     return padded[idx]
 
 
+def padded_acf(rows, max_lag):
+    """frame_acf of `rows`, each padded with zeros to the smallest power of
+    two that holds it and max_lag more samples."""
+    nfft = 1
+    while nfft < rows.shape[1] + max_lag + 1:
+        nfft *= 2
+    padded = np.zeros((len(rows), nfft))
+    padded[:, :rows.shape[1]] = rows
+    return frame_acf(padded, max_lag)
+
+
 def loop_f0_track(samples, rate, cfg):
     """Exact reference for extract_f0: the same FFT ACF of every frame, then
     one frame at a time through the peak picking in scalar arithmetic."""
@@ -107,8 +118,8 @@ def loop_f0_track(samples, rate, cfg):
     frames = frames * taper[None, :]
     lag_min = max(2, int(math.floor(rate / cfg.f0_max)))
     lag_max = min(win - 3, int(math.ceil(rate / cfg.f0_min)))
-    acf = frame_acf(np.ascontiguousarray(frames), lag_max + 1)
-    w_acf = frame_acf(np.ascontiguousarray(taper[None, :]), lag_max + 1)[0]
+    acf = padded_acf(frames, lag_max + 1)
+    w_acf = padded_acf(taper[None, :], lag_max + 1)[0]
     lags = np.arange(lag_min, lag_max + 1)
     searchable = lags[w_acf[lags + 1] > 1e-3 * w_acf[0]]
     values = np.zeros(n_frames)
@@ -222,7 +233,8 @@ def test_block_cases_hit_an_empty_block_and_a_short_tail():
     """The DC case has a whole block of loud frames that the r0 filter
     empties; the short case has fewer loud frames than one block."""
     frames = framed(np.concatenate([DC_BLOCK, harmonic(150.0, 0.2)]))
-    loud = frames.samples[frames.rms >= SILENCE_RMS]
+    rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
+    loud = frames.gather(rows, np.empty((len(rows), frames.win)))
     flat = (loud == loud[:, :1]).all(axis=1)
     n_blocks = len(loud) // FRAME_BLOCK
     assert flat[:n_blocks * FRAME_BLOCK].reshape(n_blocks, -1).all(
@@ -321,11 +333,17 @@ def test_energy_silence_floor():
 @pytest.mark.parametrize("rate,n", [(RATE, 640), (22050, 22050), (RATE, 641)],
                          ids=["one_window", "hop_not_dividing", "window_plus_1"])
 def test_framing_view_matches_gather(rate, n):
+    """Every row, both edges included, as a run of frames and as rows with
+    gaps, and the samples are only read."""
     x = np.random.default_rng(n).standard_normal(n)
+    x.flags.writeable = False
     frames = framed(x, rate)
     gathered = gather_frames(x, rate, SHIFT, WINDOW)
-    assert not frames.samples.flags.writeable
-    assert np.array_equal(frames.samples, gathered)
+    every = np.arange(len(gathered))
+    for rows in (every, every[::2], every[1:], every[[0, -1]]):
+        out = np.full((len(rows), frames.win), np.nan)
+        assert frames.gather(rows, out) is out
+        assert np.array_equal(out, gathered[rows])
     rms = np.sqrt(np.mean(gathered**2, axis=1))
     assert np.array_equal(frames.rms, rms)
     assert np.array_equal(extract_energy(frames).values,

@@ -919,6 +919,28 @@ def test_evaluate_reads_a_predictions_file_that_starts_like_a_model_file(
         "predictions\t3-way\t1\t1.000000\n")
 
 
+@pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("kind", ["majority", "crf", "embed"])
+def test_a_model_file_with_crlf_or_cr_line_ends_decodes_the_same(
+        tmp_path, dataset_file, capsys, kind, eol):
+    """predict and evaluate read a model file whose line ends an editor or a
+    Windows checkout changed, and write the same bytes as from the LF file."""
+    config = (["--config", write_training_config(tmp_path)]
+              if kind == "embed" else [])
+    lf = tmp_path / "lf.model"
+    assert run(["train", dataset_file, lf, "--model", kind, *config]) == 0
+    other = tmp_path / "other.model"
+    other.write_bytes(lf.read_bytes().replace(b"\n", eol))
+    written = []
+    for model in (lf, other):
+        out = tmp_path / model.stem
+        assert run(["predict", model, dataset_file, f"{out}.pred"]) == 0
+        assert run(["evaluate", model, dataset_file, "--out", out]) == 0
+        written.append([Path(f"{out}{suffix}").read_bytes() for suffix in
+                        (".pred", ".report.tsv", ".confusion.tsv")])
+    assert written[0] == written[1]
+
+
 def test_evaluate_writes_confusion_and_summary(tmp_path, dataset_file,
                                                capsys):
     model_path = tmp_path / "majority.model"

@@ -94,6 +94,8 @@ IN_HEADER = "truncated WAV: the file ends inside its header (file length {})"
 IN_SAMPLE = ("truncated WAV: the data ends inside a 16-bit sample "
              "(data length {})")
 SHORT = "truncated WAV: the header declares {} frames, the data holds {}"
+# the RIFF chunk says it ends 10 samples into the data chunk
+RIFF_ENDS_EARLY = GOOD_WAV[:4] + (36 + 20).to_bytes(4, "little") + GOOD_WAV[8:]
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -106,8 +108,9 @@ SHORT = "truncated WAV: the header declares {} frames, the data holds {}"
     (GOOD_WAV[:-1], IN_SAMPLE.format(639)),
     # 684 bytes, 320 frames declared: the header and one whole sample
     (GOOD_WAV[:46], SHORT.format(320, 1)),
+    (RIFF_ENDS_EARLY, SHORT.format(320, 10)),
 ], ids=["empty", "RIFF", "20-bytes", "30-bytes", "one-data-byte",
-        "last-byte-cut", "one-data-sample"])
+        "last-byte-cut", "one-data-sample", "riff-ends-early"])
 def test_read_wav_names_a_truncated_file(raw, message):
     with pytest.raises(CorpusFormatError) as err:
         read_wav(raw)
@@ -123,6 +126,15 @@ def test_read_wav_reads_a_streamed_file_to_its_end():
     # still a whole number of samples, or the file was cut
     with pytest.raises(CorpusFormatError, match="ends inside a 16-bit sample"):
         read_wav(bytes(raw[:-1]))
+
+
+def test_read_wav_skips_a_chunk_before_the_data():
+    data = GOOD_WAV.index(b"data")
+    extra = b"LIST" + (6).to_bytes(4, "little") + b"prosol"
+    raw = bytearray(GOOD_WAV[:data] + extra + GOOD_WAV[data:])
+    raw[4:8] = (len(raw) - 8).to_bytes(4, "little")
+    np.testing.assert_array_equal(read_wav(bytes(raw)).samples,
+                                  read_wav(GOOD_WAV).samples)
 
 
 def test_read_wav_from_path(tmp_path):
@@ -715,15 +727,16 @@ def test_embeddings_read_in_bulk_what_the_line_rule_reads(text, block):
 
 # number fields of a model file: digits in three scripts, signs, points,
 # exponents, underscores, spelled infinities and NaNs, surrounding whitespace,
-# integers past int64, and arbitrary text that keeps the row's tab layout
+# integers past int64, and arbitrary text that keeps the row's tab layout and
+# its line (a model file ends lines with LF, CRLF or CR)
 number_text_st = st.one_of(
-    st.text(alphabet="0123456789+-._eE infatyINFATY\u0663\uff13\x0b\x1c\r",
+    st.text(alphabet="0123456789+-._eE infatyINFATY\u0663\uff13\x0b\x1c",
             max_size=8),
     st.integers(min_value=-2**70, max_value=2**70).map(str),
     st.floats().map(repr),
     st.sampled_from(["infinity", " nan ", "1_000", "-Infinity", "\u0663.5",
                      "1e400", f" {2**63} ", str(-2**63)]),
-    st.text(max_size=6).filter(lambda t: "\t" not in t and "\n" not in t))
+    st.text(max_size=6).filter(lambda t: not set(t) & set("\t\n\r")))
 
 
 def _parsed_one_by_one(texts, kind, width):

@@ -24,7 +24,7 @@ from prosolab.taggers.crf import (
 )
 from prosolab.taggers.serialize import load_model, save_model
 
-from conftest import codes, labels_of, make_columns, unlabeled
+from conftest import codes, labels_of, lbfgs_log, make_columns, unlabeled
 from crf_oracles import crf_featurize, crf_score, forward_logZ, na_mask
 
 TOY_SENTENCES = [
@@ -515,10 +515,44 @@ def test_train_is_deterministic():
 def test_train_logs_optimizer_outcome(caplog, max_iterations, level, reason):
     with caplog.at_level(logging.INFO, logger="prosolab.taggers.crf"):
         crf_train(TOY_CORPUS, max_iterations=max_iterations)
-    [record] = caplog.records
+    trace, [record] = lbfgs_log(caplog)
     assert record.levelno == level
     assert reason in record.getMessage()
-    assert "nit=" in record.getMessage() and "nfev=" in record.getMessage()
+    assert "nfev=" in record.getMessage()
+    assert f"nit={len(trace)}," in record.getMessage()
+
+
+def test_lbfgs_logs_each_iteration_at_info(caplog):
+    """One INFO line per iteration: its number, the objective and max |grad|
+    at the new point, and the seconds since training started; none at the
+    default WARNING level."""
+    scale = np.array([1.0, 4.0, 9.0, 0.5])
+    target = np.array([1.0, -2.0, 0.5, 3.0])
+
+    def objective(x):
+        return (0.5 * float(scale @ (x - target) ** 2) + 1.0,
+                scale * (x - target))
+
+    log = logging.getLogger("prosolab.taggers.test")
+    with caplog.at_level(logging.WARNING, logger=log.name):
+        common.lbfgs(objective, np.zeros(4), 50, 1e-12, 1e-9, log)
+    assert caplog.records == []
+    with caplog.at_level(logging.INFO, logger=log.name):
+        result = common.lbfgs(objective, np.zeros(4), 50, 1e-12, 1e-9, log)
+    trace, [outcome] = lbfgs_log(caplog)
+    assert result.success and result.nit > 1 and len(trace) == result.nit
+    lines = [re.fullmatch(r"L-BFGS iteration (\d+): objective (\S+), max "
+                          r"\|grad\| (\S+), (\S+) s", r.getMessage()).groups()
+             for r in trace]
+    assert all(r.levelno == logging.INFO for r in trace)
+    assert [int(line[0]) for line in lines] == list(range(1, result.nit + 1))
+    values = [float(line[1]) for line in lines]
+    assert values == sorted(values, reverse=True)
+    assert lines[-1][1] == f"{result.fun:.10g}"
+    grad = objective(result.x)[1]
+    assert lines[-1][2] == f"{np.max(np.abs(grad)):.4g}"
+    seconds = [float(line[3]) for line in lines]
+    assert seconds == sorted(seconds)
 
 
 def test_train_regularization_shrinks_weights():

@@ -12,10 +12,11 @@ from conftest import RATE, sine
 
 SHIFT = 0.005
 WINDOW = 0.040
-# Above what blocked framing and pitch tracking need (about 2.7 MiB at
-# 16 kHz, the per-frame outputs included) and far below what one
-# whole-utterance pass needs (about 65 MiB for 10 s, 390 MiB for 60 s).
-CEILING = 4 * 2**20
+# Above what blocked framing and pitch tracking need (about 1.6 MiB for
+# 10 s and 1.7 MiB for 60 s at 16 kHz, the per-frame outputs included, with
+# no copy of the samples) and far below what one whole-utterance pass needs
+# (about 65 MiB for 10 s, 390 MiB for 60 s).
+CEILING = 2 * 2**20
 # The only arrays that grow with the audio are the per-frame ones (RMS, loud
 # frame indices, F0 values and flags), about 30 bytes a frame: 50 s more
 # audio adds about 0.3 MiB.
@@ -23,8 +24,7 @@ GROWTH = 2**20
 
 
 def working_memory(seconds):
-    """Peak bytes allocated by frame_audio and extract_f0 on a 16 kHz tone,
-    less the zero-padded copy of the samples that the frames view."""
+    """Peak bytes allocated by frame_audio and extract_f0 on a 16 kHz tone."""
     audio = AudioBuffer(sine(150.0, seconds, amp=0.3), RATE)
     tracemalloc.start()
     try:
@@ -34,9 +34,7 @@ def working_memory(seconds):
     finally:
         tracemalloc.stop()
     assert track.valid.mean() > 0.9
-    # frame_audio pads the float64 samples with one window of zeros each side
-    padded = 8 * (len(audio.samples) + 2 * round(RATE * WINDOW))
-    return peak - padded
+    return peak
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

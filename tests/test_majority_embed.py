@@ -21,7 +21,7 @@ from prosolab.taggers.majority import (
     MajorityModel,
 )
 
-from conftest import labels_of, make_columns, unlabeled
+from conftest import labels_of, lbfgs_log, make_columns, unlabeled
 from crf_oracles import na_mask
 
 
@@ -399,7 +399,7 @@ def random_corpus(rng, n_sentences, n_labels):
 
 
 def nit_nfev(caplog) -> tuple[int, int]:
-    [record] = caplog.records
+    [record] = lbfgs_log(caplog)[1]
     fields = dict(re.findall(r"(nit|nfev)=(\d+)", record.getMessage()))
     return int(fields["nit"]), int(fields["nfev"])
 
@@ -462,8 +462,9 @@ def test_embed_trainer_logs_its_outcome(caplog, settings, level, message):
     with caplog.at_level(logging.INFO, logger="prosolab.taggers.embed"):
         train_embed_classifier(separable_corpus(), separable_table(),
                                **settings)
-    [record] = caplog.records
+    trace, [record] = lbfgs_log(caplog)
     assert record.levelno == level
+    assert len(trace) == nit_nfev(caplog)[0]
     assert record.getMessage() == message
 
 

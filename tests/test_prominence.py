@@ -481,4 +481,4 @@ def test_pitch_and_energy_share_one_framing(monkeypatch):
     (_, frame_args, frames), (_, f0_args, _), (_, energy_args, _) = calls
     assert frame_args[1:] == (SHIFT, 0.05)
     assert f0_args[0] is frames and energy_args[0] is frames
-    assert frames.samples.shape[1] == round(0.05 * audio.sample_rate)
+    assert frames.win == round(0.05 * audio.sample_rate)
