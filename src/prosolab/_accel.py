@@ -45,10 +45,10 @@ def frame_acf(rows: np.ndarray, max_lag: int) -> np.ndarray:
     """One-sided autocorrelation of each row for lags ``0..max_lag`` via FFT,
     computed in place.
 
-    `rows` is a C-contiguous float64 ``(k, nfft)`` array, nfft even, whose
-    rows end in at least ``max_lag`` zeros, so the circular autocorrelation
-    of a row is its linear one.  The rows are overwritten with it, and the
-    result is a view of their first ``max_lag + 1`` columns.
+    `rows` is a float64 ``(k, nfft)`` array whose rows end in at least
+    ``max_lag`` zeros, so the circular autocorrelation of a row is its
+    linear one.  The rows are overwritten with it, and the result is a view
+    of their first ``max_lag + 1`` columns.
     """
     spec = np.fft.rfft(rows, axis=1)
     re, im = spec.real, spec.imag

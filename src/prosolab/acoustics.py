@@ -1,17 +1,15 @@
 """Frame-synchronous prosodic stream extraction: pitch, energy, duration.
 
 The front end frames each utterance once (`frame_audio`): frame i is centered
-at sample i * hop (hop = rate * frame_shift_s rounded to whole samples), zero
-past either end of the audio, and the number of frames is ceil(n_samples /
-hop).  That framing is the one grid: pitch and energy read its frames, and the
-duration track and every frame time read its frame count and its real period,
-hop / rate.
+at sample i * hop (hop = rate * frame_shift_s rounded to whole samples), edges
+zero-padded, and the number of frames is ceil(n_samples / hop).  That framing
+is the one grid: pitch and energy read its frames, and the duration track and
+every frame time read its frame count and its real period, hop / rate.
 
 The per-frame work (RMS, the taper, the FFT autocorrelation and the peak
-picking) runs over blocks of at most FRAME_BLOCK frames, copied from the
-samples into one buffer that each pass reuses, so its memory does not grow
-with the utterance.  Every step works row by row, so no result depends on
-where the blocks fall.
+picking) runs over blocks of at most FRAME_BLOCK frames, so its arrays stay
+in cache and its memory does not grow with the utterance.  Every step works
+row by row, so no result depends on where the blocks fall.
 """
 
 from __future__ import annotations
