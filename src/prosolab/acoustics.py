@@ -94,11 +94,7 @@ class Frames:
         starts = rows * hop - win // 2
         # rows p..q-1 lie inside the audio, the others reach past an end
         p, q = np.searchsorted(starts, (0, n - win + 1))
-        if q > p and rows[q - 1] - rows[p] == q - 1 - p:
-            # consecutive frames are one strided view: no index array
-            out[p:q] = self._windows[starts[p]::hop][:q - p]
-        else:
-            out[p:q] = self._windows[starts[p:q]]
+        out[p:q] = self._windows[starts[p:q]]
         for r in (*range(p), *range(q, len(rows))):
             s = starts[r]
             lo, hi = max(0, -s), min(win, n - s)

@@ -122,23 +122,23 @@ def lbfgs(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
     return scipy's result."""
     from scipy.optimize import minimize  # 0.4 s to import: training only
 
-    started, last_grad, iterations = perf_counter(), [None], count(1)
+    started, last, iterations = perf_counter(), [], count(1)
 
     def checked(x: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad = objective(x)
         if not np.isfinite(value):
             raise FloatingPointError(f"training diverged: objective {value!r} "
                                      f"with |w|_max {np.max(np.abs(x)):g}")
-        last_grad[0] = grad
+        last[:] = value, grad
         return value, grad
 
-    def trace(intermediate_result) -> None:
+    def trace(_) -> None:
         # an iteration ends at the point that was evaluated last
         iteration = next(iterations)
         if log.isEnabledFor(logging.INFO):
+            value, grad = last
             log.info("L-BFGS iteration %d: objective %.10g, max |grad| %.4g, "
-                     "%.3f s", iteration, float(intermediate_result.fun),
-                     np.max(np.abs(last_grad[0])),
+                     "%.3f s", iteration, value, np.max(np.abs(grad)),
                      perf_counter() - started)
 
     result = minimize(checked, x0, jac=True, method="L-BFGS-B",
