@@ -51,9 +51,10 @@ def frame_acf(rows: np.ndarray, max_lag: int) -> np.ndarray:
     of their first ``max_lag + 1`` columns.
     """
     spec = np.fft.rfft(rows, axis=1)
+    # square the real and imaginary parts in one pass over both
+    flat = spec.view(np.float64)
+    flat *= flat
     re, im = spec.real, spec.imag
-    re *= re
-    im *= im
     re += im
     im[:] = 0
     np.fft.irfft(spec, rows.shape[1], axis=1, out=rows)

@@ -9,7 +9,9 @@ every frame time read its frame count and its real period, hop / rate.
 The per-frame work (RMS, the taper, the FFT autocorrelation and the peak
 picking) runs over blocks of at most FRAME_BLOCK frames, so its arrays stay
 in cache and its memory does not grow with the utterance.  Every step works
-row by row, so no result depends on where the blocks fall.
+row by row, so no result depends on where the blocks fall.  RMS sums each
+frame's window of one squared span of samples per block, not a gathered
+copy of the frames.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ SILENCE_RMS = 1e-4
 OCTAVE_COST = 0.01  # per-octave penalty separating a period from its multiples
 # Most frames one step of the front end holds at a time.  At 16 kHz a pitch
 # block is one 64 x 1024 float64 buffer (512 KiB), transformed in place, and
-# its 513-bin spectrum (513 KiB).  A fixed bound, not a setting.
+# its 513-bin spectrum (513 KiB), with the frames' own 64 x 640 copy
+# (320 KiB) held only before the transform.  A fixed bound, not a setting.
 FRAME_BLOCK = 64
 
 
@@ -87,14 +90,14 @@ class Frames:
         """hop / sample_rate: the period the frames have."""
         return self.hop / self.sample_rate
 
-    def gather(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Copy frames `rows`, in ascending order, into the ``(len(rows),
-        win)`` array `out`."""
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """Frames `rows`, in ascending order, as a new ``(len(rows), win)``
+        array."""
         n, win, hop = len(self.samples), self.win, self.hop
         starts = rows * hop - win // 2
+        out = self._windows[np.clip(starts, 0, n - win)]
         # rows p..q-1 lie inside the audio, the others reach past an end
         p, q = np.searchsorted(starts, (0, n - win + 1))
-        out[p:q] = self._windows[starts[p:q]]
         for r in (*range(p), *range(q, len(rows))):
             s = starts[r]
             lo, hi = max(0, -s), min(win, n - s)
@@ -119,12 +122,30 @@ def frame_audio(audio: AudioBuffer, frame_shift_s: float,
     frames = Frames(samples=np.asarray(audio.samples, dtype=np.float64),
                     hop=hop, win=win, rms=np.empty(n_frames),
                     sample_rate=rate)
-    buf = np.empty((min(FRAME_BLOCK, n_frames), win))
-    for a in range(0, n_frames, FRAME_BLOCK):
-        rows = np.arange(a, min(a + FRAME_BLOCK, n_frames))
-        block = frames.gather(rows, buf[:len(rows)])
-        np.square(block, out=block)
-        frames.rms[a:a + len(rows)] = np.sqrt(np.mean(block, axis=1))
+    rms = frames.rms
+    # frames p..q-1 lie inside the audio; the few that reach past an end
+    # are gathered with their zeros and summed as whole windows
+    half = win // 2
+    p = -(-half // hop)
+    q = min(n_frames, (n - win + half) // hop + 1)
+    ends = np.r_[0:p, q:n_frames]
+    end_frames = frames.gather(ends)
+    np.square(end_frames, out=end_frames)
+    rms[ends] = np.sqrt(np.mean(end_frames, axis=1))
+    # each block of interior frames squares the span of samples they cover
+    # once and sums every frame's window of it, in the same pairwise order
+    # as a sum over the frame's own copy
+    squares = np.empty((FRAME_BLOCK - 1) * hop + win)
+    windows = sliding_window_view(squares, win)[::hop]
+    for a in range(p, q, FRAME_BLOCK):
+        k = min(FRAME_BLOCK, q - a)
+        start = a * hop - half
+        span = squares[:(k - 1) * hop + win]
+        np.square(frames.samples[start:start + len(span)], out=span)
+        out = rms[a:a + k]
+        np.add.reduce(windows[:k], axis=1, out=out)
+        out /= win
+        np.sqrt(out, out=out)
     return frames
 
 
@@ -168,34 +189,47 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
 
     values = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
+    # the peak test reads the corrected ACF over lags lag_min - 1 ..
+    # lag_max + 1 only; band[:, i] is lag lag_min - 1 + i
+    w_band = w_acf[lag_min - 1:lag_max + 2]
     loud_rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
     for a in range(0, len(loud_rows), FRAME_BLOCK):
         rows = loud_rows[a:a + FRAME_BLOCK]
         block = buf[:len(rows)]
-        block[:, win:] = 0
-        loud = frames.gather(rows, block[:, :win])
-        loud -= loud.mean(axis=1, keepdims=True)
+        # zero-mean and taper the frames in their own contiguous copy, where
+        # numpy's elementwise passes cost less than half what they cost on
+        # the buffer's strided rows; the copy is let go before the transform
+        loud = frames.gather(rows)
+        loud -= np.add.reduce(loud, axis=1, keepdims=True) / win
         loud *= taper
+        block[:, :win] = loud
+        block[:, win:] = 0
+        del loud
         acf = frame_acf(block, lag_max + 1)
         live = acf[:, 0] > 0
-        rows, acf = rows[live], acf[live]
+        if not live.all():
+            rows, acf = rows[live], acf[live]
 
-        corr = acf / w_acf * (w_acf[0] / acf[:, :1])
-        c = corr[:, lag_min:lag_max + 1]
+        band = acf[:, lag_min - 1:] / w_band
+        band *= w_acf[0] / acf[:, :1]
+        c = band[:, 1:-1]
         # a true period shows as an interior local maximum, whereas a
         # boundary argmax on a monotone slope is window-envelope
         # correlation, not pitch
-        is_peak = (thick & (c > corr[:, lag_min - 1:lag_max])
-                   & (c > corr[:, lag_min + 1:lag_max + 2]))
-        score = np.where(is_peak, c - octave, -np.inf)
-        j = lag_min + score.argmax(axis=1)
+        is_peak = c > band[:, :-2]
+        is_peak &= c > band[:, 2:]
+        is_peak &= thick
+        score = c - octave
+        score[~is_peak] = -np.inf
         at = np.arange(len(rows))
-        y0, y1, y2 = corr[at, j - 1], corr[at, j], corr[at, j + 1]
-        ok = is_peak.any(axis=1) & (y1 >= cfg.voicing_threshold)
+        i = score.argmax(axis=1)
+        y0, y1, y2 = band[at, i], band[at, i + 1], band[at, i + 2]
+        ok = is_peak[at, i] & (y1 >= cfg.voicing_threshold)
         denom = y0 - 2 * y1 + y2
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = 0.5 * (y0 - y2) / denom
         refine = (np.abs(denom) > 1e-12) & (-1 < delta) & (delta < 1)
+        j = lag_min + i
         lag = np.where(refine, j + delta, j)
         values[rows[ok]] = np.clip(rate / lag[ok], cfg.f0_min, cfg.f0_max)
         voiced[rows[ok]] = True

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prosolab import acoustics
 from prosolab._accel import frame_acf
@@ -229,12 +231,56 @@ def test_f0_and_rms_do_not_depend_on_the_block_size(monkeypatch, block,
     assert np.array_equal(track.values, want_values)
 
 
+@st.composite
+def framed_audio_st(draw):
+    """(samples, rate, block): 8-48 kHz audio from exactly one window to
+    past three blocks of 64 frames, made of runs of tone, noise, exact
+    zeros and a constant, read in blocks of 1, 3, 7 or 64 frames."""
+    rate = draw(st.sampled_from([8000, 16000, 22050, 24000, 48000]))
+    win, hop = round(rate * WINDOW), round(rate * SHIFT)
+    n = draw(st.integers(win, win + (3 * 64 + 2) * hop))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples, t = np.empty(n), np.arange(n) / rate
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        kind = draw(st.sampled_from(["tone", "noise", "zero", "dc"]))
+        if kind == "tone":
+            samples[lo:hi] = draw(st.floats(1e-5, 0.9)) * np.sin(
+                2 * np.pi * draw(st.floats(40.0, 500.0)) * t[lo:hi])
+        elif kind == "noise":
+            samples[lo:hi] = (draw(st.floats(1e-5, 0.5))
+                              * rng.standard_normal(hi - lo))
+        else:
+            samples[lo:hi] = 0.0 if kind == "zero" else draw(
+                st.floats(-0.9, 0.9))
+    block = draw(st.sampled_from([1, 3, 7, 64]))
+    return samples, rate, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(framed_audio_st())
+def test_blocked_rms_and_f0_equal_the_per_frame_oracles(case):
+    """RMS summed off each block's squared span, and the pitch track, are
+    bit for bit the sums over each frame's own copy and the per-frame loop,
+    for any rate, length, content and block size."""
+    samples, rate, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acoustics, "FRAME_BLOCK", block)
+        frames = framed(samples, rate)
+        track = extract_f0(frames, PitchConfig())
+    gathered = gather_frames(samples, rate, SHIFT, WINDOW)
+    assert np.array_equal(frames.rms, np.sqrt(np.mean(gathered**2, axis=1)))
+    want_values, want_voiced = loop_f0_track(samples, rate, PitchConfig())
+    assert np.array_equal(track.valid, want_voiced)
+    assert np.array_equal(track.values, want_values)
+
+
 def test_block_cases_hit_an_empty_block_and_a_short_tail():
     """The DC case has a whole block of loud frames that the r0 filter
     empties; the short case has fewer loud frames than one block."""
     frames = framed(np.concatenate([DC_BLOCK, harmonic(150.0, 0.2)]))
     rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
-    loud = frames.gather(rows, np.empty((len(rows), frames.win)))
+    loud = frames.gather(rows)
     flat = (loud == loud[:, :1]).all(axis=1)
     n_blocks = len(loud) // FRAME_BLOCK
     assert flat[:n_blocks * FRAME_BLOCK].reshape(n_blocks, -1).all(
@@ -341,9 +387,7 @@ def test_framing_view_matches_gather(rate, n):
     gathered = gather_frames(x, rate, SHIFT, WINDOW)
     every = np.arange(len(gathered))
     for rows in (every, every[::2], every[1:], every[[0, -1]]):
-        out = np.full((len(rows), frames.win), np.nan)
-        assert frames.gather(rows, out) is out
-        assert np.array_equal(out, gathered[rows])
+        assert np.array_equal(frames.gather(rows), gathered[rows])
     rms = np.sqrt(np.mean(gathered**2, axis=1))
     assert np.array_equal(frames.rms, rms)
     assert np.array_equal(extract_energy(frames).values,

@@ -21,6 +21,11 @@ CEILING = 2 * 2**20
 # frame indices, F0 values and flags), about 30 bytes a frame: 50 s more
 # audio adds about 0.3 MiB.
 GROWTH = 2**20
+# Framing alone holds the per-frame RMS (94 KiB for 60 s at 16 kHz), one
+# block's squared span of samples (44 KiB) and the few edge frames; a
+# gathered (64, win) copy of each block and the temporary it is gathered
+# through would take 640 KiB.
+FRAMING_CEILING = 2**19
 
 
 def working_memory(seconds):
@@ -42,3 +47,14 @@ def test_front_end_memory_does_not_grow_with_the_audio():
     short, long = working_memory(10.0), working_memory(60.0)
     assert max(short, long) < CEILING
     assert long - short < GROWTH
+
+
+def test_framing_memory_is_the_rms_and_one_block():
+    audio = AudioBuffer(sine(150.0, 60.0, amp=0.3), RATE)
+    tracemalloc.start()
+    try:
+        frame_audio(audio, SHIFT, WINDOW)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < FRAMING_CEILING

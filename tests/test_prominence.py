@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prosolab import prominence
 from prosolab.acoustics import FrameTrack
-from prosolab.corpus_io import AudioBuffer, Token, Utterance
+from prosolab.corpus_io import (AudioBuffer, CorpusFormatError, Token,
+                                Utterance, parse_lab, read_wav)
 from prosolab.prominence import (
     AnnotateConfig,
     AnnotationError,
@@ -23,7 +26,7 @@ from prosolab.prominence import (
     word_prominence,
 )
 
-from conftest import make_word_fixture
+from conftest import make_word_fixture, pcm16_wav_bytes
 
 SHIFT = 0.005
 GRID8 = ScaleGrid(n_scales=8)
@@ -449,6 +452,81 @@ def test_annotate_amplitude_boost_monotone():
         values.append(recs[1].continuous)
     diffs = np.diff(values)
     assert (diffs >= -1e-9).all()
+
+
+# ---------------------------------------------------------------------------
+# fuzz gate: WAV and .lab bytes through the readers and annotate_utterance
+# give finite records, a CorpusFormatError, or an AnnotationError that names
+# its stage and reason
+# ---------------------------------------------------------------------------
+
+STAGES = {"input", "extract_f0", "extract_energy", "duration_track",
+          "conditioning", "compose", "cwt", "extract_loma",
+          "word_prominence", "discretize"}
+MARKS = ["—", "…", "“", "$", "42", ",", "."]
+
+
+@st.composite
+def annotate_input_st(draw):
+    """(WAV bytes, .lab text) of one utterance of 1-8 sine-burst words at 16,
+    22.05 or 24 kHz.  The audio is now and then cut to one window or
+    shorter, or cut or extended by up to a second, and its spans then
+    stay or are scaled with it; a word span is now and then zero-length,
+    touching the next word or ending past the audio; and marks, digits and
+    punctuation sit between words."""
+    rate = draw(st.sampled_from([16000, 22050, 24000]))
+    audio, utt = make_word_fixture(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)),
+        rate=rate)
+    win = round(rate * AnnotateConfig().window_s)
+    n = len(audio.samples)
+    n = draw(st.sampled_from([st.just(n)] * 3 + [
+        st.integers(0, win), st.integers(win, n + rate)]).flatmap(lambda s: s))
+    samples = np.zeros(n)
+    samples[:len(audio.samples)] = audio.samples[:n]
+    # a cut or extended file's spans may also be scaled to its new length
+    scale = n / len(audio.samples) if draw(st.booleans()) else 1.0
+    tokens = utt.tokens
+    lines = []
+    for k, tok in enumerate(tokens):
+        start, end = scale * tok.start_s, scale * tok.end_s
+        edit = draw(st.sampled_from(["none"] * 9 + ["zero", "touch", "past"]))
+        if edit == "zero":
+            end = start
+        elif edit == "touch" and k + 1 < len(tokens):
+            end = scale * tokens[k + 1].start_s
+        elif edit == "past":
+            end = n / rate + draw(st.sampled_from([1e-6, 0.5]))
+        lines.append(f"{start!r} {end!r} {tok.text}")
+        if draw(st.integers(0, 3)) == 0:
+            mark_end = end + draw(st.sampled_from([0.0, 0.05]))
+            lines.append(f"{end!r} {mark_end!r} {draw(st.sampled_from(MARKS))}")
+    return pcm16_wav_bytes(samples, rate), "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotate_input_st())
+def test_annotate_gives_finite_records_or_a_named_failure(case):
+    wav, lab = case
+    try:
+        audio, utt = read_wav(wav), parse_lab(lab, utt_id="u")
+    except CorpusFormatError as exc:
+        assert str(exc)
+        return
+    try:
+        records = annotate_utterance(audio, utt)
+    except AnnotationError as exc:
+        prefix = f"utterance 'u': stage {exc.stage}: "
+        assert exc.stage in STAGES
+        assert str(exc).startswith(prefix) and len(str(exc)) > len(prefix)
+        return
+    assert [r.token for r in records] == [tok.text for tok in utt.tokens]
+    for rec, tok in zip(records, utt.tokens):
+        if tok.is_punct:
+            assert rec.discrete is None and rec.continuous is None
+        else:
+            assert math.isfinite(rec.continuous) and rec.continuous >= 0
+            assert rec.discrete in (0, 1, 2)
 
 
 def test_annotate_stage_tagging():
