@@ -123,25 +123,20 @@ def frame_audio(audio: AudioBuffer, frame_shift_s: float,
                     hop=hop, win=win, rms=np.empty(n_frames),
                     sample_rate=rate)
     rms = frames.rms
-    # frames p..q-1 lie inside the audio; the few that reach past an end
-    # are gathered with their zeros and summed as whole windows
+    # each block of frames squares the span of samples they cover once, zero
+    # past either end of the audio, and sums every frame's window of it, in
+    # the same pairwise order as a sum over the frame's own copy
     half = win // 2
-    p = -(-half // hop)
-    q = min(n_frames, (n - win + half) // hop + 1)
-    ends = np.r_[0:p, q:n_frames]
-    end_frames = frames.gather(ends)
-    np.square(end_frames, out=end_frames)
-    rms[ends] = np.sqrt(np.mean(end_frames, axis=1))
-    # each block of interior frames squares the span of samples they cover
-    # once and sums every frame's window of it, in the same pairwise order
-    # as a sum over the frame's own copy
     squares = np.empty((FRAME_BLOCK - 1) * hop + win)
     windows = sliding_window_view(squares, win)[::hop]
-    for a in range(p, q, FRAME_BLOCK):
-        k = min(FRAME_BLOCK, q - a)
+    for a in range(0, n_frames, FRAME_BLOCK):
+        k = min(FRAME_BLOCK, n_frames - a)
         start = a * hop - half
         span = squares[:(k - 1) * hop + win]
-        np.square(frames.samples[start:start + len(span)], out=span)
+        lo, hi = max(0, -start), min(len(span), n - start)
+        span[:lo] = 0
+        span[hi:] = 0
+        np.square(frames.samples[start + lo:start + hi], out=span[lo:hi])
         out = rms[a:a + k]
         np.add.reduce(windows[:k], axis=1, out=out)
         out /= win
@@ -207,8 +202,7 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
         del loud
         acf = frame_acf(block, lag_max + 1)
         live = acf[:, 0] > 0
-        if not live.all():
-            rows, acf = rows[live], acf[live]
+        rows, acf = rows[live], acf[live]
 
         band = acf[:, lag_min - 1:] / w_band
         band *= w_acf[0] / acf[:, :1]

@@ -21,10 +21,9 @@ CEILING = 2 * 2**20
 # frame indices, F0 values and flags), about 30 bytes a frame: 50 s more
 # audio adds about 0.3 MiB.
 GROWTH = 2**20
-# Framing alone holds the per-frame RMS (94 KiB for 60 s at 16 kHz), one
-# block's squared span of samples (44 KiB) and the few edge frames; a
-# gathered (64, win) copy of each block and the temporary it is gathered
-# through would take 640 KiB.
+# Framing alone holds the per-frame RMS (94 KiB for 60 s at 16 kHz) and one
+# block's squared span of samples (44 KiB); a gathered (64, win) copy of
+# each block and the temporary it is gathered through would take 640 KiB.
 FRAMING_CEILING = 2**19
 
 
