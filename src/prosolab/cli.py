@@ -336,7 +336,7 @@ def cmd_calibrate(args) -> int:
 def _load_columns(path: str, n_classes: int) -> Columns:
     """The dataset at `path`, its labels merged to 2-way if asked."""
     data = parse_dataset(Path(path))
-    if not data.lengths:
+    if not len(data.lengths):
         raise CorpusFormatError(f"no sentences in {path}")
     if n_classes == 2:
         data.labels = evaluation.merge_labels(data.labels)
@@ -432,17 +432,19 @@ def cmd_predict(args) -> int:
     if args.classes == 2:
         labels = evaluation.merge_labels(labels)
     Path(args.out_file).write_text(
-        format_predictions(Columns(data.tokens, labels, None, data.lengths)),
-        encoding="utf-8")
+        format_predictions(replace(data, labels=labels)), encoding="utf-8")
     print(f"{len(data.lengths)} sentences -> {args.out_file}")
     return 0
 
 
 def _check_predictions(pred: Columns, gold: Columns) -> None:
     """Predictions must hold the test file's sentences and tokens, with NA
-    exactly where the test file has NA.  Three whole-file comparisons decide;
-    the walk sentence by sentence only names the first mismatch."""
-    if (pred.lengths == gold.lengths and pred.tokens == gold.tokens
+    exactly where the test file has NA.  Whole-file comparisons decide: two
+    files hold the same tokens exactly when their types and type ids are
+    equal.  The walk sentence by sentence only names the first mismatch."""
+    if (np.array_equal(pred.lengths, gold.lengths)
+            and np.array_equal(pred.type_ids, gold.type_ids)
+            and np.array_equal(pred.types, gold.types)
             and np.array_equal(pred.labels == NA, gold.labels == NA)):
         return
     if len(pred.lengths) != len(gold.lengths):
@@ -454,7 +456,7 @@ def _check_predictions(pred: Columns, gold: Columns) -> None:
     start = 0
     for i, (n, n_gold) in enumerate(zip(pred.lengths, gold.lengths), start=1):
         for k in range(min(n, n_gold)):
-            p, g = pred.tokens[start + k], gold.tokens[start + k]
+            p, g = (c.types[c.type_ids[start + k]] for c in (pred, gold))
             p_na = pred.labels[start + k] == NA
             if p != g:
                 raise CorpusFormatError(
@@ -480,14 +482,14 @@ def cmd_evaluate(args) -> int:
         model = load_model(data, args.model_or_pred)
         tagger = _tagger(model, args.model)
         name = tagger.name
-        pred = Columns(gold.tokens, tagger.decode(model, gold), None,
-                       gold.lengths)
+        pred = replace(gold, labels=tagger.decode(model, gold),
+                       continuous=None)
     else:
         if args.model is not None:
             raise UsageError("--model applies to a model file, not to a "
                              "predictions file")
         name = "predictions"
-        pred = parse_predictions(decode_text(data, args.model_or_pred))
+        pred = parse_predictions(data, args.model_or_pred)
     _check_predictions(pred, gold)
     if args.classes == 2:
         pred.labels = evaluation.merge_labels(pred.labels)

@@ -15,6 +15,7 @@ import math
 import re
 import unicodedata
 import wave
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
@@ -170,10 +171,6 @@ def is_punctuation(text: str) -> bool:
 # input coercion helpers
 # ---------------------------------------------------------------------------
 
-def _as_bytes(source: bytes | str | Path) -> bytes:
-    return source if isinstance(source, bytes) else Path(source).read_bytes()
-
-
 def decode_text(raw: bytes, where: str = "") -> str:
     """`raw` as UTF-8 text.  Bytes that are not UTF-8 are a CorpusFormatError
     naming their line, after `where` (the file) when it is given."""
@@ -186,22 +183,26 @@ def decode_text(raw: bytes, where: str = "") -> str:
             f"byte 0x{raw[exc.start]:02x}") from None
 
 
+def lf_bytes(source: bytes | str | Path, where: str = "") -> bytes:
+    """The UTF-8 bytes of `source` with CRLF and lone CR line ends made LF.
+    A ``str`` is the content, encoded (a lone surrogate with surrogatepass);
+    bytes, or the file a ``Path`` names, are only checked to be UTF-8, and
+    the error names the file, or `where` for bytes."""
+    if isinstance(source, str):
+        raw = source.encode("utf-8", "surrogatepass")
+    else:
+        if not isinstance(source, bytes):
+            source, where = Path(source).read_bytes(), str(source)
+        decode_text(source, where)
+        raw = source
+    if b"\r" not in raw:  # replace scans slowly even when nothing matches
+        return raw
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
 def _as_text(source: bytes | str | Path) -> str:
     """A ``str`` is the content itself; a ``Path`` names the file to read."""
-    if isinstance(source, str):
-        text = source
-    elif isinstance(source, bytes):
-        text = decode_text(source)
-    else:
-        text = decode_text(Path(source).read_bytes(), str(source))
-    return lf_text(text)
-
-
-def lf_text(text: str) -> str:
-    """`text` with its CRLF and lone CR line ends made LF."""
-    if "\r" not in text:
-        return text
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return lf_bytes(source).decode("utf-8", "surrogatepass")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,7 @@ def read_wav(source: bytes | str | Path) -> AudioBuffer:
     supported subset (stereo, non-PCM, other sample widths) is rejected with a
     reason rather than converted.
     """
-    raw = _as_bytes(source)
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
     stream = io.BytesIO(raw)
     try:
         with wave.open(stream) as wav:
@@ -454,15 +455,74 @@ N_LABELS = len(_LABELS) - 1  # labels 0..N_LABELS-1; NA is not a label
 _LABEL_NAMES = list(_LABELS)
 
 
+# Most padded (sentence, position) cells one chunk of a file's sentences may
+# span.  Decoding and training build their position arrays, potentials and
+# dynamic-programming tensors one chunk at a time, so their memory stays
+# bounded however long the file is.  A fixed bound, not a setting.
+CHUNK_CELLS = 4096
+
+
+@dataclass
+class Chunk:
+    """A run of whole sentences of a file, holding its flat positions
+    ``start:stop``, on a padded ``(B, T)`` grid."""
+
+    start: int
+    stop: int
+    lengths: np.ndarray  # (B,)
+    width: int           # T, at least 1
+    cells: np.ndarray    # (stop - start,) grid cell b * T + t of each position
+
+    def pad(self, values: np.ndarray, fill) -> np.ndarray:
+        """Per-position `values` on the ``(B, T, ...)`` grid, `fill` past
+        each sentence's end."""
+        grid = np.full((len(self.lengths) * self.width, *values.shape[1:]),
+                       fill, dtype=values.dtype)
+        grid[self.cells] = values
+        return grid.reshape(len(self.lengths), self.width, *values.shape[1:])
+
+    def places(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each position in its sentence, and that sentence's
+        length."""
+        return self.cells % self.width, np.repeat(self.lengths, self.lengths)
+
+
 @dataclass
 class Columns:
     """A dataset or predictions file, one flat column per field over its
-    non-blank lines, sentence after sentence."""
+    non-blank lines (its positions), sentence after sentence; a token is an
+    id into the file's distinct tokens."""
 
-    tokens: list[str]
-    labels: np.ndarray              # int8 label codes, NA at NA
+    types: np.ndarray               # distinct tokens (str), first seen first
+    type_ids: np.ndarray            # (N,) int32 type of each position
+    type_na: np.ndarray             # (n_types,) the type is punctuation
+    labels: np.ndarray              # (N,) int8 label codes, NA at NA
     continuous: np.ndarray | None   # NaN at NA; None for a predictions file
-    lengths: list[int]              # each sentence's number of lines
+    lengths: np.ndarray             # (S,) int64 positions per sentence
+    offsets: np.ndarray = field(init=False)  # (S + 1,) their starts, then N
+
+    def __post_init__(self) -> None:
+        self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
+
+    def chunks(self) -> Iterator[Chunk]:
+        """Runs of whole sentences, in order, each spanning at most
+        CHUNK_CELLS padded cells; a longer sentence is a chunk of its own."""
+        lo, width = 0, 1
+        for i, n in enumerate(self.lengths.tolist()):
+            if i > lo and (i - lo + 1) * max(width, n) > CHUNK_CELLS:
+                yield self._chunk(lo, i, width)
+                lo, width = i, 1
+            width = max(width, n)
+        if lo < len(self.lengths):
+            yield self._chunk(lo, len(self.lengths), width)
+
+    def _chunk(self, lo: int, hi: int, width: int) -> Chunk:
+        start, stop = int(self.offsets[lo]), int(self.offsets[hi])
+        lengths = self.lengths[lo:hi]
+        row = np.repeat(np.arange(hi - lo), lengths)
+        t = np.arange(stop - start) - np.repeat(self.offsets[lo:hi] - start,
+                                                lengths)
+        return Chunk(start, stop, lengths, width, row * width + t)
 
 
 def _label(text: str) -> int | None:
@@ -513,18 +573,20 @@ def _name_first_bad_line(lines: list[str], n_cols: int,
     raise AssertionError("a bulk check failed where every line passes")
 
 
-def _read_columns(source: bytes | str | Path, n_cols: int) -> Columns:
+def _read_columns(source: bytes | str | Path, n_cols: int,
+                  where: str = "") -> Columns:
     """The columns of blank-line-separated sentences of lines with `n_cols`
     tab-separated fields: token, label and, with 3 columns, a continuous
     value >= 0 that is NA exactly where the label is.  A line is blank when
     str.strip leaves nothing of it.  Each check runs on the whole file;
     when one fails, the lines are walked again one at a time by the line
     rule (_record or _label) to name the first bad one."""
-    text = _as_text(source)
-    columns = _checked_columns(text, n_cols)
+    raw = lf_bytes(source, where)
+    columns = _checked_columns(raw if raw.endswith(b"\n") else raw + b"\n",
+                               n_cols)
     if columns is None:
-        _name_first_bad_line(text.split("\n"), n_cols,
-                             _record if n_cols == 3
+        _name_first_bad_line(raw.decode("utf-8", "surrogatepass").split("\n"),
+                             n_cols, _record if n_cols == 3
                              else lambda cols: _label(cols[1]))
     return columns
 
@@ -534,41 +596,66 @@ def _read_columns(source: bytes | str | Path, n_cols: int) -> Columns:
 _MAYBE_BLANK = np.array([c >= 0x80 or chr(c).isspace() for c in range(256)])
 
 
-def _checked_columns(text: str, n_cols: int) -> Columns | None:
-    """The columns of `text`, or None if a check fails.  _layout reads the
-    rows and their labels from the bytes; one split then cuts every field
-    from `text`, and the tokens and values are picked from it."""
-    layout = _layout(text.encode("utf-8", "surrogatepass") + b"\n", n_cols)
+def _checked_columns(raw: bytes, n_cols: int) -> Columns | None:
+    """The columns of `raw`, UTF-8 bytes that end with a newline, or None if
+    a check fails.  _layout places every field and reads the labels; the
+    tokens are then numbered, and the values converted, BLOCK_VALUES at a
+    time, so that no list as long as the file is built."""
+    layout = _layout(raw, n_cols)
     if layout is None:
         return None
-    row_fields, labels, lengths = layout
-    fields = text.replace("\n", "\t").split("\t")
-    tokens = [fields[i] for i in row_fields.tolist()]
-    if n_cols == 2:
-        return Columns(tokens, labels, None, lengths)
-    scored = labels != NA
-    try:
-        # `where` is unused: a bad value is named by the line walk
-        values = parse_numbers(
-            [fields[i] for i in (row_fields[scored] + 2).tolist()], float, str)
-    except CorpusFormatError:
-        return None
-    if not (values >= 0).all():
-        return None
-    continuous = np.full(len(labels), np.nan)
-    continuous[scored] = values
-    return Columns(tokens, labels, continuous, lengths)
+    bounds, labels, lengths = layout
+    data = np.frombuffer(raw, dtype=np.uint8)
+    index = defaultdict()  # each distinct token's id, numbered when first seen
+    index.default_factory = index.__len__
+    type_ids = np.empty(len(labels), dtype=np.int32)
+    for a in range(0, len(labels), BLOCK_VALUES):
+        b = min(a + BLOCK_VALUES, len(labels))
+        type_ids[a:b] = np.fromiter(
+            map(index.__getitem__,
+                _texts(data, bounds[0][a:b] + 1, bounds[1][a:b])),
+            dtype=np.int32, count=b - a)
+    types = np.array(list(index), dtype=object)
+    type_na = np.array([is_punctuation(token) for token in index], dtype=bool)
+    continuous = None
+    if n_cols == 3:
+        continuous = np.full(len(labels), np.nan)
+        scored = np.flatnonzero(labels != NA)
+        for a in range(0, len(scored), BLOCK_VALUES):
+            at = scored[a:a + BLOCK_VALUES]
+            try:
+                # `where` is unused: a bad value is named by the line walk
+                continuous[at] = parse_numbers(
+                    _texts(data, bounds[2][at] + 1, bounds[3][at]), float, str)
+            except CorpusFormatError:
+                return None
+        if (continuous < 0).any():
+            return None
+    return Columns(types, type_ids, type_na, labels, continuous, lengths)
+
+
+def _texts(data: np.ndarray, starts: np.ndarray,
+           ends: np.ndarray) -> list[str]:
+    """The text of each field data[s:e], where byte e is the tab or newline
+    that ends it: the fields' bytes, each with a newline after it, gathered
+    and decoded at once."""
+    sizes = ends - starts + 1
+    after = np.cumsum(sizes)
+    picked = data[np.arange(after[-1])
+                  + np.repeat(starts + sizes - after, sizes)]
+    picked[after - 1] = ord("\n")
+    return picked.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
 def _layout(raw: bytes, n_cols: int
-            ) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
-    """From the UTF-8 bytes of a file that end with a newline: the index of
-    each non-blank line's first field among the file's tab- and
-    newline-separated fields, its label code and the sentence lengths; or
-    None if a line has the wrong number of tabs, a label is not one of the
-    _LABELS or, with 3 columns, a value is NA where its label is not or the
-    other way round.  numpy scans the bytes; str.strip runs only on the
-    lines that may be blank."""
+            ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray] | None:
+    """From the UTF-8 bytes of a file that end with a newline: the bounds of
+    the non-blank lines' fields, n_cols + 1 arrays such that field k of line
+    i is the bytes after bounds[k][i] up to bounds[k + 1][i]; each line's
+    label code; and the sentence lengths.  Or None if a line has the wrong number
+    of tabs, a label is not one of the _LABELS or, with 3 columns, a value
+    is NA where its label is not or the other way round.  numpy scans the
+    bytes; str.strip runs only on the lines that may be blank."""
     data = np.frombuffer(raw, dtype=np.uint8)
     # field k of the file ends at byte ends_at[k]; a line ends with a field
     ends_at = np.flatnonzero((data == ord("\t")) | (data == ord("\n")))
@@ -584,19 +671,19 @@ def _layout(raw: bytes, n_cols: int
     first = first[kept]
     if not (last[kept] - first == n_cols - 1).all():
         return None
-    label_at = ends_at[first] + 1
-    label_end = ends_at[first + 1]
+    bounds = [starts[kept] - 1, *(ends_at[first + k] for k in range(n_cols))]
+    label_at, label_end = bounds[1] + 1, bounds[2]
     is_na = _is_na(data, label_at, label_end)
     digit = data[label_at].astype(np.int16) - ord("0")
     if not (is_na | ((label_end - label_at == 1) & (digit >= 0)
                      & (digit < N_LABELS))).all():
         return None
     if n_cols == 3 and not np.array_equal(
-            _is_na(data, label_end + 1, ends_at[first + 2]), is_na):
+            _is_na(data, label_end + 1, bounds[3]), is_na):
         return None
     edges = np.diff(kept.astype(np.int8), prepend=0, append=0)
-    return (first, np.where(is_na, NA, digit).astype(np.int8),
-            (np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)).tolist())
+    return (bounds, np.where(is_na, NA, digit).astype(np.int8),
+            np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0))
 
 
 def _is_na(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -614,10 +701,11 @@ def parse_dataset(source: bytes | str | Path) -> Columns:
     return _read_columns(source, 3)
 
 
-def parse_predictions(source: bytes | str | Path) -> Columns:
+def parse_predictions(source: bytes | str | Path, where: str = "") -> Columns:
     """The columns of the 2-column token<TAB>label format that ``predict``
-    writes; labels follow the dataset's rule."""
-    return _read_columns(source, 2)
+    writes; labels follow the dataset's rule.  `where` names the file of
+    bytes that are not UTF-8."""
+    return _read_columns(source, 2, where)
 
 
 def format_predictions(predicted: Columns) -> str:
@@ -627,10 +715,9 @@ def format_predictions(predicted: Columns) -> str:
     # blank line that closes a sentence
     tails = [f"\t{name}\n{end}" for end in ("", "\n") for name in _LABEL_NAMES]
     closes = np.zeros(len(predicted.labels), dtype=np.int8)
-    closes[np.cumsum(predicted.lengths[:-1], dtype=np.int64) - 1] = len(
-        _LABEL_NAMES)
+    closes[predicted.offsets[1:-1] - 1] = len(_LABEL_NAMES)
     parts = [""] * (2 * len(closes))
-    parts[0::2] = predicted.tokens
+    parts[0::2] = predicted.types[predicted.type_ids].tolist()
     parts[1::2] = [tails[i] for i in (
         predicted.labels % len(_LABEL_NAMES) + closes).tolist()]
     return "".join(parts) or "\n"

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,7 +114,7 @@ def subset_training(data: Columns, fraction: float, seed: int) -> Columns:
     if total == 0:
         raise ValueError("corpus has no labeled tokens")
     labeled = np.concatenate(([0], np.cumsum(data.labels != NA)))
-    per_sentence = np.diff(labeled[np.cumsum([0, *data.lengths])])
+    per_sentence = np.diff(labeled[data.offsets])
     order = np.random.default_rng(seed).permutation(len(data.lengths))
     # the first sentence in `order` at which the running count reaches the
     # budget is the last one taken
@@ -123,10 +122,11 @@ def subset_training(data: Columns, fraction: float, seed: int) -> Columns:
     picked = np.zeros(len(data.lengths), dtype=bool)
     picked[order[:last + 1]] = True
     keep = np.repeat(picked, data.lengths)
-    return Columns(
-        list(compress(data.tokens, keep.tolist())), data.labels[keep],
-        None if data.continuous is None else data.continuous[keep],
-        list(compress(data.lengths, picked.tolist())))
+    # the type table stays the whole file's
+    return replace(
+        data, type_ids=data.type_ids[keep], labels=data.labels[keep],
+        continuous=None if data.continuous is None else data.continuous[keep],
+        lengths=data.lengths[picked])
 
 
 def learning_curve(train_fn, train_data: Columns, test_data: Columns,

@@ -14,15 +14,14 @@ transition weights flattened row-major, S = K + 1.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._accel import NEG_INF, chain_backward, chain_forward, chain_viterbi
-from ..corpus_io import NA, Columns, CorpusFormatError
-from .common import (Chunk, CompiledText, check_training_settings,
-                     comma_ints, compile_text, lbfgs, tab_floats)
+from ..corpus_io import NA, Chunk, Columns, CorpusFormatError
+from .common import check_training_settings, comma_ints, lbfgs, tab_floats
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +34,7 @@ CONTEXT = (("w-1", -1), ("w+1", 1), ("w-2", -2), ("w+2", 2))
 OWN_WIDTH = 2 * MAX_AFFIX + 4
 
 
-def _own_templates(tokens: list[str], punct: list[bool]) -> Iterator[
+def _own_templates(tokens: Sequence[str], punct: list[bool]) -> Iterator[
         tuple[list[int], list[str]]]:
     """The templates that read only the word itself, in template order:
     for each, the indices of the `tokens` it applies to and their feature
@@ -132,11 +131,11 @@ def new_model(labels: list[int], feature_index: dict[str, int],
 
 @dataclass
 class FeatureIds:
-    """Feature ids of the word positions of a compiled text, kept per
-    distinct token and gathered for one chunk at a time; -1 marks a feature
-    the lookup had no id for."""
+    """Feature ids of the word positions of a file, kept per distinct token
+    and gathered for one chunk at a time; -1 marks a feature the lookup had
+    no id for."""
 
-    text: CompiledText
+    data: Columns
     na: np.ndarray       # (N,) positions left unfeaturized
     # (n_types, OWN_WIDTH) ids of the _own_templates, one column each; an
     # affix longer than the type is -1
@@ -149,7 +148,7 @@ class FeatureIds:
         """Ids of the chunk's word positions, flat, in position order and
         then template order, and the grid cell of each id."""
         words = np.flatnonzero(~self.na[ch.start:ch.stop])
-        tid = self.text.type_ids[ch.start:ch.stop]
+        tid = self.data.type_ids[ch.start:ch.stop]
         t, length = (a[words] for a in ch.places())
         cols = [self.own[tid[words], :1]]
         bos = len(self.context) - 2
@@ -164,23 +163,23 @@ class FeatureIds:
         return grid[keep], np.repeat(ch.cells[words], keep.sum(axis=1))
 
 
-def sentence_feature_ids(text: CompiledText, na: np.ndarray,
+def sentence_feature_ids(data: Columns, na: np.ndarray,
                          lookup) -> FeatureIds:
-    """Feature ids of the positions of `text` that `na` does not mark.
+    """Feature ids of the positions of `data` that `na` does not mark.
     Each template is built and looked up for all distinct tokens at once;
     `lookup` maps a feature string to its id, and a feature it maps to None
     is dropped."""
     def ids(feats: list[str]) -> list[int]:
         return [-1 if (i := lookup(f)) is None else i for f in feats]
 
-    own = np.full((len(text.types), OWN_WIDTH), -1, dtype=np.int64)
+    own = np.full((len(data.types), OWN_WIDTH), -1, dtype=np.int64)
     for col, (rows, feats) in enumerate(
-            _own_templates(text.types, text.type_na.tolist())):
+            _own_templates(data.types, data.type_na.tolist())):
         own[rows, col] = ids(feats)
-    words = [tok.lower() for tok in text.types] + [BOS, EOS]
+    words = [tok.lower() for tok in data.types] + [BOS, EOS]
     context = np.array([ids([f"{name}={w}" for w in words])
                         for name, _ in CONTEXT], dtype=np.int64).T
-    return FeatureIds(text, na, own, context)
+    return FeatureIds(data, na, own, context)
 
 
 def _states_from_labels(model: CrfModel, labels) -> np.ndarray:
@@ -261,7 +260,7 @@ def _training_chunks(model: CrfModel, feats: FeatureIds,
                      states: np.ndarray) -> list[_TrainingChunk]:
     K, S = model.n_labels, model.n_states
     out = []
-    for ch in feats.text.chunks():
+    for ch in feats.data.chunks():
         ids, cells = feats.chunk(ch)
         grid = ch.pad(states[ch.start:ch.stop], 0)
         sentence = np.arange(len(ch.lengths))
@@ -291,13 +290,12 @@ def _apply(grad: np.ndarray, index: np.ndarray, counted: np.ndarray,
 def prepare(model: CrfModel, data: Columns) -> list[_TrainingChunk]:
     """The batch `data` as crf_loglik_grad reads it, featurized under the
     model's feature index and labels."""
-    if not data.lengths:
+    if not len(data.lengths):
         raise ValueError("empty batch")
-    text = compile_text(data.tokens, data.lengths)
     states = _states_from_labels(model, data.labels)
     na = states == model.na_state
     return _training_chunks(
-        model, sentence_feature_ids(text, na, model.feature_index.get),
+        model, sentence_feature_ids(data, na, model.feature_index.get),
         states)
 
 
@@ -350,15 +348,14 @@ def build_feature_index(data: Columns) -> tuple[dict[str, int], FeatureIds]:
     Only non-NA positions contribute; the NA state has no emissions, so
     features seen only at punctuation would never receive gradient.
     """
-    text = compile_text(data.tokens, data.lengths)
     na = data.labels == NA
     provisional: dict[str, int] = {}
     feats = sentence_feature_ids(
-        text, na, lambda f: provisional.setdefault(f, len(provisional)))
+        data, na, lambda f: provisional.setdefault(f, len(provisional)))
     # the last slot keeps "no feature" (-1) at -1
     final = np.full(len(provisional) + 1, -1, dtype=np.int64)
     order = []
-    for ch in text.chunks():
+    for ch in data.chunks():
         ids, _ = feats.chunk(ch)
         fresh, first = np.unique(ids[final[ids] < 0], return_index=True)
         fresh = fresh[np.argsort(first)]
@@ -377,7 +374,7 @@ def crf_train(data: Columns, l2_lambda: float = 1e-4,
     Deterministic: fixed feature order, zero init, full-batch L-BFGS.  Two
     runs on identical input produce identical weights.
     """
-    if not data.lengths:
+    if not len(data.lengths):
         raise ValueError("empty corpus")
     check_training_settings(l2_lambda, max_iterations)
     if not tolerance > 0:
@@ -411,13 +408,12 @@ def crf_train(data: Columns, l2_lambda: float = 1e-4,
 def viterbi(model: CrfModel, data: Columns) -> np.ndarray:
     """The label codes of each sentence's best-scoring labeling, one per
     token of `data`; NA forced at punctuation, ties to the smaller label."""
-    text = compile_text(data.tokens, data.lengths)
-    na = text.na()
-    feats = sentence_feature_ids(text, na, model.feature_index.get)
+    na = data.type_na[data.type_ids]
+    feats = sentence_feature_ids(data, na, model.feature_index.get)
     trans = model.transition_matrix()
     codes = np.array([*model.labels, NA], dtype=np.int8)  # by state
     out = np.empty(len(na), dtype=np.int8)
-    for ch in text.chunks():
+    for ch in data.chunks():
         pot = _potentials(model, ch, na[ch.start:ch.stop], *feats.chunk(ch))
         path = chain_viterbi(pot, trans, ch.lengths)
         out[ch.start:ch.stop] = codes[path.ravel()[ch.cells]]

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._accel import fold
-from ..corpus_io import NA, Columns, CorpusFormatError, EmbeddingTable
-from .common import (Chunk, CompiledText, check_training_settings,
-                     comma_ints, compile_text, lbfgs, tab_floats)
+from ..corpus_io import NA, Chunk, Columns, CorpusFormatError, EmbeddingTable
+from .common import check_training_settings, comma_ints, lbfgs, tab_floats
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +69,7 @@ def read_section(r) -> EmbeddingClassifier:
         weight_matrix=weights)
 
 
-def _type_vectors(table: EmbeddingTable, types: list[str]) -> np.ndarray:
+def _type_vectors(table: EmbeddingTable, types: np.ndarray) -> np.ndarray:
     """(n_types, d) vector of each distinct token, one lookup each."""
     return np.array([table.lookup(tok) for tok in types]).reshape(
         len(types), table.dimension)
@@ -79,13 +78,13 @@ def _type_vectors(table: EmbeddingTable, types: list[str]) -> np.ndarray:
 EMBED_WINDOW = 1  # _window_rows reads one neighbour on each side
 
 
-def _window_rows(vectors: np.ndarray, text: CompiledText,
+def _window_rows(vectors: np.ndarray, data: Columns,
                  ch: Chunk) -> np.ndarray:
     """(n, 3d + 1) rows [prev; cur; next; 1] of the chunk's positions, from
     the type vectors; past either end of a sentence the neighbour is the
     zero row."""
     d = vectors.shape[1]
-    cur = vectors[text.type_ids[ch.start:ch.stop]]
+    cur = vectors[data.type_ids[ch.start:ch.stop]]
     t, length = ch.places()
     rows = np.zeros((len(cur), 3 * d + 1))
     rows[1:, :d] = cur[:-1]
@@ -122,7 +121,7 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
                            l2_lambda: float = 1e-4,
                            max_iterations: int = 500) -> EmbeddingClassifier:
     """Fit the softmax weights on all non-NA positions of `data`."""
-    if not data.lengths:
+    if not len(data.lengths):
         raise ValueError("empty corpus")
     check_training_settings(l2_lambda, max_iterations)
     words = data.labels != NA
@@ -130,11 +129,10 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
     if not len(labels):
         raise ValueError("all-NA corpus")
 
-    text = compile_text(data.tokens, data.lengths)
-    vectors = _type_vectors(table, text.types)
+    vectors = _type_vectors(table, data.types)
     x = np.concatenate([
-        _window_rows(vectors, text, ch)[words[ch.start:ch.stop]]
-        for ch in text.chunks()])               # (N, 3d + 1)
+        _window_rows(vectors, data, ch)[words[ch.start:ch.stop]]
+        for ch in data.chunks()])               # (N, 3d + 1)
     # each word's index in the sorted `labels`
     y = np.searchsorted(labels, data.labels[words])  # (N,)
     n, dim = x.shape
@@ -160,13 +158,12 @@ def predict_embed(classifier: EmbeddingClassifier,
                   data: Columns) -> np.ndarray:
     """The label code of the per-position argmax of logits for each of
     `data`'s tokens; NA at punctuation, ties to the smaller label."""
-    text = compile_text(data.tokens, data.lengths)
-    vectors = _type_vectors(classifier.table, text.types)
-    na = text.na()
+    vectors = _type_vectors(classifier.table, data.types)
+    na = data.type_na[data.type_ids]
     codes = np.array([*classifier.labels, NA], dtype=np.int8)
     out = np.empty(len(na), dtype=np.int8)
-    for ch in text.chunks():
-        logits = (_window_rows(vectors, text, ch)
+    for ch in data.chunks():
+        logits = (_window_rows(vectors, data, ch)
                   @ classifier.weight_matrix.T)
         out[ch.start:ch.stop] = codes[np.where(
             na[ch.start:ch.stop], len(classifier.labels),

@@ -8,7 +8,7 @@ from itertools import compress, count
 import numpy as np
 
 from ..corpus_io import N_LABELS, NA, Columns, CorpusFormatError
-from .common import comma_ints, compile_text
+from .common import comma_ints
 
 
 @dataclass
@@ -50,13 +50,16 @@ def train_majority(data: Columns) -> MajorityModel:
     scored = data.labels != NA
     if not scored.any():
         raise ValueError("all-NA corpus: nothing to count")
-    words = [tok.lower() for tok in compress(data.tokens, scored.tolist())]
-    index = dict(zip(dict.fromkeys(words), count()))
-    ids = np.fromiter(map(index.__getitem__, words), dtype=np.int64,
-                      count=len(words))
-    counts = np.bincount(ids * N_LABELS + data.labels[scored],
-                         minlength=len(index) * N_LABELS).reshape(-1, N_LABELS)
-    return MajorityModel(per_word=dict(zip(index, counts)),
+    lows = [token.lower() for token in data.types]
+    index = dict(zip(dict.fromkeys(lows), count()))
+    word_of = np.array([index[low] for low in lows], dtype=np.int64)
+    counts = np.bincount(
+        word_of[data.type_ids[scored]] * N_LABELS + data.labels[scored],
+        minlength=len(index) * N_LABELS).reshape(-1, N_LABELS)
+    # a word no scored position uses is not in the model
+    used = counts.any(axis=1)
+    return MajorityModel(per_word=dict(zip(compress(index, used.tolist()),
+                                           counts[used])),
                          global_counts=counts.sum(axis=0))
 
 
@@ -70,12 +73,11 @@ def predict_majority(model: MajorityModel, data: Columns,
         raise ValueError(f"unknown mode {mode!r}")
     if model.global_counts.sum() == 0:
         raise ValueError("untrained model")
-    text = compile_text(data.tokens, data.lengths)
     counts = [model.global_counts if mode == "global" else
               model.per_word.get(token.lower(), model.global_counts)
-              for token in text.types]
+              for token in data.types]
     # np.argmax returns the first maximum, i.e. the smallest label on ties
     by_type = np.array(counts, dtype=np.int64).reshape(-1, N_LABELS).argmax(
         axis=1).astype(np.int8)
-    by_type[text.type_na] = NA
-    return by_type[text.type_ids]
+    by_type[data.type_na] = NA
+    return by_type[data.type_ids]

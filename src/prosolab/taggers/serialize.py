@@ -14,8 +14,7 @@ from typing import NoReturn
 import numpy as np
 
 from .. import corpus_io
-from ..corpus_io import (N_LABELS, CorpusFormatError, decode_text, lf_text,
-                         parse_numbers)
+from ..corpus_io import N_LABELS, CorpusFormatError, lf_bytes, parse_numbers
 from . import crf, embed, majority
 from .common import comma_ints
 
@@ -38,7 +37,7 @@ def save_model(model) -> bytes:
 
 class _Reader:
     def __init__(self, data: bytes, where: str):
-        self.lines = iter(lf_text(decode_text(data, where)).split("\n"))
+        self.lines = iter(lf_bytes(data, where).decode().split("\n"))
         self.section = "header"  # the model type once read; named in errors
 
     def at(self, name: str) -> str:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import os
 import wave
-from itertools import accumulate
+from itertools import count
 
 # One BLAS thread, as the prosolab command and perfbench/run.py pin it, set
 # before numpy loads: the thread count decides how OpenBLAS splits long dot
@@ -19,7 +19,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 import pytest
 
-from prosolab.corpus_io import NA, AudioBuffer, Columns, Token, Utterance
+from prosolab.corpus_io import (NA, AudioBuffer, Columns, Token, Utterance,
+                                is_punctuation)
 
 RATE = 16000
 
@@ -55,18 +56,36 @@ def labels_of(label_codes) -> list:
     return [None if c == NA else c for c in np.asarray(label_codes).tolist()]
 
 
+def tokens_of(data: Columns) -> list[str]:
+    """The token of each of `data`'s lines."""
+    return data.types[data.type_ids].tolist()
+
+
 def by_sentence(data: Columns, flat: list) -> list[list]:
     """One list per sentence of `data` from a list over its lines."""
-    ends = list(accumulate(data.lengths))
-    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+    offsets = data.offsets.tolist()
+    return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
 def same_columns(a: Columns, b: Columns) -> bool:
     """Whether two Columns without a continuous column, as make_columns
     builds them, hold the same tokens, labels and sentence lengths."""
     assert a.continuous is None and b.continuous is None
-    return (a.tokens == b.tokens and np.array_equal(a.labels, b.labels)
-            and a.lengths == b.lengths)
+    return (tokens_of(a) == tokens_of(b) and np.array_equal(a.labels, b.labels)
+            and np.array_equal(a.lengths, b.lengths))
+
+
+def compile_text(tokens: list[str]) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """The distinct `tokens`, first occurrence first, the int32 id of each
+    token among them and whether each is punctuation: the numbering the
+    readers give, one dict over a token list."""
+    index = dict(zip(dict.fromkeys(tokens), count()))
+    type_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
+                           count=len(tokens))
+    types = list(index)
+    return (np.array(types, dtype=object), type_ids,
+            np.array([is_punctuation(tok) for tok in types], dtype=bool))
 
 
 def make_columns(*sentences) -> Columns:
@@ -74,9 +93,10 @@ def make_columns(*sentences) -> Columns:
     holds them: no continuous column; None marks NA in the labels."""
     for tokens, labels in sentences:
         assert len(tokens) == len(labels), (tokens, labels)
-    return Columns([tok for tokens, _ in sentences for tok in tokens],
-                   codes([lab for _, labels in sentences for lab in labels]),
-                   None, [len(tokens) for tokens, _ in sentences])
+    return Columns(
+        *compile_text([tok for tokens, _ in sentences for tok in tokens]),
+        codes([lab for _, labels in sentences for lab in labels]), None,
+        np.array([len(tokens) for tokens, _ in sentences], dtype=np.int64))
 
 
 def unlabeled(*sentences) -> Columns:

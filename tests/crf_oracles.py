@@ -8,7 +8,8 @@ import numpy as np
 
 from prosolab.corpus_io import is_punctuation
 from prosolab.taggers import crf
-from prosolab.taggers.common import compile_text
+
+from conftest import unlabeled
 
 
 def na_mask(tokens: list[str]) -> list[bool]:
@@ -42,9 +43,9 @@ def crf_featurize(tokens: list[str], position: int) -> list[str]:
 
 
 def _one_sentence(model, tokens: list[str], na: np.ndarray):
-    text = compile_text(tokens, [len(tokens)])
-    ch = next(text.chunks())
-    feats = crf.sentence_feature_ids(text, na, model.feature_index.get)
+    data = unlabeled(tokens)
+    ch = next(data.chunks())
+    feats = crf.sentence_feature_ids(data, na, model.feature_index.get)
     return ch, crf._potentials(model, ch, na, *feats.chunk(ch))
 
 

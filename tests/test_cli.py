@@ -29,7 +29,7 @@ from prosolab.taggers.majority import MajorityModel
 from prosolab.taggers.serialize import load_model
 
 from conftest import (DATASET_SENTENCE, by_sentence, labels_of, make_columns,
-                      make_word_fixture, pcm16_wav_bytes)
+                      make_word_fixture, pcm16_wav_bytes, tokens_of)
 
 ANNOTATE_CFG = "n_scales=8\n"
 
@@ -79,7 +79,7 @@ def test_annotate_two_utterances(tmp_path, capsys):
     data = parse_dataset(out)
     assert len(data.lengths) == 2
     tokens, labels, continuous = (by_sentence(data, flat) for flat in (
-        data.tokens, labels_of(data.labels), data.continuous.tolist()))
+        tokens_of(data), labels_of(data.labels), data.continuous.tolist()))
     assert tokens[0] == ["w0", "w1", "w2", "."]
     assert labels[0][3] is None
     assert all(lab in (0, 1, 2) for lab in labels[0][:3])

@@ -42,6 +42,7 @@ from conftest import (
     labels_of,
     pcm16_wav_bytes,
     sine,
+    tokens_of,
 )
 
 
@@ -356,8 +357,8 @@ def test_write_dataset_exact_bytes():
 def test_dataset_roundtrip():
     utt = stub_utterance(DATASET_TOKENS)
     data = parse_dataset(write_dataset([(utt, dataset_records())]))
-    assert data.lengths == [len(DATASET_TOKENS)]
-    assert data.tokens == DATASET_TOKENS
+    assert data.lengths.tolist() == [len(DATASET_TOKENS)]
+    assert tokens_of(data) == DATASET_TOKENS
     assert data.labels.dtype == np.int8
     assert labels_of(data.labels) == DATASET_DISCRETE
     assert len(data.continuous) == len(DATASET_CONTINUOUS)
@@ -373,14 +374,14 @@ def test_write_dataset_blank_line_between_utterances():
     recs = [ProminenceRecord("a", 0, 0.1), ProminenceRecord("b", 1, 0.6)]
     blob = write_dataset([(utt, recs), (utt, recs)])
     assert blob == b"a\t0\t0.100\nb\t1\t0.600\n\na\t0\t0.100\nb\t1\t0.600\n"
-    assert parse_dataset(blob).lengths == [2, 2]
+    assert parse_dataset(blob).lengths.tolist() == [2, 2]
 
 
 def test_write_dataset_empty():
     assert write_dataset([]) == b""
     data = parse_dataset(b"")
-    assert (data.tokens, labels_of(data.labels), data.lengths) == (
-        [], [], [])
+    assert (tokens_of(data), labels_of(data.labels),
+            data.lengths.tolist()) == ([], [], [])
     assert data.continuous.shape == (0,)
 
 
@@ -421,14 +422,14 @@ def test_parse_dataset_rejects(content, pattern):
 
 def test_one_line_str_is_content_not_a_path():
     data = parse_dataset("Tell\t2\t1.473")
-    assert (data.tokens, labels_of(data.labels), data.lengths) == (
-        ["Tell"], [2], [1])
+    assert (tokens_of(data), labels_of(data.labels),
+            data.lengths.tolist()) == (["Tell"], [2], [1])
     assert "cat" in load_embeddings("cat 1.0 2.0", dimension=2).entries
 
 
 def test_parse_dataset_crlf_and_trailing_blank():
     blob = b"a\t0\t0.100\r\nb\t1\t0.600\r\n\r\n"
-    assert parse_dataset(blob).lengths == [2]
+    assert parse_dataset(blob).lengths.tolist() == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +528,9 @@ def test_dataset_roundtrip_property(sentences):
     annotated = [(stub_utterance([r.token for r in recs]), recs)
                  for recs in sentences]
     data = parse_dataset(write_dataset(annotated))
-    assert data.lengths == [len(recs) for recs in sentences]
+    assert data.lengths.tolist() == [len(recs) for recs in sentences]
     want = [rec for recs in sentences for rec in recs]
-    assert data.tokens == [r.token for r in want]
+    assert tokens_of(data) == [r.token for r in want]
     assert labels_of(data.labels) == [r.discrete for r in want]
     assert len(data.continuous) == len(want)
     for got, w in zip(data.continuous.tolist(), want):
@@ -565,8 +566,8 @@ def test_text_readers_give_valid_values_or_a_format_error(text):
     labels = {None, 0, 1, 2}
     try:
         data = parse_dataset(text)
-        assert (len(data.tokens) == len(data.labels) == len(data.continuous)
-                == sum(data.lengths))
+        assert (len(data.type_ids) == len(data.labels)
+                == len(data.continuous) == sum(data.lengths))
         assert data.labels.dtype == np.int8
         for label, cont in zip(labels_of(data.labels),
                                data.continuous.tolist()):
@@ -577,7 +578,7 @@ def test_text_readers_give_valid_values_or_a_format_error(text):
         pass
     try:
         data = parse_predictions(text)
-        assert len(data.tokens) == len(data.labels) == sum(data.lengths)
+        assert len(data.type_ids) == len(data.labels) == sum(data.lengths)
         assert data.labels.dtype == np.int8
         assert set(labels_of(data.labels)) <= labels
         assert data.continuous is None
@@ -655,20 +656,28 @@ column_text_st = st.tuples(
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(reader_text_st, column_text_st), st.sampled_from([2, 3]))
-def test_columns_read_what_the_line_rule_reads(text, n_cols):
+@given(st.one_of(reader_text_st, column_text_st), st.sampled_from([2, 3]),
+       st.sampled_from([1, 2, 7, corpus_io.BLOCK_VALUES]))
+def test_columns_read_what_the_line_rule_reads(text, n_cols, block):
     want = _read_line_by_line(text, n_cols)
     read = parse_dataset if n_cols == 3 else parse_predictions
+    saved, corpus_io.BLOCK_VALUES = corpus_io.BLOCK_VALUES, block
     try:
         data = read(text)
     except CorpusFormatError as exc:
         assert str(exc) == want
         return
+    finally:
+        corpus_io.BLOCK_VALUES = saved
     assert not isinstance(want, str), want
     tokens, labels, continuous, lengths = want
     assert data.labels.dtype == np.int8
-    assert (data.tokens, labels_of(data.labels), data.lengths) == (
-        tokens, labels, lengths)
+    assert (data.types[data.type_ids].tolist(), labels_of(data.labels),
+            data.lengths.tolist()) == (tokens, labels, lengths)
+    # the distinct tokens, first occurrence first, each tested once
+    assert data.types.tolist() == list(dict.fromkeys(tokens))
+    assert data.type_ids.dtype == np.int32
+    assert data.type_na.tolist() == [is_punctuation(t) for t in data.types]
     if n_cols == 2:
         assert data.continuous is None
     else:

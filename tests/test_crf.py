@@ -10,9 +10,9 @@ from scipy.special import logsumexp
 
 from prosolab._accel import (NEG_INF, chain_backward, chain_forward,
                              chain_viterbi)
+from prosolab import corpus_io
 from prosolab.corpus_io import NA
 from prosolab.taggers import common, crf
-from prosolab.taggers.common import compile_text
 from prosolab.taggers.crf import (
     build_feature_index,
     crf_loglik_grad,
@@ -355,23 +355,22 @@ def chunked_corpus(rng, labels, n=24):
     corpus.insert(len(corpus) // 2,
                   (long, [int(rng.choice(labels)) for _ in long]))
     data = make_columns(*corpus)
-    assert len(list(compile_text(data.tokens, data.lengths).chunks())) > 3
+    assert len(list(data.chunks())) > 3
     return corpus
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_index_pass_ids_match_a_lookup_on_the_finished_index(seed,
                                                              monkeypatch):
-    monkeypatch.setattr(common, "CHUNK_CELLS", 40)
+    monkeypatch.setattr(corpus_io, "CHUNK_CELLS", 40)
     corpus = chunked_corpus(np.random.default_rng(seed), (0, 1, 2))
     data = make_columns(*corpus)
     index, feats = build_feature_index(data)
-    text = compile_text(data.tokens, data.lengths)
     na = data.labels == NA
-    looked_up = sentence_feature_ids(text, na, index.get)
+    looked_up = sentence_feature_ids(data, na, index.get)
     # the per-position scan, numbering each feature when first seen
     scan, want_ids, want_pos = {}, [], []
-    for start, (tokens, labels) in zip(text.offsets.tolist(), corpus):
+    for start, (tokens, labels) in zip(data.offsets.tolist(), corpus):
         for t, lab in enumerate(labels):
             if lab is not None:
                 for f in crf_featurize(tokens, t):
@@ -379,7 +378,7 @@ def test_index_pass_ids_match_a_lookup_on_the_finished_index(seed,
                     want_pos.append(start + t)
     assert list(index.items()) == list(scan.items())
     got_ids, got_pos = [], []
-    for ch in text.chunks():
+    for ch in data.chunks():
         ids, cells = feats.chunk(ch)
         lookup_ids, lookup_cells = looked_up.chunk(ch)
         assert ids.dtype == cells.dtype == np.int64
@@ -397,7 +396,7 @@ def test_scoring_paths_match_the_loops_bit_for_bit(seed, labels, monkeypatch):
     # seed 0 runs at the real chunk bound on 1400 sentences; the others
     # shrink the bound so that a short corpus spans many chunks
     if seed:
-        monkeypatch.setattr(common, "CHUNK_CELLS", 40)
+        monkeypatch.setattr(corpus_io, "CHUNK_CELLS", 40)
     rng = np.random.default_rng(seed)
     corpus = chunked_corpus(rng, labels, 24 if seed else 1400)
     data = make_columns(*corpus)

@@ -1,19 +1,20 @@
 """Whole-file decoding keeps no per-sentence state: the CRF and the embed
 classifier work one chunk of sentences at a time and majority decoding
 gathers one int8 label code per position from a table over the distinct
-tokens, so memory is bounded however long the file is."""
+tokens, so memory is bounded however long the file is.  Reading keeps no
+string per token: a file is held as flat arrays over its positions."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from prosolab.corpus_io import N_LABELS, NA, EmbeddingTable
+from prosolab.corpus_io import N_LABELS, NA, EmbeddingTable, parse_dataset
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
 from prosolab.taggers.majority import predict_majority, train_majority
 
-from conftest import make_columns, unlabeled
+from conftest import make_columns, tokens_of, unlabeled
 from crf_oracles import na_mask
 
 WORDS = [f"w{i}" for i in range(400)]
@@ -21,10 +22,14 @@ WORDS = [f"w{i}" for i in range(400)]
 # the labels returned included) and far below what decoding a whole file at
 # once needs (over 20 MiB at 2500 sentences).
 CEILING = 8 * 2**20
-# The only arrays that grow with the file are the flat ones, about 10 bytes
-# a token: the type ids, plus the NA flags for the CRF and embed; 2500 more
-# sentences add about 0.45 MiB for each decoder.
+# The only array decoding builds that grows with the file is the CRF's and
+# the embed classifier's NA flag per token, one byte each: 2500 more
+# sentences add about 0.08 MiB.  The int32 type ids come with the file.
 GROWTH = 2**20
+# Bytes a read file holds per token: an int32 type id, an int8 label and a
+# float64 value, about 14 with the sentence lengths and offsets; one str per
+# token would take about 68.
+HELD_PER_TOKEN = 24
 
 
 def synthetic_file(rng, n):
@@ -47,7 +52,7 @@ def working_memory(decode, data):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(labels) == len(data.tokens)
+    assert len(labels) == len(data.type_ids)
     return peak, peak - kept
 
 
@@ -80,6 +85,32 @@ def test_decoding_memory_does_not_grow_with_the_file(decoders, kind):
     assert working[1] - working[0] < GROWTH
 
 
+def dataset_bytes(rng, n):
+    """A dataset file of `n` synthetic sentences, NA at punctuation."""
+    lines = []
+    for tokens in synthetic_file(rng, n):
+        lines += [f"{tok}\tNA\tNA" if punct else
+                  f"{tok}\t{int(rng.integers(3))}\t{rng.random():.3f}"
+                  for tok, punct in zip(tokens, na_mask(tokens))]
+        lines.append("")
+    return "\n".join(lines).encode()
+
+
+def test_reading_holds_no_string_per_token():
+    rng = np.random.default_rng(3)
+    held, tokens = [], []
+    for n in (2500, 5000):
+        raw = dataset_bytes(rng, n)
+        tracemalloc.start()
+        try:
+            data = parse_dataset(raw)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        tokens.append(len(data.labels))
+    assert held[1] - held[0] < HELD_PER_TOKEN * (tokens[1] - tokens[0])
+
+
 @pytest.mark.parametrize("kind", ["crf", "embed", "majority"])
 def test_decoders_return_int8_label_codes(decoders, kind):
     """One int8 code per token: NA exactly at punctuation, a label in
@@ -87,6 +118,6 @@ def test_decoders_return_int8_label_codes(decoders, kind):
     data = unlabeled(*synthetic_file(np.random.default_rng(2), 50))
     labels = decoders[kind](data)
     assert isinstance(labels, np.ndarray) and labels.dtype == np.int8
-    punct = np.array(na_mask(data.tokens))
+    punct = np.array(na_mask(tokens_of(data)))
     np.testing.assert_array_equal(labels == NA, punct)
     assert ((0 <= labels[~punct]) & (labels[~punct] < N_LABELS)).all()

@@ -24,7 +24,7 @@ from prosolab.evaluation import (
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import (by_sentence, codes, labels_of, make_columns,
-                      same_columns)
+                      same_columns, tokens_of)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def small_corpus():
 
 def sentences(data):
     """The (tokens, labels) sentences of `data`, in order."""
-    return list(zip(by_sentence(data, data.tokens),
+    return list(zip(by_sentence(data, tokens_of(data)),
                     by_sentence(data, labels_of(data.labels))))
 
 
@@ -218,7 +218,7 @@ def test_subset_deterministic_and_ordered():
     # whole sentences of the corpus, each with its labels, in corpus order
     positions = [SMALL.index(s) for s in sentences(first)]
     assert positions == sorted(positions)
-    assert first.lengths == [len(SMALL[i][0]) for i in positions]
+    assert first.lengths.tolist() == [len(SMALL[i][0]) for i in positions]
 
 
 def test_subset_full_fraction_is_identity():

@@ -8,7 +8,6 @@ import pytest
 
 from prosolab.corpus_io import EmbeddingTable
 from prosolab.taggers import embed
-from prosolab.taggers.common import compile_text
 from prosolab.taggers.embed import (
     _type_vectors,
     _window_rows,
@@ -57,9 +56,9 @@ def loop_embed(classifier, tokens):
 
 def sentence_features(table, tokens):
     """The embed classifier's window rows of one sentence."""
-    text = compile_text(tokens, [len(tokens)])
-    return _window_rows(_type_vectors(table, text.types), text,
-                        next(text.chunks()))
+    data = unlabeled(tokens)
+    return _window_rows(_type_vectors(table, data.types), data,
+                        next(data.chunks()))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def test_whole_file_decoders_match_the_per_sentence_loops(seed):
     sentences[7] = []
     sentences.insert(700, ["amb"] * 300)
     data = unlabeled(*sentences)
-    assert len(list(compile_text(data.tokens, data.lengths).chunks())) > 3
+    assert len(list(data.chunks())) > 3
     corpus = make_columns(*(
         (tokens, [None if punct else int(rng.integers(3))
                   for punct in na_mask(tokens)])
@@ -310,12 +309,11 @@ def embed_problem(data, table):
     gold = labels_of(data.labels)
     labels = sorted(set(gold) - {None})
     label_pos = {lab: i for i, lab in enumerate(labels)}
-    text = compile_text(data.tokens, data.lengths)
     words = np.array([lab is not None for lab in gold], dtype=bool)
-    vectors = _type_vectors(table, text.types)
+    vectors = _type_vectors(table, data.types)
     x = np.concatenate([
-        _window_rows(vectors, text, ch)[words[ch.start:ch.stop]]
-        for ch in text.chunks()])
+        _window_rows(vectors, data, ch)[words[ch.start:ch.stop]]
+        for ch in data.chunks()])
     y = np.array([label_pos[lab] for lab in gold if lab is not None],
                  dtype=np.int64)
     onehot = np.zeros((len(y), len(labels)))
