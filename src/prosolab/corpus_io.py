@@ -17,7 +17,7 @@ import unicodedata
 import wave
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -606,8 +606,7 @@ def _checked_columns(raw: bytes, n_cols: int) -> Columns | None:
         return None
     bounds, labels, lengths = layout
     data = np.frombuffer(raw, dtype=np.uint8)
-    index = defaultdict()  # each distinct token's id, numbered when first seen
-    index.default_factory = index.__len__
+    index = defaultdict(count().__next__)  # token -> id, first seen first
     type_ids = np.empty(len(labels), dtype=np.int32)
     for a in range(0, len(labels), BLOCK_VALUES):
         b = min(a + BLOCK_VALUES, len(labels))

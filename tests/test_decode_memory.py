@@ -4,6 +4,7 @@ gathers one int8 label code per position from a table over the distinct
 tokens, so memory is bounded however long the file is.  Reading keeps no
 string per token: a file is held as flat arrays over its positions."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -97,16 +98,23 @@ def dataset_bytes(rng, n):
 
 
 def test_reading_holds_no_string_per_token():
+    """What a read holds grows by less than HELD_PER_TOKEN bytes a token, and
+    a read leaves no reference cycle, which would hold its garbage until
+    the next full collection."""
     rng = np.random.default_rng(3)
     held, tokens = [], []
     for n in (2500, 5000):
         raw = dataset_bytes(rng, n)
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
             data = parse_dataset(raw)
             held.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
+            gc.enable()
+        assert gc.collect() == 0
         tokens.append(len(data.labels))
     assert held[1] - held[0] < HELD_PER_TOKEN * (tokens[1] - tokens[0])
 
