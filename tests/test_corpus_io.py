@@ -531,6 +531,7 @@ def test_dataset_roundtrip_property(sentences):
     assert data.lengths.tolist() == [len(recs) for recs in sentences]
     want = [rec for recs in sentences for rec in recs]
     assert tokens_of(data) == [r.token for r in want]
+    assert data.type_na.tolist() == [is_punctuation(t) for t in data.types]
     assert labels_of(data.labels) == [r.discrete for r in want]
     assert len(data.continuous) == len(want)
     for got, w in zip(data.continuous.tolist(), want):

@@ -29,7 +29,7 @@ CEILING = 8 * 2**20
 GROWTH = 2**20
 # Bytes a read file holds per token: an int32 type id, an int8 label and a
 # float64 value, about 14 with the sentence lengths and offsets; one str per
-# token would take about 68.
+# token took about 65 on these files.
 HELD_PER_TOKEN = 24
 
 
