@@ -420,8 +420,8 @@ def cmd_train(args) -> int:
     data = _load_columns(args.train_file, args.classes)
     log.info("training %s on %d sentences", args.model, len(data.lengths))
     model = tagger.trainer(cfg)(data)
-    print(*tagger.summary(model), sep="\n")
     Path(args.out_model).write_bytes(save_model(model))
+    print(*tagger.summary(model), sep="\n")
     return 0
 
 
@@ -431,8 +431,8 @@ def cmd_predict(args) -> int:
     labels = _tagger(model, args.model).decode(model, data)
     if args.classes == 2:
         labels = evaluation.merge_labels(labels)
-    Path(args.out_file).write_text(
-        format_predictions(replace(data, labels=labels)), encoding="utf-8")
+    Path(args.out_file).write_bytes(
+        format_predictions(replace(data, labels=labels)))
     print(f"{len(data.lengths)} sentences -> {args.out_file}")
     return 0
 
@@ -440,23 +440,24 @@ def cmd_predict(args) -> int:
 def _check_predictions(pred: Columns, gold: Columns) -> None:
     """Predictions must hold the test file's sentences and tokens, with NA
     exactly where the test file has NA.  Whole-file comparisons decide: two
-    files hold the same tokens exactly when their types and type ids are
-    equal.  The walk sentence by sentence only names the first mismatch."""
+    files hold the same tokens exactly when their sentence lengths and token
+    bytes are equal.  Only a mismatch decodes the tokens, to name the first
+    one in a walk sentence by sentence."""
     if (np.array_equal(pred.lengths, gold.lengths)
-            and np.array_equal(pred.type_ids, gold.type_ids)
-            and np.array_equal(pred.types, gold.types)
+            and np.array_equal(pred.token_bytes, gold.token_bytes)
             and np.array_equal(pred.labels == NA, gold.labels == NA)):
         return
     if len(pred.lengths) != len(gold.lengths):
         raise CorpusFormatError(
             f"sentence count mismatch: {len(pred.lengths)} predicted vs "
             f"{len(gold.lengths)} gold")
+    pred_tokens, gold_tokens = pred.tokens(), gold.tokens()
     # every sentence before the first mismatch has its length in both, so
     # its tokens sit at the same flat positions in both
     start = 0
     for i, (n, n_gold) in enumerate(zip(pred.lengths, gold.lengths), start=1):
         for k in range(min(n, n_gold)):
-            p, g = (c.types[c.type_ids[start + k]] for c in (pred, gold))
+            p, g = pred_tokens[start + k], gold_tokens[start + k]
             p_na = pred.labels[start + k] == NA
             if p != g:
                 raise CorpusFormatError(
@@ -497,13 +498,12 @@ def cmd_evaluate(args) -> int:
     acc = evaluation.accuracy(pred.labels, gold.labels)
     conf = evaluation.confusion(pred.labels, gold.labels, args.classes)
     task = f"{args.classes}-way"
-    print(evaluation.format_summary(name, task, acc), end="")
-
     prefix = args.out
     Path(f"{prefix}.report.tsv").write_text(
         evaluation.report_tsv([(name, task, 1.0, acc)]), encoding="utf-8")
     Path(f"{prefix}.confusion.tsv").write_text(evaluation.confusion_tsv(conf),
                                               encoding="utf-8")
+    print(evaluation.format_summary(name, task, acc), end="")
     return 0
 
 

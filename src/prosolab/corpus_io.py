@@ -490,19 +490,45 @@ class Chunk:
 @dataclass
 class Columns:
     """A dataset or predictions file, one flat column per field over its
-    non-blank lines (its positions), sentence after sentence; a token is an
-    id into the file's distinct tokens."""
+    non-blank lines (its positions), sentence after sentence.  The tokens
+    are held as bytes; the first read of `types`, `type_ids` or `type_na`
+    numbers them (number_tokens), and the numbering is kept."""
 
-    types: np.ndarray               # distinct tokens (str), first seen first
-    type_ids: np.ndarray            # (N,) int32 type of each position
-    type_na: np.ndarray             # (n_types,) the type is punctuation
+    token_bytes: np.ndarray         # uint8: each position's UTF-8 token, b"\n"
     labels: np.ndarray              # (N,) int8 label codes, NA at NA
     continuous: np.ndarray | None   # NaN at NA; None for a predictions file
     lengths: np.ndarray             # (S,) int64 positions per sentence
     offsets: np.ndarray = field(init=False)  # (S + 1,) their starts, then N
+    # (types, type_ids, type_na) once numbered.  replace() carries it, so a
+    # copy with other token bytes passes its own or None.
+    numbering: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
+
+    def _numbered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.numbering is None:
+            self.numbering = number_tokens(self.token_bytes)
+        return self.numbering
+
+    @property
+    def types(self) -> np.ndarray:
+        """The distinct tokens (str), first seen first."""
+        return self._numbered()[0]
+
+    @property
+    def type_ids(self) -> np.ndarray:
+        """(N,) int32 type of each position."""
+        return self._numbered()[1]
+
+    @property
+    def type_na(self) -> np.ndarray:
+        """(n_types,) whether each type is punctuation."""
+        return self._numbered()[2]
+
+    def tokens(self) -> list[str]:
+        """The token of each position, decoded at once."""
+        return _split_lines(self.token_bytes)
 
     def chunks(self) -> Iterator[Chunk]:
         """Runs of whole sentences, in order, each spanning at most
@@ -599,23 +625,21 @@ _MAYBE_BLANK = np.array([c >= 0x80 or chr(c).isspace() for c in range(256)])
 def _checked_columns(raw: bytes, n_cols: int) -> Columns | None:
     """The columns of `raw`, UTF-8 bytes that end with a newline, or None if
     a check fails.  _layout places every field and reads the labels; the
-    tokens are then numbered, and the values converted, BLOCK_VALUES at a
-    time, so that no list as long as the file is built."""
+    token fields are gathered, each with its tab made a newline, and the
+    values converted BLOCK_VALUES at a time, so that no list as long as the
+    file is built."""
     layout = _layout(raw, n_cols)
     if layout is None:
         return None
     bounds, labels, lengths = layout
     data = np.frombuffer(raw, dtype=np.uint8)
-    index = defaultdict(count().__next__)  # token -> id, first seen first
-    type_ids = np.empty(len(labels), dtype=np.int32)
-    for a in range(0, len(labels), BLOCK_VALUES):
-        b = min(a + BLOCK_VALUES, len(labels))
-        type_ids[a:b] = np.fromiter(
-            map(index.__getitem__,
-                _texts(data, bounds[0][a:b] + 1, bounds[1][a:b])),
-            dtype=np.int32, count=b - a)
-    types = np.array(list(index), dtype=object)
-    type_na = np.array([is_punctuation(token) for token in index], dtype=bool)
+    # each token field and the tab after it: the mask flips on at its first
+    # byte and off past its tab; no token holds a tab, so every tab kept
+    # ends a token
+    flips = np.zeros(len(data), dtype=bool)
+    flips[bounds[0] + 1] = flips[bounds[1] + 1] = True
+    token_bytes = data[np.logical_xor.accumulate(flips)]
+    token_bytes[token_bytes == ord("\t")] = ord("\n")
     continuous = None
     if n_cols == 3:
         continuous = np.full(len(labels), np.nan)
@@ -630,7 +654,32 @@ def _checked_columns(raw: bytes, n_cols: int) -> Columns | None:
                 return None
         if (continuous < 0).any():
             return None
-    return Columns(types, type_ids, type_na, labels, continuous, lengths)
+    return Columns(token_bytes, labels, continuous, lengths)
+
+
+def number_tokens(token_bytes: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct tokens of `token_bytes` (uint8, each token followed by a
+    newline), first seen first, the int32 id of each token among them and
+    whether each is punctuation.  Tokens are numbered BLOCK_VALUES lines at
+    a time, so that no list as long as the file is built."""
+    ends = np.flatnonzero(token_bytes == ord("\n")) + 1
+    index = defaultdict(count().__next__)  # token -> id, first seen first
+    type_ids = np.empty(len(ends), dtype=np.int32)
+    for a in range(0, len(ends), BLOCK_VALUES):
+        b = min(a + BLOCK_VALUES, len(ends))
+        type_ids[a:b] = np.fromiter(
+            map(index.__getitem__, _split_lines(
+                token_bytes[ends[a - 1] if a else 0:ends[b - 1]])),
+            dtype=np.int32, count=b - a)
+    return (np.array(list(index), dtype=object), type_ids,
+            np.array([is_punctuation(token) for token in index], dtype=bool))
+
+
+def _split_lines(lines: np.ndarray) -> list[str]:
+    """The text of each line of `lines`, uint8 UTF-8 bytes that end with a
+    newline (or are empty)."""
+    return lines.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
 def _texts(data: np.ndarray, starts: np.ndarray,
@@ -643,7 +692,7 @@ def _texts(data: np.ndarray, starts: np.ndarray,
     picked = data[np.arange(after[-1])
                   + np.repeat(starts + sizes - after, sizes)]
     picked[after - 1] = ord("\n")
-    return picked.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+    return _split_lines(picked)
 
 
 def _layout(raw: bytes, n_cols: int
@@ -707,19 +756,23 @@ def parse_predictions(source: bytes | str | Path, where: str = "") -> Columns:
     return _read_columns(source, 2, where)
 
 
-def format_predictions(predicted: Columns) -> str:
+def format_predictions(predicted: Columns) -> bytes:
     """The 2-column format that ``parse_predictions`` reads: a
     token<TAB>label line per token and a blank line between sentences."""
-    # each label's text with its tab and line end, then the same with the
-    # blank line that closes a sentence
-    tails = [f"\t{name}\n{end}" for end in ("", "\n") for name in _LABEL_NAMES]
-    closes = np.zeros(len(predicted.labels), dtype=np.int8)
-    closes[predicted.offsets[1:-1] - 1] = len(_LABEL_NAMES)
-    parts = [""] * (2 * len(closes))
-    parts[0::2] = predicted.types[predicted.type_ids].tolist()
-    parts[1::2] = [tails[i] for i in (
-        predicted.labels % len(_LABEL_NAMES) + closes).tolist()]
-    return "".join(parts) or "\n"
+    na = predicted.labels == NA
+    # each token's newline repeated into its tail: a tab, the label text,
+    # the newline and, closing a sentence, the blank line
+    tails = 3 + na
+    tails[predicted.offsets[1:-1] - 1] += 1
+    newlines = np.flatnonzero(predicted.token_bytes == ord("\n"))
+    repeats = np.ones(len(predicted.token_bytes), dtype=np.intp)
+    repeats[newlines] = tails
+    out = np.repeat(predicted.token_bytes, repeats)
+    at = newlines + np.cumsum(tails - 1) - (tails - 1)  # each tail's start
+    out[at] = ord("\t")
+    out[at + 1] = np.where(na, ord("N"), ord("0") + predicted.labels)
+    out[at[na] + 2] = ord("A")
+    return out.tobytes() or b"\n"
 
 
 # ---------------------------------------------------------------------------

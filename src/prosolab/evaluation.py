@@ -122,11 +122,15 @@ def subset_training(data: Columns, fraction: float, seed: int) -> Columns:
     picked = np.zeros(len(data.lengths), dtype=bool)
     picked[order[:last + 1]] = True
     keep = np.repeat(picked, data.lengths)
-    # the type table stays the whole file's
+    # the bytes of each token, its newline included
+    sizes = np.diff(np.flatnonzero(data.token_bytes == ord("\n")), prepend=-1)
+    # the whole file's numbering, done once however many subsets are drawn
     return replace(
-        data, type_ids=data.type_ids[keep], labels=data.labels[keep],
+        data, token_bytes=data.token_bytes[np.repeat(keep, sizes)],
+        labels=data.labels[keep],
         continuous=None if data.continuous is None else data.continuous[keep],
-        lengths=data.lengths[picked])
+        lengths=data.lengths[picked],
+        numbering=(data.types, data.type_ids[keep], data.type_na))
 
 
 def learning_curve(train_fn, train_data: Columns, test_data: Columns,

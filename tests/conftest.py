@@ -6,7 +6,6 @@ from __future__ import annotations
 import io
 import os
 import wave
-from itertools import count
 
 # One BLAS thread, as the prosolab command and perfbench/run.py pin it, set
 # before numpy loads: the thread count decides how OpenBLAS splits long dot
@@ -19,8 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 import pytest
 
-from prosolab.corpus_io import (NA, AudioBuffer, Columns, Token, Utterance,
-                                is_punctuation)
+from prosolab.corpus_io import NA, AudioBuffer, Columns, Token, Utterance
 
 RATE = 16000
 
@@ -75,26 +73,16 @@ def same_columns(a: Columns, b: Columns) -> bool:
             and np.array_equal(a.lengths, b.lengths))
 
 
-def compile_text(tokens: list[str]) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """The distinct `tokens`, first occurrence first, the int32 id of each
-    token among them and whether each is punctuation: the numbering the
-    readers give, one dict over a token list."""
-    index = dict(zip(dict.fromkeys(tokens), count()))
-    type_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
-                           count=len(tokens))
-    types = list(index)
-    return (np.array(types, dtype=object), type_ids,
-            np.array([is_punctuation(tok) for tok in types], dtype=bool))
-
-
 def make_columns(*sentences) -> Columns:
     """The Columns of (tokens, labels) sentences, as a predictions file
     holds them: no continuous column; None marks NA in the labels."""
     for tokens, labels in sentences:
         assert len(tokens) == len(labels), (tokens, labels)
+        assert not any("\n" in tok for tok in tokens), tokens
     return Columns(
-        *compile_text([tok for tokens, _ in sentences for tok in tokens]),
+        np.frombuffer("".join(f"{tok}\n" for tokens, _ in sentences
+                              for tok in tokens).encode(
+            "utf-8", "surrogatepass"), dtype=np.uint8).copy(),
         codes([lab for _, labels in sentences for lab in labels]), None,
         np.array([len(tokens) for tokens, _ in sentences], dtype=np.int64))
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prosolab
-from prosolab import cli
+from prosolab import cli, corpus_io
 from prosolab.cli import main
 from prosolab.corpus_io import Columns, CorpusFormatError, parse_dataset
 from prosolab.taggers import crf_train, train_embed_classifier
@@ -941,6 +941,72 @@ def test_a_model_file_with_crlf_or_cr_line_ends_decodes_the_same(
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_unwritable_output_prints_no_result(tmp_path, dataset_file,
+                                                capsys, command):
+    """A command writes its files before it prints its result, so an output
+    path in a missing directory fails with nothing on stdout."""
+    model = tmp_path / "m.model"
+    assert run(["train", dataset_file, model, "--model", "majority"]) == 0
+    pred = tmp_path / "p.pred"
+    assert run(["predict", model, dataset_file, pred]) == 0
+    capsys.readouterr()
+    missing = tmp_path / "nodir"
+    argv = (["train", dataset_file, missing / "m.model", "--model",
+             "majority"] if command == "train" else
+            ["evaluate", pred, dataset_file, "--out", missing / "e"])
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ")
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_a_predictions_file_with_crlf_or_cr_line_ends_scores_the_same(
+        tmp_path, dataset_file, capsys, eol):
+    """evaluate scores a predictions file whose line ends were changed
+    against an LF test file, and writes the same bytes as for the LF file."""
+    model = tmp_path / "m.model"
+    assert run(["train", dataset_file, model, "--model", "majority"]) == 0
+    lf = tmp_path / "lf.pred"
+    assert run(["predict", model, dataset_file, lf]) == 0
+    other = tmp_path / "other.pred"
+    other.write_bytes(lf.read_bytes().replace(b"\n", eol))
+    written = []
+    for pred in (lf, other):
+        out = tmp_path / pred.stem
+        assert run(["evaluate", pred, dataset_file, "--out", out]) == 0
+        written.append([Path(f"{out}{suffix}").read_bytes() for suffix in
+                        (".report.tsv", ".confusion.tsv")])
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("kind", ["majority", "crf", "embed"])
+def test_evaluate_numbers_only_the_file_a_tagger_reads(
+        tmp_path, dataset_file, monkeypatch, capsys, kind):
+    """evaluate of a predictions file compares token bytes and numbers
+    neither file; evaluate of a model numbers the test file once, for the
+    tagger, and predict numbers its input once."""
+    config = (["--config", write_training_config(tmp_path)]
+              if kind == "embed" else [])
+    model = tmp_path / "m.model"
+    assert run(["train", dataset_file, model, "--model", kind, *config]) == 0
+    numbered = []  # the token count of each file numbered
+    number = corpus_io.number_tokens
+    monkeypatch.setattr(corpus_io, "number_tokens", lambda token_bytes: (
+        numbered.append(token_bytes.tobytes().count(b"\n"))
+        or number(token_bytes)))
+    pred = tmp_path / "p.pred"
+    assert run(["predict", model, dataset_file, pred]) == 0
+    assert numbered == [10]
+    numbered.clear()
+    assert run(["evaluate", pred, dataset_file, "--out", tmp_path / "e"]) == 0
+    assert numbered == []
+    assert run(["evaluate", model, dataset_file, "--out", tmp_path / "m"]) == 0
+    assert numbered == [10]
+
+
 def test_evaluate_writes_confusion_and_summary(tmp_path, dataset_file,
                                                capsys):
     model_path = tmp_path / "majority.model"
@@ -1151,9 +1217,12 @@ def _check_sentence_by_sentence(pred, gold):
     return None
 
 
-# sentences of tokens "a"/"b" with labels None/0; predictions are the same
+# tokens whose bytes the check compares: multi-byte, combining, one a
+# prefix of another, whitespace-led and holding a space
+PAIR_TOKENS = ["a", "ab", "\u00e9", "e\u0301", " a", "a b"]
+# sentences of PAIR_TOKENS with labels None/0; predictions are the same
 # sentences with a few tokens, labels or sentence ends changed
-pair_sentence_st = st.lists(st.tuples(st.sampled_from("ab"),
+pair_sentence_st = st.lists(st.tuples(st.sampled_from(PAIR_TOKENS),
                                       st.sampled_from([None, 0])),
                             min_size=1, max_size=4).map(
     lambda rows: ([t for t, _ in rows], [lab for _, lab in rows]))
@@ -1167,8 +1236,9 @@ def test_check_predictions_equals_a_sentence_by_sentence_walk(gold, data):
     for _ in range(data.draw(st.integers(0, 2))):
         if flat:
             k = data.draw(st.integers(0, len(flat) - 1))
-            flat[k] = data.draw(st.tuples(st.sampled_from("abc"),
-                                          st.sampled_from([None, 0])))
+            flat[k] = data.draw(st.tuples(
+                st.sampled_from([*PAIR_TOKENS, "c"]),
+                st.sampled_from([None, 0])))
     lengths = [len(tokens) for tokens, _ in gold]
     if data.draw(st.booleans()) and lengths:
         lengths = data.draw(st.permutations(lengths))

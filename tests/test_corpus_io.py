@@ -665,6 +665,7 @@ def test_columns_read_what_the_line_rule_reads(text, n_cols, block):
     saved, corpus_io.BLOCK_VALUES = corpus_io.BLOCK_VALUES, block
     try:
         data = read(text)
+        data.type_ids  # numbered on first use, also a block at a time
     except CorpusFormatError as exc:
         assert str(exc) == want
         return

@@ -27,9 +27,10 @@ CEILING = 8 * 2**20
 # the embed classifier's NA flag per token, one byte each: 2500 more
 # sentences add about 0.08 MiB.  The int32 type ids come with the file.
 GROWTH = 2**20
-# Bytes a read file holds per token: an int32 type id, an int8 label and a
-# float64 value, about 14 with the sentence lengths and offsets; one str per
-# token took about 65 on these files.
+# Bytes a read file holds per token: its UTF-8 bytes and newline, an int8
+# label and a float64 value, about 15 with the sentence lengths and offsets,
+# and 4 more for the int32 type id once numbered; one str per token took
+# about 65 on these files.
 HELD_PER_TOKEN = 24
 
 
@@ -98,11 +99,12 @@ def dataset_bytes(rng, n):
 
 
 def test_reading_holds_no_string_per_token():
-    """What a read holds grows by less than HELD_PER_TOKEN bytes a token, and
-    a read leaves no reference cycle, which would hold its garbage until
+    """What a read holds grows by less than HELD_PER_TOKEN bytes a token,
+    both after the read and once a tagger has read the type ids, and
+    neither leaves a reference cycle, which would hold its garbage until
     the next full collection."""
     rng = np.random.default_rng(3)
-    held, tokens = [], []
+    read, numbered, tokens = [], [], []
     for n in (2500, 5000):
         raw = dataset_bytes(rng, n)
         gc.collect()
@@ -110,13 +112,16 @@ def test_reading_holds_no_string_per_token():
         tracemalloc.start()
         try:
             data = parse_dataset(raw)
-            held.append(tracemalloc.get_traced_memory()[0])
+            read.append(tracemalloc.get_traced_memory()[0])
+            assert len(data.type_ids) == len(data.labels)
+            numbered.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
             gc.enable()
         assert gc.collect() == 0
         tokens.append(len(data.labels))
-    assert held[1] - held[0] < HELD_PER_TOKEN * (tokens[1] - tokens[0])
+    for held in (read, numbered):
+        assert held[1] - held[0] < HELD_PER_TOKEN * (tokens[1] - tokens[0])
 
 
 @pytest.mark.parametrize("kind", ["crf", "embed", "majority"])

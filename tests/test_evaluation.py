@@ -271,6 +271,36 @@ def test_subset_budget_overshoot_bounded(corpus, fraction, seed):
     assert got < target + max(longest, 1)
 
 
+subset_sentence_strategy = st.lists(
+    st.tuples(st.sampled_from(["a", "ab", "\u00e9", " a", ","]),
+              st.sampled_from([0, 1, 2, None])),
+    min_size=1, max_size=6).map(
+    lambda rows: ([t for t, _ in rows], [lab for _, lab in rows]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(subset_sentence_strategy, min_size=1, max_size=12),
+       st.floats(min_value=0.01, max_value=0.99),
+       st.integers(min_value=0, max_value=10_000))
+def test_subset_holds_the_kept_sentences_token_bytes(corpus, fraction, seed):
+    """A subset's token bytes are its sentences' tokens, each with a
+    newline, and those sentences are the corpus's, in order; its numbering
+    is the whole file's, restricted to the kept positions."""
+    data = make_columns(*corpus)
+    if non_na_count(data) == 0:
+        return
+    sub = subset_training(data, fraction, seed)
+    kept = list(zip(by_sentence(sub, sub.tokens()),
+                    by_sentence(sub, labels_of(sub.labels))))
+    assert sub.token_bytes.tobytes() == "".join(
+        f"{tok}\n" for tokens, _ in kept for tok in tokens).encode()
+    rest = iter(corpus)
+    assert all(any(s == (tokens, labels) for tokens, labels in rest)
+               for s in kept)
+    assert sub.types is data.types and sub.type_na is data.type_na
+    assert tokens_of(sub) == sub.tokens()
+
+
 # ---------------------------------------------------------------------------
 # learning curves and reports
 # ---------------------------------------------------------------------------
