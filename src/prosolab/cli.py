@@ -25,11 +25,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import evaluation
-from .corpus_io import (NA, Columns, CorpusFormatError, ProminenceRecord,
-                        Utterance, decode_text, format_predictions,
-                        load_embeddings, parse_dataset, parse_lab,
-                        parse_number, parse_predictions, parse_textgrid,
-                        read_wav, write_dataset)
+from .corpus_io import (NA, Columns, CorpusFormatError, Utterance,
+                        format_predictions, lf_bytes, load_embeddings,
+                        parse_dataset, parse_lab, parse_number,
+                        parse_predictions, parse_textgrid, read_wav,
+                        write_dataset)
 from .discretize import calibrate_binary, split_prominent
 from .prominence import AnnotateConfig, AnnotationError, annotate_utterance
 # crf_loglik_grad is unused here, but perfbench's tracer looks it up here
@@ -79,13 +79,13 @@ def load_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        text = decode_text(Path(path).read_bytes(), f"config {path}")
+        raw = lf_bytes(Path(path).read_bytes(), f"config {path}")
     except OSError as exc:
         raise UsageError(f"unreadable config {path}: {exc}") from exc
     except CorpusFormatError as exc:
         raise UsageError(str(exc)) from exc
     cfg, first_line = {}, {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(raw.decode("utf-8").split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -145,7 +145,7 @@ def _config_lines(cfg: AnnotateConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _annotate_one(job) -> tuple[
-        str, tuple[Utterance, list[ProminenceRecord]] | None, str | None]:
+        str, tuple[Utterance, np.ndarray, np.ndarray] | None, str | None]:
     stem, wav_path, align_path, tier, cfg = job
     try:
         audio = read_wav(wav_path)
@@ -153,7 +153,7 @@ def _annotate_one(job) -> tuple[
             utt = parse_lab(align_path, utt_id=stem)
         else:
             utt = parse_textgrid(align_path, tier, utt_id=stem)
-        return stem, (utt, annotate_utterance(audio, utt, cfg)), None
+        return stem, (utt, *annotate_utterance(audio, utt, cfg)), None
     except Exception as exc:
         return stem, None, str(exc)
 
@@ -285,8 +285,8 @@ def cmd_annotate(args) -> int:
 def _read_floats(path: str, binary: bool = False) -> list[float]:
     """Numbers on the non-blank lines; with `binary`, each must be 0 or 1."""
     values = []
-    for lineno, line in enumerate(
-            decode_text(Path(path).read_bytes(), path).splitlines(), start=1):
+    raw = lf_bytes(Path(path).read_bytes(), path)
+    for lineno, line in enumerate(raw.decode("utf-8").split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -70,19 +70,6 @@ class Utterance:
 
     def word_indices(self) -> list[int]:
         return [i for i, t in enumerate(self.tokens) if not t.is_punct]
-
-
-@dataclass
-class ProminenceRecord:
-    """One dataset row: a token with its discrete and continuous labels.
-
-    ``discrete`` and ``continuous`` are ``None`` together, exactly for
-    punctuation tokens; the file format renders that as the literal ``NA``.
-    """
-
-    token: str
-    discrete: int | None
-    continuous: float | None
 
 
 @dataclass
@@ -415,34 +402,34 @@ def parse_textgrid(source: bytes | str | Path, tier_name: str,
 # prominence dataset
 # ---------------------------------------------------------------------------
 
-def format_record(rec: ProminenceRecord) -> str:
-    if (rec.discrete is None) != (rec.continuous is None):
-        raise CorpusFormatError(
-            f"record {rec.token!r}: discrete and continuous must be NA together"
-        )
-    if rec.discrete is None:
-        return f"{rec.token}\tNA\tNA"
-    return f"{rec.token}\t{rec.discrete}\t{rec.continuous:.3f}"
-
-
 def write_dataset(
-    annotated: Iterable[tuple[Utterance, Sequence[ProminenceRecord]]],
+    annotated: Iterable[tuple[Utterance, np.ndarray, np.ndarray]],
 ) -> bytes:
     """Serialize annotated utterances to the tab-separated dataset format.
 
-    One ``token<TAB>discrete<TAB>continuous`` line per token, continuous values
+    Each utterance comes with its tokens' int8 label codes and float64
+    continuous values, NA and NaN together.  One
+    ``token<TAB>discrete<TAB>continuous`` line per token, continuous values
     with exactly 3 decimals, ``NA`` for punctuation; utterances separated by a
     single blank line; the stream ends with a newline (empty input -> empty
     stream).
     """
     blocks: list[str] = []
-    for utt, records in annotated:
-        if len(records) != len(utt.tokens):
+    for utt, labels, values in annotated:
+        for n in (len(labels), len(values)):
+            if n != len(utt.tokens):
+                raise CorpusFormatError(f"utterance {utt.id!r}: {n} records "
+                                        f"for {len(utt.tokens)} tokens")
+        uncoupled = np.flatnonzero((labels == NA) != np.isnan(values))
+        if len(uncoupled):
             raise CorpusFormatError(
-                f"utterance {utt.id!r}: {len(records)} records for "
-                f"{len(utt.tokens)} tokens"
-            )
-        blocks.append("\n".join(format_record(r) for r in records))
+                f"record {utt.tokens[uncoupled[0]].text!r}: discrete and "
+                "continuous must be NA together")
+        blocks.append("\n".join(
+            f"{tok.text}\tNA\tNA" if label == NA
+            else f"{tok.text}\t{label}\t{value:.3f}"
+            for tok, label, value in zip(utt.tokens, labels.tolist(),
+                                         values.tolist())))
     if not blocks:
         return b""
     return ("\n\n".join(blocks) + "\n").encode("utf-8")
@@ -567,17 +554,18 @@ def _label(text: str) -> int | None:
     raise CorpusFormatError(f"label out of range: {text!r}")
 
 
-def _record(cols: list[str]) -> ProminenceRecord:
+def _record(cols: list[str]) -> tuple[str, int | None, float | None]:
+    """The (token, label, value) of a dataset line, None for both at NA."""
     token, d_str, c_str = cols
     discrete = _label(d_str)
     if (discrete is None) != (c_str == "NA"):
         raise CorpusFormatError("discrete and continuous must be NA together")
     if discrete is None:
-        return ProminenceRecord(token, None, None)
+        return token, None, None
     cont = parse_number(c_str, float, "continuous value")
     if cont < 0:
         raise CorpusFormatError("negative continuous value")
-    return ProminenceRecord(token, discrete, cont)
+    return token, discrete, cont
 
 
 def _name_first_bad_line(lines: list[str], n_cols: int,

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus_io import NA
+
 
 @dataclass
 class Thresholds:
@@ -22,8 +24,9 @@ class Thresholds:
             raise ValueError("theta2 must exceed theta1")
 
 
-def discretize(values, t: Thresholds, n_classes: int = 3):
-    """Map continuous values to {0, 1, 2} labels; None stays None.
+def discretize(values, t: Thresholds, n_classes: int = 3) -> np.ndarray:
+    """Map continuous values to int8 label codes 0, 1 (and 2); NaN maps to
+    NA.
 
     Boundaries are inclusive upward: v == theta maps to the higher class.
     """
@@ -31,17 +34,12 @@ def discretize(values, t: Thresholds, n_classes: int = 3):
         raise ValueError("n_classes must be 2 or 3")
     if n_classes == 3 and t.theta2 is None:
         raise ValueError("3-way discretization requires theta2")
-    out = []
-    for v in values:
-        if v is None:
-            out.append(None)
-        elif v < t.theta1:
-            out.append(0)
-        elif n_classes == 2 or v < t.theta2:
-            out.append(1)
-        else:
-            out.append(2)
-    return out
+    values = np.asarray(values, dtype=np.float64)
+    labels = (values >= t.theta1).astype(np.int8)
+    if n_classes == 3:
+        labels += values >= t.theta2
+    labels[np.isnan(values)] = NA
+    return labels
 
 
 def calibrate_binary(values, reference) -> Thresholds:

@@ -17,7 +17,7 @@ from ._accel import mirror_correlate
 from .acoustics import FrameTrack, PitchConfig, duration_track, \
     extract_energy, extract_f0, frame_audio
 from .conditioning import condition
-from .corpus_io import AudioBuffer, ProminenceRecord, Utterance
+from .corpus_io import AudioBuffer, Utterance
 from .discretize import Thresholds, discretize
 
 PRODUCT_SHIFT_EPS = 1.0
@@ -228,15 +228,15 @@ def extract_loma(s: Scalogram) -> list[Loma]:
 
 
 def word_prominence(lomas: list[Loma], utterance: Utterance,
-                    frame_shift_s: float) -> list[float | None]:
+                    frame_shift_s: float) -> np.ndarray:
     """Assign each word the max strength of the lines ending inside its span.
 
     A line's time is its finest endpoint's frame center.  Lines landing in
     silences or punctuation spans go to the nearest word by span-boundary
-    distance.  Words without any line get 0; punctuation tokens get None.
+    distance.  Words without any line get 0; punctuation tokens get NaN.
     """
     words = [(i, t) for i, t in enumerate(utterance.tokens) if not t.is_punct]
-    values = [None if t.is_punct else 0.0 for t in utterance.tokens]
+    values = [math.nan if t.is_punct else 0.0 for t in utterance.tokens]
     for loma in lomas:
         t = loma.path[-1][1] * frame_shift_s
         owner = None
@@ -252,7 +252,7 @@ def word_prominence(lomas: list[Loma], utterance: Utterance,
                     best_dist = dist
                     owner = i
         values[owner] = max(values[owner], max(loma.strength, 0.0))
-    return values
+    return np.array(values)
 
 
 def _zero_track(n: int, shift: float) -> FrameTrack:
@@ -261,11 +261,11 @@ def _zero_track(n: int, shift: float) -> FrameTrack:
 
 def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
                        cfg: AnnotateConfig | None = None,
-                       ) -> list[ProminenceRecord]:
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Full acoustic pipeline: streams -> conditioning -> CWT -> word values.
 
-    Emits one record per token: continuous prominence plus its discretized
-    label for words, NA for punctuation.  Degenerate streams (no voiced
+    Returns the int8 label code and the float64 continuous prominence of
+    each token: NA and NaN at punctuation.  Degenerate streams (no voiced
     frames, constant energy) fall back to all-zero signals; if both pitch and
     energy are degenerate the audio carries no usable prosody and every word
     gets 0.
@@ -277,6 +277,10 @@ def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
     if not utterance.word_indices():
         raise AnnotationError(uid, "input", "no words to annotate")
     for tok in utterance.tokens:
+        if "\t" in tok.text:
+            raise AnnotationError(
+                uid, "input", f"token {tok.text!r} holds a tab, which a "
+                "dataset line cannot hold")
         if not (tok.start_s >= -1e-9 and tok.end_s <= audio.duration_s + 1e-9):
             raise AnnotationError(
                 uid, "input",
@@ -326,11 +330,6 @@ def annotate_utterance(audio: AudioBuffer, utterance: Utterance,
 
     scal = run("cwt", cwt, composite, cfg.grid)
     lomas = run("extract_loma", extract_loma, scal)
-    continuous = run("word_prominence", word_prominence, lomas, utterance,
-                     shift)
-    discrete = run("discretize", discretize, continuous, cfg.thresholds,
-                   cfg.n_classes)
-    return [
-        ProminenceRecord(token=tok.text, discrete=d, continuous=c)
-        for tok, d, c in zip(utterance.tokens, discrete, continuous)
-    ]
+    values = run("word_prominence", word_prominence, lomas, utterance, shift)
+    return run("discretize", discretize, values, cfg.thresholds,
+               cfg.n_classes), values

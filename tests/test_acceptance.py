@@ -24,8 +24,8 @@ from scipy.stats import spearmanr
 from prosolab.acoustics import AudioBuffer, FrameTrack, PitchConfig, \
     extract_energy, extract_f0, frame_audio
 from prosolab.conditioning import interpolate_gaps, smooth, znormalize
-from prosolab.corpus_io import (Columns, ProminenceRecord, Token, Utterance,
-                                parse_dataset, write_dataset)
+from prosolab.corpus_io import (NA, Columns, Token, Utterance, parse_dataset,
+                                write_dataset)
 from prosolab.discretize import Thresholds, discretize, split_prominent
 from prosolab.evaluation import accuracy, merge_labels, subset_training
 from prosolab.prominence import AnnotateConfig, ScaleGrid, annotate_utterance, \
@@ -35,7 +35,7 @@ from prosolab.taggers.crf import build_feature_index, crf_loglik_grad, \
 from prosolab.taggers.majority import predict_majority, train_majority
 
 from conftest import (DATASET_CONTINUOUS, DATASET_DISCRETE, DATASET_SENTENCE,
-                      DATASET_TOKENS, RATE, by_sentence, codes, labels_of,
+                      DATASET_TOKENS, RATE, codes, labels_of,
                       make_columns, make_word_fixture, sine, tokens_of,
                       unlabeled)
 from crf_oracles import crf_score, forward_logZ
@@ -75,20 +75,19 @@ def corpus_accuracy(predict, corpus: Columns) -> float:
 # gate 1: dataset format round-trip
 # ---------------------------------------------------------------------------
 
-def stub_utterance(records, uid="u"):
-    tokens = [Token(r.token, float(i), i + 0.5, r.discrete is None)
-              for i, r in enumerate(records)]
-    return Utterance(id=uid, tokens=tokens)
+def stub_utterance(tokens, labels, uid="u"):
+    return Utterance(id=uid, tokens=[
+        Token(tok, float(i), i + 0.5, label == NA)
+        for i, (tok, label) in enumerate(zip(tokens, labels.tolist()))])
 
 
 def rewrite(columns: Columns) -> bytes:
-    """The dataset bytes of parsed columns, NaN continuous values as NA."""
-    continuous = [None if math.isnan(c) else c
-                  for c in columns.continuous.tolist()]
-    records = [ProminenceRecord(*rec) for rec in
-               zip(tokens_of(columns), labels_of(columns.labels), continuous)]
-    return write_dataset((stub_utterance(recs), recs)
-                         for recs in by_sentence(columns, records))
+    """The dataset bytes of parsed columns, one utterance per sentence."""
+    tokens, bounds = tokens_of(columns), columns.offsets.tolist()
+    return write_dataset(
+        (stub_utterance(tokens[a:b], columns.labels[a:b]),
+         columns.labels[a:b], columns.continuous[a:b])
+        for a, b in zip(bounds, bounds[1:]))
 
 
 def test_criterion_1_dataset_round_trip():
@@ -349,8 +348,7 @@ FIXTURE_CFG = AnnotateConfig(grid=ScaleGrid(n_scales=8))
 
 def fixture_word_values(saliences) -> list[float]:
     audio, utt = make_word_fixture(saliences)
-    records = annotate_utterance(audio, utt, FIXTURE_CFG)
-    return [r.continuous for r in records]
+    return annotate_utterance(audio, utt, FIXTURE_CFG)[1].tolist()
 
 
 def test_criterion_6_fixture_prominence_ranking():
@@ -390,8 +388,9 @@ def test_criterion_6_fixture_prominence_ranking():
 
 def test_criterion_7_reference_thresholds():
     t0 = time.perf_counter()
-    got = discretize(DATASET_CONTINUOUS, Thresholds(0.5, 1.0))
-    assert got == DATASET_DISCRETE
+    values = np.array(DATASET_CONTINUOUS, dtype=np.float64)  # NaN at None
+    got = discretize(values, Thresholds(0.5, 1.0))
+    assert got.tolist() == codes(DATASET_DISCRETE).tolist()
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -43,6 +43,17 @@ def write_lab(path, utt, trailing_punct=None):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_textgrid(path, utt):
+    """`utt` as a long-form TextGrid with one IntervalTier, words."""
+    intervals = "".join(
+        f'intervals [{k}]:\nxmin = {tok.start_s!r}\nxmax = {tok.end_s!r}\n'
+        f'text = "{tok.text}"\n' for k, tok in enumerate(utt.tokens, start=1))
+    path.write_text(
+        'File type = "ooTextFile"\nObject class = "TextGrid"\n\nitem []:\n'
+        'item [1]:\nclass = "IntervalTier"\nname = "words"\n' + intervals,
+        encoding="utf-8")
+
+
 def annotate_tree(tmp_path, utterances):
     """Lay out audio/ and align/ dirs plus a config file; return run args."""
     audio_dir = tmp_path / "audio"
@@ -144,6 +155,29 @@ def test_annotate_names_why_an_empty_wav_failed(tmp_path, capsys):
     assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
     assert ("utt\tu\tfailed: truncated WAV: the file ends inside its header "
             "(file length 0)") in (tmp_path / "data.tsv.manifest").read_text()
+
+
+@pytest.mark.parametrize("write", [write_lab, write_textgrid],
+                         ids=["lab", "textgrid"])
+def test_annotate_fails_an_utterance_with_a_token_that_holds_a_tab(
+        tmp_path, capsys, write):
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        ("u1", [0.2, 0.8, 0.5], None), ("u2", [0.7, 0.3, 0.4], None)])
+    _, utt = make_word_fixture([0.2, 0.8, 0.5])
+    utt.tokens[1].text = "w1\tx"
+    (align_dir / "u1.lab").unlink()
+    write(align_dir / ("u1.lab" if write is write_lab else "u1.TextGrid"),
+          utt)
+    out = tmp_path / "data.tsv"
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
+    assert "1 ok, 1 failed" in capsys.readouterr().out
+    manifest = (tmp_path / "data.tsv.manifest").read_text().split("\n")
+    assert [line for line in manifest if line.startswith("utt\t")] == [
+        "utt\tu1\tfailed: utterance 'u1': stage input: token 'w1\\tx' holds "
+        "a tab, which a dataset line cannot hold", "utt\tu2\tok"]
+    data = parse_dataset(out)
+    assert data.lengths.tolist() == [3]
+    assert tokens_of(data) == ["w0", "w1", "w2"]
 
 
 def test_annotate_deterministic_except_timestamp(tmp_path, capsys):
@@ -531,6 +565,33 @@ def test_calibrate_input_the_mode_does_not_read_is_usage_error(
     assert run(["calibrate", "values.txt", "reference.txt", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+# characters str.splitlines also breaks a line at
+LINE_BREAKS_BUT_NOT_LINE_FEEDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS_BUT_NOT_LINE_FEEDS)
+def test_calibrate_values_file_lines_end_at_line_feeds(tmp_path, capsys, sep):
+    values = tmp_path / "v.txt"
+    values.write_bytes(f"0.5{sep}0.7\nfoo\n".encode())
+    reference = tmp_path / "r.txt"
+    reference.write_text("0\n1\n")
+    assert run(["calibrate", values, reference]) == 1
+    assert (f"{values} line 1: not a number: {f'0.5{sep}0.7'!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS_BUT_NOT_LINE_FEEDS)
+def test_config_lines_end_at_line_feeds(tmp_path, capsys, sep):
+    values = tmp_path / "values.txt"
+    values.write_text("0.6\n0.9\n1.4\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(f"theta1=0.5{sep}\nbogus\n".encode())
+    assert run(["calibrate", values, "--mode", "split",
+                "--config", cfg]) == 2
+    assert "config line 2: expected key=value" in capsys.readouterr().err
 
 
 def test_calibrate_bad_number_is_data_error(tmp_path, capsys):

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from prosolab import corpus_io
 from prosolab.corpus_io import (
+    NA,
     CorpusFormatError,
     EmbeddingTable,
-    ProminenceRecord,
     Token,
     Utterance,
-    format_record,
     is_punctuation,
     load_embeddings,
     parse_dataset,
@@ -39,6 +38,7 @@ from conftest import (
     DATASET_DISCRETE,
     DATASET_SENTENCE,
     DATASET_TOKENS,
+    codes,
     labels_of,
     pcm16_wav_bytes,
     sine,
@@ -344,19 +344,21 @@ def test_parse_textgrid_all_empty_tier():
 # prominence dataset
 # ---------------------------------------------------------------------------
 
-def dataset_records():
-    return [ProminenceRecord(t, d, c) for t, d, c in
-            zip(DATASET_TOKENS, DATASET_DISCRETE, DATASET_CONTINUOUS)]
+def annotated(tokens, labels, values):
+    """(utterance, label codes, values) of labels with None at NA and
+    values with None at NA, as write_dataset takes them."""
+    return (stub_utterance(tokens), codes(labels),
+            np.array(values, dtype=np.float64))
 
 
 def test_write_dataset_exact_bytes():
-    utt = stub_utterance(DATASET_TOKENS)
-    assert write_dataset([(utt, dataset_records())]) == DATASET_SENTENCE.encode()
+    sentence = annotated(DATASET_TOKENS, DATASET_DISCRETE, DATASET_CONTINUOUS)
+    assert write_dataset([sentence]) == DATASET_SENTENCE.encode()
 
 
 def test_dataset_roundtrip():
-    utt = stub_utterance(DATASET_TOKENS)
-    data = parse_dataset(write_dataset([(utt, dataset_records())]))
+    data = parse_dataset(write_dataset([annotated(
+        DATASET_TOKENS, DATASET_DISCRETE, DATASET_CONTINUOUS)]))
     assert data.lengths.tolist() == [len(DATASET_TOKENS)]
     assert tokens_of(data) == DATASET_TOKENS
     assert data.labels.dtype == np.int8
@@ -370,9 +372,8 @@ def test_dataset_roundtrip():
 
 
 def test_write_dataset_blank_line_between_utterances():
-    utt = stub_utterance(["a", "b"])
-    recs = [ProminenceRecord("a", 0, 0.1), ProminenceRecord("b", 1, 0.6)]
-    blob = write_dataset([(utt, recs), (utt, recs)])
+    sentence = annotated(["a", "b"], [0, 1], [0.1, 0.6])
+    blob = write_dataset([sentence, sentence])
     assert blob == b"a\t0\t0.100\nb\t1\t0.600\n\na\t0\t0.100\nb\t1\t0.600\n"
     assert parse_dataset(blob).lengths.tolist() == [2, 2]
 
@@ -386,17 +387,20 @@ def test_write_dataset_empty():
 
 
 def test_write_dataset_count_mismatch():
-    utt = stub_utterance(["a", "b"])
-    with pytest.raises(CorpusFormatError, match="1 records for 2 tokens"):
-        write_dataset([(utt, [ProminenceRecord("a", 0, 0.1)])])
+    for labels, values in [([0], [0.1, 0.6]), ([0, 1], [0.1]), ([0], [0.1])]:
+        with pytest.raises(CorpusFormatError,
+                           match="utterance 'u': 1 records for 2 tokens"):
+            write_dataset([annotated(["a", "b"], labels, values)])
 
 
-def test_format_record_na_coupling():
-    assert format_record(ProminenceRecord(",", None, None)) == ",\tNA\tNA"
-    with pytest.raises(CorpusFormatError, match="NA together"):
-        format_record(ProminenceRecord("x", None, 0.5))
-    with pytest.raises(CorpusFormatError, match="NA together"):
-        format_record(ProminenceRecord("x", 1, None))
+def test_write_dataset_na_coupling():
+    assert write_dataset([annotated([","], [None], [None])]) == b",\tNA\tNA\n"
+    with pytest.raises(CorpusFormatError,
+                       match="record 'x': discrete and continuous must be NA "
+                             "together"):
+        write_dataset([annotated(["w", "x"], [0, None], [0.1, 0.5])])
+    with pytest.raises(CorpusFormatError, match="record 'x': .* NA together"):
+        write_dataset([annotated(["x"], [1], [None])])
 
 
 @pytest.mark.parametrize("content,pattern", [
@@ -508,37 +512,33 @@ word_st = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")),
     min_size=1, max_size=8,
 )
-record_st = st.one_of(
-    st.builds(
-        ProminenceRecord,
-        token=word_st,
-        discrete=st.integers(min_value=0, max_value=2),
-        continuous=st.floats(min_value=0.0, max_value=50.0,
-                             allow_nan=False, allow_infinity=False),
-    ),
-    st.builds(ProminenceRecord, token=st.just(","),
-              discrete=st.none(), continuous=st.none()),
+# (token, label, value) rows, None for both at punctuation
+row_st = st.one_of(
+    st.tuples(word_st, st.integers(min_value=0, max_value=2),
+              st.floats(min_value=0.0, max_value=50.0,
+                        allow_nan=False, allow_infinity=False)),
+    st.just((",", None, None)),
 )
-sentence_st = st.lists(record_st, min_size=1, max_size=6)
+sentence_st = st.lists(row_st, min_size=1, max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(sentence_st, min_size=0, max_size=4))
 def test_dataset_roundtrip_property(sentences):
-    annotated = [(stub_utterance([r.token for r in recs]), recs)
-                 for recs in sentences]
-    data = parse_dataset(write_dataset(annotated))
-    assert data.lengths.tolist() == [len(recs) for recs in sentences]
-    want = [rec for recs in sentences for rec in recs]
-    assert tokens_of(data) == [r.token for r in want]
+    data = parse_dataset(write_dataset(
+        annotated(*zip(*rows)) for rows in sentences))
+    assert data.lengths.tolist() == [len(rows) for rows in sentences]
+    want = [row for rows in sentences for row in rows]
+    assert tokens_of(data) == [token for token, _, _ in want]
     assert data.type_na.tolist() == [is_punctuation(t) for t in data.types]
-    assert labels_of(data.labels) == [r.discrete for r in want]
+    assert data.labels.dtype == np.int8
+    assert labels_of(data.labels) == [label for _, label, _ in want]
     assert len(data.continuous) == len(want)
-    for got, w in zip(data.continuous.tolist(), want):
-        if w.continuous is None:
+    for got, (_, _, value) in zip(data.continuous.tolist(), want):
+        if value is None:
             assert math.isnan(got)
         else:
-            assert got == pytest.approx(w.continuous, abs=5e-4)
+            assert got == pytest.approx(value, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +611,7 @@ def _read_line_by_line(text: str, n_cols: int):
                     f"columns, got {len(cols)}")
         try:
             if n_cols == 3:
-                rec = _record(cols)
-                row = (rec.token, rec.discrete, rec.continuous)
+                row = _record(cols)
             else:
                 row = (cols[0], _label(cols[1]), None)
         except CorpusFormatError as exc:

@@ -1,10 +1,13 @@
 """Label discretization and threshold calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosolab.corpus_io import NA
 from prosolab.discretize import (
     Thresholds,
     calibrate_binary,
@@ -12,7 +15,7 @@ from prosolab.discretize import (
     split_prominent,
 )
 
-from conftest import DATASET_CONTINUOUS, DATASET_DISCRETE
+from conftest import DATASET_CONTINUOUS, DATASET_DISCRETE, codes
 
 DEFAULT = Thresholds(0.5, 1.0)
 
@@ -27,24 +30,63 @@ value_list = st.lists(
 # discretize
 # ---------------------------------------------------------------------------
 
+def _discretize_loop(values, t: Thresholds, n_classes: int = 3) -> list:
+    """The per-value loop discretize replaced: None stays None."""
+    out = []
+    for v in values:
+        if v is None:
+            out.append(None)
+        elif v < t.theta1:
+            out.append(0)
+        elif n_classes == 2 or v < t.theta2:
+            out.append(1)
+        else:
+            out.append(2)
+    return out
+
+
 def test_discretize_reference_sentence():
-    assert discretize(DATASET_CONTINUOUS, DEFAULT) == DATASET_DISCRETE
+    values = np.array(DATASET_CONTINUOUS, dtype=np.float64)  # NaN at None
+    assert discretize(values, DEFAULT).tolist() == codes(
+        DATASET_DISCRETE).tolist()
 
 
 def test_discretize_all_zero():
-    assert discretize([0.0, 0.0, 0.0], DEFAULT) == [0, 0, 0]
+    assert discretize([0.0, 0.0, 0.0], DEFAULT).tolist() == [0, 0, 0]
 
 
 def test_discretize_boundaries_inclusive_upward():
-    assert discretize([0.5], DEFAULT) == [1]
-    assert discretize([1.0], DEFAULT) == [2]
-    assert discretize([0.5], Thresholds(0.5), n_classes=2) == [1]
-    assert discretize([0.49999], DEFAULT) == [0]
+    assert discretize([0.5], DEFAULT).tolist() == [1]
+    assert discretize([1.0], DEFAULT).tolist() == [2]
+    assert discretize([0.5], Thresholds(0.5), n_classes=2).tolist() == [1]
+    assert discretize([0.49999], DEFAULT).tolist() == [0]
 
 
 def test_discretize_two_way():
-    got = discretize([0.1, 0.5, 2.0, None], Thresholds(0.5), n_classes=2)
-    assert got == [0, 1, 1, None]
+    got = discretize([0.1, 0.5, 2.0, math.nan], Thresholds(0.5), n_classes=2)
+    assert got.tolist() == [0, 1, 1, NA]
+
+
+# values on and next to both thresholds, 0.0, large values and NaN
+near_threshold = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan, 1e300,
+                     np.finfo(float).max]),
+    st.sampled_from([0.5, 1.0]).flatmap(lambda theta: st.sampled_from(
+        [float(np.nextafter(theta, 0.0)), float(np.nextafter(theta, 2.0))])),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(near_threshold, max_size=30), st.sampled_from([2, 3]))
+def test_discretize_matches_the_per_value_loop(values, n_classes):
+    t = DEFAULT if n_classes == 3 else Thresholds(DEFAULT.theta1)
+    got = discretize(values, t, n_classes)
+    want = _discretize_loop([None if math.isnan(v) else v for v in values],
+                            t, n_classes)
+    assert got.dtype == np.int8
+    assert got.tolist() == codes(want).tolist()
+    assert ((got == NA) == np.isnan(values)).all()
 
 
 def test_discretize_requires_theta2_for_three_way():
@@ -78,7 +120,7 @@ def test_discretize_monotone(values):
 def test_discretize_merge_equivalence(values):
     three = discretize(values, DEFAULT, n_classes=3)
     two = discretize(values, Thresholds(DEFAULT.theta1), n_classes=2)
-    assert [min(v, 1) for v in three] == two
+    assert [min(v, 1) for v in three.tolist()] == two.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +132,7 @@ def test_calibrate_separable():
     assert t.theta1 == pytest.approx(0.5)
     assert t.theta2 is None
     got = discretize([0.1, 0.2, 0.8, 0.9], t, n_classes=2)
-    assert got == [0, 0, 1, 1]
+    assert got.tolist() == [0, 0, 1, 1]
 
 
 def test_calibrate_noisy_reference():

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from prosolab import prominence
 from prosolab.acoustics import FrameTrack
-from prosolab.corpus_io import (AudioBuffer, CorpusFormatError, Token,
-                                Utterance, parse_lab, read_wav)
+from prosolab.corpus_io import (NA, AudioBuffer, CorpusFormatError, Token,
+                                Utterance, parse_dataset, parse_lab, read_wav,
+                                write_dataset)
+from prosolab.discretize import Thresholds
 from prosolab.prominence import (
     AnnotateConfig,
     AnnotationError,
@@ -48,7 +50,7 @@ def fixture_values(saliences, mode="product", **kw):
     audio, utt = make_word_fixture(saliences, **kw)
     cfg = AnnotateConfig(grid=GRID8,
                          composite=CompositeConfig(mode=mode))
-    return [r.continuous for r in annotate_utterance(audio, utt, cfg)]
+    return annotate_utterance(audio, utt, cfg)[1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,8 @@ def test_word_prominence_containment():
     utt = _five_words()
     # word 2 spans [0.9, 1.3); a line ending at frame 220 lands at 1.1 s
     lomas = [Loma(path=[(1, 220)], strength=3.5)]
-    assert word_prominence(lomas, utt, SHIFT) == [0.0, 0.0, 3.5, 0.0, 0.0]
+    assert word_prominence(lomas, utt, SHIFT).tolist() == [
+        0.0, 0.0, 3.5, 0.0, 0.0]
 
 
 def test_word_prominence_from_isolated_bump_pipeline():
@@ -301,20 +304,20 @@ def test_word_prominence_nearest_by_boundary():
         Token("a", 0.1, 0.4, False), Token("b", 1.0, 1.4, False)])
     # 0.5 s sits in silence, 0.1 s from a's end and 0.5 s from b's start
     lomas = [Loma(path=[(0, 100)], strength=2.0)]
-    assert word_prominence(lomas, utt, SHIFT) == [2.0, 0.0]
+    assert word_prominence(lomas, utt, SHIFT).tolist() == [2.0, 0.0]
 
 
 def test_word_prominence_max_not_sum():
     utt = Utterance(id="u", tokens=[Token("a", 0.0, 1.0, False)])
     lomas = [Loma(path=[(0, 50)], strength=2.0),
              Loma(path=[(0, 120)], strength=5.0)]
-    assert word_prominence(lomas, utt, SHIFT) == [5.0]
+    assert word_prominence(lomas, utt, SHIFT).tolist() == [5.0]
 
 
 def test_word_prominence_clamps_negative():
     utt = Utterance(id="u", tokens=[Token("a", 0.0, 1.0, False)])
     lomas = [Loma(path=[(0, 50)], strength=-1.0)]
-    assert word_prominence(lomas, utt, SHIFT) == [0.0]
+    assert word_prominence(lomas, utt, SHIFT).tolist() == [0.0]
 
 
 def test_word_prominence_skips_punctuation():
@@ -324,7 +327,9 @@ def test_word_prominence_skips_punctuation():
     # the line lands inside the punctuation span; a's end is nearer than b's
     # start (0.1 s vs 0.1 s tie -> first word scanned wins)
     lomas = [Loma(path=[(0, 100)], strength=1.0)]
-    assert word_prominence(lomas, utt, SHIFT) == [1.0, None, 0.0]
+    out = word_prominence(lomas, utt, SHIFT)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, [1.0, math.nan, 0.0])
 
 
 def test_word_prominence_permutation_stable():
@@ -335,7 +340,7 @@ def test_word_prominence_permutation_stable():
     base = word_prominence(lomas, utt, SHIFT)
     for _ in range(5):
         shuffled = [lomas[i] for i in rng.permutation(len(lomas))]
-        assert word_prominence(shuffled, utt, SHIFT) == base
+        assert np.array_equal(word_prominence(shuffled, utt, SHIFT), base)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +365,35 @@ def test_annotate_all_silence_zero():
     audio = AudioBuffer(np.zeros(audio_n), 16000)
     utt = Utterance(id="s", tokens=[
         Token("a", 0.2, 0.8, False), Token("b", 1.0, 1.7, False)])
-    recs = annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
-    assert [r.continuous for r in recs] == [0.0, 0.0]
-    assert [r.discrete for r in recs] == [0, 0]
+    labels, values = annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
+    assert values.tolist() == [0.0, 0.0]
+    assert labels.tolist() == [0, 0]
 
 
 def test_annotate_punctuation_gets_na():
     audio, utt = make_word_fixture([0.4, 0.8, 0.2])
     end = utt.tokens[-1].end_s
     utt.tokens.append(Token(".", end, end, True))
-    recs = annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
-    assert recs[-1].token == "."
-    assert recs[-1].discrete is None and recs[-1].continuous is None
-    assert all(r.continuous is not None for r in recs[:-1])
+    labels, values = annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
+    assert (labels.dtype, values.dtype) == (np.int8, np.float64)
+    assert labels[-1] == NA and math.isnan(values[-1])
+    assert (labels[:-1] != NA).all() and not np.isnan(values[:-1]).any()
+
+
+def test_annotated_codes_and_values_survive_the_dataset_file():
+    audio, utt = make_word_fixture([0.4, 0.8, 0.2, 0.6])
+    comma = Token(",", utt.tokens[1].end_s, utt.tokens[1].end_s, True)
+    utt.tokens.insert(2, comma)
+    labels, values = annotate_utterance(
+        audio, utt, AnnotateConfig(grid=GRID8, thresholds=Thresholds(3, 12)))
+    data = parse_dataset(write_dataset([(utt, labels, values)]))
+    assert data.labels.dtype == np.int8
+    assert data.labels.tolist() == labels.tolist()
+    assert np.flatnonzero(data.labels == NA).tolist() == [2]
+    words = labels != NA
+    assert data.continuous[words].tolist() == [
+        float(f"{v:.3f}") for v in values[words].tolist()]
+    assert np.isnan(data.continuous[~words]).all()
 
 
 def test_annotate_span_outside_audio():
@@ -448,15 +469,16 @@ def test_annotate_amplitude_boost_monotone():
         factors = [1.0] * 5
         factors[1] = boost
         audio, utt = make_word_fixture(sal, amp_boost=factors)
-        recs = annotate_utterance(audio, utt, AnnotateConfig(grid=GRID8))
-        values.append(recs[1].continuous)
+        _, word_values = annotate_utterance(audio, utt,
+                                            AnnotateConfig(grid=GRID8))
+        values.append(word_values[1])
     diffs = np.diff(values)
     assert (diffs >= -1e-9).all()
 
 
 # ---------------------------------------------------------------------------
 # fuzz gate: WAV and .lab bytes through the readers and annotate_utterance
-# give finite records, a CorpusFormatError, or an AnnotationError that names
+# give finite values, a CorpusFormatError, or an AnnotationError that names
 # its stage and reason
 # ---------------------------------------------------------------------------
 
@@ -514,19 +536,20 @@ def test_annotate_gives_finite_records_or_a_named_failure(case):
         assert str(exc)
         return
     try:
-        records = annotate_utterance(audio, utt)
+        labels, values = annotate_utterance(audio, utt)
     except AnnotationError as exc:
         prefix = f"utterance 'u': stage {exc.stage}: "
         assert exc.stage in STAGES
         assert str(exc).startswith(prefix) and len(str(exc)) > len(prefix)
         return
-    assert [r.token for r in records] == [tok.text for tok in utt.tokens]
-    for rec, tok in zip(records, utt.tokens):
+    assert (labels.dtype, values.dtype) == (np.int8, np.float64)
+    assert len(labels) == len(values) == len(utt.tokens)
+    for label, value, tok in zip(labels.tolist(), values.tolist(), utt.tokens):
         if tok.is_punct:
-            assert rec.discrete is None and rec.continuous is None
+            assert label == NA and math.isnan(value)
         else:
-            assert math.isfinite(rec.continuous) and rec.continuous >= 0
-            assert rec.discrete in (0, 1, 2)
+            assert math.isfinite(value) and value >= 0
+            assert label in (0, 1, 2)
 
 
 def test_annotate_stage_tagging():
