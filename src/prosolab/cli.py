@@ -216,6 +216,12 @@ def _annotate_all(jobs, workers: int) -> tuple[list, list[float]]:
     return [result for _, result in done], [busy for busy, _ in shares]
 
 
+# each character that split("\t") or str.splitlines() cuts a manifest line
+# at -> its \xNN or \uNNNN escape, so a stem or status stays one field
+_LINE_CUTS = {c: f"\\x{c:02x}" if c < 0x100 else f"\\u{c:04x}"
+              for c in map(ord, "\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")}
+
+
 def cmd_annotate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
@@ -270,7 +276,8 @@ def cmd_annotate(args) -> int:
                 + ", ".join(f"{b:.3f} s" for b in busy),
                 "command=annotate"]
     manifest.extend(_config_lines(cfg))
-    manifest.extend(f"utt\t{stem}\t{st}" for stem, st in status)
+    manifest.extend(f"utt\t{stem.translate(_LINE_CUTS)}\t"
+                    f"{st.translate(_LINE_CUTS)}" for stem, st in status)
     manifest.append(f"summary\t{n_ok} ok, {n_fail} failed")
     Path(str(out_path) + ".manifest").write_text(
         "\n".join(manifest) + "\n", encoding="utf-8")

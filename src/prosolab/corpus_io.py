@@ -6,6 +6,11 @@ word-embedding tables.  All parsers are pure functions over bytes or text;
 UTF-8 is assumed everywhere and CRLF is normalized to LF before parsing.
 The text parsers read a ``str`` as content and a ``Path`` as a file name;
 ``read_wav`` also takes a ``str`` file name.
+
+Files of named number rows (datasets, predictions, embedding tables and
+the tables of a model file) are read a block of lines at a time by
+scan_rows; each reader checks a block's columns at once and reads its
+lines one at a time by its own line rule only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import unicodedata
 import wave
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
+from itertools import chain, count
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -29,9 +34,9 @@ INT16_SCALE = 32768.0
 # Such a file is read to its end, not called truncated.
 STREAMED_FRAMES = 0xFFFFFFFF // 2
 INT64 = np.iinfo(np.int64)
-# Most numbers parse_rows converts in one numpy call, and most fields a model
-# file's table reader splits at once: a whole table at once would hold
-# several times its text in str objects.  Not a setting.
+# scan_rows reads the lines in 16 * BLOCK_VALUES bytes (about BLOCK_VALUES
+# numbers written by repr) at a time, number_tokens BLOCK_VALUES lines: a
+# whole file at once would hold several times its bytes.  Not a setting.
 BLOCK_VALUES = 4096
 
 
@@ -124,28 +129,6 @@ def parse_numbers(texts: list[str], kind: type,
     return np.array(values, dtype=dtype)
 
 
-def parse_rows(rows: Iterable[list[str]], width: int, kind: type,
-               where: Callable[[int], str]
-               ) -> Iterator[tuple[int, np.ndarray]]:
-    """`rows` of `width` number texts, converted by parse_numbers a block of
-    rows at a time: (i, an (n, width) array of rows i..i+n-1) per block, and
-    ``where(i)`` names row i.  An error that `rows` raises reaches the caller
-    at once, the first bad number only once the rows have run out."""
-    rows, done, bad = iter(rows), 0, None
-    while texts := list(chain.from_iterable(
-            islice(rows, max(1, BLOCK_VALUES // width)))):
-        try:
-            block = parse_numbers(texts, kind,
-                                  lambda k: where(done + k // width))
-        except CorpusFormatError as exc:
-            bad = bad or exc
-        else:
-            yield done, block.reshape(-1, width)
-        done += len(texts) // width
-    if bad is not None:
-        raise bad
-
-
 def is_punctuation(text: str) -> bool:
     """True iff every character belongs to a Unicode punctuation category.
     No alphanumeric character is in one, so a word answers at once."""
@@ -158,16 +141,22 @@ def is_punctuation(text: str) -> bool:
 # input coercion helpers
 # ---------------------------------------------------------------------------
 
-def decode_text(raw: bytes, where: str = "") -> str:
-    """`raw` as UTF-8 text.  Bytes that are not UTF-8 are a CorpusFormatError
-    naming their line, after `where` (the file) when it is given."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(
-            f"{where}{' ' if where else ''}line {line}: not UTF-8 text: "
-            f"byte 0x{raw[exc.start]:02x}") from None
+def _check_utf8(raw: bytes, where: str) -> None:
+    """A CorpusFormatError naming the line of the first byte of `raw` that
+    is not UTF-8, after `where` (the file) when it is given.  Decoded a
+    block of lines at a time, so that no copy of the file is held."""
+    lo = len(raw) if raw.isascii() else 0  # ASCII is UTF-8
+    while lo < len(raw):
+        hi = raw.find(b"\n", lo + 64 * BLOCK_VALUES) + 1 or len(raw)
+        try:
+            str(memoryview(raw)[lo:hi], "utf-8")
+        except UnicodeDecodeError as exc:
+            at = lo + exc.start
+            line = raw.count(b"\n", 0, at) + 1
+            raise CorpusFormatError(
+                f"{where}{' ' if where else ''}line {line}: not UTF-8 text: "
+                f"byte 0x{raw[at]:02x}") from None
+        lo = hi
 
 
 def lf_bytes(source: bytes | str | Path, where: str = "") -> bytes:
@@ -180,7 +169,7 @@ def lf_bytes(source: bytes | str | Path, where: str = "") -> bytes:
     else:
         if not isinstance(source, bytes):
             source, where = Path(source).read_bytes(), str(source)
-        decode_text(source, where)
+        _check_utf8(source, where)
         raw = source
     if b"\r" not in raw:  # replace scans slowly even when nothing matches
         return raw
@@ -190,6 +179,99 @@ def lf_bytes(source: bytes | str | Path, where: str = "") -> bytes:
 def _as_text(source: bytes | str | Path) -> str:
     """A ``str`` is the content itself; a ``Path`` names the file to read."""
     return lf_bytes(source).decode("utf-8", "surrogatepass")
+
+
+# ---------------------------------------------------------------------------
+# files of named number rows
+# ---------------------------------------------------------------------------
+
+# first bytes of a UTF-8 line that str.strip may find blank: the ASCII
+# whitespace bytes and the lead byte of any other character
+_MAYBE_BLANK = np.array([c >= 0x80 or chr(c).isspace() for c in range(256)])
+
+
+@dataclass
+class Rows:
+    """A block of whole lines that scan_rows read; its non-blank lines are
+    its rows."""
+
+    data: np.ndarray    # uint8 UTF-8 bytes, each line ending "\n"
+    lineno: int         # of the block's first line
+    lines: np.ndarray   # (n,) the line number of each row
+    starts: np.ndarray  # (n,) its first byte in `data`
+    ends: np.ndarray    # (n,) and its newline
+    stop: int           # the byte of the file after the block
+
+    def text(self) -> list[str]:
+        """The block's lines, for a line rule to read one at a time."""
+        return _split_lines(self.data)
+
+    def fields(self, width: int, sep: str | None = "\t"
+               ) -> tuple[list[str], int]:
+        """The fields of the first k rows, row after row, and k: the rows
+        before the first that line.split(sep) does not cut into `width`
+        fields.  One split, with a NUL field after each row, cuts them all
+        when each fits; else each row is split alone."""
+        n = len(self.lines)
+        text = (self.data[self.starts[0]:self.ends[-1] + 1] if n and
+                self.lines[-1] - self.lines[0] == n - 1  # no blank between
+                else _gather(self.data, self.starts, self.ends)
+                ).tobytes().decode("utf-8", "surrogatepass")
+        if "\x00" not in text:
+            every = text.replace("\n", f"{sep or ' '}\x00{sep or ' '}"
+                                 ).split(sep)
+            if sep:
+                del every[-1]  # the empty field after the last NUL
+            if (len(every) == n * (width + 1)
+                    and every[width::width + 1].count("\x00") == n):
+                del every[width::width + 1]
+                return every, n
+        cut = [line.split(sep) for line in text.split("\n")[:-1]]
+        k = next((i for i, f in enumerate(cut) if len(f) != width), n)
+        return list(chain.from_iterable(cut[:k])), k
+
+
+def scan_rows(raw: bytes, strip: bool = True, at: int = 0,
+              rows: int | None = None) -> Iterator[Rows]:
+    """The lines of `raw` (UTF-8) from byte `at` on, as Rows of the whole
+    lines in 16 * BLOCK_VALUES bytes (or of one longer line), with at most
+    `rows` rows in all if given.  A line is blank when it is empty or, with
+    `strip`, when str.strip leaves nothing of it: numpy finds the lines,
+    and only those whose first byte may be whitespace are decoded to test
+    it.  Line numbers count from `at`."""
+    lineno = 1
+    while at < len(raw) and rows != 0:
+        stop = (raw.rfind(b"\n", at, at + 16 * BLOCK_VALUES) + 1
+                or raw.find(b"\n", at) + 1 or len(raw))
+        block = raw[at:stop] + b"\n" * (raw[stop - 1] != ord("\n"))
+        data = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(data == ord("\n"))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        kept = starts < ends
+        for i in np.flatnonzero(kept & _MAYBE_BLANK[data[starts]] & strip):
+            kept[i] = bool(block[starts[i]:ends[i]].decode(
+                "utf-8", "surrogatepass").strip())
+        found, n_lines = np.flatnonzero(kept)[:rows], len(ends)
+        if len(found) == rows:  # the block ends with the last row
+            n_lines = found[-1] + 1
+            data = data[:ends[found[-1]] + 1]
+            stop = at + len(data)
+        yield Rows(data, lineno, lineno + found, starts[found], ends[found],
+                   stop)
+        lineno, at = lineno + n_lines, stop
+        rows = None if rows is None else rows - len(found)
+
+
+def _gather(data: np.ndarray, starts: np.ndarray,
+            ends: np.ndarray) -> np.ndarray:
+    """The spans data[s:e], each with a newline after it, gathered at
+    once: each span and the byte after it, that byte made a newline."""
+    sizes = (ends - starts + 1).astype(np.int32)
+    after = np.cumsum(sizes)
+    out = data[np.arange(sizes.sum(), dtype=np.int32)
+               + np.repeat((starts + sizes - after).astype(np.int32), sizes)]
+    out[after - 1] = ord("\n")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +650,12 @@ def _record(cols: list[str]) -> tuple[str, int | None, float | None]:
     return token, discrete, cont
 
 
-def _name_first_bad_line(lines: list[str], n_cols: int,
+def _name_first_bad_line(rows: Rows, n_cols: int,
                          row: Callable[[list[str]], object]) -> NoReturn:
-    """Raise the error of the first non-blank line that does not have
-    `n_cols` tab-separated columns or that ``row(columns)`` rejects,
-    prefixed with its line number."""
-    for lineno, line in enumerate(lines, start=1):
+    """Raise the error of the first non-blank line of the block that does
+    not have `n_cols` tab-separated columns or that ``row(columns)``
+    rejects, prefixed with its line number."""
+    for lineno, line in enumerate(rows.text(), start=rows.lineno):
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -592,57 +674,91 @@ def _read_columns(source: bytes | str | Path, n_cols: int,
     """The columns of blank-line-separated sentences of lines with `n_cols`
     tab-separated fields: token, label and, with 3 columns, a continuous
     value >= 0 that is NA exactly where the label is.  A line is blank when
-    str.strip leaves nothing of it.  Each check runs on the whole file;
-    when one fails, the lines are walked again one at a time by the line
-    rule (_record or _label) to name the first bad one."""
-    raw = lf_bytes(source, where)
-    columns = _checked_columns(raw if raw.endswith(b"\n") else raw + b"\n",
-                               n_cols)
-    if columns is None:
-        _name_first_bad_line(raw.decode("utf-8", "surrogatepass").split("\n"),
-                             n_cols, _record if n_cols == 3
-                             else lambda cols: _label(cols[1]))
-    return columns
+    str.strip leaves nothing of it.  scan_rows reads the file a block at a
+    time and the checks run on the block's columns; when one fails, the
+    block's lines are read again one at a time by the line rule (_record
+    or _label) to name the first bad one."""
+    tokens, labels = _Growing(np.uint8), _Growing(np.int8)
+    values, opens, last = _Growing(np.float64), _Growing(np.int64), -1
+    for rows in scan_rows(lf_bytes(source, where)):
+        block = _checked(rows, n_cols)
+        if block is None:
+            _name_first_bad_line(rows, n_cols, _record if n_cols == 3
+                                 else lambda cols: _label(cols[1]))
+        # a row opens a sentence unless the line before it is a row
+        opens.add(labels.n + np.flatnonzero(
+            np.diff(rows.lines, prepend=last) != 1))
+        last = rows.lines[-1] if len(rows.lines) else last
+        tokens.add(block[0])
+        labels.add(block[1])
+        if n_cols == 3:
+            values.add(block[2])
+    return Columns(tokens.done(), labels.done(),
+                   values.done() if n_cols == 3 else None,
+                   np.diff(opens.done(), append=labels.n))
 
 
-# first bytes of a UTF-8 line that str.strip may find blank: the ASCII
-# whitespace bytes and the lead byte of any other character
-_MAYBE_BLANK = np.array([c >= 0x80 or chr(c).isspace() for c in range(256)])
-
-
-def _checked_columns(raw: bytes, n_cols: int) -> Columns | None:
-    """The columns of `raw`, UTF-8 bytes that end with a newline, or None if
-    a check fails.  _layout places every field and reads the labels; the
-    token fields are gathered, each with its tab made a newline, and the
-    values converted BLOCK_VALUES at a time, so that no list as long as the
-    file is built."""
-    layout = _layout(raw, n_cols)
-    if layout is None:
+def _checked(rows: Rows, n_cols: int) -> tuple | None:
+    """The token bytes, label codes and, with 3 columns, values of the rows
+    of a block, or None if a row has the wrong number of tabs, a label is
+    not one of the _LABELS or, with 3 columns, a value is NA where its
+    label is not or the other way round, or is not a finite number of at
+    least 0.  numpy finds the fields and reads the labels."""
+    data = rows.data
+    # the k-th tab-separated field of the block ends at byte cuts[k]
+    cuts = np.flatnonzero((data == ord("\t")) | (data == ord("\n")))
+    last = np.flatnonzero(data[cuts] == ord("\n"))  # each line's last field
+    row = rows.lines - rows.lineno  # each row's line in the block
+    first = np.concatenate(([0], last[:-1] + 1))[row]
+    if not (last[row] - first == n_cols - 1).all():
         return None
-    bounds, labels, lengths = layout
-    data = np.frombuffer(raw, dtype=np.uint8)
-    # each token field and the tab after it: the mask flips on at its first
-    # byte and off past its tab; no token holds a tab, so every tab kept
-    # ends a token
-    flips = np.zeros(len(data), dtype=bool)
-    flips[bounds[0] + 1] = flips[bounds[1] + 1] = True
-    token_bytes = data[np.logical_xor.accumulate(flips)]
-    token_bytes[token_bytes == ord("\t")] = ord("\n")
-    continuous = None
-    if n_cols == 3:
-        continuous = np.full(len(labels), np.nan)
-        scored = np.flatnonzero(labels != NA)
-        for a in range(0, len(scored), BLOCK_VALUES):
-            at = scored[a:a + BLOCK_VALUES]
-            try:
-                # `where` is unused: a bad value is named by the line walk
-                continuous[at] = parse_numbers(
-                    _texts(data, bounds[2][at] + 1, bounds[3][at]), float, str)
-            except CorpusFormatError:
-                return None
-        if (continuous < 0).any():
-            return None
-    return Columns(token_bytes, labels, continuous, lengths)
+    # field k of each row is data[bounds[k] + 1:bounds[k + 1]]
+    bounds = [rows.starts - 1, *(cuts[first + k] for k in range(n_cols))]
+    label_at, label_end = bounds[1] + 1, bounds[2]
+    na = _is_na(data, label_at, label_end)
+    digit = data[label_at].astype(np.int16) - ord("0")
+    if not (na | ((label_end - label_at == 1) & (digit >= 0)
+                  & (digit < N_LABELS))).all():
+        return None
+    block = (_gather(data, bounds[0] + 1, bounds[1]),
+             np.where(na, NA, digit).astype(np.int8))
+    if n_cols == 2:
+        return block
+    if not np.array_equal(_is_na(data, label_end + 1, bounds[3]), na):
+        return None
+    values = np.full(len(na), np.nan)
+    try:
+        # `where` is unused: a bad value is named by the line walk
+        values[~na] = parse_numbers(_split_lines(_gather(
+            data, label_end[~na] + 1, bounds[3][~na])), float, str)
+    except CorpusFormatError:
+        return None
+    return None if (values < 0).any() else (*block, values)
+
+
+def _is_na(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Whether each field data[start:end] is the two bytes ``NA``."""
+    return ((end - start == 2) & (data[start] == ord("N"))
+            & (data.take(start + 1, mode="clip") == ord("A")))
+
+
+class _Growing:
+    """An array filled a block at a time: grown in place by a quarter when
+    full and cut to its length at the end, so no second copy is built."""
+
+    def __init__(self, dtype: type):
+        self.array, self.n = np.empty(16 * BLOCK_VALUES, dtype), 0
+
+    def add(self, block: np.ndarray) -> None:
+        self.n += len(block)
+        if self.n > len(self.array):
+            self.array.resize(max(self.n, len(self.array) * 5 // 4),
+                              refcheck=False)
+        self.array[self.n - len(block):self.n] = block
+
+    def done(self) -> np.ndarray:
+        self.array.resize(self.n, refcheck=False)
+        return self.array
 
 
 def number_tokens(token_bytes: np.ndarray
@@ -668,64 +784,6 @@ def _split_lines(lines: np.ndarray) -> list[str]:
     """The text of each line of `lines`, uint8 UTF-8 bytes that end with a
     newline (or are empty)."""
     return lines.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
-
-
-def _texts(data: np.ndarray, starts: np.ndarray,
-           ends: np.ndarray) -> list[str]:
-    """The text of each field data[s:e], where byte e is the tab or newline
-    that ends it: the fields' bytes, each with a newline after it, gathered
-    and decoded at once."""
-    sizes = ends - starts + 1
-    after = np.cumsum(sizes)
-    picked = data[np.arange(after[-1])
-                  + np.repeat(starts + sizes - after, sizes)]
-    picked[after - 1] = ord("\n")
-    return _split_lines(picked)
-
-
-def _layout(raw: bytes, n_cols: int
-            ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray] | None:
-    """From the UTF-8 bytes of a file that end with a newline: the bounds of
-    the non-blank lines' fields, n_cols + 1 arrays such that field k of line
-    i is the bytes after bounds[k][i] up to bounds[k + 1][i]; each line's
-    label code; and the sentence lengths.  Or None if a line has the wrong number
-    of tabs, a label is not one of the _LABELS or, with 3 columns, a value
-    is NA where its label is not or the other way round.  numpy scans the
-    bytes; str.strip runs only on the lines that may be blank."""
-    data = np.frombuffer(raw, dtype=np.uint8)
-    # field k of the file ends at byte ends_at[k]; a line ends with a field
-    ends_at = np.flatnonzero((data == ord("\t")) | (data == ord("\n")))
-    last = np.flatnonzero(data[ends_at] == ord("\n"))  # each line's last field
-    first = np.concatenate(([0], last[:-1] + 1))       # and its first
-    ends = ends_at[last]
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    blank = starts == ends
-    for i in np.flatnonzero(~blank & _MAYBE_BLANK[data[starts]]).tolist():
-        blank[i] = not raw[starts[i]:ends[i]].decode(
-            "utf-8", "surrogatepass").strip()
-    kept = ~blank
-    first = first[kept]
-    if not (last[kept] - first == n_cols - 1).all():
-        return None
-    bounds = [starts[kept] - 1, *(ends_at[first + k] for k in range(n_cols))]
-    label_at, label_end = bounds[1] + 1, bounds[2]
-    is_na = _is_na(data, label_at, label_end)
-    digit = data[label_at].astype(np.int16) - ord("0")
-    if not (is_na | ((label_end - label_at == 1) & (digit >= 0)
-                     & (digit < N_LABELS))).all():
-        return None
-    if n_cols == 3 and not np.array_equal(
-            _is_na(data, label_end + 1, bounds[3]), is_na):
-        return None
-    edges = np.diff(kept.astype(np.int8), prepend=0, append=0)
-    return (bounds, np.where(is_na, NA, digit).astype(np.int8),
-            np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0))
-
-
-def _is_na(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Whether each field data[start:end] is the two bytes ``NA``."""
-    return ((end - start == 2) & (data[start] == ord("N"))
-            & (data.take(start + 1, mode="clip") == ord("A")))
 
 
 def parse_dataset(source: bytes | str | Path) -> Columns:
@@ -770,34 +828,34 @@ def format_predictions(predicted: Columns) -> bytes:
 def load_embeddings(
     source: bytes | str | Path, dimension: int
 ) -> EmbeddingTable:
-    """Load a ``token v1 .. vD`` text table; first occurrence wins on
-    duplicates, and the rows of a repeated token are not read."""
+    """Load a ``token v1 .. vD`` text table, whose lines str.split cuts (so
+    a line is blank when it holds no field).  The first row of a token
+    wins, and the rows of a repeated token are not read.  The first bad
+    number in a row that is read is named before a later line with another
+    field count, and the rows after that line are not read."""
     if dimension <= 0:
         raise ValueError("dimension must be positive")
-    first: dict[str, int] = {}  # token -> line number of its first row
-    linenos: list[int] = []     # the same line numbers, in row order
-    bad_shape = None
-
-    def rows():
-        nonlocal bad_shape
-        for lineno, line in enumerate(_as_text(source).split("\n"), start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dimension + 1:
-                bad_shape = CorpusFormatError(f"line {lineno}: expected "
-                                              f"{dimension} values, got "
-                                              f"{len(parts) - 1}")
-                return
-            if parts[0] not in first:
-                first[parts[0]] = lineno
-                linenos.append(lineno)
-                yield parts[1:]
-
-    vectors = [row for _, block in parse_rows(
-        rows(), dimension, float, lambda i: f"line {linenos[i]}")
-        for row in block]
-    # the rows before a bad one were read first: their error came first
-    if bad_shape is not None:
-        raise bad_shape
-    return EmbeddingTable(dimension, dict(zip(first, vectors)))
+    entries: dict[str, np.ndarray] = {}
+    width = dimension + 1
+    for rows in scan_rows(lf_bytes(source)):
+        fields, n = rows.fields(width, None)
+        read: dict[str, int] = {}  # each new token -> its row in the block
+        for i, token in enumerate(fields[::width]):
+            if token not in entries:
+                read.setdefault(token, i)
+        at = list(read.values())
+        if len(at) == n:  # every row is read
+            del fields[::width]
+        else:
+            fields = list(chain.from_iterable(
+                fields[i * width + 1:(i + 1) * width] for i in at))
+        entries.update(zip(read, parse_numbers(
+            fields, float, lambda k: f"line {rows.lines[at[k // dimension]]}"
+        ).reshape(-1, dimension)))
+        if n < len(rows.lines):  # the row check names the line
+            for lineno, line in enumerate(rows.text(), start=rows.lineno):
+                if len(line.split()) not in (0, width):
+                    raise CorpusFormatError(
+                        f"line {lineno}: expected {dimension} values, got "
+                        f"{len(line.split()) - 1}")
+    return EmbeddingTable(dimension, entries)

@@ -8,13 +8,13 @@ with LF line ends and read with LF, CRLF or CR ones.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
 
-from .. import corpus_io
-from ..corpus_io import N_LABELS, CorpusFormatError, lf_bytes, parse_numbers
+from ..corpus_io import (N_LABELS, CorpusFormatError, Rows, lf_bytes,
+                         parse_numbers, scan_rows)
 from . import crf, embed, majority
 from .common import comma_ints
 
@@ -37,16 +37,20 @@ def save_model(model) -> bytes:
 
 class _Reader:
     def __init__(self, data: bytes, where: str):
-        self.lines = iter(lf_bytes(data, where).decode().split("\n"))
+        self.raw = lf_bytes(data, where)
+        self.at_byte = 0  # where the next line starts
         self.section = "header"  # the model type once read; named in errors
 
     def at(self, name: str) -> str:
         return f"{self.section} model, {name}"
 
     def next(self) -> str:
-        for line in self.lines:
+        while self.at_byte < len(self.raw):
+            end = self.raw.find(b"\n", self.at_byte)
+            end = len(self.raw) if end < 0 else end  # the last line's end
+            line, self.at_byte = self.raw[self.at_byte:end], end + 1
             if line:
-                return line
+                return line.decode()
         raise CorpusFormatError("truncated model file")
 
     def expect_kv(self, key: str) -> str:
@@ -82,24 +86,22 @@ class _Reader:
 
     def table(self, prefix: str, count: int, width: int, kind: type = float,
               named: bool = False, sep: str | None = None):
-        """(name -> row, (count, width) array) of the next `count` lines:
-        `prefix`, a new name if `named`, then `width` numbers of `kind`, in
-        tab-separated fields or one field split on `sep`.  The lines are
-        read in blocks of at most corpus_io.BLOCK_VALUES fields: one split
-        cuts a block's fields, its layout is checked on the whole block and
-        its numbers are converted by one parse_numbers call.  A bad layout
-        is raised as soon as its block is read, and a bad number once every
-        row's layout has been checked, so a bad layout anywhere is named
-        first."""
+        """(name -> row, (count, width) array) of the next `count` lines
+        that are not empty: `prefix`, a new name if `named`, then `width`
+        numbers of `kind`, in tab-separated fields or one field split on
+        `sep`.  A block of rows from scan_rows has its layout checked at
+        once and its numbers converted by one parse_numbers call.  A bad
+        layout is raised as soon as its block is read, and a bad number
+        once every row's layout has been checked."""
         name = prefix if prefix == "row" else f"{prefix} row"
         n_fields = 1 + named + (1 if sep else width)
         index: dict[str, int] = {}
 
-        def name_bad_row(lines: list[str], first: int, n: int) -> NoReturn:
-            """Raise the error of the first of `lines`, rows `first`...,
-            that breaks the layout, or else the file's truncation."""
+        def name_bad_row(rows: Rows, first: int) -> NoReturn:
+            """Raise the error of the first row of `rows`, row `first`...,
+            that breaks the layout."""
             seen = set(index)
-            for i, line in enumerate(lines, start=first):
+            for i, line in enumerate(filter(None, rows.text()), start=first):
                 fields = line.split("\t")
                 if fields[0] != prefix or len(fields) != n_fields:
                     raise CorpusFormatError(self.at(
@@ -113,46 +115,38 @@ class _Reader:
                         raise CorpusFormatError(self.at(
                             f"{name} {i}: repeated name {fields[1]!r}"))
                     seen.add(fields[1])
-            if len(lines) < n:
-                raise CorpusFormatError("truncated model file")
             raise AssertionError("a block check failed where every row passes")
 
         values = np.empty((count, width),
                           dtype=np.float64 if kind is float else np.int64)
-        step, bad = max(1, corpus_io.BLOCK_VALUES // n_fields), None
-        for a in range(0, count, step):
-            n = min(step, count - a)
-            lines = list(islice(filter(None, self.lines), n))
-            # each line after the first starts with the field "\n" + prefix
-            # and no other field holds a "\n": when every n_fields-th field
-            # is one, every line holds n_fields fields, and only then are
-            # fields[1::n_fields] the rows' names
-            fields = "\t\n".join(lines).split("\t")
-            new = dict(zip(fields[1::n_fields], range(a, a + n))) \
+        done, bad = 0, None
+        for rows in scan_rows(self.raw, False, self.at_byte, count):
+            self.at_byte, n = rows.stop, len(rows.lines)
+            fields, fit = rows.fields(n_fields)  # of the first `fit` rows
+            new = dict(zip(fields[1::n_fields], range(done, done + n))) \
                 if named else {}
-            ok = (len(lines) == n and len(fields) == n * n_fields
-                  and fields[0] == prefix
-                  and fields[n_fields::n_fields].count("\n" + prefix) == n - 1
-                  and (not named or len(new) == n
-                       and index.keys().isdisjoint(new)))
-            if ok:
-                del fields[::n_fields]  # the prefixes
-                if named:
-                    del fields[::n_fields - 1]  # the names
-                if sep:
-                    ok = set(map(str.count, fields, repeat(sep))) == {
-                        width - 1}
-                    fields = sep.join(fields).split(sep)
-            if not ok:
-                name_bad_row(lines, a, n)
+            if not (fit == n and fields[::n_fields].count(prefix) == n
+                    and len(new) == n * named and index.keys().isdisjoint(new)
+                    and (not sep or set(map(
+                        str.count, fields[n_fields - 1::n_fields],
+                        repeat(sep))) <= {width - 1})):
+                name_bad_row(rows, done)
+            if not n:
+                continue
             index.update(new)
+            del fields[::n_fields]  # the prefixes
+            if named:
+                del fields[::n_fields - 1]  # the names
+            if sep:
+                fields = sep.join(fields).split(sep)
             try:
-                block = parse_numbers(fields, kind, lambda k: self.at(
-                    f"{name} {a + k // width}"))
+                values[done:done + n] = parse_numbers(fields, kind, lambda k: (
+                    self.at(f"{name} {done + k // width}"))).reshape(n, width)
             except CorpusFormatError as exc:
                 bad = bad or exc
-            else:
-                values[a:a + n] = block.reshape(n, width)
+            done += n
+        if done < count:
+            raise CorpusFormatError("truncated model file")
         if bad is not None:
             raise bad
         return index, values

@@ -180,6 +180,39 @@ def test_annotate_fails_an_utterance_with_a_token_that_holds_a_tab(
     assert tokens_of(data) == ["w0", "w1", "w2"]
 
 
+def test_annotate_writes_one_manifest_line_per_entry(tmp_path, capsys):
+    """A stem or a status holding a tab or a line break is escaped, so
+    that every manifest line keeps its column count: stems a<TAB>b and
+    c<LF>d without audio, and a TextGrid whose only tier is a<TAB>b."""
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        ("u", [0.3, 0.6, 0.2], None), ("v", [0.2, 0.8, 0.5], None)])
+    _, utt = make_word_fixture([0.4, 0.4, 0.4])
+    write_lab(align_dir / "a\tb.lab", utt)
+    write_lab(align_dir / "c\nd.lab", utt)
+    (align_dir / "u.lab").unlink()
+    write_textgrid(align_dir / "u.TextGrid", utt)
+    grid = (align_dir / "u.TextGrid").read_text(encoding="utf-8")
+    (align_dir / "u.TextGrid").write_text(
+        grid.replace('name = "words"', 'name = "a\tb"'), encoding="utf-8")
+    out = tmp_path / "data.tsv"
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
+    assert "1 ok, 3 failed" in capsys.readouterr().out
+    text = Path(f"{out}.manifest").read_bytes().decode("utf-8")
+    lines = text.split("\n")[:-1]
+    assert text.splitlines() == lines
+    columns = {"utt": 3, "summary": 2}
+    for line in lines:
+        if not line.startswith("#"):
+            fields = line.split("\t")
+            assert len(fields) == columns.get(fields[0], 1), line
+    assert [line for line in lines if line.startswith("utt\t")] == [
+        "utt\ta\\x09b\tfailed: missing audio",
+        "utt\tc\\x0ad\tfailed: missing audio",
+        "utt\tu\tfailed: no IntervalTier named 'words'; available tiers: "
+        "a\\x09b",
+        "utt\tv\tok"]
+
+
 def test_annotate_deterministic_except_timestamp(tmp_path, capsys):
     audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
         ("u1", [0.2, 0.8, 0.5], "."),

@@ -708,11 +708,26 @@ def _embeddings_line_by_line(text: str, dimension: int):
     return entries
 
 
+# what a byte-level reading of str.split could get wrong: separators
+# bytes.split does not cut at (\x1c, \x85, \xa0, \u3000) beside the ones it
+# does, runs of them, whitespace-only lines and tokens that start with a
+# multi-byte character
+embedding_space_st = st.text(
+    alphabet=[" ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u3000"],
+    min_size=1, max_size=3)
 embedding_line_st = st.one_of(
     st.just(""),
-    st.lists(st.sampled_from(["cat", "dog", "1.5", "-2", "x", "nan", "1e400",
-                              "1_0", "\u0663"]), min_size=1, max_size=4)
-    .map(" ".join))
+    embedding_space_st,
+    st.tuples(
+        st.one_of(st.just(""), embedding_space_st),
+        st.lists(st.tuples(
+            st.sampled_from(["cat", "dog", "1.5", "-2", "x", "nan", "1e400",
+                             "1_0", "\u0663", "\xe9", "\u4e2d\u6587",
+                             "\xe91"]),
+            embedding_space_st), min_size=1, max_size=4),
+        st.one_of(st.just(""), embedding_space_st),
+    ).map(lambda p: p[0] + "".join(f + sep for f, sep in p[1])[
+        :-len(p[1][-1][1])] + p[2]))
 
 
 @settings(max_examples=300, deadline=None)

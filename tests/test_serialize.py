@@ -1,6 +1,8 @@
 """Model file round-trips for the three tagger types."""
 
 import re
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosolab.corpus_io import CorpusFormatError, EmbeddingTable, parse_rows
+from prosolab.corpus_io import (BLOCK_VALUES, CorpusFormatError,
+                                EmbeddingTable, parse_numbers)
 from prosolab.taggers.common import tab_floats
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
@@ -251,6 +254,28 @@ def test_a_bad_layout_is_named_before_a_bad_number_in_an_earlier_block(
     with pytest.raises(CorpusFormatError, match=re.escape(
             "crf model, feature row 0: not a number: 'nope'")):
         load_model("\n".join(lines).encode())
+
+
+def parse_rows(rows: Iterable[list[str]], width: int, kind: type,
+               where: Callable[[int], str]
+               ) -> Iterator[tuple[int, np.ndarray]]:
+    """`rows` of `width` number texts, converted by parse_numbers a block of
+    rows at a time: (i, an (n, width) array of rows i..i+n-1) per block, and
+    ``where(i)`` names row i.  An error that `rows` raises reaches the caller
+    at once, the first bad number only once the rows have run out."""
+    rows, done, bad = iter(rows), 0, None
+    while texts := list(chain.from_iterable(
+            islice(rows, max(1, BLOCK_VALUES // width)))):
+        try:
+            block = parse_numbers(texts, kind,
+                                  lambda k: where(done + k // width))
+        except CorpusFormatError as exc:
+            bad = bad or exc
+        else:
+            yield done, block.reshape(-1, width)
+        done += len(texts) // width
+    if bad is not None:
+        raise bad
 
 
 def table_row_by_row(r, prefix, count, width, kind=float, named=False,
