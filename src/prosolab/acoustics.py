@@ -111,7 +111,10 @@ def frame_audio(audio: AudioBuffer, frame_shift_s: float,
                 window_s: float) -> Frames:
     """Put the audio on the frame grid and take each frame's RMS."""
     rate = audio.sample_rate
-    hop = max(1, round(rate * frame_shift_s))
+    hop = round(rate * frame_shift_s)
+    if hop < 1:
+        raise ValueError(f"frame shift {frame_shift_s} s is less than one "
+                         f"sample at {rate} Hz")
     win = round(rate * window_s)
     n = len(audio.samples)
     if n < win:

@@ -9,8 +9,11 @@ The text parsers read a ``str`` as content and a ``Path`` as a file name;
 
 Files of named number rows (datasets, predictions, embedding tables and
 the tables of a model file) are read a block of lines at a time by
-scan_rows; each reader checks a block's columns at once and reads its
-lines one at a time by its own line rule only to name the first bad one.
+scan_rows, which alone decides which lines are blank; each reader checks
+a block's columns at once and reads the rows scan_rows found one at a
+time by its own line rule only to name the first bad one.  A dataset's or
+predictions file's columns grow in bytearrays, one extend a block, which
+the arrays returned view.
 """
 
 from __future__ import annotations
@@ -162,18 +165,20 @@ def _check_utf8(raw: bytes, where: str) -> None:
 def lf_bytes(source: bytes | str | Path, where: str = "") -> bytes:
     """The UTF-8 bytes of `source` with CRLF and lone CR line ends made LF.
     A ``str`` is the content, encoded (a lone surrogate with surrogatepass);
-    bytes, or the file a ``Path`` names, are only checked to be UTF-8, and
-    the error names the file, or `where` for bytes."""
+    bytes, or the file a ``Path`` names, are only checked to be UTF-8, once
+    their line ends are LF, and the error names the file, or `where` for
+    bytes."""
     if isinstance(source, str):
         raw = source.encode("utf-8", "surrogatepass")
-    else:
-        if not isinstance(source, bytes):
-            source, where = Path(source).read_bytes(), str(source)
-        _check_utf8(source, where)
+    elif isinstance(source, bytes):
         raw = source
-    if b"\r" not in raw:  # replace scans slowly even when nothing matches
-        return raw
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    else:
+        raw, where = Path(source).read_bytes(), str(source)
+    if b"\r" in raw:  # replace scans slowly even when nothing matches
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not isinstance(source, str):
+        _check_utf8(raw, where)
+    return raw
 
 
 def _as_text(source: bytes | str | Path) -> str:
@@ -202,9 +207,10 @@ class Rows:
     ends: np.ndarray    # (n,) and its newline
     stop: int           # the byte of the file after the block
 
-    def text(self) -> list[str]:
-        """The block's lines, for a line rule to read one at a time."""
-        return _split_lines(self.data)
+    def numbered(self) -> list[tuple[int, str]]:
+        """Each row's line number and text, for a line rule to read."""
+        return list(zip(self.lines.tolist(), _split_lines(
+            _gather(self.data, self.starts, self.ends))))
 
     def fields(self, width: int, sep: str | None = "\t"
                ) -> tuple[list[str], int]:
@@ -418,7 +424,7 @@ def parse_textgrid(source: bytes | str | Path, tier_name: str,
 
     # split into per-item line blocks
     item_starts = [i for i, ln in enumerate(lines) if _TG_ITEM_RE.fullmatch(ln)]
-    tiers: dict[str, list[str]] = {}
+    tiers: dict[str, list[list[str]]] = {}
     for idx, start in enumerate(item_starts):
         stop = item_starts[idx + 1] if idx + 1 < len(item_starts) else len(lines)
         block = lines[start:stop]
@@ -430,15 +436,18 @@ def parse_textgrid(source: bytes | str | Path, tier_name: str,
                 name = _tg_field(ln, "str", "tier header")
                 break
         if cls == "IntervalTier" and name is not None:
-            tiers[str(name)] = block
+            tiers.setdefault(str(name), []).append(block)
 
     if tier_name not in tiers:
         available = ", ".join(sorted(tiers)) or "none"
         raise CorpusFormatError(
             f"no IntervalTier named {tier_name!r}; available tiers: {available}"
         )
+    if len(tiers[tier_name]) > 1:
+        raise CorpusFormatError(f"{len(tiers[tier_name])} IntervalTiers named "
+                                f"{tier_name!r}; expected one")
 
-    block = tiers[tier_name]
+    [block] = tiers[tier_name]
     tokens: list[Token] = []
     i = 0
     while i < len(block):
@@ -652,12 +661,10 @@ def _record(cols: list[str]) -> tuple[str, int | None, float | None]:
 
 def _name_first_bad_line(rows: Rows, n_cols: int,
                          row: Callable[[list[str]], object]) -> NoReturn:
-    """Raise the error of the first non-blank line of the block that does
-    not have `n_cols` tab-separated columns or that ``row(columns)``
-    rejects, prefixed with its line number."""
-    for lineno, line in enumerate(rows.text(), start=rows.lineno):
-        if not line.strip():
-            continue
+    """Raise the error of the first row of the block that does not have
+    `n_cols` tab-separated columns or that ``row(columns)`` rejects,
+    prefixed with its line number."""
+    for lineno, line in rows.numbered():
         cols = line.split("\t")
         if len(cols) != n_cols:
             raise CorpusFormatError(f"line {lineno}: expected {n_cols} "
@@ -676,26 +683,27 @@ def _read_columns(source: bytes | str | Path, n_cols: int,
     value >= 0 that is NA exactly where the label is.  A line is blank when
     str.strip leaves nothing of it.  scan_rows reads the file a block at a
     time and the checks run on the block's columns; when one fails, the
-    block's lines are read again one at a time by the line rule (_record
-    or _label) to name the first bad one."""
-    tokens, labels = _Growing(np.uint8), _Growing(np.int8)
-    values, opens, last = _Growing(np.float64), _Growing(np.int64), -1
+    block's rows are read one at a time by the line rule (_record or
+    _label) to name the first bad one.  Each column grows in a bytearray
+    and the arrays returned view it, so no second copy is built; a
+    bytearray holds up to an eighth more than its length."""
+    tokens, labels, values, opens = (bytearray() for _ in range(4))
+    last = -1
     for rows in scan_rows(lf_bytes(source, where)):
         block = _checked(rows, n_cols)
         if block is None:
             _name_first_bad_line(rows, n_cols, _record if n_cols == 3
                                  else lambda cols: _label(cols[1]))
         # a row opens a sentence unless the line before it is a row
-        opens.add(labels.n + np.flatnonzero(
+        opens.extend(len(labels) + np.flatnonzero(
             np.diff(rows.lines, prepend=last) != 1))
         last = rows.lines[-1] if len(rows.lines) else last
-        tokens.add(block[0])
-        labels.add(block[1])
-        if n_cols == 3:
-            values.add(block[2])
-    return Columns(tokens.done(), labels.done(),
-                   values.done() if n_cols == 3 else None,
-                   np.diff(opens.done(), append=labels.n))
+        for column, part in zip((tokens, labels, values), block):
+            column.extend(part)
+    return Columns(np.frombuffer(tokens, np.uint8),
+                   np.frombuffer(labels, np.int8),
+                   np.frombuffer(values) if n_cols == 3 else None,
+                   np.diff(np.frombuffer(opens, np.int64), append=len(labels)))
 
 
 def _checked(rows: Rows, n_cols: int) -> tuple | None:
@@ -740,25 +748,6 @@ def _is_na(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Whether each field data[start:end] is the two bytes ``NA``."""
     return ((end - start == 2) & (data[start] == ord("N"))
             & (data.take(start + 1, mode="clip") == ord("A")))
-
-
-class _Growing:
-    """An array filled a block at a time: grown in place by a quarter when
-    full and cut to its length at the end, so no second copy is built."""
-
-    def __init__(self, dtype: type):
-        self.array, self.n = np.empty(16 * BLOCK_VALUES, dtype), 0
-
-    def add(self, block: np.ndarray) -> None:
-        self.n += len(block)
-        if self.n > len(self.array):
-            self.array.resize(max(self.n, len(self.array) * 5 // 4),
-                              refcheck=False)
-        self.array[self.n - len(block):self.n] = block
-
-    def done(self) -> np.ndarray:
-        self.array.resize(self.n, refcheck=False)
-        return self.array
 
 
 def number_tokens(token_bytes: np.ndarray
@@ -852,10 +841,8 @@ def load_embeddings(
         entries.update(zip(read, parse_numbers(
             fields, float, lambda k: f"line {rows.lines[at[k // dimension]]}"
         ).reshape(-1, dimension)))
-        if n < len(rows.lines):  # the row check names the line
-            for lineno, line in enumerate(rows.text(), start=rows.lineno):
-                if len(line.split()) not in (0, width):
-                    raise CorpusFormatError(
-                        f"line {lineno}: expected {dimension} values, got "
-                        f"{len(line.split()) - 1}")
+        if n < len(rows.lines):  # row n has another field count
+            lineno, line = rows.numbered()[n]
+            raise CorpusFormatError(f"line {lineno}: expected {dimension} "
+                                    f"values, got {len(line.split()) - 1}")
     return EmbeddingTable(dimension, entries)

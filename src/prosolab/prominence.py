@@ -105,6 +105,13 @@ class AnnotateConfig:
     def __post_init__(self) -> None:
         if self.window_s * self.pitch.f0_max < 2:
             raise ValueError("window must span at least 2 periods of f0_max")
+        if self.frame_shift_s <= 0:
+            raise ValueError(
+                f"frame_shift_s must be positive, got {self.frame_shift_s}")
+        for key in ("smooth_sigma_s", "dur_smooth_sigma_s"):
+            if getattr(self, key) < 0:
+                raise ValueError(
+                    f"{key} must be non-negative, got {getattr(self, key)}")
 
 
 def compose(f0: FrameTrack, energy: FrameTrack, dur: FrameTrack,

@@ -101,7 +101,7 @@ class _Reader:
             """Raise the error of the first row of `rows`, row `first`...,
             that breaks the layout."""
             seen = set(index)
-            for i, line in enumerate(filter(None, rows.text()), start=first):
+            for i, (_, line) in enumerate(rows.numbered(), start=first):
                 fields = line.split("\t")
                 if fields[0] != prefix or len(fields) != n_fields:
                     raise CorpusFormatError(self.at(

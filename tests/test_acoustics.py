@@ -474,6 +474,24 @@ def test_pitch_config_validation():
         PitchConfig(voicing_threshold=1.2)
 
 
+def test_annotate_config_rejects_a_shift_or_sigma_out_of_range():
+    for shift in (0.0, -0.005):
+        with pytest.raises(ValueError, match="^frame_shift_s must be positive"):
+            AnnotateConfig(frame_shift_s=shift)
+    for key in ("smooth_sigma_s", "dur_smooth_sigma_s"):
+        with pytest.raises(ValueError, match=f"^{key} must be non-negative"):
+            AnnotateConfig(**{key: -0.01})
+
+
+def test_frame_audio_rejects_a_shift_below_one_sample():
+    # 0.00001 s is 0.16 samples at 16 kHz; 0.0001 s rounds to 2
+    with pytest.raises(ValueError, match=r"^frame shift 1e-05 s is less than "
+                                         r"one sample at 16000 Hz$"):
+        frame_audio(AudioBuffer(np.zeros(RATE), RATE), 0.00001, WINDOW)
+    assert frame_audio(AudioBuffer(np.zeros(RATE), RATE), 0.0001,
+                       WINDOW).hop == 2
+
+
 def test_extract_f0_audio_too_short():
     with pytest.raises(ValueError, match="audio shorter than one window"):
         framed(np.zeros(100))

@@ -180,6 +180,37 @@ def test_annotate_fails_an_utterance_with_a_token_that_holds_a_tab(
     assert tokens_of(data) == ["w0", "w1", "w2"]
 
 
+# config line -> the error annotate stops with, before it reads a file
+OUT_OF_RANGE_CONFIG = {
+    "frame_shift_s=0": "frame_shift_s must be positive, got 0.0",
+    "frame_shift_s=-0.005": "frame_shift_s must be positive, got -0.005",
+    "smooth_sigma_s=-0.02": "smooth_sigma_s must be non-negative, got -0.02",
+    "dur_smooth_sigma_s=-1":
+        "dur_smooth_sigma_s must be non-negative, got -1.0",
+}
+
+
+@pytest.mark.parametrize("line", list(OUT_OF_RANGE_CONFIG))
+def test_annotate_config_out_of_range_names_the_key(tmp_path, monkeypatch,
+                                                    capsys, line):
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(line + "\n", encoding="utf-8")
+    assert run(["annotate", "audio", "align", "out.tsv",
+                "--config", "c.cfg"]) == 1
+    assert capsys.readouterr().err == f"error: {OUT_OF_RANGE_CONFIG[line]}\n"
+
+
+def test_annotate_fails_a_frame_shift_below_one_sample(tmp_path, capsys):
+    audio_dir, align_dir, cfg = annotate_tree(tmp_path, [
+        ("u", [0.3, 0.6, 0.2], None)])
+    cfg.write_text(ANNOTATE_CFG + "frame_shift_s=0.00001\n", encoding="utf-8")
+    out = tmp_path / "data.tsv"
+    assert run(["annotate", audio_dir, align_dir, out, "--config", cfg]) == 0
+    assert ("utt\tu\tfailed: utterance 'u': stage extract_f0: frame shift "
+            "1e-05 s is less than one sample at 16000 Hz"
+            ) in (tmp_path / "data.tsv.manifest").read_text()
+
+
 def test_annotate_writes_one_manifest_line_per_entry(tmp_path, capsys):
     """A stem or a status holding a tab or a line break is escaped, so
     that every manifest line keeps its column count: stems a<TAB>b and
@@ -1495,17 +1526,19 @@ NOT_UTF8_CASES = {
 }
 
 
-@pytest.mark.parametrize("reader", list(NOT_UTF8_CASES))
+@pytest.mark.parametrize("reader, eol", [
+    pytest.param(reader, eol, id=reader + suffix)
+    for eol, suffix in (("\n", ""), ("\r\n", "-CRLF"), ("\r", "-CR"))
+    for reader in NOT_UTF8_CASES])
 def test_every_reader_names_the_file_of_bytes_that_are_not_utf8(
-        tmp_path, monkeypatch, capsys, reader):
+        tmp_path, monkeypatch, capsys, reader, eol):
+    # the line is named the same whichever line ends the file has
     files, argv, code, message = NOT_UTF8_CASES[reader]
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
-        path = tmp_path / name
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content, encoding="utf-8")
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        (tmp_path / name).write_bytes(content.replace(b"\n", eol.encode()))
     assert run(argv) == code
     assert f"error: {message}\n" == capsys.readouterr().err
 

@@ -294,6 +294,25 @@ def test_parse_textgrid_missing_tier_lists_available():
         parse_textgrid(TEXTGRID, "phones")
 
 
+def interval_tiers(*tiers: tuple[str, str]) -> str:
+    """A TextGrid of one-interval IntervalTiers, each (name, mark)."""
+    return 'File type = "ooTextFile"\nObject class = "TextGrid"\n' + "".join(
+        f'item [{k}]:\nclass = "IntervalTier"\nname = "{name}"\n'
+        f'intervals [1]:\nxmin = 0\nxmax = 1\ntext = "{mark}"\n'
+        for k, (name, mark) in enumerate(tiers, start=1))
+
+
+def test_parse_textgrid_repeated_tier_fails_by_name():
+    grid = interval_tiers(("words", "first"), ("phones", "f"),
+                          ("words", "second"), ("phones", "s"))
+    with pytest.raises(CorpusFormatError,
+                       match="^2 IntervalTiers named 'words'; expected one$"):
+        parse_textgrid(grid, "words")
+    # a repeated tier that is not asked for is ignored
+    grid = interval_tiers(("phones", "f"), ("words", "first"), ("phones", "s"))
+    assert [t.text for t in parse_textgrid(grid, "words").tokens] == ["first"]
+
+
 def test_parse_textgrid_ignores_point_tiers():
     # the TextTier is not offered even when asked for by name
     with pytest.raises(CorpusFormatError, match="no IntervalTier named 'events'"):
