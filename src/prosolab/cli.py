@@ -11,6 +11,7 @@ config failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import logging
 import multiprocessing
 import os
@@ -390,7 +391,7 @@ def _embed_trainer(cfg: dict[str, str]):
 
 _MAJORITY = Tagger(
     "majority", "majority-per-word", (), lambda cfg: train_majority,
-    lambda model: [f"entries={len(model.per_word)}"],
+    lambda model: [f"entries={len(model.words)}"],
     lambda model, data: predict_majority(model, data, "per_word"))
 # keyed by --model; majority-global trains as majority and decodes a
 # majority model with the global label
@@ -406,7 +407,8 @@ TAGGERS = {
     "embed": Tagger(
         "embed", "embed",
         ("l2_lambda", "max_iterations", "embeddings", "embedding_dim"),
-        _embed_trainer, lambda model: [f"dimension={model.table.dimension}"],
+        _embed_trainer, lambda model: [
+            f"dimension={model.table.vectors.shape[1]}"],
         lambda model, data: predict_embed(model, data)),
 }
 
@@ -486,7 +488,8 @@ def cmd_evaluate(args) -> int:
     gold = _load_columns(args.test_file, args.classes)
     data = Path(args.model_or_pred).read_bytes()
 
-    if data.partition(b"\n")[0].partition(b"\r")[0] == MAGIC.encode():
+    first_line = data.partition(b"\n")[0].partition(b"\r")[0]
+    if first_line.removeprefix(codecs.BOM_UTF8) == MAGIC.encode():
         model = load_model(data, args.model_or_pred)
         tagger = _tagger(model, args.model)
         name = tagger.name
@@ -524,6 +527,8 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def cmd_learning_curve(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     tagger = TAGGERS[args.model]
     cfg = load_config(args.config, tagger.config_keys)
     train_data = _load_columns(args.train_file, args.classes)

@@ -3,21 +3,25 @@
 Covers PCM WAV audio, word alignments (``.lab`` lines and long-form Praat
 TextGrid interval tiers), the tab-separated prominence dataset, and plain-text
 word-embedding tables.  All parsers are pure functions over bytes or text;
-UTF-8 is assumed everywhere and CRLF is normalized to LF before parsing.
-The text parsers read a ``str`` as content and a ``Path`` as a file name;
-``read_wav`` also takes a ``str`` file name.
+UTF-8 is assumed everywhere, one leading byte order mark is dropped, and
+CRLF and lone CR are normalized to LF before parsing.  The text parsers read
+a ``str`` as content and a ``Path`` as a file name; ``read_wav`` also takes
+a ``str`` file name.
 
 Files of named number rows (datasets, predictions, embedding tables and
 the tables of a model file) are read a block of lines at a time by
 scan_rows, which alone decides which lines are blank; each reader checks
 a block's columns at once and reads the rows scan_rows found one at a
 time by its own line rule only to name the first bad one.  A dataset's or
-predictions file's columns grow in bytearrays, one extend a block, which
-the arrays returned view.
+predictions file's columns, and an embedding table's vectors, grow in
+bytearrays, one extend a block, which the arrays returned view.  A table of
+named rows is held as the reader returns it: a dict from name to row and
+one array.
 """
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 import re
@@ -82,17 +86,20 @@ class Utterance:
 
 @dataclass
 class EmbeddingTable:
-    """Token -> vector map; a token absent in its own case falls back to its
-    lowercase form, and absent in both looks up as the all-zero vector."""
+    """Token -> row of one (n, d) array; a token absent in its own case
+    falls back to its lowercase form, and absent in both is all zeros."""
 
-    dimension: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    index: dict[str, int]  # token -> its row of `vectors`
+    vectors: np.ndarray    # (n, d) float64
 
-    def lookup(self, token: str) -> np.ndarray:
-        vec = self.entries.get(token)
-        if vec is None:
-            vec = self.entries.get(token.lower())
-        return np.zeros(self.dimension) if vec is None else vec
+    def lookup(self, tokens: Iterable[str]) -> np.ndarray:
+        """A new (len(tokens), d) array of the tokens' vectors."""
+        index = self.index
+        rows = np.array([index[t] if t in index else index.get(t.lower(), -1)
+                         for t in tokens], int)
+        out = np.zeros((len(rows), self.vectors.shape[1]))
+        out[rows >= 0] = self.vectors[rows[rows >= 0]]
+        return out
 
 
 def parse_number(text: str, kind: type, where: str) -> int | float:
@@ -163,17 +170,18 @@ def _check_utf8(raw: bytes, where: str) -> None:
 
 
 def lf_bytes(source: bytes | str | Path, where: str = "") -> bytes:
-    """The UTF-8 bytes of `source` with CRLF and lone CR line ends made LF.
-    A ``str`` is the content, encoded (a lone surrogate with surrogatepass);
-    bytes, or the file a ``Path`` names, are only checked to be UTF-8, once
-    their line ends are LF, and the error names the file, or `where` for
-    bytes."""
+    """The UTF-8 bytes of `source` without a leading byte order mark and
+    with CRLF and lone CR line ends made LF.  A ``str`` is the content,
+    encoded (a lone surrogate with surrogatepass); bytes, or the file a
+    ``Path`` names, are only checked to be UTF-8, once their line ends are
+    LF, and the error names the file, or `where` for bytes."""
     if isinstance(source, str):
         raw = source.encode("utf-8", "surrogatepass")
     elif isinstance(source, bytes):
         raw = source
     else:
         raw, where = Path(source).read_bytes(), str(source)
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     if b"\r" in raw:  # replace scans slowly even when nothing matches
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not isinstance(source, str):
@@ -821,16 +829,18 @@ def load_embeddings(
     a line is blank when it holds no field).  The first row of a token
     wins, and the rows of a repeated token are not read.  The first bad
     number in a row that is read is named before a later line with another
-    field count, and the rows after that line are not read."""
+    field count, and the rows after that line are not read.  The vectors
+    grow in a bytearray, one extend a block, which the table's array
+    views."""
     if dimension <= 0:
         raise ValueError("dimension must be positive")
-    entries: dict[str, np.ndarray] = {}
+    index, vectors = {}, bytearray()  # token -> row; the rows' bytes
     width = dimension + 1
     for rows in scan_rows(lf_bytes(source)):
         fields, n = rows.fields(width, None)
         read: dict[str, int] = {}  # each new token -> its row in the block
         for i, token in enumerate(fields[::width]):
-            if token not in entries:
+            if token not in index:
                 read.setdefault(token, i)
         at = list(read.values())
         if len(at) == n:  # every row is read
@@ -838,11 +848,11 @@ def load_embeddings(
         else:
             fields = list(chain.from_iterable(
                 fields[i * width + 1:(i + 1) * width] for i in at))
-        entries.update(zip(read, parse_numbers(
-            fields, float, lambda k: f"line {rows.lines[at[k // dimension]]}"
-        ).reshape(-1, dimension)))
+        vectors.extend(parse_numbers(
+            fields, float, lambda k: f"line {rows.lines[at[k // dimension]]}"))
+        index.update(zip(read, count(len(index))))
         if n < len(rows.lines):  # row n has another field count
             lineno, line = rows.numbered()[n]
             raise CorpusFormatError(f"line {lineno}: expected {dimension} "
                                     f"values, got {len(line.split()) - 1}")
-    return EmbeddingTable(dimension, entries)
+    return EmbeddingTable(index, np.frombuffer(vectors).reshape(-1, dimension))

@@ -367,8 +367,7 @@ def build_feature_index(data: Columns) -> tuple[dict[str, int], FeatureIds]:
 
 
 def crf_train(data: Columns, l2_lambda: float = 1e-4,
-              max_iterations: int = 100, tolerance: float = 1e-5,
-              labels: list[int] | None = None) -> CrfModel:
+              max_iterations: int = 100, tolerance: float = 1e-5) -> CrfModel:
     """Fit weights by maximizing the regularized conditional log-likelihood.
 
     Deterministic: fixed feature order, zero init, full-batch L-BFGS.  Two
@@ -379,10 +378,9 @@ def crf_train(data: Columns, l2_lambda: float = 1e-4,
     check_training_settings(l2_lambda, max_iterations)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    if labels is None:
-        labels = np.unique(data.labels[data.labels != NA]).tolist()
-        if not labels:
-            raise ValueError("all-NA corpus")
+    labels = np.unique(data.labels[data.labels != NA]).tolist()
+    if not labels:
+        raise ValueError("all-NA corpus")
     index, feats = build_feature_index(data)
     model = new_model(labels, index, l2_lambda)
     # the index pass already featurized `data`: prepare it from those ids

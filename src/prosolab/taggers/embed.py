@@ -1,11 +1,14 @@
 """Windowed word-embedding classifier: softmax over [prev; cur; next] + bias.
 
 Boundary neighbors contribute the zero vector, as do words absent from the
-embedding table.  Training minimizes the penalized negative log-likelihood
-by full-batch L-BFGS-B from zero weights, the optimizer the CRF uses, which is
-deterministic and needs no tuning on these feature sizes.  The bias column is
-excluded from the L2 penalty so that with all-zero embeddings the classifier
-converges to the label priors (global majority).
+embedding table: a token -> row index plus one (n, d) array of vectors,
+which the model file's emb rows hold.  A file's distinct tokens are looked
+up at once (EmbeddingTable.lookup).  Training minimizes the penalized
+negative log-likelihood by full-batch L-BFGS-B from zero weights, the
+optimizer the CRF uses, which is deterministic and needs no tuning on these
+feature sizes.  The bias column is excluded from the L2 penalty so that with
+all-zero embeddings the classifier converges to the label priors (global
+majority).
 """
 
 from __future__ import annotations
@@ -39,14 +42,14 @@ class EmbeddingClassifier:
 
 def write_section(model: EmbeddingClassifier) -> list[str]:
     """The model file's lines after its type line; tokens sorted."""
-    entries = model.table.entries
+    index, vectors = model.table.index, model.table.vectors
     return [f"labels={comma_ints(model.labels)}",
-            f"dimension={model.table.dimension}", f"window={EMBED_WINDOW}",
+            f"dimension={vectors.shape[1]}", f"window={EMBED_WINDOW}",
             f"rows={model.weight_matrix.shape[0]}",
             *(f"row\t{tab_floats(row)}" for row in model.weight_matrix),
-            f"embeddings={len(entries)}",
-            *(f"emb\t{token}\t{tab_floats(entries[token])}"
-              for token in sorted(entries))]
+            f"embeddings={len(index)}",
+            *(f"emb\t{token}\t{tab_floats(vectors[row])}"
+              for token, row in sorted(index.items()))]
 
 
 def read_section(r) -> EmbeddingClassifier:
@@ -62,17 +65,9 @@ def read_section(r) -> EmbeddingClassifier:
         raise CorpusFormatError(
             r.at(f"key rows: {n_rows} rows for {len(labels)} labels"))
     _, weights = r.table("row", n_rows, 3 * dim + 1)
-    tokens, vectors = r.table("emb", r.value("embeddings", least=0), dim,
-                              named=True)
-    return EmbeddingClassifier(
-        table=EmbeddingTable(dim, dict(zip(tokens, vectors))), labels=labels,
-        weight_matrix=weights)
-
-
-def _type_vectors(table: EmbeddingTable, types: np.ndarray) -> np.ndarray:
-    """(n_types, d) vector of each distinct token, one lookup each."""
-    return np.array([table.lookup(tok) for tok in types]).reshape(
-        len(types), table.dimension)
+    return EmbeddingClassifier(EmbeddingTable(*r.table(
+        "emb", r.value("embeddings", least=0), dim, named=True)), labels,
+        weights)
 
 
 EMBED_WINDOW = 1  # _window_rows reads one neighbour on each side
@@ -129,7 +124,7 @@ def train_embed_classifier(data: Columns, table: EmbeddingTable,
     if not len(labels):
         raise ValueError("all-NA corpus")
 
-    vectors = _type_vectors(table, data.types)
+    vectors = table.lookup(data.types)
     x = np.concatenate([
         _window_rows(vectors, data, ch)[words[ch.start:ch.stop]]
         for ch in data.chunks()])               # (N, 3d + 1)
@@ -158,7 +153,7 @@ def predict_embed(classifier: EmbeddingClassifier,
                   data: Columns) -> np.ndarray:
     """The label code of the per-position argmax of logits for each of
     `data`'s tokens; NA at punctuation, ties to the smaller label."""
-    vectors = _type_vectors(classifier.table, data.types)
+    vectors = classifier.table.lookup(data.types)
     na = data.type_na[data.type_ids]
     codes = np.array([*classifier.labels, NA], dtype=np.int8)
     out = np.empty(len(na), dtype=np.int8)

@@ -1,4 +1,8 @@
-"""Majority-class baselines: global and per-word-type."""
+"""Majority-class baselines: global and per-word-type.
+
+A model holds its label counts as its file's word rows are read: a
+lowercased word -> row index plus one (n, N_LABELS) array, and the global
+counts beside them."""
 
 from __future__ import annotations
 
@@ -14,7 +18,9 @@ from .common import comma_ints
 @dataclass
 class MajorityModel:
     kind = "majority"  # the model file's type, not a field
-    per_word: dict[str, np.ndarray] = field(default_factory=dict)
+    words: dict[str, int] = field(default_factory=dict)  # word -> its row
+    counts: np.ndarray = field(  # (n, N_LABELS) int64 label counts per word
+        default_factory=lambda: np.zeros((0, N_LABELS), dtype=np.int64))
     global_counts: np.ndarray = field(
         default_factory=lambda: np.zeros(N_LABELS, dtype=np.int64))
 
@@ -22,9 +28,9 @@ class MajorityModel:
 def write_section(model: MajorityModel) -> list[str]:
     """The model file's lines after its type line; words sorted."""
     return [f"global={comma_ints(model.global_counts)}",
-            f"words={len(model.per_word)}",
-            *(f"word\t{word}\t{comma_ints(model.per_word[word])}"
-              for word in sorted(model.per_word))]
+            f"words={len(model.words)}",
+            *(f"word\t{word}\t{comma_ints(model.counts[row])}"
+              for word, row in sorted(model.words.items()))]
 
 
 def read_section(r) -> MajorityModel:
@@ -41,8 +47,7 @@ def read_section(r) -> MajorityModel:
         raise CorpusFormatError(r.at(
             f"word row {negative[0]}: negative count in "
             f"{comma_ints(counts[negative[0]])}"))
-    return MajorityModel(per_word=dict(zip(words, counts)),
-                         global_counts=global_counts)
+    return MajorityModel(words, counts, global_counts)
 
 
 def train_majority(data: Columns) -> MajorityModel:
@@ -58,9 +63,8 @@ def train_majority(data: Columns) -> MajorityModel:
         minlength=len(index) * N_LABELS).reshape(-1, N_LABELS)
     # a word no scored position uses is not in the model
     used = counts.any(axis=1)
-    return MajorityModel(per_word=dict(zip(compress(index, used.tolist()),
-                                           counts[used])),
-                         global_counts=counts.sum(axis=0))
+    return MajorityModel(dict(zip(compress(index, used.tolist()), count())),
+                         counts[used], counts.sum(axis=0))
 
 
 def predict_majority(model: MajorityModel, data: Columns,
@@ -73,11 +77,11 @@ def predict_majority(model: MajorityModel, data: Columns,
         raise ValueError(f"unknown mode {mode!r}")
     if model.global_counts.sum() == 0:
         raise ValueError("untrained model")
-    counts = [model.global_counts if mode == "global" else
-              model.per_word.get(token.lower(), model.global_counts)
-              for token in data.types]
+    # row len(model.counts), after the words', holds the global counts
+    words = model.words if mode == "per_word" else {}
+    counts = np.vstack((model.counts, model.global_counts))[
+        [words.get(token.lower(), len(model.counts)) for token in data.types]]
     # np.argmax returns the first maximum, i.e. the smallest label on ties
-    by_type = np.array(counts, dtype=np.int64).reshape(-1, N_LABELS).argmax(
-        axis=1).astype(np.int8)
+    by_type = counts.argmax(axis=1).astype(np.int8)
     by_type[data.type_na] = NA
     return by_type[data.type_ids]

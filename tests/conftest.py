@@ -18,7 +18,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 import pytest
 
-from prosolab.corpus_io import NA, AudioBuffer, Columns, Token, Utterance
+from prosolab.corpus_io import (NA, AudioBuffer, Columns, EmbeddingTable,
+                                Token, Utterance)
 
 RATE = 16000
 
@@ -71,6 +72,14 @@ def same_columns(a: Columns, b: Columns) -> bool:
     assert a.continuous is None and b.continuous is None
     return (tokens_of(a) == tokens_of(b) and np.array_equal(a.labels, b.labels)
             and np.array_equal(a.lengths, b.lengths))
+
+
+def embedding_table(dimension: int, entries: dict | None = None
+                    ) -> EmbeddingTable:
+    """The table of a token -> vector dict, rows in the dict's order."""
+    entries = entries or {}
+    return EmbeddingTable(dict(zip(entries, range(len(entries)))), np.array(
+        list(entries.values()), dtype=np.float64).reshape(-1, dimension))
 
 
 def make_columns(*sentences) -> Columns:

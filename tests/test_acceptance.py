@@ -155,7 +155,7 @@ def test_criterion_3_public_corpus_subsample():
     acc = corpus_accuracy(lambda t: viterbi(crf3, t), test)
     assert 0.645 - 0.015 <= acc <= 0.675 + 0.015
 
-    crf2 = crf_train(sub2, labels=[0, 1])
+    crf2 = crf_train(sub2)
     acc = corpus_accuracy(lambda t: viterbi(crf2, t), test2)
     assert 0.805 - 0.015 <= acc <= 0.830 + 0.015
     assert time.perf_counter() - t0 <= 600.0
@@ -182,12 +182,12 @@ def test_criterion_3_public_corpus_full():
     acc = corpus_accuracy(lambda t: viterbi(crf3, t), test)
     assert 0.645 <= acc <= 0.675
 
-    crf2 = crf_train(train2, labels=[0, 1])
+    crf2 = crf_train(train2)
     acc = corpus_accuracy(lambda t: viterbi(crf2, t), test2)
     assert 0.805 <= acc <= 0.830
 
     tenth = merge_corpus(subset_training(train, 0.10, seed=0))
-    crf2_tenth = crf_train(tenth, labels=[0, 1])
+    crf2_tenth = crf_train(tenth)
     acc = corpus_accuracy(lambda t: viterbi(crf2_tenth, t), test2)
     assert acc >= 0.800
     assert time.perf_counter() - t0 <= 7200.0

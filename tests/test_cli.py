@@ -1,6 +1,7 @@
 """End-to-end CLI runs: annotate, calibrate, train, predict, evaluate,
 learning-curve, exit codes."""
 
+import codecs
 import hashlib
 import importlib
 import importlib.util
@@ -685,7 +686,7 @@ def test_train_majority_counts_word_entries(tmp_path, dataset_file, capsys):
     assert capsys.readouterr().out == "entries=8\n"
     model = load_model(out_model.read_bytes())
     assert isinstance(model, MajorityModel)
-    assert len(model.per_word) == 8
+    assert len(model.words) == 8
 
 
 def test_train_is_byte_identical(tmp_path, dataset_file, capsys):
@@ -1543,9 +1544,86 @@ def test_every_reader_names_the_file_of_bytes_that_are_not_utf8(
     assert f"error: {message}\n" == capsys.readouterr().err
 
 
+MAJORITY_MODEL = ("prosolab-model v1\ntype=majority\nglobal=1,0,0\n"
+                  "words=1\nword\ttell\t0,0,1\n")
+ANNOTATE_ARGS = ["annotate", "audio", "align", "out.tsv", "--config",
+                 "annotate.cfg"]
+# reader: (files to write, None for an annotate tree, the file that starts
+# with a byte order mark, command, output file or None)
+BOM_CASES = {
+    "dataset": ({"train.tsv": DATASET_SENTENCE}, "train.tsv",
+                ["train", "train.tsv", "m.model", "--model", "majority"],
+                "m.model"),
+    "predictions": (
+        {"test.tsv": DATASET_SENTENCE,
+         "pred.tsv": "".join(line.rsplit("\t", 1)[0] + "\n"
+                             for line in DATASET_SENTENCE.splitlines())},
+        "pred.tsv", ["evaluate", "pred.tsv", "test.tsv"], "eval.report.tsv"),
+    "model-file": ({"m.model": MAJORITY_MODEL, "test.tsv": DATASET_SENTENCE},
+                   "m.model", ["predict", "m.model", "test.tsv", "out.tsv"],
+                   "out.tsv"),
+    "model-file-evaluate": (
+        {"m.model": MAJORITY_MODEL, "test.tsv": DATASET_SENTENCE}, "m.model",
+        ["evaluate", "m.model", "test.tsv"], "eval.report.tsv"),
+    "embeddings": (
+        {"train.tsv": DATASET_SENTENCE, "vectors.txt": "tell 1.0 2.0\n",
+         "c.cfg": "embeddings=vectors.txt\nembedding_dim=2\n"},
+        "vectors.txt", ["train", "train.tsv", "m.model", "--model", "embed",
+                        "--config", "c.cfg"], "m.model"),
+    "config": ({"train.tsv": DATASET_SENTENCE, "c.cfg": "max_iterations=5\n"},
+               "c.cfg", ["train", "train.tsv", "m.model", "--model", "crf",
+                         "--config", "c.cfg"], "m.model"),
+    "calibrate-values": ({"values.txt": "0.1\n0.2\n", "ref.txt": "0\n1\n"},
+                         "values.txt", ["calibrate", "values.txt", "ref.txt"],
+                         None),
+    "lab": (None, "align/u.lab", ANNOTATE_ARGS, "out.tsv"),
+    "textgrid": (None, "align/u.TextGrid", ANNOTATE_ARGS, "out.tsv"),
+}
+
+
+@pytest.mark.parametrize("reader", list(BOM_CASES))
+def test_every_reader_reads_a_file_the_same_with_a_byte_order_mark(
+        tmp_path, monkeypatch, capsys, reader):
+    files, target, argv, out = BOM_CASES[reader]
+    results = []
+    for bom in (b"", codecs.BOM_UTF8):
+        where = tmp_path / ("bom" if bom else "plain")
+        where.mkdir()
+        monkeypatch.chdir(where)
+        if files is None:
+            _, align_dir, _ = annotate_tree(where, [("u", [0.2, 0.8, 0.5],
+                                                     ".")])
+            if target.endswith(".TextGrid"):
+                lab = align_dir / "u.lab"
+                write_textgrid(align_dir / "u.TextGrid", corpus_io.parse_lab(
+                    lab))
+                lab.unlink()
+        for name, content in (files or {}).items():
+            (where / name).write_text(content, encoding="utf-8")
+        path = where / target
+        path.write_bytes(bom + path.read_bytes())
+        assert run(argv) == 0
+        results.append((capsys.readouterr().out,
+                        out and (where / out).read_bytes()))
+    assert results[0] == results[1]
+
+
 # ---------------------------------------------------------------------------
 # learning-curve
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_learning_curve_negative_seed_is_a_usage_error(tmp_path, capsys,
+                                                       seed):
+    train = tmp_path / "train.tsv"
+    train.write_text(DATASET_SENTENCE, encoding="utf-8")
+    out = tmp_path / "curve.tsv"
+    assert run(["learning-curve", train, train, out, "--model", "majority",
+                "--seed", seed]) == 2
+    assert (f"error: --seed must be at least 0, got {seed}\n"
+            == capsys.readouterr().err)
+    assert not out.exists()
+
 
 def test_learning_curve_tsv(tmp_path, capsys):
     train = tmp_path / "train.tsv"

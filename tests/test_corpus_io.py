@@ -16,7 +16,6 @@ from prosolab import corpus_io
 from prosolab.corpus_io import (
     NA,
     CorpusFormatError,
-    EmbeddingTable,
     Token,
     Utterance,
     is_punctuation,
@@ -39,6 +38,7 @@ from conftest import (
     DATASET_SENTENCE,
     DATASET_TOKENS,
     codes,
+    embedding_table,
     labels_of,
     pcm16_wav_bytes,
     sine,
@@ -447,7 +447,7 @@ def test_one_line_str_is_content_not_a_path():
     data = parse_dataset("Tell\t2\t1.473")
     assert (tokens_of(data), labels_of(data.labels),
             data.lengths.tolist()) == (["Tell"], [2], [1])
-    assert "cat" in load_embeddings("cat 1.0 2.0", dimension=2).entries
+    assert "cat" in load_embeddings("cat 1.0 2.0", dimension=2).index
 
 
 def test_parse_dataset_crlf_and_trailing_blank():
@@ -461,20 +461,20 @@ def test_parse_dataset_crlf_and_trailing_blank():
 
 def test_load_embeddings_basic():
     table = load_embeddings(b"cat 1.0 2.0\ndog -0.5 0.25\n", dimension=2)
-    assert table.dimension == 2
-    np.testing.assert_array_equal(table.lookup("cat"), [1.0, 2.0])
-    np.testing.assert_array_equal(table.lookup("dog"), [-0.5, 0.25])
-    np.testing.assert_array_equal(table.lookup("bird"), [0.0, 0.0])
+    assert table.vectors.shape[1] == 2
+    np.testing.assert_array_equal(table.lookup(["cat"]), [[1.0, 2.0]])
+    np.testing.assert_array_equal(table.lookup(["dog"]), [[-0.5, 0.25]])
+    np.testing.assert_array_equal(table.lookup(["bird"]), [[0.0, 0.0]])
     # a token absent in its own case falls back to its lowercase form
-    np.testing.assert_array_equal(table.lookup("Cat"), [1.0, 2.0])
+    np.testing.assert_array_equal(table.lookup(["Cat"]), [[1.0, 2.0]])
 
 
 def test_load_embeddings_duplicate_keeps_first():
     table = load_embeddings(b"cat 1.0 2.0\ncat 9.0 9.0\n", dimension=2)
-    np.testing.assert_array_equal(table.lookup("cat"), [1.0, 2.0])
+    np.testing.assert_array_equal(table.lookup(["cat"]), [[1.0, 2.0]])
     # a repeated token's row is not read, so its values may be anything
     table = load_embeddings(b"cat 1.0 2.0\ncat 9.0 nine\n", dimension=2)
-    np.testing.assert_array_equal(table.lookup("cat"), [1.0, 2.0])
+    np.testing.assert_array_equal(table.lookup(["cat"]), [[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("content,message", [
@@ -492,9 +492,9 @@ def test_load_embeddings_reads_a_table_of_several_blocks():
     n = corpus_io.BLOCK_VALUES  # n rows of 2 values: two blocks
     lines = [f"w{i} {i} {i}.5" for i in range(n)]
     table = load_embeddings("\n".join(lines), dimension=2)
-    assert len(table.entries) == n
-    np.testing.assert_array_equal(table.lookup(f"w{n - 1}"),
-                                  [n - 1, n - 0.5])
+    assert len(table.index) == n
+    np.testing.assert_array_equal(table.lookup([f"w{n - 1}"]),
+                                  [[n - 1, n - 0.5]])
     lines[n - 3] = f"w{n - 3} 1 bad"
     with pytest.raises(CorpusFormatError,
                        match=f"^line {n - 2}: not a number: 'bad'$"):
@@ -517,10 +517,46 @@ def test_load_embeddings_bad_dimension():
 
 
 def test_embedding_table_lookup_does_not_mutate():
-    table = EmbeddingTable(dimension=3)
-    vec = table.lookup("anything")
+    table = embedding_table(3)
+    vec = table.lookup(["anything"])
     vec[:] = 7.0
-    np.testing.assert_array_equal(table.lookup("anything"), np.zeros(3))
+    np.testing.assert_array_equal(table.lookup(["anything"]), [np.zeros(3)])
+
+
+def _lookup_one(entries: dict, dimension: int, token: str) -> np.ndarray:
+    """The per-token rule, the oracle of EmbeddingTable.lookup: the token's
+    own vector, else its lowercase form's, else zeros."""
+    vec = entries.get(token)
+    if vec is None:
+        vec = entries.get(token.lower())
+    return np.zeros(dimension) if vec is None else vec
+
+
+# case variants whose lowercase forms are, or are not, table tokens
+# (U+0130 lowercases to two characters, U+01C5 is titlecase)
+case_token_st = st.sampled_from(["cat", "Cat", "CAT", "dog", "DOG", "\u0130",
+                                 "i\u0307", "\u01c4", "\u01c5", "\u01c6",
+                                 "Stra\xdfe", "STRASSE", "", "x"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.dictionaries(case_token_st, st.lists(
+        st.floats(-5, 5, allow_nan=False), min_size=d, max_size=d)),
+    st.lists(case_token_st | st.text(max_size=3), max_size=8))))
+def test_embedding_lookup_is_the_per_token_rule(case):
+    dimension, entries, tokens = case
+    entries = {token: np.array(vec) for token, vec in entries.items()}
+    table = embedding_table(dimension, entries)
+    got = table.lookup(tokens)
+    assert got.shape == (len(tokens), dimension)
+    np.testing.assert_array_equal(got, np.array(
+        [_lookup_one(entries, dimension, t) for t in tokens]).reshape(
+            len(tokens), dimension))
+    got[:] = 7.0  # a new array: the table is unchanged
+    np.testing.assert_array_equal(table.vectors, np.array(
+        list(entries.values())).reshape(-1, dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +642,8 @@ def test_text_readers_give_valid_values_or_a_format_error(text):
         pass
     try:
         table = load_embeddings(text, dimension=2)
-        for vec in table.entries.values():
-            assert vec.shape == (2,) and np.isfinite(vec).all()
+        assert table.vectors.shape == (len(table.index), 2)
+        assert np.isfinite(table.vectors).all()
     except CorpusFormatError:
         pass
 
@@ -763,10 +799,10 @@ def test_embeddings_read_in_bulk_what_the_line_rule_reads(text, block):
     finally:
         corpus_io.BLOCK_VALUES = saved
     assert not isinstance(want, str), want
-    assert list(table.entries) == list(want)
+    assert list(table.index) == list(want)
     for token, values in want.items():
-        assert [v.hex() for v in table.entries[token].tolist()] == [
-            v.hex() for v in values]
+        assert [v.hex() for v in table.vectors[table.index[token]].tolist()
+                ] == [v.hex() for v in values]
 
 
 # number fields of a model file: digits in three scripts, signs, points,

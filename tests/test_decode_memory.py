@@ -20,7 +20,7 @@ from prosolab.taggers.embed import (EmbeddingClassifier, predict_embed,
 from prosolab.taggers.serialize import load_model, save_model
 from prosolab.taggers.majority import predict_majority, train_majority
 
-from conftest import make_columns, tokens_of, unlabeled
+from conftest import embedding_table, make_columns, tokens_of, unlabeled
 from crf_oracles import na_mask
 
 WORDS = [f"w{i}" for i in range(400)]
@@ -71,7 +71,7 @@ def decoders():
                   for punct in na_mask(tokens)])
         for tokens in synthetic_file(rng, 100)))
     crf = crf_train(train, max_iterations=5)
-    table = EmbeddingTable(16, {w: rng.normal(size=16) for w in WORDS[::2]})
+    table = embedding_table(16, {w: rng.normal(size=16) for w in WORDS[::2]})
     embed = train_embed_classifier(train, table, max_iterations=5)
     majority = train_majority(train)
     return {"crf": lambda data: viterbi(crf, data),
@@ -137,8 +137,8 @@ def embedding_bytes(rng, n):
 
 def embed_model_bytes(rng, n):
     """The model file of an embed classifier over a table of `n` rows."""
-    table = EmbeddingTable(50, dict(zip(
-        (f"w{i}" for i in range(n)), rng.normal(size=(n, 50)))))
+    table = EmbeddingTable({f"w{i}": i for i in range(n)},
+                           rng.normal(size=(n, 50)))
     return save_model(EmbeddingClassifier(table, [0, 1, 2],
                                           rng.normal(size=(3, 151))))
 

@@ -6,10 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from prosolab.corpus_io import EmbeddingTable
 from prosolab.taggers import embed
 from prosolab.taggers.embed import (
-    _type_vectors,
     _window_rows,
     predict_embed,
     train_embed_classifier,
@@ -19,8 +17,10 @@ from prosolab.taggers.majority import (
     train_majority,
     MajorityModel,
 )
+from prosolab.taggers.serialize import load_model, save_model
 
-from conftest import labels_of, lbfgs_log, make_columns, unlabeled
+from conftest import (embedding_table, labels_of, lbfgs_log, make_columns,
+                      unlabeled)
 from crf_oracles import na_mask
 
 
@@ -35,18 +35,18 @@ def loop_majority(model, tokens, mode):
         elif mode == "global":
             out.append(global_label)
         else:
-            counts = model.per_word.get(token.lower())
-            out.append(global_label if counts is None
-                       else int(np.argmax(counts)))
+            row = model.words.get(token.lower())
+            out.append(global_label if row is None
+                       else int(np.argmax(model.counts[row])))
     return out
 
 
 def loop_embed(classifier, tokens):
     """The per-sentence embedding decoder, as the oracle of the whole-file
     one: one lookup and one product per sentence."""
-    padded = np.zeros((len(tokens) + 2, classifier.table.dimension))
+    padded = np.zeros((len(tokens) + 2, classifier.table.vectors.shape[1]))
     for t, token in enumerate(tokens):
-        padded[t + 1] = classifier.table.lookup(token)
+        padded[t + 1] = classifier.table.lookup([token])[0]
     rows = np.hstack([padded[:-2], padded[1:-1], padded[2:],
                       np.ones((len(tokens), 1))])
     logits = rows @ classifier.weight_matrix.T
@@ -57,7 +57,7 @@ def loop_embed(classifier, tokens):
 def sentence_features(table, tokens):
     """The embed classifier's window rows of one sentence."""
     data = unlabeled(tokens)
-    return _window_rows(_type_vectors(table, data.types), data,
+    return _window_rows(table.lookup(data.types), data,
                         next(data.chunks()))
 
 
@@ -73,7 +73,7 @@ def test_majority_counts_per_type():
     )
     model = train_majority(corpus)
     # "tell" saw labels 1, 1, 2 -> argmax 1; case folds into one type
-    assert model.per_word["tell"].tolist() == [0, 2, 1]
+    assert model.counts[model.words["tell"]].tolist() == [0, 2, 1]
     assert labels_of(predict_majority(model, unlabeled(["tell"]))) == [1]
     assert labels_of(predict_majority(model, unlabeled(["TELL"]))) == [1]
 
@@ -84,8 +84,8 @@ def test_majority_na_contributes_nothing():
         (["me", "."], [2, None]),
     )
     model = train_majority(corpus)
-    assert "," not in model.per_word
-    assert "." not in model.per_word
+    assert "," not in model.words
+    assert "." not in model.words
     assert model.global_counts.tolist() == [1, 0, 1]
 
 
@@ -154,7 +154,7 @@ def separable_table():
         entries[word] = np.array([1.0, 0.0, 0.1 * i, 0.0])
     for i, word in enumerate(["high1", "high2", "high3"]):
         entries[word] = np.array([0.0, 1.0, 0.0, 0.1 * i])
-    return EmbeddingTable(dimension=4, entries=entries)
+    return embedding_table(4, entries)
 
 
 SEPARABLE = [
@@ -172,7 +172,7 @@ def separable_corpus():
 def test_sentence_features_match_hand_built_rows():
     low, high = np.array([1.0, 2.0]), np.array([3.0, -0.5])
     zero = np.zeros(2)
-    table = EmbeddingTable(dimension=2, entries={"low": low, "High": high})
+    table = embedding_table(2, {"low": low, "High": high})
 
     def row(prev, cur, nxt):
         return np.concatenate([prev, cur, nxt, [1.0]])
@@ -202,7 +202,7 @@ def test_embed_fits_separable_corpus():
 def test_embed_zero_table_learns_priors():
     # with no usable vectors only the bias is informative, so every word
     # gets the most frequent label
-    table = EmbeddingTable(dimension=3, entries={})
+    table = embedding_table(3)
     corpus = make_columns(
         (["a", "b", "c"], [1, 1, 0]),
         (["d", "e"], [1, 2]),
@@ -235,7 +235,7 @@ def test_embed_window_uses_neighbors():
         "ctxa": np.array([1.0, 0.0]),
         "ctxb": np.array([0.0, 1.0]),
     }
-    table = EmbeddingTable(dimension=2, entries=entries)
+    table = embedding_table(2, entries)
     corpus = make_columns(
         (["ctxa", "amb"], [0, 0]),
         (["ctxb", "amb"], [1, 1]),
@@ -296,11 +296,22 @@ def test_whole_file_decoders_match_the_per_sentence_loops(seed):
         assert labels_of(predict_majority(majority, data, mode)) == [
             lab for tokens in sentences
             for lab in loop_majority(majority, tokens, mode)]
-    table = EmbeddingTable(dimension=3, entries={
+    table = embedding_table(3, {
         word: rng.normal(size=3) for word in WORDS[::2]})
     classifier = train_embed_classifier(corpus, table, max_iterations=20)
     assert labels_of(predict_embed(classifier, data)) == [
         lab for tokens in sentences for lab in loop_embed(classifier, tokens)]
+
+
+def test_a_majority_model_with_no_words_decodes_the_global_label():
+    # what a model file with words=0 holds; ties go to the smaller label
+    model = load_model(save_model(MajorityModel(
+        global_counts=np.array([1, 3, 3], dtype=np.int64))))
+    assert model.words == {} and model.counts.shape == (0, 3)
+    tokens = ["tell", ",", "Me", "tell"]
+    for mode in ("per_word", "global"):
+        assert labels_of(predict_majority(model, unlabeled(tokens), mode)) == (
+            loop_majority(model, tokens, mode)) == [1, None, 1, 1]
 
 
 def embed_problem(data, table):
@@ -310,7 +321,7 @@ def embed_problem(data, table):
     labels = sorted(set(gold) - {None})
     label_pos = {lab: i for i, lab in enumerate(labels)}
     words = np.array([lab is not None for lab in gold], dtype=bool)
-    vectors = _type_vectors(table, data.types)
+    vectors = table.lookup(data.types)
     x = np.concatenate([
         _window_rows(vectors, data, ch)[words[ch.start:ch.stop]]
         for ch in data.chunks()])
@@ -391,7 +402,7 @@ def random_corpus(rng, n_sentences, n_labels):
     corpus = make_columns(*(
         (tokens, [None if punct else int(rng.integers(n_labels))
                   for punct in na_mask(tokens)]) for tokens in sentences))
-    table = EmbeddingTable(dimension=4, entries={
+    table = embedding_table(4, {
         word: rng.normal(size=4) for word in WORDS[1:]})
     return corpus, table
 

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosolab.corpus_io import (BLOCK_VALUES, CorpusFormatError,
-                                EmbeddingTable, parse_numbers)
+from prosolab.corpus_io import BLOCK_VALUES, CorpusFormatError, parse_numbers
 from prosolab.taggers.common import tab_floats
 from prosolab.taggers.crf import crf_train, viterbi
 from prosolab.taggers.embed import predict_embed, train_embed_classifier
@@ -20,7 +19,7 @@ from prosolab import corpus_io
 from prosolab.taggers import serialize
 from prosolab.taggers.serialize import MAGIC, load_model, save_model
 
-from conftest import make_columns, unlabeled
+from conftest import embedding_table, make_columns, unlabeled
 
 CORPUS = make_columns(
     (["The", "cat", "runs", "."], [0, 2, 1, None]),
@@ -28,7 +27,7 @@ CORPUS = make_columns(
     (["big", "cat", ",", "runs"], [1, 2, None, 1]),
 )
 
-TABLE = EmbeddingTable(dimension=2, entries={
+TABLE = embedding_table(2, {
     "cat": np.array([1.0, -0.5]),
     "dog": np.array([0.25, 1.0 / 3.0]),
     "the": np.array([0.0, 0.125]),
@@ -38,10 +37,10 @@ TABLE = EmbeddingTable(dimension=2, entries={
 def test_majority_round_trip():
     model = train_majority(CORPUS)
     clone = load_model(save_model(model))
-    assert sorted(clone.per_word) == sorted(model.per_word)
-    for word in model.per_word:
-        np.testing.assert_array_equal(clone.per_word[word],
-                                      model.per_word[word])
+    assert sorted(clone.words) == sorted(model.words)
+    for word, row in model.words.items():
+        np.testing.assert_array_equal(clone.counts[clone.words[word]],
+                                      model.counts[row])
     np.testing.assert_array_equal(clone.global_counts, model.global_counts)
     tokens = unlabeled(["the", "cat", "unseen", "?"])
     np.testing.assert_array_equal(predict_majority(clone, tokens),
@@ -66,11 +65,11 @@ def test_embed_round_trip_exact():
     clone = load_model(save_model(model))
     assert clone.labels == model.labels
     assert save_model(clone) == save_model(model)
-    assert clone.table.dimension == TABLE.dimension
-    assert sorted(clone.table.entries) == sorted(TABLE.entries)
-    for token in TABLE.entries:
-        np.testing.assert_array_equal(clone.table.entries[token],
-                                      TABLE.entries[token])
+    assert clone.table.vectors.shape[1] == TABLE.vectors.shape[1]
+    assert sorted(clone.table.index) == sorted(TABLE.index)
+    for token, row in TABLE.index.items():
+        np.testing.assert_array_equal(
+            clone.table.vectors[clone.table.index[token]], TABLE.vectors[row])
     assert clone.weight_matrix.tobytes() == model.weight_matrix.tobytes()
     tokens = unlabeled(["the", "cat", ",", "dog"])
     np.testing.assert_array_equal(predict_embed(clone, tokens),
