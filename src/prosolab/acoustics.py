@@ -8,10 +8,14 @@ every frame time read its frame count and its real period, hop / rate.
 
 The per-frame work (RMS, the taper, the FFT autocorrelation and the peak
 picking) runs over blocks of at most FRAME_BLOCK frames, so its arrays stay
-in cache and its memory does not grow with the utterance.  Every step works
-row by row, so no result depends on where the blocks fall.  RMS sums each
+in cache and its memory does not grow with the utterance.  RMS sums each
 frame's window of one squared span of samples per block, not a gathered
-copy of the frames.
+copy of the frames.  The peak picking reads each block's band of lags as
+one flat array, frame after frame, in a few whole-array passes that the
+call's own buffers hold: the neighbour test there also compares one frame's
+last lag with the next frame's first, and a penalty of +inf at both edge
+lags keeps those two columns out of every pick.  So each frame's result
+depends on that frame alone, not on where the blocks fall.
 """
 
 from __future__ import annotations
@@ -28,10 +32,13 @@ from .corpus_io import AudioBuffer, Utterance
 ENERGY_FLOOR = 1e-6
 SILENCE_RMS = 1e-4
 OCTAVE_COST = 0.01  # per-octave penalty separating a period from its multiples
-# Most frames one step of the front end holds at a time.  At 16 kHz a pitch
-# block is one 64 x 1024 float64 buffer (512 KiB), transformed in place, and
-# its 513-bin spectrum (513 KiB), with the frames' own 64 x 640 copy
-# (320 KiB) held only before the transform.  A fixed bound, not a setting.
+# Most frames one step of the front end holds at a time.  At 16 kHz (a
+# 640-sample window and a 230-lag band) each extract_f0 call allocates once:
+# the 64 x 1024 float64 FFT buffer (512 KiB), transformed in place; the
+# 64 x 230 band and its score (115 KiB each); and two 64 x 230 peak masks
+# (29 KiB together).  Each block adds its 513-bin spectrum (513 KiB) during
+# the transform and the frames' own 64 x 640 copy (320 KiB) before it.  A
+# fixed bound, not a setting.
 FRAME_BLOCK = 64
 
 
@@ -95,9 +102,10 @@ class Frames:
         array."""
         n, win, hop = len(self.samples), self.win, self.hop
         starts = rows * hop - win // 2
-        out = self._windows[np.clip(starts, 0, n - win)]
         # rows p..q-1 lie inside the audio, the others reach past an end
         p, q = np.searchsorted(starts, (0, n - win + 1))
+        inside = p == 0 and q == len(rows)
+        out = self._windows[starts if inside else np.clip(starts, 0, n - win)]
         for r in (*range(p), *range(q, len(rows))):
             s = starts[r]
             lo, hi = max(0, -s), min(win, n - s)
@@ -185,11 +193,19 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
     thick = w_acf[lags + 1] > 1e-3 * w_acf[0]
     octave = OCTAVE_COST * np.log2(lags)
 
+    # the peak test reads the corrected ACF over lags lag_min - 1 ..
+    # lag_max + 1 only; band[:, i] is lag lag_min - 1 + i, and pen[i] is the
+    # cost of picking it: +inf at both edges and at thin lags
+    w_band = w_acf[lag_min - 1:lag_max + 2]
+    m = len(w_band)
+    pen = np.full(m, np.inf)
+    pen[1:-1] = np.where(thick, octave, np.inf)
+    band_buf = np.empty(FRAME_BLOCK * m)
+    score = np.empty(FRAME_BLOCK * m)
+    peak = np.empty(2 * FRAME_BLOCK * m, dtype=bool)
+
     values = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
-    # the peak test reads the corrected ACF over lags lag_min - 1 ..
-    # lag_max + 1 only; band[:, i] is lag lag_min - 1 + i
-    w_band = w_acf[lag_min - 1:lag_max + 2]
     loud_rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
     for a in range(0, len(loud_rows), FRAME_BLOCK):
         rows = loud_rows[a:a + FRAME_BLOCK]
@@ -205,33 +221,61 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
         del loud
         acf = frame_acf(block, lag_max + 1)
         live = acf[:, 0] > 0
-        rows, acf = rows[live], acf[live]
-
-        band = acf[:, lag_min - 1:] / w_band
+        if not live.all():
+            rows, acf = rows[live], acf[live]
+        band = band_buf[:len(rows) * m].reshape(-1, m)
+        np.divide(acf[:, lag_min - 1:], w_band, out=band)
         band *= w_acf[0] / acf[:, :1]
-        c = band[:, 1:-1]
-        # a true period shows as an interior local maximum, whereas a
-        # boundary argmax on a monotone slope is window-envelope
-        # correlation, not pitch
-        is_peak = c > band[:, :-2]
-        is_peak &= c > band[:, 2:]
-        is_peak &= thick
-        score = c - octave
-        score[~is_peak] = -np.inf
-        at = np.arange(len(rows))
-        i = score.argmax(axis=1)
-        y0, y1, y2 = band[at, i], band[at, i + 1], band[at, i + 2]
-        ok = is_peak[at, i] & (y1 >= cfg.voicing_threshold)
+        col, ok = pick_peaks(band, pen, cfg.voicing_threshold, score, peak)
+        # the voiced rows' winning lags, refined by parabolic interpolation
+        col = col[ok]
+        at = np.flatnonzero(ok) * m + col
+        y0, y1, y2 = band_buf[at - 1], band_buf[at], band_buf[at + 1]
         denom = y0 - 2 * y1 + y2
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = 0.5 * (y0 - y2) / denom
-        refine = (np.abs(denom) > 1e-12) & (-1 < delta) & (delta < 1)
-        j = lag_min + i
-        lag = np.where(refine, j + delta, j)
-        values[rows[ok]] = np.clip(rate / lag[ok], cfg.f0_min, cfg.f0_max)
-        voiced[rows[ok]] = True
+        refine = (np.abs(denom) > 1e-12) & (np.abs(delta) < 1)
+        j = lag_min - 1 + col
+        rows = rows[ok]
+        values[rows] = np.where(refine, j + delta, j)
+        voiced[rows] = True
+    # the voiced frames hold their lags until here
+    values[voiced] = np.minimum(np.maximum(rate / values[voiced], cfg.f0_min),
+                                cfg.f0_max)
     return FrameTrack(values=values, frame_shift_s=frames.frame_shift_s,
                       valid=voiced)
+
+
+def pick_peaks(band: np.ndarray, pen: np.ndarray, threshold: float,
+               score: np.ndarray, peak: np.ndarray):
+    """The winning column of each row of `band` and whether it is voiced.
+
+    A column is a candidate when it lies above both its neighbours in the
+    row and its penalty `pen` is finite: a true period shows as an interior
+    local maximum, whereas a maximum at a band edge on a monotone slope is
+    window-envelope correlation, not pitch.  The winner maximizes
+    band - pen over the candidates, the first on a tie, and the row is
+    voiced when it has a candidate and the winner's band value reaches
+    `threshold`.  The neighbour test runs over the flattened band, so a
+    row's first and last columns meet the rows beside it there; `pen` is
+    +inf at both, which keeps them out.  `score` (float64) and `peak`
+    (bool, twice as long) are scratch space of at least band.size entries.
+    """
+    k, m = band.shape
+    n = k * m
+    flat, s = band.reshape(-1), score[:n]
+    up, down = peak[:n], peak[n:2 * n]
+    up[:1] = False
+    np.greater(flat[1:], flat[:-1], out=up[1:])
+    np.greater(flat[:-1], flat[1:], out=down[:-1])
+    down[-1:] = False
+    up &= down
+    at = np.flatnonzero(up)
+    s.fill(-np.inf)
+    s[at] = flat[at] - pen[at % m]
+    col = s.reshape(k, m).argmax(axis=1)
+    at = np.arange(0, n, m) + col
+    return col, (s[at] > -np.inf) & (flat[at] >= threshold)
 
 
 def extract_energy(frames: Frames) -> FrameTrack:

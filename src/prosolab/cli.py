@@ -521,19 +521,24 @@ def _parse_fractions(text: str) -> list[float]:
     where = f"--fractions {text}"
     percents = [_parse(part, float, where) for part in text.split(",")]
     try:
-        return [evaluation.check_fraction(p / 100.0) for p in percents]
+        fractions = [evaluation.check_fraction(p / 100.0) for p in percents]
     except ValueError as exc:
         raise UsageError(f"{where}: {exc}") from exc
+    shown = [f"{p:g}" for p in percents]
+    for i, name in enumerate(shown):
+        if name in shown[:i]:
+            raise UsageError(f"{where}: {name}% is repeated")
+    return fractions
 
 
 def cmd_learning_curve(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be at least 0, got {args.seed}")
+    fractions = _parse_fractions(args.fractions)
     tagger = TAGGERS[args.model]
     cfg = load_config(args.config, tagger.config_keys)
     train_data = _load_columns(args.train_file, args.classes)
     test_data = _load_columns(args.test_file, args.classes)
-    fractions = _parse_fractions(args.fractions)
     train = tagger.trainer(cfg)
     points = evaluation.learning_curve(
         lambda data: partial(tagger.decode, train(data)),
@@ -639,10 +644,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("PROSOLAB_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # an empty PROSOLAB_LOG counts as unset
+    level = os.environ.get("PROSOLAB_LOG") or "WARNING"
+    levels = logging.getLevelNamesMapping()
+    if level.upper() not in levels:
+        print(f"error: PROSOLAB_LOG={level!r} is not a log level; use one of "
+              f"{', '.join(levels)}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

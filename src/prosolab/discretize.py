@@ -55,7 +55,9 @@ def calibrate_binary(values, reference) -> Thresholds:
     values = np.asarray(values, dtype=np.float64)
     reference = np.asarray(reference)
     if len(values) != len(reference):
-        raise ValueError("values and reference lengths differ")
+        raise ValueError(
+            f"values and reference lengths differ: {len(values)} values, "
+            f"{len(reference)} reference labels")
     if np.isnan(values).any():
         raise ValueError("values contain NaN")
     if not np.isin(reference, (0, 1)).all():

@@ -289,6 +289,55 @@ def test_block_cases_hit_an_empty_block_and_a_short_tail():
     assert 0 < (short.rms >= SILENCE_RMS).sum() < FRAME_BLOCK
 
 
+def oracle_pick(band, thick, octave, threshold):
+    """The peak picking as a 2-D rule over the interior columns: winning
+    column of `band` and voiced flag of each row."""
+    c = band[:, 1:-1]
+    is_peak = c > band[:, :-2]
+    is_peak &= c > band[:, 2:]
+    is_peak &= thick
+    score = c - octave
+    score[~is_peak] = -np.inf
+    at = np.arange(len(band))
+    i = score.argmax(axis=1)
+    ok = is_peak[at, i] & (band[at, i + 1] >= threshold)
+    return i + 1, ok, is_peak.any(axis=1)
+
+
+@st.composite
+def peak_band_st(draw):
+    """(band, thick, octave, threshold): 0-64 rows of small integers, so ties
+    and plateaus are common, random thin lags and octave costs that tie, and
+    rows whose edge column out-tops both the last interior column and the
+    next row's first column."""
+    k, m = draw(st.integers(0, 64)), draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    band = rng.integers(0, 4, (k, m)).astype(np.float64)
+    for r in np.flatnonzero(rng.random(k) < draw(st.floats(0, 1))):
+        band[r, -3:] = (0, 2, 3)
+        if r + 1 < k:
+            band[r + 1, 0] = 0
+    thick = rng.random(m - 2) < draw(st.floats(0, 1))
+    octave = rng.integers(0, 3, m - 2) / 2
+    return band, thick, octave, float(draw(st.integers(0, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(peak_band_st())
+def test_pick_peaks_is_the_two_dimensional_rule(case):
+    """The flat pick with its edge and thin-lag penalties picks the column
+    and voicing of the per-row rule, ties, plateaus and row edges included."""
+    band, thick, octave, threshold = case
+    k, m = band.shape
+    pen = np.full(m, np.inf)
+    pen[1:-1] = np.where(thick, octave, np.inf)
+    scratch = np.full(k * m, np.nan), np.ones(2 * k * m, dtype=bool)
+    col, ok = acoustics.pick_peaks(band.copy(), pen, threshold, *scratch)
+    want_col, want_ok, has_peak = oracle_pick(band, thick, octave, threshold)
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(col[has_peak], want_col[has_peak])
+
+
 def test_f0_pure_tone_220hz():
     track = extract_f0(framed(sine(220.0, 1.0)), PitchConfig())
     assert track.valid.all()

@@ -1647,6 +1647,29 @@ def test_learning_curve_rejects_unknown_fraction(tmp_path, capsys):
     assert "not supported" in capsys.readouterr().err
 
 
+def test_learning_curve_rejects_a_repeated_fraction(tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    train.write_text(DATASET_SENTENCE, encoding="utf-8")
+    out = tmp_path / "c.tsv"
+    assert run(["learning-curve", train, train, out, "--model", "majority",
+                "--fractions", "5,100,5.0"]) == 2
+    assert (capsys.readouterr().err
+            == "error: --fractions 5,100,5.0: 5% is repeated\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--fractions", "37"], ["--fractions", "5,5"],
+                                  ["--seed", "-1"]])
+def test_learning_curve_checks_its_flags_before_reading_data(tmp_path, capsys,
+                                                             flag):
+    """A bad flag is a usage error even when the data files are missing."""
+    missing = tmp_path / "missing.tsv"
+    assert run(["learning-curve", missing, missing, tmp_path / "c.tsv",
+                "--model", "majority", *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[0]}") and "missing" not in err
+
+
 @pytest.mark.parametrize("kind", ["majority", "crf", "embed"])
 def test_learning_curve_fits_what_train_fits(tmp_path, dataset_file, kind,
                                              capsys):
@@ -1832,6 +1855,31 @@ def test_log_level_env_controls_verbosity(tmp_path):
     quiet = run_proc("WARNING")
     assert quiet.returncode == 0, quiet.stderr
     assert "training majority" not in quiet.stderr
+
+
+@pytest.mark.parametrize("level", ["bogus", "10", ""])
+def test_log_level_env_unknown_is_a_usage_error_and_empty_is_unset(tmp_path,
+                                                                   level):
+    train = tmp_path / "train.tsv"
+    train.write_text(DATASET_SENTENCE, encoding="utf-8")
+    model = tmp_path / "m.model"
+    script = ("import sys; from prosolab.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    child = subprocess.run(
+        [sys.executable, "-c", script, "train", str(train), str(model),
+         "--model", "majority"],
+        capture_output=True, text=True, env=child_env(PROSOLAB_LOG=level))
+    if level:
+        assert child.returncode == 2
+        assert child.stderr == (
+            f"error: PROSOLAB_LOG={level!r} is not a log level; use one of "
+            "CRITICAL, FATAL, ERROR, WARN, WARNING, INFO, DEBUG, NOTSET\n")
+        assert not model.exists()
+    else:
+        # the default, WARNING: no INFO line
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == ""
+        assert model.exists()
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -160,6 +160,12 @@ def test_calibrate_length_mismatch():
         calibrate_binary([0.1], [0, 1])
 
 
+def test_calibrate_length_mismatch_gives_both_counts():
+    with pytest.raises(ValueError, match=r"lengths differ: 3 values, "
+                                         r"1 reference labels$"):
+        calibrate_binary([0.1, 0.2, 0.3], [0])
+
+
 def test_calibrate_constant_values():
     t = calibrate_binary([0.7, 0.7, 0.7], [0, 1, 1])
     assert t.theta1 == pytest.approx(0.7)
