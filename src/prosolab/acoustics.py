@@ -14,8 +14,10 @@ copy of the frames.  The peak picking reads each block's band of lags as
 one flat array, frame after frame, in a few whole-array passes that the
 call's own buffers hold: the neighbour test there also compares one frame's
 last lag with the next frame's first, and a penalty of +inf at both edge
-lags keeps those two columns out of every pick.  So each frame's result
-depends on that frame alone, not on where the blocks fall.
+lags keeps those two columns out of every pick.  The parabolic refinement
+of the winning lags runs once per REFINE_BLOCKS blocks, over the voiced
+frames they picked.  So each frame's result depends on that frame alone,
+not on where the blocks fall.
 """
 
 from __future__ import annotations
@@ -35,11 +37,15 @@ OCTAVE_COST = 0.01  # per-octave penalty separating a period from its multiples
 # Most frames one step of the front end holds at a time.  At 16 kHz (a
 # 640-sample window and a 230-lag band) each extract_f0 call allocates once:
 # the 64 x 1024 float64 FFT buffer (512 KiB), transformed in place; the
-# 64 x 230 band and its score (115 KiB each); and two 64 x 230 peak masks
-# (29 KiB together).  Each block adds its 513-bin spectrum (513 KiB) during
-# the transform and the frames' own 64 x 640 copy (320 KiB) before it.  A
-# fixed bound, not a setting.
+# 64 x 230 band and its score (115 KiB each); two 64 x 230 peak masks
+# (29 KiB together); and the 64 row scales.  Each block adds its 513-bin
+# spectrum (513 KiB) during the transform and the frames' own 64 x 640 copy
+# (320 KiB) before it.  A fixed bound, not a setting.
 FRAME_BLOCK = 64
+# Blocks whose voiced rows extract_f0 refines in one pass.  Until then each
+# such row keeps its frame index, winning column and three band values (40
+# bytes), so a chunk holds at most 40 KiB.  A fixed bound, not a setting.
+REFINE_BLOCKS = 16
 
 
 @dataclass
@@ -104,8 +110,7 @@ class Frames:
         starts = rows * hop - win // 2
         # rows p..q-1 lie inside the audio, the others reach past an end
         p, q = np.searchsorted(starts, (0, n - win + 1))
-        inside = p == 0 and q == len(rows)
-        out = self._windows[starts if inside else np.clip(starts, 0, n - win)]
+        out = self._windows[np.minimum(np.maximum(starts, 0), n - win)]
         for r in (*range(p), *range(q, len(rows))):
             s = starts[r]
             lo, hi = max(0, -s), min(win, n - s)
@@ -201,42 +206,55 @@ def extract_f0(frames: Frames, cfg: PitchConfig) -> FrameTrack:
     pen = np.full(m, np.inf)
     pen[1:-1] = np.where(thick, octave, np.inf)
     band_buf = np.empty(FRAME_BLOCK * m)
+    scale_buf = np.empty(FRAME_BLOCK)
     score = np.empty(FRAME_BLOCK * m)
     peak = np.empty(2 * FRAME_BLOCK * m, dtype=bool)
 
     values = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     loud_rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
-    for a in range(0, len(loud_rows), FRAME_BLOCK):
-        rows = loud_rows[a:a + FRAME_BLOCK]
-        block = buf[:len(rows)]
-        # zero-mean and taper the frames in their own contiguous copy, where
-        # numpy's elementwise passes cost less than half what they cost on
-        # the buffer's strided rows; the copy is let go before the transform
-        loud = frames.gather(rows)
-        loud -= np.add.reduce(loud, axis=1, keepdims=True) / win
-        loud *= taper
-        block[:, :win] = loud
-        block[:, win:] = 0
-        del loud
-        acf = frame_acf(block, lag_max + 1)
-        live = acf[:, 0] > 0
-        if not live.all():
-            rows, acf = rows[live], acf[live]
-        band = band_buf[:len(rows) * m].reshape(-1, m)
-        np.divide(acf[:, lag_min - 1:], w_band, out=band)
-        band *= w_acf[0] / acf[:, :1]
-        col, ok = pick_peaks(band, pen, cfg.voicing_threshold, score, peak)
-        # the voiced rows' winning lags, refined by parabolic interpolation
-        col = col[ok]
-        at = np.flatnonzero(ok) * m + col
-        y0, y1, y2 = band_buf[at - 1], band_buf[at], band_buf[at + 1]
+    around = np.array([[-1], [0], [1]])
+    # the parabolic refinement runs once per chunk of REFINE_BLOCKS blocks,
+    # over the voiced rows that the chunk's blocks picked
+    chunk = REFINE_BLOCKS * FRAME_BLOCK
+    for c in range(0, len(loud_rows), chunk):
+        picked = []
+        for a in range(c, min(c + chunk, len(loud_rows)), FRAME_BLOCK):
+            rows = loud_rows[a:a + FRAME_BLOCK]
+            block = buf[:len(rows)]
+            # zero-mean and taper the frames in their own contiguous copy,
+            # where numpy's elementwise passes cost less than half what they
+            # cost on the buffer's strided rows; the copy is let go before
+            # the transform
+            loud = frames.gather(rows)
+            loud -= np.add.reduce(loud, axis=1, keepdims=True) / win
+            loud *= taper
+            block[:, :win] = loud
+            block[:, win:] = 0
+            del loud
+            acf = frame_acf(block, lag_max + 1)
+            # each row's scale to the normalized ACF; a dead row (r0 = 0)
+            # gets nan, which fails every peak test
+            r0 = acf[:, 0]
+            scale = scale_buf[:len(rows)]
+            scale.fill(np.nan)
+            np.divide(w_acf[0], r0, out=scale, where=r0 > 0)
+            band = band_buf[:len(rows) * m].reshape(-1, m)
+            np.divide(acf[:, lag_min - 1:], w_band, out=band)
+            band *= scale[:, None]
+            col, ok = pick_peaks(band, pen, cfg.voicing_threshold, score,
+                                 peak)
+            # the voiced rows, their winning columns and the band around them
+            col = col[ok]
+            at = np.flatnonzero(ok) * m + col
+            picked.append((rows[ok], col, band_buf[at + around]))
+        rows, col, (y0, y1, y2) = (np.concatenate(p, axis=-1)
+                                   for p in zip(*picked))
         denom = y0 - 2 * y1 + y2
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = 0.5 * (y0 - y2) / denom
         refine = (np.abs(denom) > 1e-12) & (np.abs(delta) < 1)
         j = lag_min - 1 + col
-        rows = rows[ok]
         values[rows] = np.where(refine, j + delta, j)
         voiced[rows] = True
     # the voiced frames hold their lags until here
@@ -271,8 +289,12 @@ def pick_peaks(band: np.ndarray, pen: np.ndarray, threshold: float,
     down[-1:] = False
     up &= down
     at = np.flatnonzero(up)
+    # an infinite band value in a penalised column would score inf - inf
+    cost = pen[at % m]
+    keep = cost < np.inf
+    at = at[keep]
     s.fill(-np.inf)
-    s[at] = flat[at] - pen[at % m]
+    s[at] = flat[at] - cost[keep]
     col = s.reshape(k, m).argmax(axis=1)
     at = np.arange(0, n, m) + col
     return col, (s[at] > -np.inf) & (flat[at] >= threshold)

@@ -40,6 +40,9 @@ from .taggers import (crf_loglik_grad, crf_train, load_model,  # noqa: F401
 from .taggers.serialize import MAGIC
 
 log = logging.getLogger("prosolab")
+# the level names the logging module knows, which PROSOLAB_LOG may set
+LOG_LEVELS = ("CRITICAL", "FATAL", "ERROR", "WARN", "WARNING", "INFO",
+              "DEBUG", "NOTSET")
 
 
 class UsageError(Exception):
@@ -646,10 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # an empty PROSOLAB_LOG counts as unset
     level = os.environ.get("PROSOLAB_LOG") or "WARNING"
-    levels = logging.getLevelNamesMapping()
-    if level.upper() not in levels:
+    if level.upper() not in LOG_LEVELS:
         print(f"error: PROSOLAB_LOG={level!r} is not a log level; use one of "
-              f"{', '.join(levels)}", file=sys.stderr)
+              f"{', '.join(LOG_LEVELS)}", file=sys.stderr)
         return 2
     logging.basicConfig(level=level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")

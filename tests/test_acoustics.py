@@ -205,7 +205,7 @@ def test_f0_matches_frame_loop(samples, rate, cfg):
 
 # a DC run of 2 * FRAME_BLOCK + 8 hops holds whole blocks of loud frames that
 # are exactly zero once their mean is removed, so every ACF in such a block
-# has r0 == 0 and the block is empty after that filter
+# has r0 == 0 and no row of the block can be voiced
 DC_BLOCK = np.full((2 * FRAME_BLOCK + 8) * round(RATE * SHIFT), 0.5)
 
 
@@ -276,8 +276,8 @@ def test_blocked_rms_and_f0_equal_the_per_frame_oracles(case):
 
 
 def test_block_cases_hit_an_empty_block_and_a_short_tail():
-    """The DC case has a whole block of loud frames that the r0 filter
-    empties; the short case has fewer loud frames than one block."""
+    """The DC case has a whole block of loud frames whose ACFs all have
+    r0 == 0; the short case has fewer loud frames than one block."""
     frames = framed(np.concatenate([DC_BLOCK, harmonic(150.0, 0.2)]))
     rows = np.flatnonzero(frames.rms >= SILENCE_RMS)
     loud = frames.gather(rows)
@@ -307,9 +307,10 @@ def oracle_pick(band, thick, octave, threshold):
 @st.composite
 def peak_band_st(draw):
     """(band, thick, octave, threshold): 0-64 rows of small integers, so ties
-    and plateaus are common, random thin lags and octave costs that tie, and
+    and plateaus are common, random thin lags and octave costs that tie,
     rows whose edge column out-tops both the last interior column and the
-    next row's first column."""
+    next row's first column, and +inf scattered over the edge and thin
+    columns."""
     k, m = draw(st.integers(0, 64)), draw(st.integers(3, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     band = rng.integers(0, 4, (k, m)).astype(np.float64)
@@ -318,6 +319,10 @@ def peak_band_st(draw):
         if r + 1 < k:
             band[r + 1, 0] = 0
     thick = rng.random(m - 2) < draw(st.floats(0, 1))
+    # +inf where the pick must never look: the edges and the thin lags
+    out = np.flatnonzero(~np.r_[False, thick, False])
+    band[:, out] = np.where(rng.random((k, len(out))) < draw(st.floats(0, 1)),
+                            np.inf, band[:, out])
     octave = rng.integers(0, 3, m - 2) / 2
     return band, thick, octave, float(draw(st.integers(0, 4)))
 

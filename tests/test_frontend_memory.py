@@ -13,7 +13,7 @@ from conftest import RATE, sine
 SHIFT = 0.005
 WINDOW = 0.040
 # Above what blocked framing and pitch tracking need (about 1.5 MiB for
-# 10 s and 1.6 MiB for 60 s at 16 kHz, the per-frame outputs included, with
+# 10 s and 1.7 MiB for 60 s at 16 kHz, the per-frame outputs included, with
 # no copy of the samples) and far below what one whole-utterance pass needs
 # (about 65 MiB for 10 s, 390 MiB for 60 s).
 CEILING = 2 * 2**20
